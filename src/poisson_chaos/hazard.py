@@ -83,24 +83,10 @@ def cumulative_hazard(model: HazardModel, seed=None,
 
 def square_hazard_integral(model: HazardModel, pattern: PointPattern) -> float:
     """int_0^T h(t)^2 dt as a double sum over atom pairs (closed-form pair
-    time integrals); restricted to nearby pairs for banded kernels."""
+    time integrals; prefix sums for the rectangular kernel)."""
     if not len(pattern):
         return 0.0
-    u, x = pattern.u, pattern.x
-    order = np.argsort(x)
-    u, x = u[order], x[order]
-    if isinstance(model.kernel, RectHazardKernel):
-        reach = 2.0 * model.kernel.tau
-        lo = np.searchsorted(x, x - reach, side="left")
-        total = 0.0
-        n = len(x)
-        for i in range(n):
-            sl = slice(lo[i], i + 1)
-            vals = model.kernel.pair_time_integral(x[i], x[sl], model.T) * u[i] * u[sl]
-            total += 2.0 * float(vals.sum()) - float(vals[-1])  # diagonal counted once
-        return total
-    vals = model.kernel.pair_time_integral(x[:, None], x[None, :], model.T)
-    return float(u @ vals @ u)
+    return model.kernel.square_integral(pattern.u, pattern.x, model.T)
 
 
 def hazard_grid_times(model: HazardModel, pattern: PointPattern, n_points: int) -> np.ndarray:
@@ -195,6 +181,13 @@ def linear_clt_stat(model: HazardModel, case: int, seed=None,
     case 2 (extended-Gamma, beta = 1+sqrt x): (H - 4 sqrt(T)) / sqrt(log T)
     case 3 (Beta, c ~ sqrt x):                (H - 2 T) / T^{1/4}
     """
+    center, scale = _linear_center_scale(model, case)
+    return (cumulative_hazard(model, seed, pattern=pattern) - center) / scale
+
+
+def _linear_center_scale(model: HazardModel, case: int) -> tuple[float, float]:
+    """Stated centering and scaling of H(T) for a case, after checking that
+    the model is the one the case is stated for."""
     if not isinstance(model.kernel, RectHazardKernel):
         raise CaseMismatchError("linear CLT statistics are stated for the rectangular kernel")
     tau = model.kernel.tau
@@ -206,15 +199,13 @@ def linear_clt_stat(model: HazardModel, case: int, seed=None,
         raise CaseMismatchError("case 3 needs the Beta control")
     if case in (2, 3) and abs(tau - 1.0) > 1e-12:
         raise CaseMismatchError("cases 2 and 3 are stated for bandwidth 1")
-    h_total = cumulative_hazard(model, seed, pattern=pattern)
     T = model.T
     if case == 1:
-        center = 2.0 * tau * model.control.moment(1) * T
-        return (h_total - center) / math.sqrt(T)
+        return 2.0 * tau * model.control.moment(1) * T, math.sqrt(T)
     if case == 2:
-        return (h_total - 4.0 * math.sqrt(T)) / math.sqrt(math.log(T))
+        return 4.0 * math.sqrt(T), math.sqrt(math.log(T))
     if case == 3:
-        return (h_total - 2.0 * T) / T ** 0.25
+        return 2.0 * T, T ** 0.25
     raise CaseMismatchError(f"unknown case {case}")
 
 
@@ -237,19 +228,25 @@ def quadratic_clt_stat(model: HazardModel, variant: str, seed=None,
         raise CaseMismatchError("quadratic CLT statistics are stated for the rectangular kernel")
     if not isinstance(model.control, DiscreteControl):
         raise CaseMismatchError("quadratic statistics need a homogeneous control with K1..K4 finite")
+    if variant not in ("raw", "centered"):
+        raise CaseMismatchError(f"unknown variant {variant!r}")
     if pattern is None:
         pattern = sample_hazard_pattern(model, seed)
+    raw, centered = _quadratic_stats(model, pattern)
+    return raw if variant == "raw" else centered
+
+
+def _quadratic_stats(model: HazardModel, pattern: PointPattern) -> tuple[float, float]:
+    """(raw, centered) quadratic statistics of one pattern."""
     tau = model.kernel.tau
     T = model.T
     k1 = model.control.moment(1)
     k2 = model.control.moment(2)
     q = square_hazard_integral(model, pattern)
-    if variant == "raw":
-        return math.sqrt(T) * (q / T - (2.0 * tau * k2 + 4.0 * tau ** 2 * k1 ** 2))
-    if variant == "centered":
-        hbar = cumulative_hazard(model, pattern=pattern) / T
-        return math.sqrt(T) * (q / T - hbar ** 2 - 2.0 * tau * k2)
-    raise CaseMismatchError(f"unknown variant {variant!r}")
+    hbar = cumulative_hazard(model, pattern=pattern) / T
+    raw = math.sqrt(T) * (q / T - (2.0 * tau * k2 + 4.0 * tau ** 2 * k1 ** 2))
+    centered = math.sqrt(T) * (q / T - hbar ** 2 - 2.0 * tau * k2)
+    return raw, centered
 
 
 def quadratic_variance_stated(model: HazardModel, variant: str) -> float:
@@ -289,20 +286,11 @@ def rep_linear_case(args, rng) -> tuple:
     """(statistic, H(T)) for one replication; the raw cumulative hazard is
     retained so reports can show the empirical centering."""
     model, case = args
-    pattern = sample_hazard_pattern(model, rng)
-    stat = linear_clt_stat(model, case, pattern=pattern)
-    return (stat, cumulative_hazard(model, pattern=pattern))
+    center, scale = _linear_center_scale(model, case)
+    h_total = cumulative_hazard(model, pattern=sample_hazard_pattern(model, rng))
+    return ((h_total - center) / scale, h_total)
 
 
 def rep_quadratic(model: HazardModel, rng) -> tuple:
     """(raw, centered) quadratic statistics from one shared pattern."""
-    pattern = sample_hazard_pattern(model, rng)
-    tau = model.kernel.tau
-    T = model.T
-    k1 = model.control.moment(1)
-    k2 = model.control.moment(2)
-    q = square_hazard_integral(model, pattern)
-    hbar = cumulative_hazard(model, pattern=pattern) / T
-    raw = math.sqrt(T) * (q / T - (2.0 * tau * k2 + 4.0 * tau ** 2 * k1 ** 2))
-    centered = math.sqrt(T) * (q / T - hbar ** 2 - 2.0 * tau * k2)
-    return (raw, centered)
+    return _quadratic_stats(model, sample_hazard_pattern(model, rng))

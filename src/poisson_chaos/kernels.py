@@ -15,11 +15,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .point_process import ControlMeasure, Window
-from .quadrature import exp_refined_edges, integrate_checked
+from .quadrature import check_levels, exp_refined_edges, integrate_checked
+
+# largest n x n float64 pair matrix the dense pair sums may allocate
+DENSE_PAIR_BYTES_MAX = 1 << 28
 
 
 class ArityError(ValueError):
     pass
+
+
+def _check_dense_budget(n: int) -> None:
+    need = 8 * n * n
+    if need > DENSE_PAIR_BYTES_MAX:
+        raise ValueError(
+            f"dense pair matrix for n={n} atoms needs {need} bytes, over the "
+            f"{DENSE_PAIR_BYTES_MAX}-byte budget")
 
 
 class Kernel:
@@ -49,6 +60,21 @@ class Kernel:
     def double_integral(self, control: ControlMeasure, window: Window) -> float:
         """int int f dmu^2 over window^2 (arity 2)."""
         raise NotImplementedError
+
+    def pair_sum(self, u, x) -> float:
+        """sum_{i != j} f(z_i, z_j) over the atoms z_i = (u_i, x_i) (arity 2).
+
+        Dense: evaluates the n x n pair matrix, O(n^2) time and memory, and
+        refuses matrices over DENSE_PAIR_BYTES_MAX.  Structured kernels
+        override it.
+        """
+        u = np.asarray(u, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if not x.size:
+            return 0.0
+        _check_dense_budget(x.size)
+        vals = self(u[:, None], x[:, None], u[None, :], x[None, :])
+        return float(vals.sum() - np.trace(np.atleast_2d(vals)))
 
     def support_excess(self, window: Window) -> float:
         """Upper bound on the L2 mass of the kernel outside the window; 0 for
@@ -239,6 +265,9 @@ class ScaledKernel(Kernel):
     def double_integral(self, control, window):
         # int int (c f) dmu^2 is linear in the scale factor
         return self.factor * self.base.double_integral(control, window)
+
+    def pair_sum(self, u, x):
+        return self.factor * self.base.pair_sum(u, x)
 
     def support_excess(self, window):
         return self.factor ** 2 * self.base.support_excess(window)
@@ -465,35 +494,72 @@ class OUDoubleHKernel(Kernel):
         mom = control.abs_moment(p)
         return mom ** 2 * self._ghat_sq_double_integral(p, window) / self.T ** p
 
-    def partial_integral(self, control, window, u, x):
-        # int H((u,x), z) mu(dz): the u-part contributes the first moment
+    def _stated_excess(self, window: Window) -> tuple[float, float]:
+        # stated minus corrected Ghat on x, t <= 0 is d e^{lam x} e^{lam t};
+        # returns d and m = int_{x_lo}^0 e^{lam t} dt
         lam, T = self.lam, self.T
+        d = math.exp(-2.0 * lam * T) - math.exp(-2.0 * T)
+        return d, (1.0 - math.exp(-lam * max(-window.x_lo, 0.0))) / lam
+
+    def partial_integral(self, control, window, u, x):
+        # int H((u,x), z) mu(dz) = u K1 C_1(x) / T, over z in [x_lo, T]
         k1 = control.moment(1)
-        if k1 == 0.0:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        hi = min(window.x_hi, T)
-        if window.x_lo < 0.0 < hi:
-            base_edges = np.concatenate([exp_refined_edges(window.x_lo, 0.0, 1.0 / lam)[:-1],
-                                         exp_refined_edges(0.0, hi, 1.0 / lam)])
-        else:
-            base_edges = exp_refined_edges(window.x_lo, hi, 1.0 / lam)
         x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        for i, xi in enumerate(x):
-            edges = base_edges
-            if window.x_lo < xi < hi:
-                edges = np.unique(np.concatenate([base_edges, [xi]]))  # kink at t = x_i
-            val, _ = integrate_checked(
-                lambda t: ou_ghat(lam, T, np.full_like(t, xi), t, self.stated_form),
-                edges)
-            out[i] = val
-        return np.asarray(u) * k1 * out / T
+        if k1 == 0.0:
+            return np.zeros_like(x)
+        sec = self._shape_power_section(1, x, window)
+        if self.stated_form:
+            d, m = self._stated_excess(window)
+            sec = sec + np.where(x <= 0.0, d * m * np.exp(self.lam * np.minimum(x, 0.0)), 0.0)
+        return np.asarray(u) * k1 * np.where(x <= self.T, sec, 0.0) / self.T
 
     def double_integral(self, control, window):
         k1 = control.moment(1)
         if k1 == 0.0:
             return 0.0
-        return k1 ** 2 * self._ghat_sq_double_integral(1, window) / self.T
+        val = self._ghat_sq_double_integral(1, window)
+        if self.stated_form:
+            d, m = self._stated_excess(window)
+            val += d * m * m
+        return k1 ** 2 * val / self.T
+
+    def pair_sum(self, u, x):
+        """sum_{i != j} H(z_i, z_j) in O(n log n), without the pair matrix.
+
+        On x, y <= T, Ghat(x, y) is e^{-lam |x - y|} where max(x, y) > 0 and
+        c e^{lam (x + y)} where both are <= 0 (c = 1, or the stated-form
+        factor), less e^{lam (x + y) - 2 lam T} everywhere.  Over atoms sorted
+        by x the first part is the exponential-kernel recursion
+        R_k = sum_{j < k} u_j e^{-lam (x_k - x_j)}
+            = e^{-lam (x_k - x_{k-1})} (R_{k-1} + u_{k-1});
+        the other two are rank-one sums less their diagonals.
+        """
+        lam, T = self.lam, self.T
+        u = np.asarray(u, dtype=float)
+        x = np.asarray(x, dtype=float)
+        inside = x <= T
+        u, x = u[inside], x[inside]
+        if x.size < 2:
+            return 0.0
+        order = np.argsort(x)
+        u, x = u[order], x[order]
+        decay = np.exp(-lam * np.diff(x)).tolist()
+        weights = u.tolist()
+        recursion = [0.0] * len(weights)
+        acc = 0.0
+        for k in range(1, len(weights)):
+            acc = (acc + weights[k - 1]) * decay[k - 1]
+            recursion[k] = acc
+        first_pos = int(np.searchsorted(x, 0.0, side="right"))
+        near = 2.0 * float(np.dot(u[first_pos:], recursion[first_pos:]))
+        a = u[:first_pos] * np.exp(lam * x[:first_pos])
+        c_neg = 1.0
+        if self.stated_form:
+            c_neg += math.exp(-2.0 * lam * T) - math.exp(-2.0 * T)
+        neg = c_neg * (a.sum() ** 2 - np.dot(a, a))
+        b = u * np.exp(lam * (x - T))
+        tail = b.sum() ** 2 - np.dot(b, b)
+        return float(near + neg - tail) / T
 
     def support_excess(self, window):
         lam, T = self.lam, self.T
@@ -599,6 +665,7 @@ class OUDoubleHKernel(Kernel):
         off = off_diagonal(yp, yw, nodes)
         yp2, yw2 = panel_points(y_edges, nodes + 6)
         off2 = off_diagonal(yp2, yw2, nodes + 6)
+        check_levels(off, off2, what="n11 quadrature")
         disc = abs(off - off2) / max(abs(off2), 1e-300)
         n11 = k2 ** 4 * 2.0 * off2 / T ** 4
         return n11, n21, n10, disc
@@ -717,6 +784,19 @@ class HazardKernel:
         """int_0^T k(t, x1) k(t, x2) dt."""
         raise NotImplementedError
 
+    def square_integral(self, u, x, T) -> float:
+        """int_0^T h(t)^2 dt = sum_{i,j} u_i u_j int_0^T k(t, x_i) k(t, x_j) dt.
+
+        Dense: evaluates the n x n pair-time-integral matrix, O(n^2) time and
+        memory, and refuses matrices over DENSE_PAIR_BYTES_MAX.
+        """
+        u = np.asarray(u, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if not x.size:
+            return 0.0
+        _check_dense_budget(x.size)
+        return float(u @ self.pair_time_integral(x[:, None], x[None, :], T) @ u)
+
     def x_support(self, T: float) -> tuple[float, float]:
         """Smallest x-interval outside which k(t, .) vanishes for all t in [0, T]."""
         raise NotImplementedError
@@ -741,6 +821,29 @@ class RectHazardKernel(HazardKernel):
         lo = np.maximum(np.maximum(np.asarray(x1), np.asarray(x2)) - self.tau, 0.0)
         hi = np.minimum(np.minimum(np.asarray(x1), np.asarray(x2)) + self.tau, T)
         return np.maximum(0.0, hi - lo)
+
+    def square_integral(self, u, x, T):
+        """O(n log n) by prefix sums over atoms sorted by x.
+
+        For x_j <= x_i the pair integral is (b_j - a_i)^+ with
+        a = max(x - tau, 0) and b = min(x + tau, T).  b is sorted, so row i
+        sums over j in [lo_i, i] with lo_i the first b_j > a_i.  The prefix
+        sums grow like n T; extended precision keeps their differences
+        accurate to about 1e-15 relative at long horizons.
+        """
+        u = np.asarray(u, dtype=float)
+        x = np.asarray(x, dtype=float)
+        order = np.argsort(x)
+        u, x = u[order], x[order]
+        a = np.maximum(x - self.tau, 0.0)
+        b = np.minimum(x + self.tau, T)
+        end = np.arange(1, x.size + 1)
+        lo = np.minimum(np.searchsorted(b, a, side="right"), end)
+        pu = np.concatenate([[0.0], np.cumsum(u, dtype=np.longdouble)])
+        pb = np.concatenate([[0.0], np.cumsum(u * b, dtype=np.longdouble)])
+        rows = ((pb[end] - pb[lo]) - a * (pu[end] - pu[lo])).astype(float)
+        diag = u * u * np.maximum(b - a, 0.0)
+        return float(2.0 * np.dot(u, rows) - diag.sum())
 
     def x_support(self, T):
         return (0.0, T + self.tau)

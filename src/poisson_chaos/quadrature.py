@@ -54,13 +54,22 @@ def integrate_checked(f, edges, nodes: int = 24, rtol: float = 1e-6):
     """
     lo = integrate_panels(f, edges, nodes)
     hi = integrate_panels(f, edges, nodes + 12)
+    return hi, check_levels(lo, hi, rtol)
+
+
+def check_levels(lo: float, hi: float, rtol: float = 1e-6, what: str = "quadrature") -> float:
+    """Discrepancy |hi - lo| between a coarse and a fine node level.
+
+    Raises if it exceeds ``rtol`` relative to the result scale (absolute for
+    results below 1).
+    """
     disc = abs(hi - lo)
     scale = max(abs(hi), 1e-300)
     if disc > rtol * max(scale, 1.0) and disc > rtol * scale * 10.0:
         raise QuadratureError(
-            f"quadrature check failed: levels differ by {disc:.3e} on scale {scale:.3e}"
+            f"{what} check failed: levels differ by {disc:.3e} on scale {scale:.3e}"
         )
-    return hi, disc
+    return disc
 
 
 def integrate_2d_panels(f, xedges, yedges, nodes: int = 20) -> float:
@@ -74,13 +83,7 @@ def integrate_2d_panels(f, xedges, yedges, nodes: int = 20) -> float:
 def integrate_2d_checked(f, xedges, yedges, nodes: int = 20, rtol: float = 1e-6):
     lo = integrate_2d_panels(f, xedges, yedges, nodes)
     hi = integrate_2d_panels(f, xedges, yedges, nodes + 8)
-    disc = abs(hi - lo)
-    scale = max(abs(hi), 1e-300)
-    if disc > rtol * max(scale, 1.0) and disc > rtol * scale * 10.0:
-        raise QuadratureError(
-            f"2d quadrature check failed: levels differ by {disc:.3e} on scale {scale:.3e}"
-        )
-    return hi, disc
+    return hi, check_levels(lo, hi, rtol, what="2d quadrature")
 
 
 def exp_refined_edges(lo: float, hi: float, scale: float, base_panels: int = 4) -> np.ndarray:

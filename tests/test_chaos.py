@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from poisson_chaos import chaos
 from poisson_chaos.chaos import (
     charlier_block_oracle, charlier_polynomials, chaos_value, check_limit,
     clt_criterion, combine_fourth_moment, eval_I1, eval_I2, fourth_moment_chaos,
     levy_khinchine_cf, rep_block, single_clt_check, tail_mass,
 )
 from poisson_chaos.contractions import product_expand
-from poisson_chaos.kernels import BlockKernel, GridKernel, OUSingleKernel
+from poisson_chaos.kernels import (
+    DENSE_PAIR_BYTES_MAX, BlockKernel, GridKernel, OUDoubleHKernel, OUSingleKernel,
+)
 from poisson_chaos.point_process import (
     DiscreteControl, PointPattern, SupportError, Window, replication_seed,
     sample_pattern,
@@ -111,6 +115,60 @@ class TestEvalI2:
         cov = np.mean(i1s * i2s)
         se_cov = np.std(i1s * i2s, ddof=1) / math.sqrt(r)
         assert abs(cov) < 4 * se_cov
+
+
+def explicit_pair_sum(f, u, x):
+    """sum_{i != j} f(z_i, z_j), one kernel call per ordered pair."""
+    return sum(float(f(u[i], x[i], u[j], x[j]))
+               for i in range(len(x)) for j in range(len(x)) if i != j)
+
+
+@st.composite
+def ou_pair_atoms(draw):
+    """An OU pair kernel, possibly scaled by a negative factor, and atoms
+    on [-12/lam, T + 1] with ties and atoms at exactly 0, T and -12/lam."""
+    lam = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    T = draw(st.floats(0.5, 40.0))
+    f = OUDoubleHKernel(lam, T, stated_form=draw(st.booleans()))
+    factor = draw(st.one_of(st.just(1.0), st.floats(-3.0, 3.0)))
+    if factor != 1.0:
+        f = f.scaled(factor)
+    lo = -12.0 / lam
+    spots = st.one_of(st.floats(lo, T + 1.0), st.sampled_from([0.0, T, lo]))
+    x = draw(st.lists(spots, max_size=20))
+    x = x + x[:draw(st.integers(0, len(x)))]
+    u = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(x), max_size=len(x)))
+    return f, np.array(u, dtype=float), np.array(x, dtype=float)
+
+
+class TestPairSum:
+    @settings(max_examples=80, deadline=None)
+    @given(ou_pair_atoms())
+    def test_ou_recursion_matches_explicit_sum(self, case):
+        f, u, x = case
+        dense = explicit_pair_sum(f, u, x)
+        assert abs(f.pair_sum(u, x) - dense) <= 1e-11 * max(1.0, abs(dense))
+
+    @pytest.mark.parametrize("stated", [False, True])
+    def test_no_pairs_sum_to_zero(self, stated):
+        f = OUDoubleHKernel(0.5, 3.0, stated_form=stated)
+        assert f.pair_sum(np.empty(0), np.empty(0)) == 0.0
+        assert f.pair_sum(np.array([1.5]), np.array([-0.5])) == 0.0
+        # an atom beyond T contributes nothing
+        assert f.pair_sum(np.array([1.0, 2.0]), np.array([0.5, 3.5])) == 0.0
+
+    def test_dense_default_matches_explicit_sum(self):
+        vals = np.array([[0.3, 2.0, -1.0], [0.0, 1.0, 0.5], [1.0, -0.5, 0.2]])
+        f = GridKernel((0.0, 1.0, 2.0, 3.0), vals).symmetrize().scaled(-1.5)
+        x = np.array([0.2, 0.2, 1.5, 2.9, 3.0, 0.0])
+        u = np.ones_like(x)
+        assert f.pair_sum(u, x) == pytest.approx(explicit_pair_sum(f, u, x), rel=1e-12)
+
+    def test_dense_default_refuses_large_matrix(self, monkeypatch):
+        n = int(math.isqrt(DENSE_PAIR_BYTES_MAX // 8)) + 1
+        monkeypatch.setattr(BlockKernel, "__call__", lambda *a: pytest.fail("evaluated"))
+        with pytest.raises(ValueError, match=f"n={n} atoms needs {8 * n * n} bytes"):
+            BlockKernel(3).pair_sum(np.ones(n), np.zeros(n))
 
 
 class TestCharlier:
@@ -252,6 +310,16 @@ class TestCriterionEngine:
         assert not verdict.passed
         failing = {c.name for c in verdict.checks if not c.passed}
         assert "fourth_power" in failing
+
+    def test_contraction_norms_once_per_kernel(self, unit_jump, monkeypatch):
+        calls = []
+        norms = chaos.contraction_norms
+        monkeypatch.setattr(chaos, "contraction_norms",
+                            lambda *a: calls.append(a[0]) or norms(*a))
+        ns = [10, 30, 100]
+        clt_criterion([BlockKernel(n) for n in ns], unit_jump,
+                      [Window(0.0, float(n)) for n in ns], index=ns)
+        assert len(calls) == len(ns)
 
     def test_report_fields_consistent(self, unit_jump):
         verdict = clt_criterion([BlockKernel(4)], unit_jump, Window(0.0, 4.0))

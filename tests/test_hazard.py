@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from poisson_chaos import hazard
 from poisson_chaos.hazard import (
     cumulative_hazard_grid,
     CaseMismatchError, HazardModel, campbell_mean, cumulative_hazard,
@@ -12,7 +14,9 @@ from poisson_chaos.hazard import (
     sample_hazard_pattern, simulate_hazard, square_hazard_integral,
     square_hazard_integral_grid,
 )
-from poisson_chaos.kernels import DykstraLaudHazardKernel, OUHazardKernel
+from poisson_chaos.kernels import (
+    DENSE_PAIR_BYTES_MAX, DykstraLaudHazardKernel, OUHazardKernel, RectHazardKernel,
+)
 from poisson_chaos.point_process import (
     BetaControl, DiscreteControl, ExtendedGammaControl, PointPattern,
     replication_seed,
@@ -126,6 +130,49 @@ class TestSquareIntegral:
             assert exact == pytest.approx(dense, rel=1e-12)
 
 
+@st.composite
+def rect_atoms(draw):
+    """Horizon, bandwidth (often > T/2) and atoms around [0, T + tau], many
+    of them within tau of 0 or of T, with ties."""
+    T = draw(st.floats(0.5, 30.0))
+    tau = draw(st.one_of(st.floats(0.05, 3.0), st.floats(0.5 * T, 1.5 * T)))
+    spots = st.one_of(st.floats(-tau - 1.0, T + tau + 1.0), st.floats(0.0, tau),
+                      st.floats(max(T - tau, 0.0), T + tau),
+                      st.sampled_from([0.0, tau, T, T + tau]))
+    x = draw(st.lists(spots, max_size=40))
+    x = x + x[:draw(st.integers(0, len(x)))]
+    u = draw(st.lists(st.floats(0.0, 3.0), min_size=len(x), max_size=len(x)))
+    return T, tau, np.array(u, dtype=float), np.array(x, dtype=float)
+
+
+class TestRectPrefixSums:
+    @settings(max_examples=100, deadline=None)
+    @given(rect_atoms())
+    @example((1.0, 0.8, np.array([1.0, 2.0, 0.5, 1.5]), np.array([0.0, 0.3, 1.0, 1.8])))
+    @example((10.0, 1.0, np.array([1.0, 1.0, 2.0, 2.0]), np.array([0.5, 0.5, 9.5, 11.0])))
+    @example((5.0, 0.5, np.array([1.0, 2.0, 1.0, 3.0, 1.0]),
+              np.array([-2.0, -1.5, 1.0, 6.0, 7.0])))   # atoms outside the support
+    def test_matches_dense_pair_time_integral(self, case):
+        T, tau, u, x = case
+        k = RectHazardKernel(tau)
+        dense = float(u @ k.pair_time_integral(x[:, None], x[None, :], T) @ u)
+        assert abs(k.square_integral(u, x, T) - dense) <= 1e-11 * max(1.0, abs(dense))
+
+    def test_no_pair_time_integral_calls(self, monkeypatch):
+        monkeypatch.setattr(RectHazardKernel, "pair_time_integral",
+                            lambda *a: pytest.fail("pair loop used"))
+        model = rect_model(UNIT, T=400.0)
+        pat = sample_hazard_pattern(model, np.random.default_rng(replication_seed(61, 0)))
+        assert square_hazard_integral(model, pat) > 0.0
+
+    def test_dense_default_refuses_large_matrix(self, monkeypatch):
+        n = int(math.isqrt(DENSE_PAIR_BYTES_MAX // 8)) + 1
+        monkeypatch.setattr(DykstraLaudHazardKernel, "pair_time_integral",
+                            lambda *a: pytest.fail("evaluated"))
+        with pytest.raises(ValueError, match=f"n={n} atoms needs {8 * n * n} bytes"):
+            DykstraLaudHazardKernel().square_integral(np.ones(n), np.ones(n), 10.0)
+
+
 class TestLinearStat:
     def test_case_mismatch_errors(self):
         model = rect_model(UNIT, T=10.0)
@@ -137,6 +184,16 @@ class TestLinearStat:
         model_dl = HazardModel(kernel=DykstraLaudHazardKernel(), control=UNIT, T=10.0)
         with pytest.raises(CaseMismatchError):
             linear_clt_stat(model_dl, 1, seed=0)
+
+    def test_one_cumulative_hazard_per_replication(self, monkeypatch):
+        calls = []
+        cumulative = hazard.cumulative_hazard
+        monkeypatch.setattr(hazard, "cumulative_hazard",
+                            lambda *a, **kw: calls.append(1) or cumulative(*a, **kw))
+        model = rect_model(UNIT, T=50.0)
+        stat, h_total = rep_linear_case((model, 1), np.random.default_rng(replication_seed(62, 0)))
+        assert len(calls) == 1
+        assert stat == pytest.approx((h_total - 2.0 * 50.0) / math.sqrt(50.0), rel=1e-15)
 
     def test_case1_variance(self):
         model = rect_model(UNIT, T=200.0)
@@ -176,6 +233,13 @@ class TestQuadraticStat:
             quadratic_clt_stat(model, "bogus", seed=0)
         with pytest.raises(CaseMismatchError):
             quadratic_clt_stat(rect_model(BetaControl(), T=10.0), "raw", seed=0)
+
+    def test_replication_matches_single_statistics(self):
+        model = rect_model(UNIT, T=40.0)
+        raw, centered = rep_quadratic(model, np.random.default_rng(replication_seed(63, 0)))
+        pat = sample_hazard_pattern(model, np.random.default_rng(replication_seed(63, 0)))
+        assert raw == quadratic_clt_stat(model, "raw", pattern=pat)
+        assert centered == quadratic_clt_stat(model, "centered", pattern=pat)
 
     def test_centering_constants(self):
         model = rect_model(UNIT, T=400.0)

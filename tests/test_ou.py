@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate as si
 
 from poisson_chaos.harness import slope_fit
-from poisson_chaos.kernels import OUDoubleHKernel
+from poisson_chaos.kernels import OUDoubleHKernel, ou_ghat
 from poisson_chaos.ou import (
     OUConfig, autocovariance_exact, h_norm2_doubled,
     k1_variance_exact, k2_variance_exact, linear_stat, linear_variance_exact,
@@ -13,6 +14,7 @@ from poisson_chaos.ou import (
     square_time_integral_grid,
 )
 from poisson_chaos.point_process import DiscreteControl, Window, replication_seed
+from poisson_chaos.quadrature import QuadratureError
 
 
 class TestConfig:
@@ -102,6 +104,17 @@ class TestQuadraticStat:
             direct = math.sqrt(cfg.T) * (square_time_integral_exact(cfg, pat) / cfg.T - 1.0)
             assert q.total == pytest.approx(direct, rel=1e-8, abs=1e-8)
 
+    def test_long_horizon_pair_sum_never_builds_the_matrix(self, monkeypatch):
+        # T = 2000 (~2000 atoms): the sorted recursion alone carries K2; the
+        # dense square_time_integral_exact stays the independent oracle
+        monkeypatch.setattr(OUDoubleHKernel, "__call__",
+                            lambda *a: pytest.fail("pair matrix evaluated"))
+        cfg = OUConfig(lam=1.0, T=2000.0)
+        pat = sample_ou_pattern(cfg, np.random.default_rng(replication_seed(40, 0)))
+        q = quadratic_stat(cfg, pattern=pat)
+        direct = math.sqrt(cfg.T) * (square_time_integral_exact(cfg, pat) / cfg.T - 1.0)
+        assert q.total == pytest.approx(direct, rel=1e-8, abs=1e-8)
+
     def test_exact_square_integral_vs_fine_grid(self):
         cfg = OUConfig(lam=1.0, T=10.0)
         pat = sample_ou_pattern(cfg, seed=77)
@@ -172,6 +185,50 @@ class TestInstantKernel:
         assert q.total == pytest.approx(grid_route, rel=1e-5, abs=1e-5)
 
 
+class TestPairCompensator:
+    @pytest.mark.parametrize("lam,T,stated", [
+        (2.0, 800.0, False),   # the per-atom adaptive quadrature failed here
+        (1.0, 50.0, False),
+        (0.5, 1.0, True),      # short horizon: the stated branch differs
+    ])
+    def test_closed_form_vs_quadrature(self, lam, T, stated):
+        ctrl = DiscreteControl(values=(0.75,), weights=(1.0,))
+        L = 12.0 / lam
+        h = OUDoubleHKernel(lam, T, stated_form=stated)
+        xs = np.array([-L, -0.5 * L, 0.0, 0.3, 0.5 * T, T - 0.5, T])
+        got = h.partial_integral(ctrl, Window(-L, T), np.full_like(xs, -2.0), xs)
+        for xi, g in zip(xs, got):
+            kinks = sorted({0.0, xi} - {-L, T})
+            oracle, _ = si.quad(
+                lambda t: ou_ghat(lam, T, np.array([xi]), np.array([t]), stated)[0],
+                -L, T, points=kinks, limit=2000, epsabs=1e-15, epsrel=1e-12)
+            assert g == pytest.approx(-2.0 * 0.75 * oracle / T, rel=1e-10, abs=1e-18)
+
+    @pytest.mark.parametrize("stated", [False, True])
+    def test_double_integral_is_integrated_compensator(self, stated):
+        ctrl = DiscreteControl(values=(0.75,), weights=(1.0,))
+        lam, T, L = 0.5, 1.0, 24.0
+        h = OUDoubleHKernel(lam, T, stated_form=stated)
+        w = Window(-L, T)
+        oracle, _ = si.quad(
+            lambda t: h.partial_integral(ctrl, w, np.array([1.0]), np.array([t]))[0],
+            -L, T, points=[0.0], limit=400, epsabs=1e-14, epsrel=1e-12)
+        assert h.double_integral(ctrl, w) == pytest.approx(0.75 * oracle, rel=1e-10)
+
+    def test_uncentered_long_horizon_quadratic_stat(self):
+        # non-centred marginal at lam = 2, T = 800: finite statistic, and the
+        # compensators centre I2 (exact mean 0 of the pair-kernel integral)
+        jumps = DiscreteControl(values=(0.5 * (1.5 + math.sqrt(1.75)),
+                                        0.5 * (1.5 - math.sqrt(1.75))),
+                                weights=(0.5, 0.5))
+        cfg = OUConfig(lam=2.0, T=800.0, jumps=jumps)
+        assert jumps.moment(1) == pytest.approx(0.75)
+        rng = np.random.default_rng(replication_seed(41, 0))
+        k2 = np.array([quadratic_stat(cfg, seed=rng).k2 for _ in range(200)])
+        assert np.all(np.isfinite(k2))
+        assert abs(k2.mean()) < 4 * k2.std(ddof=1) / math.sqrt(k2.size)
+
+
 class TestSampleVariance:
     def test_identity_with_parts(self):
         cfg = OUConfig(lam=1.0, T=30.0)
@@ -213,6 +270,13 @@ class TestDecayLaws:
         for seq in (l4s, n21s, n11s):
             slope, _ = slope_fit(ts, seq)
             assert -1.2 < slope < -0.8
+
+    def test_n11_two_level_check_raises(self, symmetric_jump):
+        # too few nodes for the outer n11 quadrature (the section integral
+        # still passes its own check)
+        with pytest.raises(QuadratureError, match="n11"):
+            OUDoubleHKernel(1.0, 200.0).contraction_norms(
+                symmetric_jump, Window(-12.0, 200.0), nodes=3)
 
     def test_contraction_norm_scaling_cauchy_schwarz(self, symmetric_jump):
         # pins the T-power independently: ||H *11 H||^2 <= (||H||^2)^2 must
