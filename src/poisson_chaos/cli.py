@@ -5,7 +5,8 @@ Subcommands: criterion | block | ou | hazard | sample.  Flags override
 config-file values.  Every output file embeds the tool version, the config
 hash, and the master seed, so a rerun from that triple reproduces the file
 byte-identically; wall times go to stdout only.  Exit codes: 0 all verdicts
-pass, 1 at least one fails, 2 usage or configuration error.
+pass, 1 at least one fails, 2 usage or configuration error, 3 a replication
+crashed (the one-line message names its index and the master seed).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from . import chaos, hazard as hz, ou as oumod
 from .harness import TargetSpec, collect, run_experiment, summarize
 
 USAGE_ERROR = 2
+CRASH = 3
 
 
 def _provenance(args, cfg_path) -> dict:
@@ -357,6 +359,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except RuntimeError as exc:
+        print(f"crash: {exc}", file=sys.stderr)
+        return CRASH
 
 
 if __name__ == "__main__":

@@ -170,7 +170,8 @@ def _run_chunk(args):
         try:
             out.append(rep_fn(cfg, rng))
         except Exception as exc:  # abort with the offending replication pinned
-            raise RuntimeError(f"replication {i} (master seed {master_seed}) failed") from exc
+            raise RuntimeError(f"replication {i} (master seed {master_seed}) failed: "
+                               f"{type(exc).__name__}: {exc}") from exc
     return lo, out
 
 

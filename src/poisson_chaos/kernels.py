@@ -420,6 +420,9 @@ class OUSingleKernel(Kernel):
     def support_excess(self, window):
         # L2 tail below the window cut
         lam, T = self.lam, self.T
+        if window.x_hi < T:
+            # the kernel lives on x <= T; a window ending earlier cuts it
+            return math.inf
         L = -window.x_lo
         return (2.0 / (lam * T)) * (1.0 - math.exp(-lam * T)) ** 2 * math.exp(-2 * lam * L) / (2 * lam)
 
@@ -472,7 +475,10 @@ class OUDoubleHKernel(Kernel):
         lam, T = self.lam, self.T
         L = -window.x_lo
         E = math.exp(-2.0 * lam * T)
-        both_neg = (1.0 - E) ** p * ((1.0 - math.exp(-p * lam * L)) / (p * lam)) ** 2
+        # both coordinates <= 0: Ghat = c e^{lam (x + x')} with c = 1 - E,
+        # or 1 - e^{-2T} in the stated form
+        c_neg = 1.0 - (math.exp(-2.0 * T) if self.stated_form else E)
+        both_neg = c_neg ** p * ((1.0 - math.exp(-p * lam * L)) / (p * lam)) ** 2
         # 2 * int_0^T e^{p lam x}(e^{-2 lam x} - E)^p (e^{p lam x} - e^{-p lam L})/(p lam) dx
         first = 0.0   # int_0^T e^{2 p lam x} (e^{-2 lam x} - E)^p dx
         second = 0.0  # int_0^T e^{p lam x} (e^{-2 lam x} - E)^p dx
@@ -517,11 +523,7 @@ class OUDoubleHKernel(Kernel):
         k1 = control.moment(1)
         if k1 == 0.0:
             return 0.0
-        val = self._ghat_sq_double_integral(1, window)
-        if self.stated_form:
-            d, m = self._stated_excess(window)
-            val += d * m * m
-        return k1 ** 2 * val / self.T
+        return k1 ** 2 * self._ghat_sq_double_integral(1, window) / self.T
 
     def pair_sum(self, u, x):
         """sum_{i != j} H(z_i, z_j) in O(n log n), without the pair matrix.
@@ -563,14 +565,22 @@ class OUDoubleHKernel(Kernel):
 
     def support_excess(self, window):
         lam, T = self.lam, self.T
+        if window.x_hi < T:
+            # the kernel lives on (-inf, T]^2; a window ending earlier cuts it
+            return math.inf
         L = -window.x_lo
         # L2 mass with either coordinate below -L decays like e^{-2 lam L}
         return self._ghat_sq_double_integral(2, Window(-L - 40.0 / lam, T)) * math.exp(-2 * lam * L) / T ** 2
 
     # ---- contraction machinery --------------------------------------------
 
+    def _require_corrected_form(self, what: str) -> None:
+        if self.stated_form:
+            raise ValueError(f"{what} models only the corrected (stated_form=False) kernel")
+
     def pair_overlap(self, y, yp, window: Window):
         """W(y, y') = int_window Ghat(x, y) Ghat(x, y') dx, exact and stable."""
+        self._require_corrected_form("pair_overlap")
         lam, T = self.lam, self.T
         L = -window.x_lo
         E = math.exp(-2.0 * lam * T)
@@ -630,6 +640,7 @@ class OUDoubleHKernel(Kernel):
         """
         from .quadrature import panel_points
 
+        self._require_corrected_form("contraction_norms")
         lam, T = self.lam, self.T
         k2 = control.moment(2)
         k4 = control.moment(4)
@@ -717,6 +728,9 @@ class OUDiagHstarKernel(Kernel):
 
     def support_excess(self, window):
         lam, T = self.lam, self.T
+        if window.x_hi < T:
+            # the kernel lives on x <= T; a window ending earlier cuts it
+            return math.inf
         L = -window.x_lo
         return (1.0 - math.exp(-2 * lam * T)) ** 2 * math.exp(-4 * lam * L) / (4 * lam * T ** 2)
 

@@ -16,6 +16,7 @@ second-moment mass is reported so callers can bound the bias.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import integrate as _sint
@@ -115,6 +116,42 @@ def replication_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     """Counter-based replication seed: depends only on (master_seed, index),
     never on scheduling order or worker count."""
     return np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
+
+
+# ---------------------------------------------------------------------------
+# inverse-CDF tables for the truncated infinite-activity marginals
+# ---------------------------------------------------------------------------
+
+
+def _trapezoid_table(grid: np.ndarray, dens: np.ndarray):
+    """Normalized trapezoid CDF of ``dens`` on ``grid`` and its unnormalized
+    total.  The table is cached and shared by every sampling call, so grid
+    and CDF are made read-only."""
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
+    total = cdf[-1]
+    cdf /= total
+    grid.setflags(write=False)
+    cdf.setflags(write=False)
+    return cdf, total
+
+
+def _inverse_cdf_draws(rng: np.random.Generator, n: int, cdf: np.ndarray,
+                       grid: np.ndarray) -> np.ndarray:
+    """np.interp(rng.uniform(size=n), cdf, grid), bit for bit.  interp is
+    elementwise, so the lookup runs on the sorted uniforms (its binary search
+    is several times faster on monotone input than on random input) and is
+    scattered back into the uniforms' own buffer."""
+    v = rng.uniform(size=n)
+    order = np.argsort(v)
+    v[order] = np.interp(v[order], cdf, grid)
+    return v
+
+
+@lru_cache(maxsize=32)
+def _window_constants(control, window: Window):
+    """Per-(control, window) sampling constants, computed once per process;
+    both arguments are frozen dataclasses and so hashable by value."""
+    return control._compute_window_constants(window)
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +326,18 @@ class GeneralizedGammaControl(ControlMeasure):
         hi = u_hi if u_hi is not None else lo + 60.0 / self.gamma
         return np.geomspace(lo, hi, self._table_size)
 
-    def sample(self, window: Window, rng: np.random.Generator):
+    def _compute_window_constants(self, window: Window):
         grid = self._u_grid(window.u_lo, window.u_hi)
         dens = np.exp(-self.gamma * grid) * grid ** (-1.0 - self.sigma)
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
-        cdf /= cdf[-1]
-        total = self.jump_mass(window.u_lo, window.u_hi) * window.length
+        cdf, _ = _trapezoid_table(grid, dens)
+        return grid, cdf, float(self.jump_mass(window.u_lo, window.u_hi) * window.length)
+
+    def sample(self, window: Window, rng: np.random.Generator):
+        grid, cdf, total = _window_constants(self, window)
         n = rng.poisson(total)
         x = rng.uniform(window.x_lo, window.x_hi, size=n)
-        u = np.interp(rng.uniform(size=n), cdf, grid)
-        return u, x, float(total)
+        u = _inverse_cdf_draws(rng, n, cdf, grid)
+        return u, x, total
 
     def integrate(self, fn, window: Window) -> float:
         self._require_eps()
@@ -321,7 +360,14 @@ class ExtendedGammaControl(ControlMeasure):
 
     The u-marginal is infinite-activity (u^{-1} at the origin); jumps below
     eps are dropped.  Sampling rejects from the dominating homogeneous product
-    built from beta_min = beta(x_lo).
+    built from beta_min = beta(x_lo): a Poisson count, uniform times, jumps
+    from a 4096-point inverse-CDF table of e^{-beta_min u}/u on [lo, lo +
+    80/beta0], and acceptance with probability e^{-(beta(x) - beta_min) u}.
+    The table, the dominating mass and mu(window) depend only on the
+    (control, window) pair and are computed once per process; the table
+    lookup runs on sorted uniforms and returns exactly the values the
+    unsorted lookup would, so a seed gives the same atoms as a per-call
+    rebuild.
     """
 
     beta0: float = 1.0
@@ -377,21 +423,22 @@ class ExtendedGammaControl(ControlMeasure):
                             window.x_lo, window.x_hi, epsabs=1e-11, epsrel=1e-9, limit=400)
         return float(val)
 
-    def sample(self, window: Window, rng: np.random.Generator):
+    def _compute_window_constants(self, window: Window):
         self._require_eps()
         lo = self.eps if window.u_lo is None else max(window.u_lo, self.eps)
         hi = window.u_hi if window.u_hi is not None else lo + 80.0 / self.beta0
         b_min = float(self.beta(window.x_lo))
         grid = np.geomspace(lo, hi, self._table_size)
-        dens = np.exp(-b_min * grid) / grid
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
-        dom_jump_mass = cdf[-1]
-        cdf /= cdf[-1]
-        n = rng.poisson(dom_jump_mass * window.length)
+        cdf, dom_jump_mass = _trapezoid_table(grid, np.exp(-b_min * grid) / grid)
+        return b_min, grid, cdf, float(dom_jump_mass * window.length), self.mass(window)
+
+    def sample(self, window: Window, rng: np.random.Generator):
+        b_min, grid, cdf, dom_mass, mass = _window_constants(self, window)
+        n = rng.poisson(dom_mass)
         x = rng.uniform(window.x_lo, window.x_hi, size=n)
-        u = np.interp(rng.uniform(size=n), cdf, grid)
+        u = _inverse_cdf_draws(rng, n, cdf, grid)
         keep = rng.uniform(size=n) < np.exp(-(self.beta(x) - b_min) * u)
-        return u[keep], x[keep], self.mass(window)
+        return u[keep], x[keep], mass
 
     def integrate(self, fn, window: Window) -> float:
         self._require_eps()

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from poisson_chaos.cli import main
+from poisson_chaos import hazard
+from poisson_chaos.cli import CRASH, USAGE_ERROR, main
 from poisson_chaos.configio import (
     ConfigError, config_hash, control_from_section, read_config, window_from_section,
 )
@@ -161,3 +162,29 @@ class TestCLI:
                   "--reps", "400", "--seed", "21", "--workers", str(w), "--out", str(out)])
             outs.append((out / "ou_thm4_T30.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_workers_do_not_change_extended_gamma_outputs(self, tmp_path):
+        outs = []
+        for w in (1, 2):
+            out = tmp_path / f"w{w}"
+            main(["hazard", "--theorem", "7", "--case", "2", "--T", "2000",
+                  "--reps", "40", "--seed", "13", "--workers", str(w), "--out", str(out)])
+            outs.append((out / "hazard_thm7_case2_T2000.json").read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_replication_crash_has_its_own_exit_code(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def crashing_rep(cfg, rng):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ZeroDivisionError("boom")
+            return 0.0, 0.0
+
+        monkeypatch.setattr(hazard, "rep_linear_case", crashing_rep)
+        rc = main(["hazard", "--theorem", "7", "--case", "1", "--T", "20",
+                   "--reps", "200", "--seed", "5", "--out", str(tmp_path)])
+        assert rc == CRASH and CRASH not in (0, 1, USAGE_ERROR)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "replication 2 (master seed 5)" in err[0] and "ZeroDivisionError: boom" in err[0]

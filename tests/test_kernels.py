@@ -10,7 +10,8 @@ from poisson_chaos.kernels import (
     OUDoubleHKernel, OUHazardKernel, OUSingleKernel, RectHazardKernel,
     grid_from_csv, grid_to_csv, ou_ghat,
 )
-from poisson_chaos.point_process import DiscreteControl, Window
+from poisson_chaos.chaos import eval_I2
+from poisson_chaos.point_process import DiscreteControl, PointPattern, SupportError, Window
 from poisson_chaos.quadrature import exp_refined_edges, integrate_checked
 
 
@@ -187,6 +188,45 @@ class TestOUDoubleH:
             lambda yp, y: (h.pair_overlap(np.array([y]), np.array([yp]), w)[0] / T ** 2) ** 2,
             -L, T, -L, T, epsabs=1e-14, epsrel=1e-9)
         assert n11 == pytest.approx(num_n11, rel=1e-6)
+
+    def test_stated_norm_vs_2d_quadrature(self, unit_jump):
+        # the stated branch's both-negative factor (1 - e^{-2T})^p enters the norm
+        lam, T, L = 0.5, 1.0, 24.0
+        h = OUDoubleHKernel(lam, T, stated_form=True)
+
+        def inner(x):
+            val, _ = si.quad(lambda y: ou_ghat(lam, T, np.array([x]), np.array([y]), True)[0] ** 2,
+                             -L, T, epsabs=1e-14, epsrel=1e-12, limit=400,
+                             points=sorted({0.0, x} - {-L, T}))
+            return val
+
+        num, _ = si.quad(inner, -L, T, epsabs=1e-13, epsrel=1e-11, limit=400, points=[0.0])
+        got = h.lp_norm(2, unit_jump, Window(-L, T))
+        assert got == pytest.approx(num / T ** 2, rel=1e-9)
+        assert got == pytest.approx(1.0838, abs=5e-5)
+        assert OUDoubleHKernel(lam, T).lp_norm(2, unit_jump, Window(-L, T)) == pytest.approx(
+            0.7358, abs=5e-5)
+
+    def test_stated_contractions_refused(self, symmetric_jump):
+        h = OUDoubleHKernel(0.5, 3.0, stated_form=True)
+        w = Window(-24.0, 3.0)
+        with pytest.raises(ValueError, match="corrected"):
+            h.contraction_norms(symmetric_jump, w)
+        with pytest.raises(ValueError, match="corrected"):
+            h.pair_overlap(np.array([0.5]), np.array([1.0]), w)
+
+    @pytest.mark.parametrize("kind", [OUDoubleHKernel, OUSingleKernel, OUDiagHstarKernel])
+    def test_window_ending_before_horizon_is_unsupported(self, kind):
+        h = kind(1.0, 10.0)
+        assert h.support_excess(Window(-12.0, 5.0)) == math.inf
+        assert h.scaled(2.0).support_excess(Window(-12.0, 5.0)) == math.inf
+        assert h.support_excess(Window(-12.0, 10.0)) < 1e-6
+
+    def test_eval_rejects_window_ending_before_horizon(self, unit_jump):
+        h = OUDoubleHKernel(1.0, 10.0)
+        empty = PointPattern(np.empty(0), np.empty(0), Window(-12.0, 5.0), 17.0, 0)
+        with pytest.raises(SupportError):
+            eval_I2(h, empty, unit_jump)
 
 
 class TestTruncationConvergence:

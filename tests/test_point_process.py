@@ -1,14 +1,60 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate as si
 from scipy.special import exp1
 
+from poisson_chaos import point_process
 from poisson_chaos.point_process import (
     BetaControl, DiscreteControl, ExtendedGammaControl, GeneralizedGammaControl,
     InfiniteMassError, PointPattern, SupportError, Window,
     compensated_count, measure_of, pattern_from_csv, pattern_to_csv,
     replication_seed, sample_pattern,
 )
+
+
+def per_call_generalized_gamma_sample(ctrl, window, rng):
+    """Reference: the table rebuilt on every call and looked up unsorted."""
+    grid = ctrl._u_grid(window.u_lo, window.u_hi)
+    dens = np.exp(-ctrl.gamma * grid) * grid ** (-1.0 - ctrl.sigma)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
+    cdf /= cdf[-1]
+    total = ctrl.jump_mass(window.u_lo, window.u_hi) * window.length
+    n = rng.poisson(total)
+    x = rng.uniform(window.x_lo, window.x_hi, size=n)
+    u = np.interp(rng.uniform(size=n), cdf, grid)
+    return u, x, float(total)
+
+
+def per_call_extended_gamma_sample(ctrl, window, rng):
+    """Reference: table and window mass rebuilt on every call, unsorted lookup."""
+    lo = ctrl.eps if window.u_lo is None else max(window.u_lo, ctrl.eps)
+    hi = window.u_hi if window.u_hi is not None else lo + 80.0 / ctrl.beta0
+    b_min = float(ctrl.beta(window.x_lo))
+    grid = np.geomspace(lo, hi, ctrl._table_size)
+    dens = np.exp(-b_min * grid) / grid
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
+    dom_jump_mass = cdf[-1]
+    cdf /= cdf[-1]
+    n = rng.poisson(dom_jump_mass * window.length)
+    x = rng.uniform(window.x_lo, window.x_hi, size=n)
+    u = np.interp(rng.uniform(size=n), cdf, grid)
+    keep = rng.uniform(size=n) < np.exp(-(ctrl.beta(x) - b_min) * u)
+    return u[keep], x[keep], ctrl.mass(window)
+
+
+@st.composite
+def sampling_windows(draw, eps):
+    """Windows on x > 0 from empty (n = 0) through a few hundred to several
+    thousand proposals, with and without jump-range bounds above eps."""
+    x_lo = draw(st.one_of(st.just(0.0), st.floats(0.0, 400.0)))
+    length = draw(st.one_of(st.floats(1e-9, 1e-3), st.floats(1e-3, 30.0),
+                            st.floats(30.0, 900.0)))
+    u_lo = draw(st.one_of(st.none(), st.floats(0.5 * eps, 0.2)))
+    u_hi = draw(st.one_of(st.none(), st.floats(0.05, 5.0)))
+    if u_hi is not None:
+        u_hi += max(u_lo or 0.0, eps)
+    return Window(x_lo, x_lo + length, u_lo, u_hi)
 
 
 class TestMeasureOf:
@@ -153,6 +199,54 @@ class TestSampling:
         tot = [ctrl.sample(w, rng)[0].sum() for _ in range(4000)]
         tot = np.array(tot)
         assert tot.mean() == pytest.approx(oracle, abs=4 * tot.std(ddof=1) / np.sqrt(tot.size))
+
+
+class TestCachedSamplers:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(1.0, 1.0, 1e-4), (0.5, 0.0, 1e-4), (2.0, 3.0, 1e-2)]),
+           st.data(), st.integers(0, 2 ** 63))
+    def test_extended_gamma_matches_per_call_rebuild(self, params, data, seed):
+        ctrl = ExtendedGammaControl(*params)
+        window = data.draw(sampling_windows(ctrl.eps))
+        got = ctrl.sample(window, np.random.default_rng(seed))
+        ref = per_call_extended_gamma_sample(ctrl, window, np.random.default_rng(seed))
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        assert got[2] == ref[2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(0.5, 1.0, 0.1), (0.3, 3.0, 1e-3), (0.9, 0.5, 1e-2)]),
+           st.data(), st.integers(0, 2 ** 63))
+    def test_generalized_gamma_matches_per_call_rebuild(self, params, data, seed):
+        ctrl = GeneralizedGammaControl(*params)
+        window = data.draw(sampling_windows(ctrl.eps))
+        got = ctrl.sample(window, np.random.default_rng(seed))
+        ref = per_call_generalized_gamma_sample(ctrl, window, np.random.default_rng(seed))
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        assert got[2] == ref[2]
+
+    def test_sizes_cover_empty_small_and_large_patterns(self):
+        # the windows above reach n = 0, 0 < n < 4096 (table size) and n >= 4096
+        ctrl = ExtendedGammaControl()
+        sizes = [len(ctrl.sample(Window(1.0, 1.0 + length), np.random.default_rng(3))[0])
+                 for length in (1e-9, 30.0, 900.0)]
+        assert sizes[0] == 0 and 0 < sizes[1] < 4096 <= sizes[2]
+
+    def test_window_mass_quadrature_runs_once_per_window(self, monkeypatch):
+        calls = []
+        quad = point_process._sint.quad
+
+        def counting_quad(*args, **kwargs):
+            calls.append(1)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(point_process._sint, "quad", counting_quad)
+        point_process._window_constants.cache_clear()
+        ctrl = ExtendedGammaControl(eps=1e-4)
+        window = Window(0.0, 50.0)
+        rng = np.random.default_rng(4)
+        masses = {ctrl.sample(window, rng)[2] for _ in range(50)}
+        assert len(calls) == 1
+        assert masses == {ctrl.mass(window)}
 
 
 class TestCompensatedCount:
