@@ -225,11 +225,11 @@ def check_limit(name: str, index: np.ndarray, values: np.ndarray, target: float,
 def _integrability(f: Kernel, control, window, n21: float) -> tuple[bool, float]:
     """(N-i)-style check: finiteness of int (int f^2)^2 (= n21, computed by the
     caller) and int (int f^4)^{1/2}."""
+    base = getattr(f, "base", f)  # the section integral of a scaled kernel's base
     try:
         if isinstance(f, BlockKernel):
             q1 = f.integrability_report(control, window)[1]
-        elif hasattr(f, "sqrt4_section_integral"):
-            base = f.base if hasattr(f, "base") else f
+        elif hasattr(base, "sqrt4_section_integral"):
             q1 = base.sqrt4_section_integral(window)
         else:
             q1 = f.lp_norm(4, control, window) ** 0.5  # finite-grid surrogate

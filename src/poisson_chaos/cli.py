@@ -6,7 +6,8 @@ config-file values.  Every output file embeds the tool version, the config
 hash, and the master seed, so a rerun from that triple reproduces the file
 byte-identically; wall times go to stdout only.  Exit codes: 0 all verdicts
 pass, 1 at least one fails, 2 usage or configuration error, 3 a replication
-crashed (the one-line message names its index and the master seed).
+crashed (the one-line message names its index and the master seed) or a
+quadrature accuracy check failed.
 """
 
 from __future__ import annotations
@@ -84,9 +85,10 @@ def cmd_criterion(args) -> int:
     elif args.family in ("ou-pair", "ou-pair-unit"):
         lam = args.lam
         ts = [float(t) for t in args.indices.split(",")]
+        bases = [OUDoubleHKernel(lam, t) for t in ts]  # rejects lam, T <= 0 first
         scale = math.sqrt(lam) if args.family == "ou-pair" else math.sqrt(lam / 2.0)
         control = oumod.DEFAULT_JUMPS
-        kernels = [OUDoubleHKernel(lam, t).scaled(scale * math.sqrt(t)) for t in ts]
+        kernels = [h.scaled(scale * math.sqrt(h.T)) for h in bases]
         windows = [Window(-12.0 / lam, t) for t in ts]
         verdict = chaos.clt_criterion(kernels, control, windows,
                                       labels=[f"T_{t:g}" for t in ts], index=ts)

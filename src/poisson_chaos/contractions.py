@@ -120,8 +120,6 @@ def contraction_norms(f: Kernel, control: ControlMeasure, window: Window):
         n11, n21, n10 = contraction_norms(f.base, control, window)
         c4 = f.factor ** 4
         return c4 * n11, c4 * n21, c4 * n10
-    if isinstance(f, BlockKernel):
-        return f.contraction_norms(control, window)
     if isinstance(f, GridKernel):
         m = f.cell_masses(control, window)
         v = f.values
@@ -131,8 +129,7 @@ def contraction_norms(f: Kernel, control: ControlMeasure, window: Window):
         n21 = float(sec ** 2 @ m)
         return n11, n21, n21
     if hasattr(f, "contraction_norms"):
-        n11, n21, n10 = f.contraction_norms(control, window)[:3]
-        return n11, n21, n10
+        return f.contraction_norms(control, window)
     raise ContractionError(f"no contraction-norm scheme for {type(f).__name__}")
 
 

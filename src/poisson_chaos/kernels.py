@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .point_process import ControlMeasure, Window
-from .quadrature import check_levels, exp_refined_edges, integrate_checked
+from .quadrature import exp_refined_edges, integrate_checked
 
 # largest n x n float64 pair matrix the dense pair sums may allocate
 DENSE_PAIR_BYTES_MAX = 1 << 28
@@ -343,11 +344,6 @@ class BlockKernel(Kernel):
         n10 = self.n * c4 * m ** 3
         return n11, n21, n10
 
-    def star11_inner_l2(self, control, window):
-        # int int f^2 (f *11 f) dmu^2, needed by the exact fourth-moment identity
-        m = self._block_mass(control, window)
-        return float(self.n * self.coef ** 4 * m ** 3)
-
     def support_excess(self, window):
         return 0.0 if (window.x_lo <= 0.0 and window.x_hi >= self.n) else math.inf
 
@@ -368,6 +364,11 @@ class BlockKernel(Kernel):
 # ---------------------------------------------------------------------------
 
 
+def _check_rate_and_horizon(lam: float, T: float) -> None:
+    if not (0.0 < lam < math.inf and 0.0 < T < math.inf):
+        raise ValueError("lam and T must be positive")
+
+
 def _binom_time_integral(p: int, lam: float, T: float) -> float:
     # int_0^T (1 - e^{-lam s})^p ds
     total = T
@@ -384,6 +385,9 @@ class OUSingleKernel(Kernel):
     lam: float
     T: float
     arity = 1
+
+    def __post_init__(self):
+        _check_rate_and_horizon(self.lam, self.T)
 
     def time_shape(self, x):
         x = np.asarray(x, dtype=float)
@@ -453,6 +457,84 @@ def ou_ghat(lam: float, T: float, x, y, stated_form: bool = False):
     return np.where(inside, val, 0.0)
 
 
+# Parts of the OU pair kernel's contraction norms, each lam^k times a
+# nonnegative function of x = lam T written as sum_j P_j(x) e^{-j x}:
+# {j: coefficients of P_j from the constant term up}.  R1 and v are defined in
+# OUDoubleHKernel.contraction_norms; A, B are its section parts.
+_OU_NORM_PARTS = {
+    "trace_r1": {0: ("-93/16", "5/2"), 2: ("7/2", "9", "8", "8/3"),     # Tr(R1^4)
+                 4: ("7/4", "5", "4"), 6: ("1/2", "1"), 8: ("1/16",)},
+    "p0": {0: ("1/2",), 2: ("-1/2",)},                                  # <v, v>
+    "p1": {0: ("1/4",), 2: ("0", "-1"), 4: ("-1/4",)},                  # <v, R1 v>
+    "p2": {0: ("1/4",), 2: ("1/8", "-1/2", "-1"), 4: ("-1/4", "-1"),    # <v, R1^2 v>
+           6: ("-1/8",)},
+    "p3": {0: ("5/16",), 2: ("1/4", "-1/4", "-1", "-2/3"),              # <v, R1^3 v>
+           4: ("-1/4", "-3/2", "-2"), 6: ("-1/4", "-3/4"), 8: ("-1/16",)},
+    "s_aa": {0: ("-29/16", "1"), 2: ("-1/8", "5", "1"),                 # int_0^T A^2
+             4: ("15/8", "2", "-1"), 6: ("1/8", "-1/2"), 8: ("-1/16",)},
+    "s_ab": {0: ("3/16",), 2: ("21/16", "-3/2", "-1/2"),                # int_0^T A B
+             4: ("-5/4", "-5/2"), 6: ("-5/16", "1/4"), 8: ("1/16",)},
+    "s_bb": {0: ("1/16",), 2: ("-1/2",), 4: ("0", "3/2"), 6: ("1/2",),  # int_0^T B^2
+             8: ("-1/16",)},
+}
+_EXP_POLY_DEN = 48        # common denominator of the coefficients above
+_EXP_POLY_SWITCH = 1.5    # Taylor series below this x, direct sum above
+_EXP_POLY_TERMS = 40
+
+
+def _scaled_coefficient(c: str) -> int:
+    # exact value of the rational "a/b" times _EXP_POLY_DEN
+    num, _, den = c.partition("/")
+    return int(num) * (_EXP_POLY_DEN // int(den or 1))
+
+
+@lru_cache(maxsize=None)
+def _exp_poly_branches(name: str):
+    """Both evaluation branches of one part of _OU_NORM_PARTS.
+
+    Direct: ((j, float coefficients of P_j), ...).  Series: F(x) =
+    e^{-h x} G(x) with h = max(j) / 2 and G(x) = sum_j P_j(x) e^{(h - j) x};
+    the Taylor coefficients of G are exact integers over
+    _EXP_POLY_DEN (N - 1)!, rounded once, so the terms that cancel in the
+    direct sum are exactly zero here.  Returned highest order first.
+    """
+    parts = _OU_NORM_PARTS[name]
+    n_terms = _EXP_POLY_TERMS
+    top = math.factorial(n_terms - 1)
+    h = max(parts) // 2
+    series = [0] * n_terms
+    for j, coeffs in parts.items():
+        for i, c in enumerate(coeffs):
+            c = _scaled_coefficient(c)
+            for n in range(i, n_terms):
+                series[n] += c * (h - j) ** (n - i) * (top // math.factorial(n - i))
+    direct = tuple((j, tuple(_scaled_coefficient(c) / _EXP_POLY_DEN for c in coeffs))
+                   for j, coeffs in parts.items())
+    return direct, float(h), tuple(g / (_EXP_POLY_DEN * top) for g in reversed(series))
+
+
+def _horner(coeffs, x: float) -> float:
+    # coefficients highest order first
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def _exp_poly(name: str, x: float) -> float:
+    """Value at x >= 0 of one part of _OU_NORM_PARTS.
+
+    Each part vanishes like a power of x at 0 (up to x^8), where its direct
+    sum cancels; below _EXP_POLY_SWITCH its centred Taylor series is used
+    instead.  Both branches are accurate to about 1e-14 relative on each
+    side of the switch.
+    """
+    direct, h, series = _exp_poly_branches(name)
+    if x < _EXP_POLY_SWITCH:
+        return math.exp(-h * x) * _horner(series, x)
+    return math.fsum(_horner(coeffs[::-1], x) * math.exp(-j * x) for j, coeffs in direct)
+
+
 @dataclass(frozen=True)
 class OUDoubleHKernel(Kernel):
     """Pair kernel of the time-averaged squared OU level:
@@ -462,6 +544,9 @@ class OUDoubleHKernel(Kernel):
     T: float
     stated_form: bool = False
     arity = 2
+
+    def __post_init__(self):
+        _check_rate_and_horizon(self.lam, self.T)
 
     def __call__(self, u1, x1, u2, x2):
         g = ou_ghat(self.lam, self.T, x1, x2, self.stated_form)
@@ -578,34 +663,6 @@ class OUDoubleHKernel(Kernel):
         if self.stated_form:
             raise ValueError(f"{what} models only the corrected (stated_form=False) kernel")
 
-    def pair_overlap(self, y, yp, window: Window):
-        """W(y, y') = int_window Ghat(x, y) Ghat(x, y') dx, exact and stable."""
-        self._require_corrected_form("pair_overlap")
-        lam, T = self.lam, self.T
-        L = -window.x_lo
-        E = math.exp(-2.0 * lam * T)
-        y = np.asarray(y, dtype=float)
-        yp = np.asarray(yp, dtype=float)
-        lo = np.minimum(y, yp)
-        hi = np.maximum(y, yp)
-        a = np.maximum(lo, 0.0)
-        b = np.maximum(hi, 0.0)
-        s = lo + hi
-        # e^{lam s} P1, P1 = (e^{-2 lam a}-E)(e^{-2 lam b}-E) int_{-L}^a e^{2 lam x} dx
-        f1 = np.exp(lam * (s - 2.0 * b)) - np.exp(lam * s - 2.0 * lam * T)
-        p1 = f1 * ((1.0 - np.exp(-2.0 * lam * (T - a)))
-                   - np.exp(-2.0 * lam * (L + a)) + math.exp(-2.0 * lam * (T + L))) / (2.0 * lam)
-        # e^{lam s} P2 over x in (a, b)
-        p2 = (f1 * (b - a)
-              - (np.exp(lam * s - 2.0 * lam * T) - np.exp(lam * (s + 2.0 * b) - 4.0 * lam * T)
-                 - np.exp(lam * (s + 2.0 * (a - b)) - 2.0 * lam * T)
-                 + np.exp(lam * (s + 2.0 * a) - 4.0 * lam * T)) / (2.0 * lam))
-        # e^{lam s} P3 over x in (b, T)
-        p3 = ((np.exp(lam * (s - 2.0 * b)) - np.exp(lam * s - 2.0 * lam * T)) / (2.0 * lam)
-              - 2.0 * (T - b) * np.exp(lam * s - 2.0 * lam * T)
-              + (np.exp(lam * s - 2.0 * lam * T) - np.exp(lam * (s + 2.0 * b) - 4.0 * lam * T)) / (2.0 * lam))
-        return p1 + p2 + p3
-
     def _shape_power_section(self, p: int, y, window: Window):
         """C_p(y) = int_window Ghat(x, y)^p dx, vectorized in y."""
         lam, T = self.lam, self.T
@@ -631,55 +688,64 @@ class OUDoubleHKernel(Kernel):
                 piece2 += cmb * (hi_t - lo_t) / d
         return piece1 + piece2
 
-    def contraction_norms(self, control, window, nodes: int = 18):
-        """Squared norms of the three quadratic contractions, by exact section
-        integrals and panel quadrature on the outer variables.
+    def contraction_norms(self, control, window):
+        """Squared norms (n11, n21, n10) of the quadratic contractions, in
+        closed form.
 
-        Returns (n11, n21, n10, rel_discrepancy) where the last entry is the
-        two-level quadrature check on the double integral.
+        On x, y <= T, Ghat(x, y) = int_0^T phi(t, x) phi(t, y) dt with
+        phi(t, x) = sqrt(2 lam) e^{-lam (t - x)} 1{x <= t}: Ghat = Phi Phi*
+        for (Phi g)(x) = int_0^T phi(t, x) g(t) dt, mapping L2[0, T] into
+        L2 of the window [-L, T].  Phi* Phi is the operator R on [0, T] with
+        kernel
+            r(t, s) = int_{-L}^{min(t, s)} phi(t, x) phi(s, x) dx
+                    = e^{-lam |t - s|} - c v(t) v(s),
+        v(t) = e^{-lam t}, c = e^{-2 lam L}.  f *_1^1 f has kernel
+        u u' K2 (Ghat^2)(x, x') / T^2, so
+            n11 = K2^4 Tr((Phi Phi*)^4) / T^4 = K2^4 Tr(R^4) / T^4.
+        With R0 the c = 0 operator and m_k = <v, R0^k v>, x = lam T:
+            lam^4 Tr(R0^4) = 5x/2 - 29/8 + (2x^2 + 5x + 7/2) e^{-2x} + e^{-4x}/8
+            lam m0 = (1 - e^{-2x}) / 2
+            lam^2 m1 = 1/2 - (x + 1/2) e^{-2x}
+            lam^3 m2 = 5/8 - (x^2 + 3x/2 + 1/2) e^{-2x} - e^{-4x}/8
+            lam^4 m3 = 7/8 - (2x^3/3 + 2x^2 + 2x + 1/2) e^{-2x} - (x/2 + 3/8) e^{-4x}
+        and the rank-one expansion
+            Tr(R^4) = Tr(R0^4) - 4c m3 + c^2 (4 m0 m2 + 2 m1^2) - 4c^3 m0^2 m1 + c^4 m0^4.
+        Its terms cancel for small lam T or lam L, so it is evaluated around
+        the L = 0 operator R1 = R0 - v v* (positive semidefinite) instead:
+        with d = 1 - c and p_k = <v, R1^k v> >= 0,
+            Tr(R^4) = Tr(R1^4) + 4d p3 + d^2 (4 p0 p2 + 2 p1^2) + 4d^3 p0^2 p1 + d^4 p0^4.
+
+        n21 = n10 = K4 K2^2 S / T^4 with S = int_{-L}^T C_2(y)^2 dy (the
+        arity-3 norm reduces to the same section integral for a symmetric
+        kernel).  C_2(y) = <phi_y, R phi_y> = A(y) + d B(y) with
+        A = <phi_y, R1 phi_y> >= 0 and B = <phi_y, v>^2; phi_y = e^{lam y} phi_0
+        for y <= 0, so
+            S = int_0^T (A + d B)^2 dy + (A(0) + d B(0))^2 (1 - e^{-4 lam L}) / (4 lam),
+        lam A(0) = 2 lam^2 p1, lam B(0) = 2 (lam p0)^2.  Matching this in powers
+        of d against the expansion of S in e^{-2 lam L} gives the three
+        integrals over [0, T].
+
+        Every part (Tr(R1^4), the p_k, the three integrals) is a nonnegative
+        exponential polynomial in x, listed in _OU_NORM_PARTS, so no sum
+        above cancels; see _exp_poly for how each part is evaluated.
         """
-        from .quadrature import panel_points
-
         self._require_corrected_form("contraction_norms")
+        if window.x_lo > 0.0:
+            raise ValueError("contraction norms need a window starting at or below 0")
         lam, T = self.lam, self.T
+        x = lam * T
+        ell = -lam * window.x_lo
+        tr, p0, p1, p2, p3, s_aa, s_ab, s_bb = (_exp_poly(name, x) for name in _OU_NORM_PARTS)
+        d = -math.expm1(-2.0 * ell)
+        trace = tr + d * (4.0 * p3 + d * (4.0 * p0 * p2 + 2.0 * p1 ** 2
+                                          + d * (4.0 * p0 ** 2 * p1 + d * p0 ** 4)))
+        a0, b0 = 2.0 * p1, 2.0 * p0 ** 2
+        sec = (s_aa + d * (2.0 * s_ab + d * s_bb)
+               - 0.25 * math.expm1(-4.0 * ell) * (a0 + d * b0) ** 2)
         k2 = control.moment(2)
-        k4 = control.moment(4)
-        L = -window.x_lo
-
-        # n21 = n10 = K4 K2^2 / T^4 * int C_2(y)^2 dy  (reduction identity,
-        # symmetric kernel: the arity-3 norm collapses to the same section integral)
-        y_edges = np.concatenate([exp_refined_edges(-L, 0.0, 1.0 / lam)[:-1],
-                                  exp_refined_edges(0.0, T, 1.0 / lam)])
-        sec, _ = integrate_checked(lambda y: self._shape_power_section(2, y, window) ** 2,
-                                   y_edges, nodes=nodes)
-        n21 = k4 * k2 ** 2 * sec / T ** 4
-        n10 = n21
-
-        # n11 = K2^4 / T^2 * int int W(y, y')^2 dy dy', folded to y' = y + s, s > 0
-        smax = min(40.0 / lam, T + L)
-
-        def off_diagonal(y_nodes, y_weights, n_nodes):
-            acc = 0.0
-            for ynode, wy in zip(y_nodes, y_weights):
-                hi_s = min(smax, T - ynode)
-                if hi_s <= 0:
-                    continue
-                s_edges = exp_refined_edges(0.0, hi_s, 1.0 / lam)
-                if 0.0 < -ynode < hi_s:
-                    s_edges = np.unique(np.concatenate([s_edges, [-ynode]]))
-                sp, sw = panel_points(s_edges, n_nodes)
-                vals = self.pair_overlap(np.full_like(sp, ynode), ynode + sp, window) ** 2
-                acc += wy * float(sw @ vals)
-            return acc
-
-        yp, yw = panel_points(y_edges, nodes)
-        off = off_diagonal(yp, yw, nodes)
-        yp2, yw2 = panel_points(y_edges, nodes + 6)
-        off2 = off_diagonal(yp2, yw2, nodes + 6)
-        check_levels(off, off2, what="n11 quadrature")
-        disc = abs(off - off2) / max(abs(off2), 1e-300)
-        n11 = k2 ** 4 * 2.0 * off2 / T ** 4
-        return n11, n21, n10, disc
+        n11 = k2 ** 4 * trace / x ** 4
+        n21 = control.moment(4) * k2 ** 2 * sec / (lam ** 3 * T ** 4)
+        return n11, n21, n21
 
     def sqrt4_section_integral(self, window: Window, nodes: int = 18) -> float:
         """int (C_4(y))^{1/2} dy, for the fourth-power integrability check."""
@@ -702,6 +768,9 @@ class OUDiagHstarKernel(Kernel):
     T: float
     stated_form: bool = False
     arity = 1
+
+    def __post_init__(self):
+        _check_rate_and_horizon(self.lam, self.T)
 
     def __call__(self, u, x):
         g = ou_ghat(self.lam, self.T, x, x, self.stated_form)

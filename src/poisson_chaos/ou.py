@@ -68,14 +68,6 @@ def sample_ou_pattern(cfg: OUConfig, seed) -> PointPattern:
     return sample_pattern(cfg.jumps, cfg.window, seed)
 
 
-def simulate_ou_path(cfg: OUConfig, seed, times) -> np.ndarray:
-    """Y on a time grid, exactly from the atoms: sqrt(2 lam) [sum_i u_i
-    e^{-lam(t - x_i)} 1_{x_i <= t} - K1 (1 - e^{-lam(t + L)})/lam]."""
-    times = np.asarray(times, dtype=float)
-    pattern = sample_ou_pattern(cfg, seed)
-    return path_on_grid(cfg, pattern, times)
-
-
 def path_on_grid(cfg: OUConfig, pattern: PointPattern, times) -> np.ndarray:
     lam = cfg.lam
     times = np.asarray(times, dtype=float)

@@ -1,8 +1,8 @@
 """Panel Gauss-Legendre quadrature with a two-level accuracy check.
 
-All closed-form norm computations in this package are cross-checked against
-these routines, and the analytic kernel families fall back to them when no
-closed form exists.  Integrands are assumed vectorized (numpy in, numpy out)
+The package uses them only where no closed form exists (the fourth-power
+section integral of the OU pair kernel); the tests use them as oracles for
+the closed forms.  Integrands are assumed vectorized (numpy in, numpy out)
 and piecewise-analytic on the supplied panels; panel edges must include every
 kink of the integrand.
 """
@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 
-class QuadratureError(Exception):
-    pass
+class QuadratureError(RuntimeError):
+    """A two-level check failed: a numerical fault, not a usage error."""
 
 
 def _gl_nodes(n: int):
@@ -70,20 +70,6 @@ def check_levels(lo: float, hi: float, rtol: float = 1e-6, what: str = "quadratu
             f"{what} check failed: levels differ by {disc:.3e} on scale {scale:.3e}"
         )
     return disc
-
-
-def integrate_2d_panels(f, xedges, yedges, nodes: int = 20) -> float:
-    """Tensor Gauss-Legendre integral of f(x, y) over panel unions."""
-    x, wx = panel_points(np.asarray(xedges, dtype=float), nodes)
-    y, wy = panel_points(np.asarray(yedges, dtype=float), nodes)
-    vals = f(x[:, None], y[None, :])
-    return float(wx @ vals @ wy)
-
-
-def integrate_2d_checked(f, xedges, yedges, nodes: int = 20, rtol: float = 1e-6):
-    lo = integrate_2d_panels(f, xedges, yedges, nodes)
-    hi = integrate_2d_panels(f, xedges, yedges, nodes + 8)
-    return hi, check_levels(lo, hi, rtol, what="2d quadrature")
 
 
 def exp_refined_edges(lo: float, hi: float, scale: float, base_panels: int = 4) -> np.ndarray:

@@ -262,7 +262,7 @@ class TestCriterion5DecaySlopes:
             w = Window(-12.0, T)
             kern = OUDoubleHKernel(1.0, T)
             l4s.append(T ** 2 * kern.lp_norm(4, symmetric_jump, w))
-            n11, n21, _, _ = kern.contraction_norms(symmetric_jump, w)
+            n11, n21, _ = kern.contraction_norms(symmetric_jump, w)
             n11s.append(T ** 2 * n11)
             n21s.append(T ** 2 * n21)
         ok = True

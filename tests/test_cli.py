@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +8,9 @@ from poisson_chaos.cli import CRASH, USAGE_ERROR, main
 from poisson_chaos.configio import (
     ConfigError, config_hash, control_from_section, read_config, window_from_section,
 )
+from poisson_chaos.kernels import OUDoubleHKernel
 from poisson_chaos.point_process import BetaControl, DiscreteControl
+from poisson_chaos.quadrature import QuadratureError
 
 
 class TestConfigIO:
@@ -188,3 +191,57 @@ class TestCLI:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert "replication 2 (master seed 5)" in err[0] and "ZeroDivisionError: boom" in err[0]
+
+
+class TestOUPairCriterion:
+    @pytest.mark.parametrize("args", [["--lam", "0"], ["--lam", "-1"], ["--lam", "nan"],
+                                      ["--indices", "0,10,20"], ["--indices=-5,10"]])
+    def test_invalid_rate_or_horizon_is_a_usage_error(self, tmp_path, capsys, args):
+        rc = main(["criterion", "--family", "ou-pair", "--out", str(tmp_path), *args])
+        assert rc == USAGE_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["invalid request: lam and T must be positive"]
+
+    def test_quadrature_failure_is_a_crash(self, tmp_path, monkeypatch, capsys):
+        def failing(self, window, nodes=18):
+            raise QuadratureError("quadrature check failed: levels differ")
+
+        monkeypatch.setattr(OUDoubleHKernel, "sqrt4_section_integral", failing)
+        rc = main(["criterion", "--family", "ou-pair-unit", "--indices", "50,100",
+                   "--out", str(tmp_path)])
+        assert rc == CRASH
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["crash: quadrature check failed: levels differ"]
+
+    @pytest.mark.parametrize("family, lam, golden", [
+        ("ou-pair-unit", "1", "criterion_ou-pair-unit_lam1.json"),
+        ("ou-pair", "0.5", "criterion_ou-pair_lam0.5.json"),
+        ("ou-pair", "2", "criterion_ou-pair_lam2.json"),
+    ])
+    def test_reports_match_golden(self, tmp_path, family, lam, golden):
+        # reports of the panel-quadrature implementation: every number within
+        # 1e-12 relative, every verdict and label unchanged
+        rc = main(["criterion", "--family", family, "--lam", lam,
+                   "--indices", "50,100,200,400,800,1600", "--out", str(tmp_path)])
+        want = json.loads((GOLDEN / golden).read_text())
+        got = json.loads((tmp_path / f"criterion_{family}.json").read_text())
+        assert rc == (0 if want["passed"] else 1)
+        _assert_close(got, want)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _assert_close(got, want, path="$"):
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            _assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), path
+    else:
+        assert got == want, path

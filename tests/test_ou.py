@@ -16,6 +16,8 @@ from poisson_chaos.ou import (
 from poisson_chaos.point_process import DiscreteControl, Window, replication_seed
 from poisson_chaos.quadrature import QuadratureError
 
+from ou_contraction_oracle import contraction_norms_by_quadrature
+
 
 class TestConfig:
     def test_requires_unit_second_moment(self):
@@ -264,7 +266,7 @@ class TestDecayLaws:
             j = OUDoubleHKernel(1.0, T).scaled(math.sqrt(T))
             l4s.append(j.lp_norm(4, symmetric_jump, w))
             kern = OUDoubleHKernel(1.0, T)
-            n11, n21, n10, _ = kern.contraction_norms(symmetric_jump, w)
+            n11, n21, n10 = kern.contraction_norms(symmetric_jump, w)
             n11s.append(T ** 2 * n11)
             n21s.append(T ** 2 * n21)
         for seq in (l4s, n21s, n11s):
@@ -272,11 +274,11 @@ class TestDecayLaws:
             assert -1.2 < slope < -0.8
 
     def test_n11_two_level_check_raises(self, symmetric_jump):
-        # too few nodes for the outer n11 quadrature (the section integral
-        # still passes its own check)
+        # the quadrature oracle's two-level check catches too few nodes for
+        # the outer n11 quadrature (the section integral still passes its own)
         with pytest.raises(QuadratureError, match="n11"):
-            OUDoubleHKernel(1.0, 200.0).contraction_norms(
-                symmetric_jump, Window(-12.0, 200.0), nodes=3)
+            contraction_norms_by_quadrature(
+                OUDoubleHKernel(1.0, 200.0), symmetric_jump, Window(-12.0, 200.0), nodes=3)
 
     def test_contraction_norm_scaling_cauchy_schwarz(self, symmetric_jump):
         # pins the T-power independently: ||H *11 H||^2 <= (||H||^2)^2 must

@@ -1,0 +1,115 @@
+"""Closed-form contraction norms of the OU pair kernel against a 50-digit
+evaluation of the expansions in c = e^{-2 lam L} and against the panel
+quadrature oracle."""
+
+import math
+from decimal import Decimal, localcontext
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from poisson_chaos.kernels import (
+    _EXP_POLY_SWITCH, _OU_NORM_PARTS, OUDoubleHKernel, _exp_poly_branches, _horner,
+)
+from poisson_chaos.point_process import DiscreteControl, Window
+
+from ou_contraction_oracle import contraction_norms_by_quadrature
+
+UNIT = DiscreteControl(values=(1.0,), weights=(1.0,))
+
+
+def reference_norms(lam, T, L):
+    """(n11, n21) for unit jumps from the expansions in c, at 50 digits.
+
+    lam^4 Tr(R^4) = Tr0 - 4c m3 + c^2 (4 m0 m2 + 2 m1^2) - 4c^3 m0^2 m1 + c^4 m0^4
+    lam^3 S = x - 9/8 + (x + 3/2) e2 - (x/2 + 3/8) e4 + sum_k e^{-2k lam L} P_k
+    with x = lam T and e_j = e^{-j x}.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        D = Decimal
+        lam, T, L = D(lam), D(T), D(L)
+        x, ell = lam * T, lam * L
+        e2, e4, e6 = ((-j * x).exp() for j in (2, 4, 6))
+        c = (-2 * ell).exp()
+        tr0 = 5 * x / 2 - D(29) / 8 + (2 * x ** 2 + 5 * x + D(7) / 2) * e2 + e4 / 8
+        m0 = (1 - e2) / 2
+        m1 = D(1) / 2 - (x + D(1) / 2) * e2
+        m2 = D(5) / 8 - (x ** 2 + 3 * x / 2 + D(1) / 2) * e2 - e4 / 8
+        m3 = (D(7) / 8 - (2 * x ** 3 / 3 + 2 * x ** 2 + 2 * x + D(1) / 2) * e2
+              - (x / 2 + D(3) / 8) * e4)
+        trace = (tr0 - 4 * c * m3 + c ** 2 * (4 * m0 * m2 + 2 * m1 ** 2)
+                 - 4 * c ** 3 * m0 ** 2 * m1 + c ** 4 * m0 ** 4)
+        p1 = (x ** 2 * e2 + 7 * x * e2 / 2 + x * e4 - D(3) / 4 - 7 * e2 / 8 + 7 * e4 / 4
+              - e6 / 8)
+        p2 = -x ** 2 * e4 + x * e2 + x * e4 / 2 - D(1) / 8 - e2 / 4 + e4 / 8 + e6 / 4
+        p3 = (-x * e2 / 2 + x * e4 - x * e6 / 2 + D(1) / 4 - 3 * e2 / 4 + 3 * e4 / 4
+              - e6 / 4)
+        p4 = -(1 - e2) ** 4 / 16
+        sec = (x - D(9) / 8 + (x + D(3) / 2) * e2 - (x / 2 + D(3) / 8) * e4
+               + sum(c ** k * p for k, p in enumerate((p1, p2, p3, p4), 1)))
+        return float(trace / x ** 4), float(sec / (lam ** 3 * T ** 4))
+
+
+def closed_form(lam, T, L, control=UNIT):
+    return OUDoubleHKernel(lam, T).contraction_norms(control, Window(-L, T))
+
+
+# lam T on both sides of the series/direct switch, and across [1e-3, 1e4]
+_XS = sorted(set(np.geomspace(1e-3, 1e4, 29).tolist()
+                 + [_EXP_POLY_SWITCH * (1 + d) for d in (-1e-9, -1e-3, 0.0, 1e-3)]))
+
+
+@pytest.mark.parametrize("ells, rtol", [((0.5, 1.0, 3.0, 12.0, 60.0), 1e-12),
+                                        ((0.0, 0.01, 0.05, 0.2, 0.49), 1e-9)])
+@pytest.mark.parametrize("lam", [0.3, 1.0, 4.0])
+def test_matches_50_digit_reference(lam, ells, rtol):
+    worst = 0.0
+    for x in _XS:
+        for ell in ells:
+            T, L = x / lam, ell / lam
+            got = closed_form(lam, T, L)
+            want = reference_norms(lam, T, L)
+            for g, w in zip(got[:2], want):
+                worst = max(worst, abs(g / w - 1.0))
+    assert worst <= rtol
+
+
+@pytest.mark.parametrize("name", list(_OU_NORM_PARTS))
+def test_part_branches_agree_around_switch(name):
+    # both evaluation branches of every part are accurate from about x = 1.05
+    # (direct sum) up to about x = 2 (40-term series), around the switch
+    direct, h, series = _exp_poly_branches(name)
+    for x in (1.2, _EXP_POLY_SWITCH, 1.8):
+        by_series = math.exp(-h * x) * _horner(series, x)
+        by_sum = math.fsum(_horner(cs[::-1], x) * math.exp(-j * x) for j, cs in direct)
+        assert by_series > 0.0
+        assert by_series == pytest.approx(by_sum, rel=1e-13)
+
+
+def test_moments_and_scale_enter_as_powers():
+    jumps = DiscreteControl(values=(2.0, -0.5), weights=(0.3, 0.7))
+    n11, n21, n10 = closed_form(0.8, 30.0, 15.0, jumps)
+    u11, u21, _ = closed_form(0.8, 30.0, 15.0)
+    k2, k4 = jumps.moment(2), jumps.moment(4)
+    assert n11 == pytest.approx(k2 ** 4 * u11, rel=1e-14)
+    assert n21 == n10 == pytest.approx(k4 * k2 ** 2 * u21, rel=1e-14)
+
+
+def test_window_starting_after_zero_refused():
+    with pytest.raises(ValueError, match="at or below 0"):
+        OUDoubleHKernel(1.0, 10.0).contraction_norms(UNIT, Window(0.5, 10.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(lam=st.floats(0.05, 5.0), x=st.floats(0.05, 2000.0), ell=st.floats(0.5, 40.0))
+def test_matches_quadrature_oracle(lam, x, ell):
+    T, L = x / lam, ell / lam
+    kern = OUDoubleHKernel(lam, T)
+    w = Window(-L, T)
+    n11, n21, n10 = kern.contraction_norms(UNIT, w)
+    q11, q21, q10, _ = contraction_norms_by_quadrature(kern, UNIT, w)
+    assert n11 == pytest.approx(q11, rel=1e-9)
+    assert n21 == pytest.approx(q21, rel=1e-9)
+    assert n10 == pytest.approx(q10, rel=1e-9)
