@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contractions import contraction_norms
-from .kernels import BlockKernel, Kernel, _check_arity
+from .kernels import Kernel, _check_arity
 from .point_process import ControlMeasure, PointPattern, SupportError, Window
 
 SUPPORT_TOL = 1e-6
@@ -222,26 +222,13 @@ def check_limit(name: str, index: np.ndarray, values: np.ndarray, target: float,
                       f"|last - target| = {gaps[-1]:.3g}, slope = {slope:.3f}")
 
 
-def _integrability(f: Kernel, control, window, n21: float) -> tuple[bool, float]:
-    """(N-i)-style check: finiteness of int (int f^2)^2 (= n21, computed by the
-    caller) and int (int f^4)^{1/2}."""
-    base = getattr(f, "base", f)  # the section integral of a scaled kernel's base
-    try:
-        if isinstance(f, BlockKernel):
-            q1 = f.integrability_report(control, window)[1]
-        elif hasattr(base, "sqrt4_section_integral"):
-            q1 = base.sqrt4_section_integral(window)
-        else:
-            q1 = f.lp_norm(4, control, window) ** 0.5  # finite-grid surrogate
-        return bool(np.isfinite(n21) and np.isfinite(q1)), float(q1)
-    except (OverflowError, FloatingPointError):
-        return False, math.inf
-
-
 def clt_criterion(kernels, control: ControlMeasure, windows, labels=None,
                   index=None) -> CriterionVerdict:
     """Audit a kernel sequence for the Gaussian limit of its double integrals:
     2||f||^2 -> 1, int f^4 -> 0, and both contraction norms -> 0.
+
+    Each kernel must also pass the integrability check: int (int f^2)^2
+    (= n21) and int (int f^4)^{1/2} (``sqrt4_section_integral``) are finite.
     """
     kernels = list(kernels)
     windows = list(windows) if isinstance(windows, (list, tuple)) else [windows] * len(kernels)
@@ -251,13 +238,13 @@ def clt_criterion(kernels, control: ControlMeasure, windows, labels=None,
     for f, w, lab in zip(kernels, windows, labels):
         _check_arity(f, 2)
         n11, n21, n10 = contraction_norms(f, control, w)
-        ok, _ = _integrability(f, control, w, n21)
+        q1 = f.sqrt4_section_integral(control, w)
         reports.append(CriterionReport(
             label=lab,
             norm2_doubled=2.0 * f.l2_norm_sq(control, w),
             l4=f.lp_norm(4, control, w),
             n11=n11, n21=n21, n10=n10,
-            integrable=ok,
+            integrable=bool(np.isfinite(n21) and np.isfinite(q1)),
         ))
     if not all(r.integrable for r in reports):
         checks = (LimitCheck("integrability", (), 0.0, False, None,

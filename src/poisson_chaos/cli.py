@@ -271,7 +271,7 @@ def cmd_sample(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "pattern.csv"
     pattern_to_csv(pattern, path)
-    extra = getattr(control, "neglected_second_moment", lambda: 0.0)()
+    extra = control.neglected_second_moment()
     print(f"wrote {path} ({len(pattern)} atoms, mass {pattern.total_mass:.6g}, "
           f"neglected second-moment mass {extra:.3e})")
     return 0

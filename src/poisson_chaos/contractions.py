@@ -1,10 +1,12 @@
 """Contraction operators on quadratic kernels and the product expansion.
 
 ``star`` identifies r variable pairs between two symmetric arity-2 kernels
-and integrates l of them out against the control.  Outputs of arity <= 2 are
-materialized (exactly, for grid kernels); arity-3 and arity-4 results are
-returned as lazy views whose norms are computed by reduction identities, so
-cubic and quartic grids are never stored.
+and integrates l of them out against the control.  It works on each
+kernel's ``as_grid`` view, so outputs of arity <= 2 are materialized exactly
+for grid, block and scaled kernels; arity-3 and arity-4 results are returned
+as lazy views, so cubic and quartic grids are never stored.
+``contraction_norms`` checks the arity and asks the kernel's own
+``contraction_norms`` method, which is closed-form for every family.
 """
 
 from __future__ import annotations
@@ -14,12 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import ArityError, BlockKernel, GridKernel, Kernel, ScaledKernel, _check_arity
+from .kernels import ContractionError, GridKernel, Kernel, _check_arity
 from .point_process import ControlMeasure, Window
-
-
-class ContractionError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,18 @@ class LazyTensorKernel(Kernel):
         return self.f(ug, xg, u1, x1) * self.g(ug, xg, u2, x2)
 
 
-def _grid_star(f: GridKernel, g: GridKernel, idx: ContractionIndex,
-               control: ControlMeasure, window: Window):
+def star(f: Kernel, g: Kernel, idx: ContractionIndex,
+         control: ControlMeasure, window: Window):
+    """Contraction f *_r^l g for p = q = 2, on the kernels' grid views.
+
+    Returns a scalar for (r, l) = (2, 2), a Kernel otherwise; arity-3/4
+    outputs are lazy tensor views.  Kernels without a grid view raise
+    ContractionError.
+    """
+    _check_arity(f, 2)
+    _check_arity(g, 2)
+    idx.validate(2, 2)
+    f, g = f.as_grid(), g.as_grid()
     if f.edges != g.edges:
         raise ContractionError("grid kernels must share a partition")
     m = f.cell_masses(control, window)
@@ -77,60 +85,11 @@ def _grid_star(f: GridKernel, g: GridKernel, idx: ContractionIndex,
     raise ContractionError(f"unsupported contraction (r={r}, l={l}) for arity-2 kernels")
 
 
-def star(f: Kernel, g: Kernel, idx: ContractionIndex,
-         control: ControlMeasure, window: Window):
-    """Contraction f *_r^l g for p = q = 2.
-
-    Returns a scalar for (r, l) = (2, 2), a Kernel otherwise; arity-3/4
-    outputs are lazy tensor views.
-    """
-    _check_arity(f, 2)
-    _check_arity(g, 2)
-    idx.validate(2, 2)
-    base_f = f.base if isinstance(f, ScaledKernel) else f
-    base_g = g.base if isinstance(g, ScaledKernel) else g
-    cf = f.factor if isinstance(f, ScaledKernel) else 1.0
-    cg = g.factor if isinstance(g, ScaledKernel) else 1.0
-    if isinstance(base_f, GridKernel) and isinstance(base_g, GridKernel):
-        out = _grid_star(base_f, base_g, idx, control, window)
-        c = cf * cg
-        if isinstance(out, float):
-            return c * out
-        return out if c == 1.0 else out.scaled(c)
-    if isinstance(base_f, BlockKernel) and base_f is base_g:
-        out = _grid_star(base_f.as_grid(), base_g.as_grid(), idx, control, window)
-        c = cf * cg
-        if isinstance(out, float):
-            return c * out
-        return out if c == 1.0 else out.scaled(c)
-    raise ContractionError(
-        "pointwise contractions are materialized for grid/block kernels only; "
-        "use contraction_norms for analytic families")
-
-
 def contraction_norms(f: Kernel, control: ControlMeasure, window: Window):
-    """Squared norms ||f *_1^1 f||^2, ||f *_2^1 f||^2, ||f *_1^0 f||^2.
-
-    The arity-3 norm is computed by the reduction identity
-    ||f *_1^0 f||^2 = int (int f^2 dmu)^2 dmu, which collapses to the same
-    section integral as ||f *_2^1 f||^2 for symmetric kernels.
-    """
+    """Squared norms ||f *_1^1 f||^2, ||f *_2^1 f||^2, ||f *_1^0 f||^2 of an
+    arity-2 kernel; see ``Kernel.contraction_norms``."""
     _check_arity(f, 2)
-    if isinstance(f, ScaledKernel):
-        n11, n21, n10 = contraction_norms(f.base, control, window)
-        c4 = f.factor ** 4
-        return c4 * n11, c4 * n21, c4 * n10
-    if isinstance(f, GridKernel):
-        m = f.cell_masses(control, window)
-        v = f.values
-        s11 = (v * m[:, None]).T @ v
-        n11 = float(m @ (s11 ** 2) @ m)
-        sec = (v ** 2).T @ m
-        n21 = float(sec ** 2 @ m)
-        return n11, n21, n21
-    if hasattr(f, "contraction_norms"):
-        return f.contraction_norms(control, window)
-    raise ContractionError(f"no contraction-norm scheme for {type(f).__name__}")
+    return f.contraction_norms(control, window)
 
 
 # ---------------------------------------------------------------------------

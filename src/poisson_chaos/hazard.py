@@ -131,37 +131,29 @@ def campbell_mean(model: HazardModel, t: float) -> float:
 
 def cumulative_mean_exact(model: HazardModel) -> float:
     """E H(T) = int int u w(x) mu(du, dx) with w the kernel's time integral."""
-    ctrl, T = model.control, model.T
-    if isinstance(ctrl, DiscreteControl):
-        k1 = ctrl.moment(1)
-        from scipy.integrate import quad
-        val, _ = quad(lambda x: model.kernel.time_integral(np.array([x]), T)[0],
-                      model.window.x_lo, model.window.x_hi,
-                      epsabs=1e-11, epsrel=1e-10, limit=400)
-        return k1 * val
-    if isinstance(ctrl, (ExtendedGammaControl, BetaControl)):
-        from scipy.integrate import quad
-        val, _ = quad(lambda x: float(ctrl.x_moment(1, x))
-                      * model.kernel.time_integral(np.array([x]), T)[0],
-                      model.window.x_lo, model.window.x_hi,
-                      epsabs=1e-11, epsrel=1e-9, limit=800)
-        return val
-    raise NotImplementedError
+    return _campbell(model, 1)
 
 
 def cumulative_variance_exact(model: HazardModel) -> float:
     """Var H(T) = int int u^2 w(x)^2 mu(du, dx) (non-compensated Campbell)."""
-    ctrl, T = model.control, model.T
+    return _campbell(model, 2)
+
+
+def _campbell(model: HazardModel, power: int) -> float:
+    """int int u^power w(x)^power mu(du, dx) by quad over the window; for a
+    homogeneous control the jump moment stays outside the integral."""
     from scipy.integrate import quad
+    ctrl, T = model.control, model.T
+
+    def w_power(x):
+        return model.kernel.time_integral(np.array([x]), T)[0] ** power
+
     if isinstance(ctrl, DiscreteControl):
-        k2 = ctrl.moment(2)
-        val, _ = quad(lambda x: model.kernel.time_integral(np.array([x]), T)[0] ** 2,
-                      model.window.x_lo, model.window.x_hi,
+        val, _ = quad(w_power, model.window.x_lo, model.window.x_hi,
                       epsabs=1e-11, epsrel=1e-10, limit=400)
-        return k2 * val
+        return ctrl.moment(power) * val
     if isinstance(ctrl, (ExtendedGammaControl, BetaControl)):
-        val, _ = quad(lambda x: float(ctrl.x_moment(2, x))
-                      * model.kernel.time_integral(np.array([x]), T)[0] ** 2,
+        val, _ = quad(lambda x: float(ctrl.x_moment(power, x)) * w_power(x),
                       model.window.x_lo, model.window.x_hi,
                       epsabs=1e-11, epsrel=1e-9, limit=800)
         return val

@@ -26,6 +26,10 @@ class ArityError(ValueError):
     pass
 
 
+class ContractionError(ValueError):
+    pass
+
+
 def _check_dense_budget(n: int) -> None:
     need = 8 * n * n
     if need > DENSE_PAIR_BYTES_MAX:
@@ -81,6 +85,28 @@ class Kernel:
         """Upper bound on the L2 mass of the kernel outside the window; 0 for
         kernels fully contained."""
         return 0.0
+
+    # criterion quantities (arity 2) ------------------------------------------
+    def contraction_norms(self, control: ControlMeasure, window: Window):
+        """Squared norms (n11, n21, n10) of f *_1^1 f, f *_2^1 f and f *_1^0 f.
+
+        The arity-3 norm is computed by the reduction identity
+        ||f *_1^0 f||^2 = int (int f^2 dmu)^2 dmu, which collapses to the same
+        section integral as ||f *_2^1 f||^2 for symmetric kernels.
+        """
+        raise ContractionError(f"no contraction-norm scheme for {type(self).__name__}")
+
+    def sqrt4_section_integral(self, control: ControlMeasure, window: Window) -> float:
+        """int (int f(z, w)^4 mu(dw))^{1/2} mu(dz), for the fourth-power
+        integrability check."""
+        raise ContractionError(f"no fourth-power section scheme for {type(self).__name__}")
+
+    def as_grid(self) -> "GridKernel":
+        """The kernel as a cell-constant grid, on which contractions are
+        materialized exactly."""
+        raise ContractionError(
+            "pointwise contractions are materialized for grid/block kernels only; "
+            "use contraction_norms for analytic families")
 
     def scaled(self, c: float) -> "Kernel":
         return ScaledKernel(self, float(c))
@@ -196,6 +222,25 @@ class GridKernel(Kernel):
         hi = self.edges[int(nz[0].max()) + 1]
         return 0.0 if (lo >= window.x_lo - 1e-12 and hi <= window.x_hi + 1e-12) else math.inf
 
+    def contraction_norms(self, control, window):
+        _check_arity(self, 2)
+        m = self.cell_masses(control, window)
+        v = self.values
+        s11 = (v * m[:, None]).T @ v
+        n11 = float(m @ (s11 ** 2) @ m)
+        sec = (v ** 2).T @ m
+        n21 = float(sec ** 2 @ m)
+        return n11, n21, n21
+
+    def sqrt4_section_integral(self, control, window):
+        # exact cell sum: sum_a m_a (sum_b m_b v_ab^4)^{1/2}
+        _check_arity(self, 2)
+        m = self.cell_masses(control, window)
+        return float(m @ np.sqrt(self.values ** 4 @ m))
+
+    def as_grid(self) -> "GridKernel":
+        return self
+
 
 def grid_to_csv(kernel: GridKernel, path) -> None:
     """row,col,value triples with a sidecar '<path>.meta' describing the partition."""
@@ -273,6 +318,18 @@ class ScaledKernel(Kernel):
     def support_excess(self, window):
         return self.factor ** 2 * self.base.support_excess(window)
 
+    def contraction_norms(self, control, window):
+        n11, n21, n10 = self.base.contraction_norms(control, window)
+        c4 = self.factor ** 4
+        return c4 * n11, c4 * n21, c4 * n10
+
+    def sqrt4_section_integral(self, control, window):
+        return self.factor ** 2 * self.base.sqrt4_section_integral(control, window)
+
+    def as_grid(self) -> GridKernel:
+        grid = self.base.as_grid()
+        return GridKernel(grid.edges, self.factor * grid.values)
+
     def scaled(self, c):
         return ScaledKernel(self.base, self.factor * float(c))
 
@@ -347,16 +404,14 @@ class BlockKernel(Kernel):
     def support_excess(self, window):
         return 0.0 if (window.x_lo <= 0.0 and window.x_hi >= self.n) else math.inf
 
+    def sqrt4_section_integral(self, control, window):
+        # each block contributes m (c^4 m)^{1/2}
+        m = self._block_mass(control, window)
+        return self.n * self.coef ** 2 * m ** 1.5
+
     def as_grid(self) -> GridKernel:
         vals = self.coef * np.eye(self.n)
         return GridKernel(tuple(float(j) for j in range(self.n + 1)), vals)
-
-    def integrability_report(self, control, window):
-        # quantities of the square/fourth-power integrability check
-        m = self._block_mass(control, window)
-        n21 = self.n * self.coef ** 4 * m ** 3
-        q1 = self.n * self.coef ** 2 * m ** 1.5
-        return n21, q1
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +718,12 @@ class OUDoubleHKernel(Kernel):
         if self.stated_form:
             raise ValueError(f"{what} models only the corrected (stated_form=False) kernel")
 
+    def _check_section_inputs(self, what: str, window: Window) -> None:
+        # the section formulas model the corrected kernel on [x_lo <= 0, T]
+        self._require_corrected_form(what)
+        if window.x_lo > 0.0:
+            raise ValueError(f"{what} needs a window starting at or below 0")
+
     def _shape_power_section(self, p: int, y, window: Window):
         """C_p(y) = int_window Ghat(x, y)^p dx, vectorized in y."""
         lam, T = self.lam, self.T
@@ -729,9 +790,7 @@ class OUDoubleHKernel(Kernel):
         exponential polynomial in x, listed in _OU_NORM_PARTS, so no sum
         above cancels; see _exp_poly for how each part is evaluated.
         """
-        self._require_corrected_form("contraction_norms")
-        if window.x_lo > 0.0:
-            raise ValueError("contraction norms need a window starting at or below 0")
+        self._check_section_inputs("contraction_norms", window)
         lam, T = self.lam, self.T
         x = lam * T
         ell = -lam * window.x_lo
@@ -747,16 +806,19 @@ class OUDoubleHKernel(Kernel):
         n21 = control.moment(4) * k2 ** 2 * sec / (lam ** 3 * T ** 4)
         return n11, n21, n21
 
-    def sqrt4_section_integral(self, window: Window, nodes: int = 18) -> float:
-        """int (C_4(y))^{1/2} dy, for the fourth-power integrability check."""
+    def sqrt4_section_integral(self, control, window):
+        """K2 sqrt(K4) / T^2 * int (C_4(y))^{1/2} dy over [x_lo, T], by panel
+        quadrature (no closed form is known)."""
+        self._check_section_inputs("sqrt4_section_integral", window)
         lam, T = self.lam, self.T
         L = -window.x_lo
-        edges = np.concatenate([exp_refined_edges(-L, 0.0, 1.0 / lam)[:-1],
-                                exp_refined_edges(0.0, T, 1.0 / lam)])
+        edges = exp_refined_edges(0.0, T, 1.0 / lam)
+        if L > 0.0:
+            edges = np.concatenate([exp_refined_edges(-L, 0.0, 1.0 / lam)[:-1], edges])
         val, _ = integrate_checked(
             lambda y: np.sqrt(np.maximum(self._shape_power_section(4, y, window), 0.0)),
-            edges, nodes=nodes)
-        return val
+            edges, nodes=18)
+        return control.moment(2) * math.sqrt(control.moment(4)) * val / T ** 2
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ __all__ = [
     "GeneralizedGammaControl",
     "ExtendedGammaControl",
     "BetaControl",
-    "measure_of",
     "sample_pattern",
     "compensated_count",
     "replication_seed",
@@ -530,11 +529,6 @@ class BetaControl(ControlMeasure):
 # ---------------------------------------------------------------------------
 # module operations
 # ---------------------------------------------------------------------------
-
-
-def measure_of(control: ControlMeasure, region: Window) -> float:
-    """mu(region), by closed form when available, else quadrature (rel err <= 1e-8)."""
-    return control.mass(region)
 
 
 def sample_pattern(control: ControlMeasure, window: Window, seed) -> PointPattern:

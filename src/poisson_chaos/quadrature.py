@@ -1,8 +1,10 @@
 """Panel Gauss-Legendre quadrature with a two-level accuracy check.
 
-The package uses them only where no closed form exists (the fourth-power
-section integral of the OU pair kernel); the tests use them as oracles for
-the closed forms.  Integrands are assumed vectorized (numpy in, numpy out)
+The package uses them in one place, where no closed form is known:
+``OUDoubleHKernel.sqrt4_section_integral``, the int (int f^4)^{1/2} term of
+the criterion's integrability check.  The tests use them as oracles for the
+closed forms (the OU contraction-norm oracle calls ``check_levels`` and
+``panel_points`` directly).  Integrands are assumed vectorized (numpy in, numpy out)
 and piecewise-analytic on the supplied panels; panel edges must include every
 kink of the integrand.
 """

@@ -203,7 +203,7 @@ class TestOUPairCriterion:
         assert err == ["invalid request: lam and T must be positive"]
 
     def test_quadrature_failure_is_a_crash(self, tmp_path, monkeypatch, capsys):
-        def failing(self, window, nodes=18):
+        def failing(self, control, window):
             raise QuadratureError("quadrature check failed: levels differ")
 
         monkeypatch.setattr(OUDoubleHKernel, "sqrt4_section_integral", failing)
@@ -227,6 +227,27 @@ class TestOUPairCriterion:
         got = json.loads((tmp_path / f"criterion_{family}.json").read_text())
         assert rc == (0 if want["passed"] else 1)
         _assert_close(got, want)
+
+
+class TestGoldenReports:
+    """Reports recorded before the criterion quantities became kernel
+    methods and the Campbell integrals shared one helper."""
+
+    HAZARD7 = ["hazard", "--theorem", "7", "--T", "200", "--reps", "200", "--seed", "5"]
+
+    @pytest.mark.parametrize("argv, name, code", [
+        (["criterion", "--family", "block", "--indices", "10,30,100,300,1000"],
+         "criterion_block.json", 0),
+        (["criterion", "--family", "fixed", "--indices", "10,100,1000"],
+         "criterion_fixed.json", 1),
+        (HAZARD7 + ["--case", "1"], "hazard_thm7_case1_T200.json", 1),
+        (HAZARD7 + ["--case", "2"], "hazard_thm7_case2_T200.json", 1),
+        (HAZARD7 + ["--case", "3"], "hazard_thm7_case3_T200.json", 1),
+    ])
+    def test_report_is_byte_identical(self, tmp_path, argv, name, code):
+        rc = main([*argv, "--out", str(tmp_path)])
+        assert rc == code
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 GOLDEN = Path(__file__).parent / "golden"

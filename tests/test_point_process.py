@@ -8,7 +8,7 @@ from poisson_chaos import point_process
 from poisson_chaos.point_process import (
     BetaControl, DiscreteControl, ExtendedGammaControl, GeneralizedGammaControl,
     InfiniteMassError, PointPattern, SupportError, Window,
-    compensated_count, measure_of, pattern_from_csv, pattern_to_csv,
+    compensated_count, pattern_from_csv, pattern_to_csv,
     replication_seed, sample_pattern,
 )
 
@@ -60,12 +60,12 @@ def sampling_windows(draw, eps):
 class TestMeasureOf:
     def test_two_point_marginal_times_interval(self, symmetric_jump):
         # product of finite masses
-        assert measure_of(symmetric_jump, Window(0.0, 4.0)) == pytest.approx(4.0, abs=1e-14)
+        assert symmetric_jump.mass(Window(0.0, 4.0)) == pytest.approx(4.0, abs=1e-14)
 
     def test_empty_region(self, unit_jump):
         with pytest.raises(ValueError):
             Window(1.0, 1.0)
-        assert measure_of(unit_jump, Window(5.0, 5.0 + 1e-12)) == pytest.approx(0.0, abs=1e-11)
+        assert unit_jump.mass(Window(5.0, 5.0 + 1e-12)) == pytest.approx(0.0, abs=1e-11)
 
     def test_generalized_gamma_against_trapezoid_oracle(self):
         # independent high-resolution trapezoid over u in [eps, U]
@@ -73,32 +73,32 @@ class TestMeasureOf:
         u = np.linspace(0.1, 80.0, 4_000_001)
         dens = np.exp(-u) * u ** -1.5 / np.sqrt(np.pi)
         oracle = np.trapezoid(dens, u)
-        got = measure_of(ctrl, Window(0.0, 1.0))
+        got = ctrl.mass(Window(0.0, 1.0))
         assert got == pytest.approx(oracle, rel=1e-8)
 
     def test_infinite_mass_is_an_error_not_a_number(self):
         ctrl = GeneralizedGammaControl(sigma=0.5, gamma=1.0, eps=0.0)
         with pytest.raises(InfiniteMassError):
-            measure_of(ctrl, Window(0.0, 1.0))
+            ctrl.mass(Window(0.0, 1.0))
         with pytest.raises(InfiniteMassError):
-            measure_of(ExtendedGammaControl(eps=0.0), Window(0.0, 1.0))
+            ExtendedGammaControl(eps=0.0).mass(Window(0.0, 1.0))
 
     def test_additive_over_disjoint_regions(self, symmetric_jump):
-        full = measure_of(symmetric_jump, Window(0.0, 7.0))
-        parts = sum(measure_of(symmetric_jump, Window(a, b))
+        full = symmetric_jump.mass(Window(0.0, 7.0))
+        parts = sum(symmetric_jump.mass(Window(a, b))
                     for a, b in [(0.0, 2.5), (2.5, 6.0), (6.0, 7.0)])
         assert parts == pytest.approx(full, rel=1e-10)
 
     def test_extended_gamma_mass_against_2d_oracle(self):
         ctrl = ExtendedGammaControl(beta0=1.0, beta1=1.0, eps=1e-3)
-        got = measure_of(ctrl, Window(0.0, 2.0))
+        got = ctrl.mass(Window(0.0, 2.0))
         oracle, _ = si.quad(lambda x: exp1(1e-3 * (1.0 + np.sqrt(x))), 0.0, 2.0,
                             epsabs=1e-12, epsrel=1e-11)
         assert got == pytest.approx(oracle, rel=1e-8)
 
     def test_beta_control_unit_mass_per_time(self):
         ctrl = BetaControl()
-        assert measure_of(ctrl, Window(0.0, 13.0)) == pytest.approx(13.0, rel=1e-12)
+        assert ctrl.mass(Window(0.0, 13.0)) == pytest.approx(13.0, rel=1e-12)
 
 
 class TestMoments:
