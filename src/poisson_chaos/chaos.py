@@ -116,10 +116,13 @@ def charlier_polynomials(centered_count: np.ndarray, mass: float, order: int) ->
 
 
 def fourth_moment_chaos(f: Kernel, control: ControlMeasure, window: Window) -> float:
-    """Fourth-moment criterion statistic: 3 (2||f||^2)^2 + 48 n11 + 96 n10 + 4 n21.
+    """Fourth-moment criterion functional 3 (2||f||^2)^2 + 48 n11 + 96 n10 + 4 n21.
 
-    Convergence of this combination to 3 (together with the normalization
-    2||f||^2 -> 1) marks the Gaussian limit of the double integrals.
+    This is not E I2(f)^4.  For the normalized block kernel with n blocks it
+    equals 3 + 37/n, while the exact fourth moment of that double integral is
+    3 + 50/n.  Both tend to 3 at the same rate, so convergence of this
+    combination to 3 (together with the normalization 2||f||^2 -> 1) still
+    marks the Gaussian limit of the double integrals.
     """
     norm2_doubled = 2.0 * f.l2_norm_sq(control, window)
     n11, n21, n10 = contraction_norms(f, control, window)

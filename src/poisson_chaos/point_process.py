@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate as _sint
-from scipy.special import exp1, gammaincc, gamma as gamma_fn
+import numpy.random   # numpy loads it lazily; load it with this module, not mid-run
 
 __all__ = [
     "InfiniteMassError",
@@ -122,28 +121,51 @@ def replication_seed(master_seed: int, index: int) -> np.random.SeedSequence:
 # ---------------------------------------------------------------------------
 
 
-def _trapezoid_table(grid: np.ndarray, dens: np.ndarray):
-    """Normalized trapezoid CDF of ``dens`` on ``grid`` and its unnormalized
-    total.  The table is cached and shared by every sampling call, so grid
-    and CDF are made read-only."""
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
-    total = cdf[-1]
-    cdf /= total
-    grid.setflags(write=False)
-    cdf.setflags(write=False)
-    return cdf, total
+# Guide-table buckets of the inverse-CDF lookup.  A power of two, so v * B
+# and k / B are exact in floating point and bucket k holds exactly the
+# uniforms in [k / B, (k + 1) / B).
+_GUIDE_BUCKETS = 1 << 14
 
 
-def _inverse_cdf_draws(rng: np.random.Generator, n: int, cdf: np.ndarray,
-                       grid: np.ndarray) -> np.ndarray:
-    """np.interp(rng.uniform(size=n), cdf, grid), bit for bit.  interp is
-    elementwise, so the lookup runs on the sorted uniforms (its binary search
-    is several times faster on monotone input than on random input) and is
-    scattered back into the uniforms' own buffer."""
-    v = rng.uniform(size=n)
-    order = np.argsort(v)
-    v[order] = np.interp(v[order], cdf, grid)
-    return v
+class _InverseCDF:
+    """Inverse of the normalized trapezoid CDF of ``dens`` on ``grid``.
+
+    ``lookup(v)`` returns np.interp(v, cdf, grid) bit for bit for v in
+    [0, 1): interp's segment j is the last breakpoint with cdf[j] <= v, and
+    its value is slopes[j] * (v - cdf[j]) + grid[j].  The segment is found
+    without a search: bucket k of the guide table holds the segment of
+    k / B, and a bucket that holds at most one further breakpoint needs one
+    comparison.  Uniforms from the first bucket that holds more are
+    searched; the densities decrease along the grid, so that bucket lies in
+    the CDF's flat tail and few uniforms reach it.  The table is cached and
+    shared by every sampling call, so its arrays are made read-only.
+    """
+
+    def __init__(self, grid: np.ndarray, dens: np.ndarray):
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
+        self.total = cdf[-1]
+        cdf /= self.total
+        with np.errstate(divide="ignore"):   # flat segments are never looked up
+            slopes = np.diff(grid) / np.diff(cdf)
+        segment = np.searchsorted(cdf, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS,
+                                  side="right") - 1
+        crowded = np.flatnonzero(np.diff(segment) > 1)
+        self.search_from = crowded[0] / _GUIDE_BUCKETS if crowded.size else 1.0
+        self.grid, self.cdf, self.slopes, self.guide = grid, cdf, slopes, segment[:-1]
+        for a in (grid, cdf, slopes, self.guide):
+            a.setflags(write=False)
+
+    def lookup(self, v: np.ndarray) -> np.ndarray:
+        j = self.guide.take((v * _GUIDE_BUCKETS).astype(np.intp))
+        j += self.cdf[1:].take(j) <= v
+        tail = np.flatnonzero(v >= self.search_from)
+        if tail.size:
+            j[tail] = np.searchsorted(self.cdf, v.take(tail), side="right") - 1
+        out = self.cdf.take(j)
+        np.subtract(v, out, out=out)
+        out *= self.slopes.take(j)
+        out += self.grid.take(j)
+        return out
 
 
 @lru_cache(maxsize=32)
@@ -249,11 +271,12 @@ class DiscreteControl(ControlMeasure):
         return u, x, float(total)
 
     def integrate(self, fn, window: Window) -> float:
+        from scipy.integrate import quad
         vals, w = self._sel(window.u_lo, window.u_hi)
         total = 0.0
         for v, wt in zip(vals, w):
-            val, _ = _sint.quad(lambda x, v=v: fn(np.asarray([v]), np.asarray([x]))[0],
-                                window.x_lo, window.x_hi, epsabs=1e-12, epsrel=1e-10, limit=400)
+            val, _ = quad(lambda x, v=v: fn(np.asarray([v]), np.asarray([x]))[0],
+                          window.x_lo, window.x_hi, epsabs=1e-12, epsrel=1e-10, limit=400)
             total += wt * val
         return total
 
@@ -262,6 +285,7 @@ def _upper_gamma(a: float, z: float) -> float:
     # Gamma(a, z) for a > -1, a != 0, including the negative range needed by
     # truncated generalized-Gamma masses: Gamma(a, z) = (Gamma(a+1, z) - z^a e^-z)/a
     if a > 0:
+        from scipy.special import gamma as gamma_fn, gammaincc
         return float(gamma_fn(a) * gammaincc(a, z))
     return float((_upper_gamma(a + 1.0, z) - z ** a * np.exp(-z)) / a)
 
@@ -295,6 +319,7 @@ class GeneralizedGammaControl(ControlMeasure):
                 "generalized-Gamma marginal has infinite mass without truncation (eps = 0)")
 
     def _norm(self) -> float:
+        from scipy.special import gamma as gamma_fn
         return 1.0 / float(gamma_fn(1.0 - self.sigma))
 
     def moment(self, i: int, u_lo=None, u_hi=None) -> float:
@@ -328,27 +353,28 @@ class GeneralizedGammaControl(ControlMeasure):
     def _compute_window_constants(self, window: Window):
         grid = self._u_grid(window.u_lo, window.u_hi)
         dens = np.exp(-self.gamma * grid) * grid ** (-1.0 - self.sigma)
-        cdf, _ = _trapezoid_table(grid, dens)
-        return grid, cdf, float(self.jump_mass(window.u_lo, window.u_hi) * window.length)
+        return (_InverseCDF(grid, dens),
+                float(self.jump_mass(window.u_lo, window.u_hi) * window.length))
 
     def sample(self, window: Window, rng: np.random.Generator):
-        grid, cdf, total = _window_constants(self, window)
+        table, total = _window_constants(self, window)
         n = rng.poisson(total)
         x = rng.uniform(window.x_lo, window.x_hi, size=n)
-        u = _inverse_cdf_draws(rng, n, cdf, grid)
+        u = table.lookup(rng.uniform(size=n))
         return u, x, total
 
     def integrate(self, fn, window: Window) -> float:
+        from scipy.integrate import quad
         self._require_eps()
         lo = self.eps if window.u_lo is None else max(window.u_lo, self.eps)
         hi = window.u_hi if window.u_hi is not None else lo + 60.0 / self.gamma
 
         def inner(u):
-            val, _ = _sint.quad(lambda x: fn(np.asarray([u]), np.asarray([x]))[0],
-                                window.x_lo, window.x_hi, epsabs=1e-12, epsrel=1e-9, limit=200)
+            val, _ = quad(lambda x: fn(np.asarray([u]), np.asarray([x]))[0],
+                          window.x_lo, window.x_hi, epsabs=1e-12, epsrel=1e-9, limit=200)
             return val * self._norm() * np.exp(-self.gamma * u) * u ** (-1.0 - self.sigma)
 
-        val, _ = _sint.quad(inner, lo, hi, epsabs=1e-12, epsrel=1e-9, limit=400)
+        val, _ = quad(inner, lo, hi, epsabs=1e-12, epsrel=1e-9, limit=400)
         return val
 
 
@@ -363,10 +389,10 @@ class ExtendedGammaControl(ControlMeasure):
     from a 4096-point inverse-CDF table of e^{-beta_min u}/u on [lo, lo +
     80/beta0], and acceptance with probability e^{-(beta(x) - beta_min) u}.
     The table, the dominating mass and mu(window) depend only on the
-    (control, window) pair and are computed once per process; the table
-    lookup runs on sorted uniforms and returns exactly the values the
-    unsorted lookup would, so a seed gives the same atoms as a per-call
-    rebuild.
+    (control, window) pair and are computed once per process; the guide-table
+    lookup returns exactly np.interp's values, so a seed gives the same atoms
+    as a per-call rebuild.  mu(window) and the per-time masses and moments
+    call scipy, which is imported when first needed.
     """
 
     beta0: float = 1.0
@@ -392,6 +418,7 @@ class ExtendedGammaControl(ControlMeasure):
 
     def x_mass(self, x, u_lo=None, u_hi=None):
         """Per-time u-mass int e^{-beta(x)u}/u du over the truncated range."""
+        from scipy.special import exp1
         self._require_eps()
         lo = self.eps if u_lo is None else max(u_lo, self.eps)
         b = self.beta(x)
@@ -404,6 +431,7 @@ class ExtendedGammaControl(ControlMeasure):
         """int u^i e^{-beta(x)u}/u du over [eps, inf) for i >= 1."""
         if i < 1:
             raise ValueError("use x_mass for the zeroth moment")
+        from scipy.special import gamma as gamma_fn, gammaincc
         b = self.beta(x)
         return gamma_fn(i) * gammaincc(i, b * self.eps) / b ** i
 
@@ -415,11 +443,12 @@ class ExtendedGammaControl(ControlMeasure):
         return float(self.eps)
 
     def mass(self, window: Window) -> float:
+        from scipy.integrate import quad
         self._require_eps()
         if window.x_lo < 0:
             raise ValueError("extended-Gamma control is supported on x > 0")
-        val, _ = _sint.quad(lambda x: self.x_mass(x, window.u_lo, window.u_hi),
-                            window.x_lo, window.x_hi, epsabs=1e-11, epsrel=1e-9, limit=400)
+        val, _ = quad(lambda x: self.x_mass(x, window.u_lo, window.u_hi),
+                      window.x_lo, window.x_hi, epsabs=1e-11, epsrel=1e-9, limit=400)
         return float(val)
 
     def _compute_window_constants(self, window: Window):
@@ -428,30 +457,30 @@ class ExtendedGammaControl(ControlMeasure):
         hi = window.u_hi if window.u_hi is not None else lo + 80.0 / self.beta0
         b_min = float(self.beta(window.x_lo))
         grid = np.geomspace(lo, hi, self._table_size)
-        cdf, dom_jump_mass = _trapezoid_table(grid, np.exp(-b_min * grid) / grid)
-        return b_min, grid, cdf, float(dom_jump_mass * window.length), self.mass(window)
+        table = _InverseCDF(grid, np.exp(-b_min * grid) / grid)
+        return b_min, table, float(table.total * window.length), self.mass(window)
 
     def sample(self, window: Window, rng: np.random.Generator):
-        b_min, grid, cdf, dom_mass, mass = _window_constants(self, window)
+        b_min, table, dom_mass, mass = _window_constants(self, window)
         n = rng.poisson(dom_mass)
         x = rng.uniform(window.x_lo, window.x_hi, size=n)
-        u = _inverse_cdf_draws(rng, n, cdf, grid)
-        keep = rng.uniform(size=n) < np.exp(-(self.beta(x) - b_min) * u)
-        return u[keep], x[keep], mass
+        u = table.lookup(rng.uniform(size=n))
+        keep = np.flatnonzero(rng.uniform(size=n) < np.exp(-(self.beta(x) - b_min) * u))
+        return u.take(keep), x.take(keep), mass
 
     def integrate(self, fn, window: Window) -> float:
+        from scipy.integrate import quad
         self._require_eps()
         lo = self.eps if window.u_lo is None else max(window.u_lo, self.eps)
         hi = window.u_hi if window.u_hi is not None else lo + 80.0 / self.beta0
 
         def inner(x):
-            val, _ = _sint.quad(lambda u: fn(np.asarray([u]), np.asarray([x]))[0]
-                                * np.exp(-self.beta(x) * u) / u,
-                                lo, hi, epsabs=1e-12, epsrel=1e-9, limit=200)
+            val, _ = quad(lambda u: fn(np.asarray([u]), np.asarray([x]))[0]
+                          * np.exp(-self.beta(x) * u) / u,
+                          lo, hi, epsabs=1e-12, epsrel=1e-9, limit=200)
             return val
 
-        val, _ = _sint.quad(inner, window.x_lo, window.x_hi,
-                            epsabs=1e-11, epsrel=1e-8, limit=400)
+        val, _ = quad(inner, window.x_lo, window.x_hi, epsabs=1e-11, epsrel=1e-8, limit=400)
         return float(val)
 
 
@@ -499,8 +528,9 @@ class BetaControl(ControlMeasure):
             raise ValueError("Beta control is supported on x > 0")
         if window.u_lo is None and window.u_hi is None:
             return window.length
-        val, _ = _sint.quad(lambda x: self.x_mass(x, window.u_lo, window.u_hi),
-                            window.x_lo, window.x_hi, epsabs=1e-12, epsrel=1e-10, limit=400)
+        from scipy.integrate import quad
+        val, _ = quad(lambda x: self.x_mass(x, window.u_lo, window.u_hi),
+                      window.x_lo, window.x_hi, epsabs=1e-12, epsrel=1e-10, limit=400)
         return float(val)
 
     def sample(self, window: Window, rng: np.random.Generator):
@@ -514,15 +544,16 @@ class BetaControl(ControlMeasure):
         return u, x, float(total)
 
     def integrate(self, fn, window: Window) -> float:
+        from scipy.integrate import quad
+
         def inner(x):
             c = float(self.c(x))
-            val, _ = _sint.quad(lambda u: fn(np.asarray([u]), np.asarray([x]))[0]
-                                * c * (1.0 - u) ** (c - 1.0),
-                                0.0, 1.0, epsabs=1e-12, epsrel=1e-9, limit=200)
+            val, _ = quad(lambda u: fn(np.asarray([u]), np.asarray([x]))[0]
+                          * c * (1.0 - u) ** (c - 1.0),
+                          0.0, 1.0, epsabs=1e-12, epsrel=1e-9, limit=200)
             return val
 
-        val, _ = _sint.quad(inner, window.x_lo, window.x_hi,
-                            epsabs=1e-11, epsrel=1e-8, limit=400)
+        val, _ = quad(inner, window.x_lo, window.x_hi, epsabs=1e-11, epsrel=1e-8, limit=400)
         return float(val)
 
 

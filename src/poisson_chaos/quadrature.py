@@ -12,6 +12,7 @@ kink of the integrand.
 from __future__ import annotations
 
 import numpy as np
+import numpy.polynomial.legendre   # numpy loads it lazily; load it here, not mid-run
 
 
 class QuadratureError(RuntimeError):
@@ -97,5 +98,6 @@ def exp_refined_edges(lo: float, hi: float, scale: float, base_panels: int = 4) 
     inner = np.linspace(lo + (offsets[-1] if ladder else 0.0),
                         hi - (offsets[-1] if ladder else 0.0),
                         base_panels + 1)[1:-1] if length > 4 * scale else np.array([])
-    edges = np.unique(np.concatenate([[lo], left, inner, right, [hi]]))
-    return edges
+    # np.unique's own sort and mask, without the numpy.ma import it triggers
+    edges = np.sort(np.concatenate([[lo], left, inner, right, [hi]]))
+    return edges[np.concatenate([[True], edges[1:] != edges[:-1]])]

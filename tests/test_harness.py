@@ -70,6 +70,34 @@ class TestKS:
         xs = np.array([-8.0, -3.2, -1.0, 0.0, 0.5, 2.7, 7.0])
         assert np.allclose(gaussian_cdf(xs), norm.cdf(xs), atol=1e-14)
 
+    def test_gaussian_cdf_bit_identical_to_scipy_ndtr(self):
+        from scipy.special import ndtr
+        rng = np.random.default_rng(20)
+        normals = rng.standard_normal(500_000)
+        bulk = np.concatenate([normals, 3.0 * normals[:200_000], 1e-8 * normals[:100_000],
+                               rng.uniform(-40.0, 40.0, 300_000)])
+        # branch points of ndtr/erf/erfc at |a|/sqrt(2) = sqrt(1/2), 1 and 8
+        # and the erfc underflow cut (a/sqrt(2))^2 = MAXLOG, each with the
+        # floats on either side of it
+        cuts = np.array([1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0),
+                         math.sqrt(2.0 * 7.09782712893383996843e2)])
+        near = [cuts]
+        for _ in range(40):
+            near.append(np.nextafter(near[-1], np.inf))
+        below = [cuts]
+        for _ in range(40):
+            below.append(np.nextafter(below[-1], -np.inf))
+        edge = np.concatenate(near + below)
+        edge = np.concatenate([edge, -edge, [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                                            1e300, -1e300]])
+        xs = np.concatenate([bulk, edge])
+        assert xs.size >= 1_000_000
+        got, ref = gaussian_cdf(xs), ndtr(xs)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert np.isnan(gaussian_cdf(np.nan))
+        assert gaussian_cdf(0.3) == ndtr(0.3) and np.ndim(gaussian_cdf(0.3)) == 0
+        assert gaussian_cdf(np.ones((2, 3))).shape == (2, 3)
+
     @given(st.floats(-3, 3), st.floats(0.2, 4.0))
     @settings(max_examples=30, deadline=None)
     def test_ks_shift_and_scale_invariance(self, shift, scale):

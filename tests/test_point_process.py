@@ -43,6 +43,31 @@ def per_call_extended_gamma_sample(ctrl, window, rng):
     return u[keep], x[keep], ctrl.mass(window)
 
 
+def argsort_lookup(rng, n, cdf, grid):
+    """Reference: np.interp on the sorted uniforms, scattered back into the
+    uniforms' own buffer (the lookup the guide table replaced)."""
+    v = rng.uniform(size=n)
+    order = np.argsort(v)
+    v[order] = np.interp(v[order], cdf, grid)
+    return v
+
+
+def argsort_lookup_sample(ctrl, window, rng):
+    """Reference: the sampler on the cached table, with the argsort lookup."""
+    constants = point_process._window_constants(ctrl, window)
+    if isinstance(ctrl, GeneralizedGammaControl):
+        table, total = constants
+        n = rng.poisson(total)
+        x = rng.uniform(window.x_lo, window.x_hi, size=n)
+        return argsort_lookup(rng, n, table.cdf, table.grid), x, total
+    b_min, table, dom_mass, mass = constants
+    n = rng.poisson(dom_mass)
+    x = rng.uniform(window.x_lo, window.x_hi, size=n)
+    u = argsort_lookup(rng, n, table.cdf, table.grid)
+    keep = rng.uniform(size=n) < np.exp(-(ctrl.beta(x) - b_min) * u)
+    return u[keep], x[keep], mass
+
+
 @st.composite
 def sampling_windows(draw, eps):
     """Windows on x > 0 from empty (n = 0) through a few hundred to several
@@ -233,13 +258,13 @@ class TestCachedSamplers:
 
     def test_window_mass_quadrature_runs_once_per_window(self, monkeypatch):
         calls = []
-        quad = point_process._sint.quad
+        quad = si.quad
 
         def counting_quad(*args, **kwargs):
             calls.append(1)
             return quad(*args, **kwargs)
 
-        monkeypatch.setattr(point_process._sint, "quad", counting_quad)
+        monkeypatch.setattr(si, "quad", counting_quad)
         point_process._window_constants.cache_clear()
         ctrl = ExtendedGammaControl(eps=1e-4)
         window = Window(0.0, 50.0)
@@ -247,6 +272,60 @@ class TestCachedSamplers:
         masses = {ctrl.sample(window, rng)[2] for _ in range(50)}
         assert len(calls) == 1
         assert masses == {ctrl.mass(window)}
+
+
+class TestGuideTableLookup:
+    CASES = [
+        (ExtendedGammaControl(), Window(0.0, 50.0)),
+        (ExtendedGammaControl(), Window(400.0, 500.0)),          # flat tail: crowded buckets
+        (ExtendedGammaControl(2.0, 3.0, 1e-2), Window(1.0, 9.0, 0.05, 0.7)),
+        (GeneralizedGammaControl(0.5, 1.0, 0.1), Window(0.0, 5.0)),
+        (GeneralizedGammaControl(0.3, 3.0, 1e-3), Window(2.0, 4.0, 0.01, 2.0)),
+    ]
+
+    @pytest.mark.parametrize("ctrl, window", CASES)
+    def test_breakpoints_and_neighbours_match_interp(self, ctrl, window):
+        constants = point_process._window_constants(ctrl, window)
+        table = constants[0] if isinstance(ctrl, GeneralizedGammaControl) else constants[1]
+        cdf = table.cdf
+        v = np.concatenate([cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf)])
+        v = v[(v >= 0.0) & (v < 1.0)]
+        got = table.lookup(v)
+        assert np.array_equal(got.view(np.int64), np.interp(v, cdf, table.grid).view(np.int64))
+
+    def test_searched_tail_is_exercised(self):
+        table = point_process._window_constants(ExtendedGammaControl(), Window(400.0, 500.0))[1]
+        assert 0.9 < table.search_from < 1.0
+        assert np.unique(table.cdf).size < table.cdf.size   # flat segments present
+
+    def test_generalized_gamma_sizes_cover_empty_small_and_large_patterns(self):
+        # sampling_windows reaches n = 0, 0 < n < 4096 and n >= 4096 here too
+        ctrl = GeneralizedGammaControl(0.3, 3.0, 1e-3)
+        sizes = [len(ctrl.sample(Window(1.0, 1.0 + length), np.random.default_rng(3))[0])
+                 for length in (1e-9, 30.0, 900.0)]
+        assert sizes[0] == 0 and 0 < sizes[1] < 4096 <= sizes[2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(1.0, 1.0, 1e-4), (0.5, 0.0, 1e-4), (2.0, 3.0, 1e-2)]),
+           st.data(), st.integers(0, 2 ** 63))
+    def test_extended_gamma_matches_argsort_lookup(self, params, data, seed):
+        ctrl = ExtendedGammaControl(*params)
+        window = data.draw(sampling_windows(ctrl.eps))
+        got = ctrl.sample(window, np.random.default_rng(seed))
+        ref = argsort_lookup_sample(ctrl, window, np.random.default_rng(seed))
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        assert got[2] == ref[2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(0.5, 1.0, 0.1), (0.3, 3.0, 1e-3), (0.9, 0.5, 1e-2)]),
+           st.data(), st.integers(0, 2 ** 63))
+    def test_generalized_gamma_matches_argsort_lookup(self, params, data, seed):
+        ctrl = GeneralizedGammaControl(*params)
+        window = data.draw(sampling_windows(ctrl.eps))
+        got = ctrl.sample(window, np.random.default_rng(seed))
+        ref = argsort_lookup_sample(ctrl, window, np.random.default_rng(seed))
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        assert got[2] == ref[2]
 
 
 class TestCompensatedCount:
