@@ -19,6 +19,7 @@ import numpy as np
 import numpy.random   # numpy loads it lazily; load it with this module, not mid-run
 
 from .point_process import replication_seed
+from .quadrature import _dot
 
 __all__ = [
     "TargetSpec", "VerdictRecord", "ExperimentReport",
@@ -138,7 +139,7 @@ def jackknife_variance_se(x) -> float:
     if n < 3:
         raise ValueError("need at least three samples")
     s1 = x.sum()
-    s2 = np.dot(x, x)
+    s2 = _dot(x, x)
     loo_mean = (s1 - x) / (n - 1)
     loo_var = (s2 - x ** 2 - (n - 1) * loo_mean ** 2) / (n - 2)
     return float(math.sqrt((n - 1) / n * np.sum((loo_var - loo_var.mean()) ** 2)))

@@ -19,6 +19,7 @@ from .kernels import HazardKernel, RectHazardKernel
 from .point_process import (BetaControl, ControlMeasure, DiscreteControl,
                             ExtendedGammaControl, PointPattern, Window,
                             sample_pattern)
+from .quadrature import _dot
 
 
 class CaseMismatchError(ValueError):
@@ -78,7 +79,7 @@ def cumulative_hazard(model: HazardModel, seed=None,
     if not len(pattern):
         return 0.0
     w = model.kernel.time_integral(pattern.x, model.T)
-    return float(np.dot(pattern.u, w))
+    return _dot(pattern.u, w)
 
 
 def square_hazard_integral(model: HazardModel, pattern: PointPattern) -> float:
@@ -140,19 +141,18 @@ def cumulative_variance_exact(model: HazardModel) -> float:
 
 
 def _campbell(model: HazardModel, power: int) -> float:
-    """int int u^power w(x)^power mu(du, dx) by quad over the window; for a
-    homogeneous control the jump moment stays outside the integral."""
-    from scipy.integrate import quad
+    """int int u^power w(x)^power mu(du, dx).  For a homogeneous control the
+    jump moment stays outside and the kernel integrates w^power itself;
+    otherwise quad over the window."""
     ctrl, T = model.control, model.T
-
-    def w_power(x):
-        return model.kernel.time_integral(np.array([x]), T)[0] ** power
-
     if isinstance(ctrl, DiscreteControl):
-        val, _ = quad(w_power, model.window.x_lo, model.window.x_hi,
-                      epsabs=1e-11, epsrel=1e-10, limit=400)
-        return ctrl.moment(power) * val
+        return ctrl.moment(power) * model.kernel.power_integral(power, T)
     if isinstance(ctrl, (ExtendedGammaControl, BetaControl)):
+        from scipy.integrate import quad
+
+        def w_power(x):
+            return model.kernel.time_integral(np.array([x]), T)[0] ** power
+
         val, _ = quad(lambda x: float(ctrl.x_moment(power, x)) * w_power(x),
                       model.window.x_lo, model.window.x_hi,
                       epsabs=1e-11, epsrel=1e-9, limit=800)

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .point_process import ControlMeasure, Window
-from .quadrature import exp_refined_edges, integrate_checked
+from .quadrature import _dot, exp_refined_edges, integrate_checked
 
 # largest n x n float64 pair matrix the dense pair sums may allocate
 DENSE_PAIR_BYTES_MAX = 1 << 28
@@ -693,14 +693,14 @@ class OUDoubleHKernel(Kernel):
             acc = (acc + weights[k - 1]) * decay[k - 1]
             recursion[k] = acc
         first_pos = int(np.searchsorted(x, 0.0, side="right"))
-        near = 2.0 * float(np.dot(u[first_pos:], recursion[first_pos:]))
+        near = 2.0 * _dot(u[first_pos:], recursion[first_pos:])
         a = u[:first_pos] * np.exp(lam * x[:first_pos])
         c_neg = 1.0
         if self.stated_form:
             c_neg += math.exp(-2.0 * lam * T) - math.exp(-2.0 * T)
-        neg = c_neg * (a.sum() ** 2 - np.dot(a, a))
+        neg = c_neg * (a.sum() ** 2 - _dot(a, a))
         b = u * np.exp(lam * (x - T))
-        tail = b.sum() ** 2 - np.dot(b, b)
+        tail = b.sum() ** 2 - _dot(b, b)
         return float(near + neg - tail) / T
 
     def support_excess(self, window):
@@ -946,6 +946,10 @@ class HazardKernel:
         """Smallest x-interval outside which k(t, .) vanishes for all t in [0, T]."""
         raise NotImplementedError
 
+    def power_integral(self, p: int, T: float) -> float:
+        """int w(x)^p dx over x_support(T), w the time integral."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class RectHazardKernel(HazardKernel):
@@ -988,10 +992,20 @@ class RectHazardKernel(HazardKernel):
         pb = np.concatenate([[0.0], np.cumsum(u * b, dtype=np.longdouble)])
         rows = ((pb[end] - pb[lo]) - a * (pu[end] - pu[lo])).astype(float)
         diag = u * u * np.maximum(b - a, 0.0)
-        return float(2.0 * np.dot(u, rows) - diag.sum())
+        return float(2.0 * _dot(u, rows) - diag.sum())
 
     def x_support(self, T):
         return (0.0, T + self.tau)
+
+    def power_integral(self, p, T):
+        """Closed form: on [0, T + tau], w rises as x + tau on [0, r] with
+        r = clip(T - tau, 0, tau), is flat at c = min(T, 2 tau) and falls to
+        0 with slope -1 over its last c."""
+        tau = self.tau
+        r = min(max(T - tau, 0.0), tau)
+        c = min(T, 2.0 * tau)
+        rise = ((tau + r) ** (p + 1) - tau ** (p + 1)) / (p + 1)
+        return rise + c ** p * (T + tau - r - c) + c ** (p + 1) / (p + 1)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ second-moment mass is reported so callers can bound the bias.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -126,6 +127,9 @@ def replication_seed(master_seed: int, index: int) -> np.random.SeedSequence:
 # uniforms in [k / B, (k + 1) / B).
 _GUIDE_BUCKETS = 1 << 14
 
+# Extra geometric points per smooth piece of the extended-Gamma table.
+_PIECE_POINTS = 33
+
 
 class _InverseCDF:
     """Inverse of the normalized trapezoid CDF of ``dens`` on ``grid``.
@@ -135,10 +139,10 @@ class _InverseCDF:
     its value is slopes[j] * (v - cdf[j]) + grid[j].  The segment is found
     without a search: bucket k of the guide table holds the segment of
     k / B, and a bucket that holds at most one further breakpoint needs one
-    comparison.  Uniforms from the first bucket that holds more are
-    searched; the densities decrease along the grid, so that bucket lies in
-    the CDF's flat tail and few uniforms reach it.  The table is cached and
-    shared by every sampling call, so its arrays are made read-only.
+    comparison.  Uniforms from a ``crowded`` bucket, one that holds more,
+    are searched; crowded buckets lie where the CDF is flat (its ends), so
+    few uniforms reach them.  The table is cached and shared by every
+    sampling call, so its arrays are made read-only.
     """
 
     def __init__(self, grid: np.ndarray, dens: np.ndarray):
@@ -149,18 +153,18 @@ class _InverseCDF:
             slopes = np.diff(grid) / np.diff(cdf)
         segment = np.searchsorted(cdf, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS,
                                   side="right") - 1
-        crowded = np.flatnonzero(np.diff(segment) > 1)
-        self.search_from = crowded[0] / _GUIDE_BUCKETS if crowded.size else 1.0
+        self.crowded = np.diff(segment) > 1
         self.grid, self.cdf, self.slopes, self.guide = grid, cdf, slopes, segment[:-1]
-        for a in (grid, cdf, slopes, self.guide):
+        for a in (grid, cdf, slopes, self.guide, self.crowded):
             a.setflags(write=False)
 
     def lookup(self, v: np.ndarray) -> np.ndarray:
-        j = self.guide.take((v * _GUIDE_BUCKETS).astype(np.intp))
+        bucket = (v * _GUIDE_BUCKETS).astype(np.intp)
+        j = self.guide.take(bucket)
         j += self.cdf[1:].take(j) <= v
-        tail = np.flatnonzero(v >= self.search_from)
-        if tail.size:
-            j[tail] = np.searchsorted(self.cdf, v.take(tail), side="right") - 1
+        searched = np.flatnonzero(self.crowded.take(bucket))
+        if searched.size:
+            j[searched] = np.searchsorted(self.cdf, v.take(searched), side="right") - 1
         out = self.cdf.take(j)
         np.subtract(v, out, out=out)
         out *= self.slopes.take(j)
@@ -183,8 +187,9 @@ def _window_constants(control, window: Window):
 class ControlMeasure:
     """Common surface of all control measures.
 
-    Subclasses provide per-window masses, jump-moment integrals and exact or
-    rejection samplers.  All instances are immutable and safe to share across
+    Subclasses provide per-window masses, jump-moment integrals and samplers
+    that draw each atom directly (no rejection): exactly, or through an
+    inverse-CDF table.  All instances are immutable and safe to share across
     workers.
     """
 
@@ -384,15 +389,18 @@ class ExtendedGammaControl(ControlMeasure):
     where beta(x) = beta0 + beta1 * sqrt(x) (strictly positive, nondecreasing).
 
     The u-marginal is infinite-activity (u^{-1} at the origin); jumps below
-    eps are dropped.  Sampling rejects from the dominating homogeneous product
-    built from beta_min = beta(x_lo): a Poisson count, uniform times, jumps
-    from a 4096-point inverse-CDF table of e^{-beta_min u}/u on [lo, lo +
-    80/beta0], and acceptance with probability e^{-(beta(x) - beta_min) u}.
-    The table, the dominating mass and mu(window) depend only on the
-    (control, window) pair and are computed once per process; the guide-table
-    lookup returns exactly np.interp's values, so a seed gives the same atoms
-    as a per-call rebuild.  mu(window) and the per-time masses and moments
-    call scipy, which is imported when first needed.
+    eps are dropped.  Sampling is exact conditional sampling in v = beta(x) u:
+    du / u = dv / v, so mu is e^{-v} / v dv dx on beta(x) lo <= v <=
+    beta(x) hi, and given v the time x is uniform on the closed interval
+    [a(v), b(v)] of window times with beta(x) lo <= v <= beta(x) hi.  A call
+    draws a Poisson count, v from a 4096-point inverse-CDF table of
+    e^{-v} / v (b(v) - a(v)) on [beta(x_lo) lo, beta(x_lo) lo + 80] (capped
+    at beta(x_hi) hi; the kinks of b - a are grid points and each smooth
+    piece between them gets 33 more), x uniform on [a(v), b(v)] and
+    u = v / beta(x); nothing is rejected.  The table and
+    mu(window) depend only on the (control, window) pair and are computed
+    once per process.  mu(window) and the per-time masses and moments call
+    scipy, which is imported when first needed.
     """
 
     beta0: float = 1.0
@@ -451,22 +459,58 @@ class ExtendedGammaControl(ControlMeasure):
                       window.x_lo, window.x_hi, epsabs=1e-11, epsrel=1e-9, limit=400)
         return float(val)
 
+    def _x_interval(self, v: np.ndarray, lo: float, hi: float, window: Window):
+        """Closed interval [a, b] of window times x with beta(x) lo <= v <=
+        beta(x) hi, elementwise in v (hi may be inf)."""
+        if self.beta1 == 0.0:
+            a = np.where(v <= self.beta0 * hi, window.x_lo, window.x_hi)
+            b = np.where(v >= self.beta0 * lo, window.x_hi, window.x_lo)
+            return a, b
+        return self._beta_inverse(v / hi, window), self._beta_inverse(v / lo, window)
+
+    def _beta_inverse(self, s: np.ndarray, window: Window) -> np.ndarray:
+        # ((s - beta0) / beta1)_+^2, the x >= 0 with beta(x) = s (0 where
+        # s <= beta0), clipped to the window; s is a fresh array, overwritten
+        s -= self.beta0
+        s /= self.beta1
+        np.maximum(s, 0.0, out=s)
+        s *= s
+        return np.clip(s, window.x_lo, window.x_hi, out=s)
+
     def _compute_window_constants(self, window: Window):
         self._require_eps()
         lo = self.eps if window.u_lo is None else max(window.u_lo, self.eps)
-        hi = window.u_hi if window.u_hi is not None else lo + 80.0 / self.beta0
-        b_min = float(self.beta(window.x_lo))
-        grid = np.geomspace(lo, hi, self._table_size)
-        table = _InverseCDF(grid, np.exp(-b_min * grid) / grid)
-        return b_min, table, float(table.total * window.length), self.mass(window)
+        hi = math.inf if window.u_hi is None else window.u_hi
+        b_lo, b_hi = float(self.beta(window.x_lo)), float(self.beta(window.x_hi))
+        v_lo = b_lo * lo
+        v_hi = min(b_hi * hi, v_lo + 80.0)
+        # b - a is smooth between the kinks b_hi lo (b reaches x_hi) and
+        # b_lo hi (a leaves x_lo).  Each piece between them gets its own
+        # _PIECE_POINTS geometric points besides the global grid, so a piece
+        # narrower than the grid spacing is still resolved.  Sorting and
+        # masking repeats avoids np.unique, which loads numpy.ma.
+        kinks = [k for k in (b_hi * lo, b_lo * hi) if v_lo < k < v_hi]
+        edges = sorted([v_lo, v_hi] + kinks)
+        grid = np.sort(np.concatenate(
+            [np.geomspace(v_lo, v_hi, self._table_size)]
+            + [np.geomspace(p, q, _PIECE_POINTS) for p, q in zip(edges[:-1], edges[1:])]))
+        grid = grid[np.concatenate([[True], np.diff(grid) > 0.0])]
+        a, b = self._x_interval(grid, lo, hi, window)
+        table = _InverseCDF(grid, np.exp(-grid) / grid * (b - a))
+        return table, lo, hi, self.mass(window)
 
     def sample(self, window: Window, rng: np.random.Generator):
-        b_min, table, dom_mass, mass = _window_constants(self, window)
-        n = rng.poisson(dom_mass)
-        x = rng.uniform(window.x_lo, window.x_hi, size=n)
-        u = table.lookup(rng.uniform(size=n))
-        keep = np.flatnonzero(rng.uniform(size=n) < np.exp(-(self.beta(x) - b_min) * u))
-        return u.take(keep), x.take(keep), mass
+        table, lo, hi, mass = _window_constants(self, window)
+        n = rng.poisson(table.total)
+        v = table.lookup(rng.uniform(size=n))
+        a, b = self._x_interval(v, lo, hi, window)
+        x = rng.uniform(size=n)
+        b -= a
+        x *= b
+        x += a
+        np.minimum(x, window.x_hi, out=x)   # a + (b - a) t can round above b
+        u = v / self.beta(x)
+        return np.clip(u, lo, hi, out=u), x, mass
 
     def integrate(self, fn, window: Window) -> float:
         from scipy.integrate import quad

@@ -6,13 +6,32 @@ the criterion's integrability check.  The tests use them as oracles for the
 closed forms (the OU contraction-norm oracle calls ``check_levels`` and
 ``panel_points`` directly).  Integrands are assumed vectorized (numpy in, numpy out)
 and piecewise-analytic on the supplied panels; panel edges must include every
-kink of the integrand.
+kink of the integrand.  ``_dot`` is the package's thread-count-independent
+dot product.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import numpy.polynomial.legendre   # numpy loads it lazily; load it here, not mid-run
+
+
+# Longest block _dot hands to np.dot.  OpenBLAS threads dot products above
+# 10000 elements, and the threads' partial sums make the bits depend on the
+# thread count; shorter blocks run on one thread.
+_DOT_BLOCK = 8192
+
+
+def _dot(a, b) -> float:
+    """Dot product of two vectors, summed over ordered blocks of at most
+    _DOT_BLOCK elements, so its bits do not depend on the BLAS thread count
+    (CPU affinity, worker count); equal to np.dot up to _DOT_BLOCK elements."""
+    if len(a) <= _DOT_BLOCK:
+        return float(np.dot(a, b))
+    total = 0.0
+    for i in range(0, len(a), _DOT_BLOCK):
+        total += float(np.dot(a[i:i + _DOT_BLOCK], b[i:i + _DOT_BLOCK]))
+    return total
 
 
 class QuadratureError(RuntimeError):

@@ -2,8 +2,9 @@
 
 scipy.special and scipy.integrate are imported by the functions that call
 them (the non-homogeneous controls' masses and moments, the generalized-Gamma
-moments and the Campbell oracles), so the CLI import and the subcommands that
-never reach those functions do not load scipy at all.  They do not load
+moments and the non-homogeneous Campbell integrals), so the CLI import and the
+subcommands that never reach those functions do not load scipy at all; the
+homogeneous case-1 Campbell integrals are closed forms.  They do not load
 numpy.ma either, which np.unique imports on first use.
 """
 
@@ -29,6 +30,8 @@ runs = {
     "criterion": ["criterion", "--family", "ou-pair-unit", "--indices", "50,100"],
     "ou": ["ou", "--theorem", "5", "--T", "20", "--reps", "100", "--seed", "1"],
     "hazard": ["hazard", "--theorem", "8", "--T", "20", "--reps", "100", "--seed", "1"],
+    "hazard-case1": ["hazard", "--theorem", "7", "--case", "1", "--T", "20", "--reps", "100",
+                     "--seed", "1"],
 }
 for name, argv in runs.items():
     with contextlib.redirect_stdout(io.StringIO()):
@@ -42,6 +45,7 @@ def test_cli_paths_do_not_load_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rows = [line.split(" ", 2) for line in proc.stdout.splitlines()]
-    assert [r[0] for r in rows] == ["import", "criterion", "ou", "hazard"], proc.stdout
+    assert [r[0] for r in rows] == ["import", "criterion", "ou", "hazard", "hazard-case1"], \
+        proc.stdout
     assert all(r[2] == "[]" for r in rows), proc.stdout
     assert {r[1] for r in rows[1:]} <= {"0", "1"}   # 1: a verdict failed, not a crash

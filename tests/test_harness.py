@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
+import poisson_chaos
 from poisson_chaos.harness import (
     TargetSpec, collect, gaussian_cdf, jackknife_variance_se,
     ks_statistic, run_experiment, slope_fit, summarize, values_to_csv,
@@ -191,3 +196,48 @@ class TestEngine:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "replication_index,value"
         assert lines[1] == "0,1.5"
+
+
+THREAD_SCRIPT = """
+import os, sys
+if sys.argv[2] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from poisson_chaos.hazard import cumulative_hazard, rect_model
+from poisson_chaos.harness import jackknife_variance_se
+from poisson_chaos.point_process import DiscreteControl, PointPattern
+
+rng = np.random.default_rng(11)
+model = rect_model(DiscreteControl((1.0,), (1.0,)), T=45000.0)
+n = 45000
+pattern = PointPattern(rng.exponential(size=n), rng.uniform(0.0, model.window.x_hi, size=n),
+                       model.window, float(n), 0)
+print(float(cumulative_hazard(model, pattern=pattern)).hex(),
+      float(jackknife_variance_se(rng.standard_normal(20000))).hex())
+"""
+
+
+class TestThreadCountIndependence:
+    def test_long_dot_products_do_not_depend_on_cpu_affinity(self):
+        # OpenBLAS threads np.dot above 10000 elements, with partial sums that
+        # depend on the thread count; the package's long dot products must not
+        src = str(Path(poisson_chaos.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        out = [subprocess.run([sys.executable, "-c", THREAD_SCRIPT, src, mode], env=env,
+                              capture_output=True, text=True, timeout=120, check=True).stdout
+               for mode in ("pinned", "free")]
+        assert out[0] == out[1] and len(out[0].split()) == 2
+
+    def test_dot_is_np_dot_up_to_one_block_and_ordered_blocks_beyond(self):
+        from poisson_chaos.quadrature import _DOT_BLOCK, _dot
+        rng = np.random.default_rng(12)
+        a, b = rng.exponential(size=3 * _DOT_BLOCK + 5), rng.uniform(size=3 * _DOT_BLOCK + 5)
+        short = slice(0, _DOT_BLOCK)
+        assert _dot(a[short], b[short]) == float(np.dot(a[short], b[short]))
+        blocks = 0.0
+        for i in range(0, a.size, _DOT_BLOCK):
+            blocks += float(np.dot(a[i:i + _DOT_BLOCK], b[i:i + _DOT_BLOCK]))
+        assert _dot(a, b) == blocks
+        assert _dot(a, b) == pytest.approx(math.fsum(a * b), rel=1e-13)

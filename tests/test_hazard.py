@@ -97,6 +97,20 @@ class TestCumulativeHazard:
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert vals.mean() == pytest.approx(oracle, abs=3 * se)
 
+    @pytest.mark.parametrize("tau, T", [(1.0, 200.0), (0.3, 2.0), (1.0, 2.0), (1.0, 1.5),
+                                        (1.0, 1.0), (2.5, 0.7), (1.0, 0.1)])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_rect_power_integral_matches_quadrature(self, tau, T, p):
+        # int w^p over [0, T + tau]; w is piecewise linear with kinks at
+        # tau, T - tau and T
+        from scipy.integrate import quad
+        kernel = RectHazardKernel(tau)
+        hi = T + tau
+        kinks = sorted({k for k in (tau, T - tau, T) if 0.0 < k < hi})
+        oracle, _ = quad(lambda x: kernel.time_integral(np.array([x]), T)[0] ** p, 0.0, hi,
+                         points=kinks, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert kernel.power_integral(p, T) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
     def test_pathwise_grid_agreement(self):
         # rect-kernel paths are piecewise constant: the breakpoint-aligned
         # trapezoid agrees with the closed form to 1e-6 relative

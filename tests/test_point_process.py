@@ -26,21 +26,53 @@ def per_call_generalized_gamma_sample(ctrl, window, rng):
     return u, x, float(total)
 
 
+def extended_gamma_grid(ctrl, window, lo, hi):
+    """The v-grid of the extended-Gamma table: geometric on [beta(x_lo) lo,
+    min(beta(x_hi) hi, beta(x_lo) lo + 80)], plus 33 geometric points on
+    each piece between the kinks of b - a."""
+    b_lo, b_hi = float(ctrl.beta(window.x_lo)), float(ctrl.beta(window.x_hi))
+    v_lo = b_lo * lo
+    v_hi = min(b_hi * hi, v_lo + 80.0)
+    edges = sorted([v_lo, v_hi] + [k for k in (b_hi * lo, b_lo * hi) if v_lo < k < v_hi])
+    pieces = [np.geomspace(p, q, 33) for p, q in zip(edges[:-1], edges[1:])]
+    return np.unique(np.concatenate([np.geomspace(v_lo, v_hi, ctrl._table_size)] + pieces))
+
+
+def extended_gamma_interval(ctrl, v, lo, hi, window):
+    """[a(v), b(v)]: window times with beta(x) lo <= v <= beta(x) hi."""
+    if ctrl.beta1 == 0.0:
+        return (np.where(v <= ctrl.beta0 * hi, window.x_lo, window.x_hi),
+                np.where(v >= ctrl.beta0 * lo, window.x_hi, window.x_lo))
+
+    def inverse(s):
+        return np.clip(np.maximum((s - ctrl.beta0) / ctrl.beta1, 0.0) ** 2,
+                       window.x_lo, window.x_hi)
+
+    return inverse(v / hi), inverse(v / lo)
+
+
+def extended_gamma_atoms(ctrl, window, rng, v, lo, hi):
+    """x uniform on [a(v), b(v)] and u = v / beta(x), from drawn v."""
+    a, b = extended_gamma_interval(ctrl, v, lo, hi, window)
+    x = np.minimum(a + (b - a) * rng.uniform(size=v.size), window.x_hi)
+    return np.clip(v / ctrl.beta(x), lo, hi), x
+
+
 def per_call_extended_gamma_sample(ctrl, window, rng):
-    """Reference: table and window mass rebuilt on every call, unsorted lookup."""
+    """Reference: v-table and window mass rebuilt on every call, v looked up
+    with np.interp."""
     lo = ctrl.eps if window.u_lo is None else max(window.u_lo, ctrl.eps)
-    hi = window.u_hi if window.u_hi is not None else lo + 80.0 / ctrl.beta0
-    b_min = float(ctrl.beta(window.x_lo))
-    grid = np.geomspace(lo, hi, ctrl._table_size)
-    dens = np.exp(-b_min * grid) / grid
+    hi = np.inf if window.u_hi is None else window.u_hi
+    grid = extended_gamma_grid(ctrl, window, lo, hi)
+    a, b = extended_gamma_interval(ctrl, grid, lo, hi, window)
+    dens = np.exp(-grid) / grid * (b - a)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
-    dom_jump_mass = cdf[-1]
-    cdf /= cdf[-1]
-    n = rng.poisson(dom_jump_mass * window.length)
-    x = rng.uniform(window.x_lo, window.x_hi, size=n)
-    u = np.interp(rng.uniform(size=n), cdf, grid)
-    keep = rng.uniform(size=n) < np.exp(-(ctrl.beta(x) - b_min) * u)
-    return u[keep], x[keep], ctrl.mass(window)
+    total = cdf[-1]
+    cdf /= total
+    n = rng.poisson(total)
+    v = np.interp(rng.uniform(size=n), cdf, grid)
+    u, x = extended_gamma_atoms(ctrl, window, rng, v, lo, hi)
+    return u, x, ctrl.mass(window)
 
 
 def argsort_lookup(rng, n, cdf, grid):
@@ -60,18 +92,16 @@ def argsort_lookup_sample(ctrl, window, rng):
         n = rng.poisson(total)
         x = rng.uniform(window.x_lo, window.x_hi, size=n)
         return argsort_lookup(rng, n, table.cdf, table.grid), x, total
-    b_min, table, dom_mass, mass = constants
-    n = rng.poisson(dom_mass)
-    x = rng.uniform(window.x_lo, window.x_hi, size=n)
-    u = argsort_lookup(rng, n, table.cdf, table.grid)
-    keep = rng.uniform(size=n) < np.exp(-(ctrl.beta(x) - b_min) * u)
-    return u[keep], x[keep], mass
+    table, lo, hi, mass = constants
+    v = argsort_lookup(rng, rng.poisson(table.total), table.cdf, table.grid)
+    u, x = extended_gamma_atoms(ctrl, window, rng, v, lo, hi)
+    return u, x, mass
 
 
 @st.composite
 def sampling_windows(draw, eps):
     """Windows on x > 0 from empty (n = 0) through a few hundred to several
-    thousand proposals, with and without jump-range bounds above eps."""
+    thousand atoms, with and without jump-range bounds above eps."""
     x_lo = draw(st.one_of(st.just(0.0), st.floats(0.0, 400.0)))
     length = draw(st.one_of(st.floats(1e-9, 1e-3), st.floats(1e-3, 30.0),
                             st.floats(30.0, 900.0)))
@@ -285,8 +315,7 @@ class TestGuideTableLookup:
 
     @pytest.mark.parametrize("ctrl, window", CASES)
     def test_breakpoints_and_neighbours_match_interp(self, ctrl, window):
-        constants = point_process._window_constants(ctrl, window)
-        table = constants[0] if isinstance(ctrl, GeneralizedGammaControl) else constants[1]
+        table = point_process._window_constants(ctrl, window)[0]
         cdf = table.cdf
         v = np.concatenate([cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf)])
         v = v[(v >= 0.0) & (v < 1.0)]
@@ -294,9 +323,17 @@ class TestGuideTableLookup:
         assert np.array_equal(got.view(np.int64), np.interp(v, cdf, table.grid).view(np.int64))
 
     def test_searched_tail_is_exercised(self):
-        table = point_process._window_constants(ExtendedGammaControl(), Window(400.0, 500.0))[1]
-        assert 0.9 < table.search_from < 1.0
+        # the v-table's CDF is flat at both ends (b - a vanishes at the low
+        # end, e^{-v} at the high end), so buckets at both ends are crowded
+        table = point_process._window_constants(ExtendedGammaControl(), Window(400.0, 500.0))[0]
+        assert table.crowded[0] and table.crowded[-1]
+        assert 0 < np.count_nonzero(table.crowded) < 0.02 * table.crowded.size
         assert np.unique(table.cdf).size < table.cdf.size   # flat segments present
+        buckets = np.flatnonzero(table.crowded)
+        v = (np.repeat(buckets, 50) + np.random.default_rng(6).uniform(size=50 * buckets.size))
+        v /= table.crowded.size
+        got = table.lookup(v)
+        assert np.array_equal(got.view(np.int64), np.interp(v, table.cdf, table.grid).view(np.int64))
 
     def test_generalized_gamma_sizes_cover_empty_small_and_large_patterns(self):
         # sampling_windows reaches n = 0, 0 < n < 4096 and n >= 4096 here too
@@ -326,6 +363,65 @@ class TestGuideTableLookup:
         ref = argsort_lookup_sample(ctrl, window, np.random.default_rng(seed))
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
         assert got[2] == ref[2]
+
+
+class TestExtendedGammaLaw:
+    """The rejection-free extended-Gamma sampler against oracles that do not
+    use its table: per-time masses from E1, Poisson counts, the mass quad."""
+
+    CASES = [
+        (ExtendedGammaControl(1.0, 1.0, 1e-4), Window(0.0, 50.0), 300),
+        (ExtendedGammaControl(2.0, 3.0, 1e-2), Window(1.0, 9.0, 0.05, 0.7), 3000),
+        (ExtendedGammaControl(0.5, 0.0, 1e-4), Window(2.0, 12.0, None, 1.0), 300),
+    ]
+
+    @staticmethod
+    def _pool(ctrl, window, reps, seed):
+        rng = np.random.default_rng(replication_seed(seed, 0))
+        draws = [ctrl.sample(window, rng) for _ in range(reps)]
+        counts = np.array([len(d[0]) for d in draws])
+        return np.concatenate([d[0] for d in draws]), np.concatenate([d[1] for d in draws]), counts
+
+    @pytest.mark.parametrize("ctrl, window, reps", CASES)
+    def test_counts_in_x_bins_match_per_time_masses(self, ctrl, window, reps):
+        _, x, _ = self._pool(ctrl, window, reps, 83)
+        edges = np.linspace(window.x_lo, window.x_hi, 11)
+        got = np.histogram(x, edges)[0]
+        for count, a, b in zip(got, edges[:-1], edges[1:]):
+            m, _ = si.quad(lambda t: float(ctrl.x_mass(t, window.u_lo, window.u_hi)), a, b,
+                           epsabs=1e-12, epsrel=1e-10)
+            assert abs(count - reps * m) <= 4 * np.sqrt(reps * m), (a, b, count, reps * m)
+
+    @pytest.mark.parametrize("ctrl, window, reps, slab", [
+        (*CASES[0], (20.0, 22.0)), (*CASES[1], (3.0, 5.0)), (*CASES[2], (4.0, 6.0))])
+    def test_jumps_in_a_slab_follow_the_conditional_law(self, ctrl, window, reps, slab):
+        # F(u) = int_slab [E1(beta lo) - E1(beta u)] dx / int_slab [E1(beta lo) - E1(beta hi)] dx
+        u, x, _ = self._pool(ctrl, window, 4 * reps, 84)
+        u = np.sort(u[(x >= slab[0]) & (x <= slab[1])])
+        lo = max(window.u_lo or 0.0, ctrl.eps)
+        hi = np.inf if window.u_hi is None else window.u_hi
+        t, w = np.polynomial.legendre.leggauss(24)
+        beta = ctrl.beta(0.5 * (slab[0] + slab[1]) + 0.5 * (slab[1] - slab[0]) * t)
+        below = (exp1(np.outer(beta, np.full(u.size, lo))) - exp1(np.outer(beta, u)))
+        cdf = w @ below / (w @ (exp1(beta * lo) - exp1(beta * hi)))
+        n = u.size
+        ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        assert n > 1000
+        assert ks <= 2.4 / np.sqrt(n), (ks, n)   # P(K > 2.4) ~ 2e-5
+
+    @pytest.mark.parametrize("ctrl, window, reps", CASES)
+    def test_mean_count_is_the_mass(self, ctrl, window, reps):
+        _, _, counts = self._pool(ctrl, window, reps, 85)
+        mass = ctrl.mass(window)
+        assert abs(counts.mean() - mass) <= 4 * np.sqrt(mass / reps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(1.0, 1.0, 1e-4), (0.5, 0.0, 1e-4), (2.0, 3.0, 1e-2)]), st.data())
+    def test_table_total_is_the_window_mass(self, params, data):
+        ctrl = ExtendedGammaControl(*params)
+        window = data.draw(sampling_windows(ctrl.eps))
+        table = point_process._window_constants(ctrl, window)[0]
+        assert table.total == pytest.approx(ctrl.mass(window), rel=1e-5, abs=0.0)
 
 
 class TestCompensatedCount:
