@@ -21,6 +21,14 @@ from .quadrature import _dot, exp_refined_edges, integrate_checked
 # largest n x n float64 pair matrix the dense pair sums may allocate
 DENSE_PAIR_BYTES_MAX = 1 << 28
 
+# Widest exponent lam * (x - x0) that one chunk of the OU pair-sum scan
+# spans.  A chunk's running sums of u e^{lam (x - x0)} stay below e^600 ~
+# 3.8e260 times sum |u|, a factor of about 5e47 under the largest double,
+# where e^709 would leave no room.  Narrower chunks would cost more numpy
+# calls per atom; wider ones round the exponent more coarsely (its ulp at
+# 600 is 1.1e-13).
+_SCAN_SPAN = 600.0
+
 
 class ArityError(ValueError):
     pass
@@ -508,7 +516,8 @@ def ou_ghat(lam: float, T: float, x, y, stated_form: bool = False):
     val = np.exp(lam * (s - 2.0 * m)) - np.exp(lam * s - 2.0 * lam * T)
     if stated_form:
         neg = np.maximum(x, y) <= 0.0
-        val = np.where(neg, np.exp(lam * s) * (1.0 - math.exp(-2.0 * T)), val)
+        # s <= 0 where neg; the clip keeps the unused branch from overflowing
+        val = np.where(neg, np.exp(lam * np.minimum(s, 0.0)) * (1.0 - math.exp(-2.0 * T)), val)
     return np.where(inside, val, 0.0)
 
 
@@ -671,10 +680,13 @@ class OUDoubleHKernel(Kernel):
         On x, y <= T, Ghat(x, y) is e^{-lam |x - y|} where max(x, y) > 0 and
         c e^{lam (x + y)} where both are <= 0 (c = 1, or the stated-form
         factor), less e^{lam (x + y) - 2 lam T} everywhere.  Over atoms sorted
-        by x the first part is the exponential-kernel recursion
-        R_k = sum_{j < k} u_j e^{-lam (x_k - x_j)}
-            = e^{-lam (x_k - x_{k-1})} (R_{k-1} + u_{k-1});
-        the other two are rank-one sums less their diagonals.
+        by x the first part needs R_k = sum_{j < k} u_j e^{-lam (x_k - x_j)},
+        a numpy scan over chunks of atoms: in a chunk that starts at x0 and
+        spans lam (x - x0) <= _SCAN_SPAN, with g = e^{lam (x - x0)},
+        R = (carry + exclusive cumsum of u g) / g, and the chunk's total,
+        carried to the next chunk's first atom x1, is
+        (carry + sum u g) e^{-lam (x1 - x0)}.  The other two parts are
+        rank-one sums less their diagonals.
         """
         lam, T = self.lam, self.T
         u = np.asarray(u, dtype=float)
@@ -685,13 +697,21 @@ class OUDoubleHKernel(Kernel):
             return 0.0
         order = np.argsort(x)
         u, x = u[order], x[order]
-        decay = np.exp(-lam * np.diff(x)).tolist()
-        weights = u.tolist()
-        recursion = [0.0] * len(weights)
-        acc = 0.0
-        for k in range(1, len(weights)):
-            acc = (acc + weights[k - 1]) * decay[k - 1]
-            recursion[k] = acc
+        recursion = np.empty_like(x)
+        carry = 0.0
+        start = 0
+        while start < x.size:
+            x0 = x[start]
+            stop = int(np.searchsorted(x, x0 + _SCAN_SPAN / lam, side="right"))
+            g = np.exp(lam * (x[start:stop] - x0))
+            w = u[start:stop] * g
+            w[0] += carry
+            acc = np.cumsum(w)
+            recursion[start] = carry
+            recursion[start + 1:stop] = acc[:-1] / g[1:]
+            if stop < x.size:
+                carry = float(acc[-1]) * math.exp(-lam * (x[stop] - x0))
+            start = stop
         first_pos = int(np.searchsorted(x, 0.0, side="right"))
         near = 2.0 * _dot(u[first_pos:], recursion[first_pos:])
         a = u[:first_pos] * np.exp(lam * x[:first_pos])

@@ -240,10 +240,18 @@ class DiscreteControl(ControlMeasure):
             raise ValueError("discrete jump weights must be positive")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        # read-only arrays, built once; not fields, so eq and hash still
+        # see only the tuples
+        vals, w = np.array(self.values), np.array(self.weights)
+        for a in (vals, w):
+            a.setflags(write=False)
+        object.__setattr__(self, "_values", vals)
+        object.__setattr__(self, "_weights", w)
 
     def _sel(self, u_lo, u_hi):
-        vals = np.array(self.values)
-        w = np.array(self.weights)
+        vals, w = self._values, self._weights
+        if u_lo is None and u_hi is None:
+            return vals, w
         keep = np.ones(vals.size, dtype=bool)
         if u_lo is not None:
             keep &= vals >= u_lo
@@ -263,9 +271,7 @@ class DiscreteControl(ControlMeasure):
         return float(np.sum(w * v ** i))
 
     def abs_moment(self, i: int) -> float:
-        v = np.array(self.values)
-        w = np.array(self.weights)
-        return float(np.sum(w * np.abs(v) ** i))
+        return float(np.sum(self._weights * np.abs(self._values) ** i))
 
     def sample(self, window: Window, rng: np.random.Generator):
         vals, w = self._sel(window.u_lo, window.u_hi)

@@ -171,6 +171,11 @@ class TestMoments:
         assert ctrl.moment(1) == pytest.approx(0.0)
         assert ctrl.moment(2) == pytest.approx(1.5)
         assert ctrl.abs_moment(3) == pytest.approx(2.5)
+        # a u bound masks the cached arrays; eq and hash see only the fields
+        assert ctrl.moment(2, u_lo=0.0) == 1.0
+        assert ctrl.jump_mass(u_hi=0.0) == 0.5
+        assert ctrl == DiscreteControl(values=(2, -1), weights=(0.25, 0.5))
+        assert hash(ctrl) == hash(DiscreteControl(values=(2, -1), weights=(0.25, 0.5)))
 
     def test_extended_gamma_per_time_moments(self):
         ctrl = ExtendedGammaControl(beta0=1.0, beta1=1.0, eps=1e-4)
