@@ -7,7 +7,6 @@ on the command line override file values.
 
 from __future__ import annotations
 
-import configparser
 import hashlib
 
 from .point_process import (BetaControl, DiscreteControl, ExtendedGammaControl,
@@ -19,6 +18,7 @@ class ConfigError(ValueError):
 
 
 def read_config(path) -> dict:
+    import configparser   # only runs that name a config file need it
     parser = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as fh:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,6 +254,9 @@ def collect(rep_fn, cfg, R: int, master_seed: int, workers: int = 1) -> np.ndarr
             lo, vals = _run_chunk(ch)
             results[lo] = vals
     else:
+        # imported here: the pool module and multiprocessing cost start-up
+        # time that single-worker runs never use
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for lo, vals in pool.map(_run_chunk, chunks):
                 results[lo] = vals

@@ -59,18 +59,6 @@ def sample_hazard_pattern(model: HazardModel, seed) -> PointPattern:
     return sample_pattern(model.control, model.window, seed)
 
 
-def simulate_hazard(model: HazardModel, seed, times,
-                    pattern: PointPattern | None = None) -> np.ndarray:
-    """h on a time grid, exactly from the atoms."""
-    if pattern is None:
-        pattern = sample_hazard_pattern(model, seed)
-    times = np.asarray(times, dtype=float)
-    if not len(pattern):
-        return np.zeros_like(times)
-    vals = model.kernel(times[:, None], pattern.x[None, :])
-    return vals @ pattern.u
-
-
 def cumulative_hazard(model: HazardModel, seed=None,
                       pattern: PointPattern | None = None) -> float:
     """H(T) = sum_i u_i int_0^T k(s, x_i) ds, closed form per kernel family."""
@@ -90,44 +78,9 @@ def square_hazard_integral(model: HazardModel, pattern: PointPattern) -> float:
     return model.kernel.square_integral(pattern.u, pattern.x, model.T)
 
 
-def hazard_grid_times(model: HazardModel, pattern: PointPattern, n_points: int) -> np.ndarray:
-    """Uniform grid refined at the kernel breakpoints of every atom, so that
-    trapezoid integration of the (piecewise-smooth) path is grid-aligned."""
-    times = np.linspace(0.0, model.T, n_points)
-    breaks = [pattern.x]
-    if isinstance(model.kernel, RectHazardKernel):
-        breaks = [pattern.x - model.kernel.tau, pattern.x + model.kernel.tau]
-    pts = np.concatenate(breaks) if len(pattern) else np.empty(0)
-    pts = pts[(pts > 0.0) & (pts < model.T)]
-    if pts.size:
-        # straddle each breakpoint so that both closed-interval edges of the
-        # kernels are resolved within 1e-9-wide cells
-        times = np.unique(np.concatenate([times, pts - 1e-9, pts, pts + 1e-9]))
-    return times
-
-
-def cumulative_hazard_grid(model: HazardModel, pattern: PointPattern, n_points: int) -> float:
-    times = hazard_grid_times(model, pattern, n_points)
-    h = simulate_hazard(model, None, times, pattern=pattern)
-    return float(np.trapezoid(h, times))
-
-
-def square_hazard_integral_grid(model: HazardModel, pattern: PointPattern,
-                                n_points: int) -> float:
-    times = hazard_grid_times(model, pattern, n_points)
-    h = simulate_hazard(model, None, times, pattern=pattern)
-    return float(np.trapezoid(h ** 2, times))
-
-
 # ---------------------------------------------------------------------------
-# Campbell-formula oracles
+# Campbell integrals
 # ---------------------------------------------------------------------------
-
-
-def campbell_mean(model: HazardModel, t: float) -> float:
-    """E h(t) = int int u k(t, x) mu(du, dx), by quadrature."""
-    return model.control.integrate(
-        lambda u, x: u * model.kernel(np.full_like(x, t), x), model.window)
 
 
 def cumulative_mean_exact(model: HazardModel) -> float:

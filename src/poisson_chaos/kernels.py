@@ -38,6 +38,15 @@ class ContractionError(ValueError):
     pass
 
 
+def _distinct_pair_sum(a: np.ndarray) -> float:
+    """sum_{i != j} a_i a_j as 2 sum_k a_k sum_{j < k} a_j.  Its rounding
+    error scales with sum_{i != j} |a_i a_j|; that of (sum a)^2 - sum a^2
+    scales with (sum |a|)^2, which swamps the result when one term dominates."""
+    if a.size < 2:
+        return 0.0
+    return 2.0 * _dot(a[1:], np.cumsum(a[:-1]))
+
+
 def _check_dense_budget(n: int) -> None:
     need = 8 * n * n
     if need > DENSE_PAIR_BYTES_MAX:
@@ -196,9 +205,6 @@ class GridKernel(Kernel):
             raise ArityError("symmetrize needs an arity-2 kernel")
         return GridKernel(self.edges, 0.5 * (self.values + self.values.T))
 
-    def is_symmetric(self, tol=0.0) -> bool:
-        return self.arity == 2 and bool(np.all(np.abs(self.values - self.values.T) <= tol))
-
     def lp_norm(self, p, control, window):
         m = self.cell_masses(control, window)
         v = np.abs(self.values) ** p
@@ -248,44 +254,6 @@ class GridKernel(Kernel):
 
     def as_grid(self) -> "GridKernel":
         return self
-
-
-def grid_to_csv(kernel: GridKernel, path) -> None:
-    """row,col,value triples with a sidecar '<path>.meta' describing the partition."""
-    vals = kernel.values
-    with open(str(path) + ".meta", "w", encoding="utf-8") as fh:
-        fh.write(f"arity = {kernel.arity}\n")
-        fh.write("edges = " + ",".join(repr(e) for e in kernel.edges) + "\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("row,col,value\n")
-        if kernel.arity == 1:
-            for a, v in enumerate(vals):
-                fh.write(f"{a},0,{float(v)!r}\n")
-        else:
-            for a in range(vals.shape[0]):
-                for b in range(vals.shape[1]):
-                    fh.write(f"{a},{b},{float(vals[a, b])!r}\n")
-
-
-def grid_from_csv(path) -> GridKernel:
-    meta = {}
-    with open(str(path) + ".meta", encoding="utf-8") as fh:
-        for line in fh:
-            key, _, val = line.partition("=")
-            meta[key.strip()] = val.strip()
-    edges = tuple(float(t) for t in meta["edges"].split(","))
-    arity = int(meta["arity"])
-    k = len(edges) - 1
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if arity == 1:
-        vals = np.zeros(k)
-        for row, _, v in data:
-            vals[int(row)] = v
-    else:
-        vals = np.zeros((k, k))
-        for row, col, v in data:
-            vals[int(row), int(col)] = v
-    return GridKernel(edges, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +654,7 @@ class OUDoubleHKernel(Kernel):
         R = (carry + exclusive cumsum of u g) / g, and the chunk's total,
         carried to the next chunk's first atom x1, is
         (carry + sum u g) e^{-lam (x1 - x0)}.  The other two parts are
-        rank-one sums less their diagonals.
+        rank-one sums over distinct pairs, see _distinct_pair_sum.
         """
         lam, T = self.lam, self.T
         u = np.asarray(u, dtype=float)
@@ -714,13 +682,11 @@ class OUDoubleHKernel(Kernel):
             start = stop
         first_pos = int(np.searchsorted(x, 0.0, side="right"))
         near = 2.0 * _dot(u[first_pos:], recursion[first_pos:])
-        a = u[:first_pos] * np.exp(lam * x[:first_pos])
         c_neg = 1.0
         if self.stated_form:
             c_neg += math.exp(-2.0 * lam * T) - math.exp(-2.0 * T)
-        neg = c_neg * (a.sum() ** 2 - _dot(a, a))
-        b = u * np.exp(lam * (x - T))
-        tail = b.sum() ** 2 - _dot(b, b)
+        neg = c_neg * _distinct_pair_sum(u[:first_pos] * np.exp(lam * x[:first_pos]))
+        tail = _distinct_pair_sum(u * np.exp(lam * (x - T)))
         return float(near + neg - tail) / T
 
     def support_excess(self, window):
@@ -886,49 +852,6 @@ class OUDiagHstarKernel(Kernel):
         return (1.0 - math.exp(-2 * lam * T)) ** 2 * math.exp(-4 * lam * L) / (4 * lam * T ** 2)
 
 
-@dataclass(frozen=True)
-class OUInstantKernel(Kernel):
-    """Pair kernel of the squared OU level at one instant t:
-    2 lam u u' e^{-lam(t-x) - lam(t-x')} on (-inf, t]^2."""
-
-    lam: float
-    t: float
-    arity = 2
-
-    def __call__(self, u1, x1, u2, x2):
-        lam, t = self.lam, self.t
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        inside = (x1 <= t) & (x2 <= t)
-        val = 2.0 * lam * np.asarray(u1) * np.asarray(u2) * np.exp(-lam * (2.0 * t - x1 - x2))
-        return np.where(inside, val, 0.0)
-
-    def symmetrize(self):
-        return self
-
-    def lp_norm(self, p, control, window):
-        lam, t = self.lam, self.t
-        L = -window.x_lo
-        time_part = (1.0 - math.exp(-p * lam * (t + L))) / (p * lam)
-        return control.abs_moment(p) ** 2 * (2.0 * lam) ** p * time_part ** 2
-
-    def partial_integral(self, control, window, u, x):
-        lam, t = self.lam, self.t
-        k1 = control.moment(1)
-        x = np.asarray(x, dtype=float)
-        L = -window.x_lo
-        time_part = (1.0 - math.exp(-lam * (t + L))) / lam
-        val = 2.0 * lam * np.asarray(u) * np.exp(-lam * (t - x)) * k1 * time_part
-        return np.where(x <= t, val, 0.0)
-
-    def double_integral(self, control, window):
-        lam, t = self.lam, self.t
-        k1 = control.moment(1)
-        L = -window.x_lo
-        time_part = (1.0 - math.exp(-lam * (t + L))) / lam
-        return 2.0 * lam * k1 ** 2 * time_part ** 2
-
-
 # ---------------------------------------------------------------------------
 # hazard moving-average kernels k(t, x)
 # ---------------------------------------------------------------------------
@@ -1026,52 +949,3 @@ class RectHazardKernel(HazardKernel):
         c = min(T, 2.0 * tau)
         rise = ((tau + r) ** (p + 1) - tau ** (p + 1)) / (p + 1)
         return rise + c ** p * (T + tau - r - c) + c ** (p + 1) / (p + 1)
-
-
-@dataclass(frozen=True)
-class DykstraLaudHazardKernel(HazardKernel):
-    def __call__(self, t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        return ((x >= 0.0) & (x <= t)).astype(float)
-
-    def time_integral(self, x, T):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, np.maximum(T - x, 0.0), 0.0)
-
-    def pair_time_integral(self, x1, x2, T):
-        m = np.maximum(np.asarray(x1), np.asarray(x2))
-        return np.where(m >= 0.0, np.maximum(T - m, 0.0), 0.0)
-
-    def x_support(self, T):
-        return (0.0, T)
-
-
-@dataclass(frozen=True)
-class OUHazardKernel(HazardKernel):
-    lam: float
-
-    def __call__(self, t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        inside = (x >= 0.0) & (x <= t)
-        return np.where(inside, math.sqrt(2.0 * self.lam) * np.exp(-self.lam * (t - x)), 0.0)
-
-    def time_integral(self, x, T):
-        x = np.asarray(x, dtype=float)
-        inside = (x >= 0.0) & (x <= T)
-        return np.where(inside,
-                        math.sqrt(2.0 * self.lam) * (1.0 - np.exp(-self.lam * (T - x))) / self.lam,
-                        0.0)
-
-    def pair_time_integral(self, x1, x2, T):
-        lam = self.lam
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        m = np.maximum(x1, x2)
-        inside = (np.minimum(x1, x2) >= 0.0) & (m <= T)
-        val = np.exp(-lam * np.abs(x1 - x2)) - np.exp(lam * (x1 + x2 - 2.0 * T))
-        return np.where(inside, val, 0.0)
-
-    def x_support(self, T):
-        return (0.0, T)

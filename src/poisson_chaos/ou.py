@@ -3,10 +3,9 @@ quadratic time-averaged statistics whose Gaussian limits the experiment suite
 verifies.
 
 The process is Y_t = sqrt(2 lam) int_{-inf}^t int u e^{-lam(t-x)} dN^(du,dx)
-with homogeneous control nu(du) dx normalized so that int u^2 nu = 1.  Paths
-are evaluated exactly from the atoms (no time-stepping error); the statistics
-are evaluated through the pathwise chaos representation, with the exact
-time-integral of Y^2 available as an independent per-path cross-check.
+with homogeneous control nu(du) dx normalized so that int u^2 nu = 1.  The
+statistics are evaluated exactly from the atoms (no time-stepping error)
+through the pathwise chaos representation.
 
 Derived (and MC-confirmed) variance limits for the quadratic statistics:
 Var K2 -> 2/lam, Var K1 -> int u^4 nu, Var(K2 + K1) -> 2/lam + int u^4 nu.
@@ -18,8 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .chaos import eval_I1, eval_I2
 from .kernels import (OUDiagHstarKernel, OUDoubleHKernel, OUSingleKernel,
@@ -66,24 +63,6 @@ class OUConfig:
 
 def sample_ou_pattern(cfg: OUConfig, seed) -> PointPattern:
     return sample_pattern(cfg.jumps, cfg.window, seed)
-
-
-def path_on_grid(cfg: OUConfig, pattern: PointPattern, times) -> np.ndarray:
-    lam = cfg.lam
-    times = np.asarray(times, dtype=float)
-    u, x = pattern.u, pattern.x
-    out = np.zeros_like(times)
-    if len(pattern):
-        # atoms sorted by x; for each t only x_i <= t contribute
-        order = np.argsort(x)
-        xs, us = x[order], u[order]
-        decay = np.exp(-lam * (times[:, None] - xs[None, :]))
-        mask = xs[None, :] <= times[:, None]
-        out = np.sum(np.where(mask, us[None, :] * decay, 0.0), axis=1)
-    k1 = cfg.jumps.moment(1)
-    if k1 != 0.0:
-        out = out - k1 * (1.0 - np.exp(-lam * (times + cfg.depth))) / lam
-    return math.sqrt(2.0 * lam) * out
 
 
 # ---------------------------------------------------------------------------
@@ -133,35 +112,6 @@ def sample_variance_stat(cfg: OUConfig, seed=None, pattern: PointPattern | None 
     return quad.total - lin ** 2 / math.sqrt(cfg.T)
 
 
-def square_time_integral_exact(cfg: OUConfig, pattern: PointPattern) -> float:
-    """int_0^T Y_t^2 dt in closed form from the atoms (independent dual route
-    for the pathwise identity sqrt(T)(V_T - 1) = k2 + k1).
-
-    Requires a centered jump marginal (no compensator cross terms).
-    """
-    if cfg.jumps.moment(1) != 0.0:
-        raise ValueError("exact square integral implemented for centered marginals")
-    lam, T = cfg.lam, cfg.T
-    u, x = pattern.u, pattern.x
-    if not len(pattern):
-        return 0.0
-    from .kernels import ou_ghat
-    g = ou_ghat(lam, T, x[:, None], x[None, :])
-    return float(np.sum(np.outer(u, u) * g))
-
-
-def square_time_integral_grid(cfg: OUConfig, pattern: PointPattern, n_points: int) -> float:
-    """Trapezoid integration of the simulated Y^2; the grid is refined at the
-    atom times (where the path jumps) so the error is discretization-dominated
-    and shrinks like 1/n_points^2."""
-    times = np.linspace(0.0, cfg.T, n_points)
-    ax = pattern.x[(pattern.x > 0.0) & (pattern.x < cfg.T)]
-    if ax.size:
-        times = np.unique(np.concatenate([times, ax - 1e-9, ax]))
-    y = path_on_grid(cfg, pattern, times)
-    return float(np.trapezoid(y ** 2, times))
-
-
 # ---------------------------------------------------------------------------
 # closed-form finite-horizon moments
 # ---------------------------------------------------------------------------
@@ -198,11 +148,6 @@ def h_norm2_doubled(lam: float, T: float, window: Window | None = None,
     w = window if window is not None else Window(-40.0 / lam, T)
     kern = OUDoubleHKernel(lam, T)
     return moment2 ** 2 * 2.0 * T * kern._ghat_sq_double_integral(2, w) / T ** 2
-
-
-def autocovariance_exact(lam: float, s: float) -> float:
-    """Stationary lag-s autocovariance of Y: e^{-lam |s|}."""
-    return math.exp(-lam * abs(s))
 
 
 # ---------------------------------------------------------------------------

@@ -219,11 +219,6 @@ class ControlMeasure:
     def sample(self, window: Window, rng: np.random.Generator):
         raise NotImplementedError
 
-    # -- generic integration against mu ------------------------------------
-    def integrate(self, fn, window: Window) -> float:
-        """int_window fn(u, x) mu(du, dx) by exact sums or quadrature."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class DiscreteControl(ControlMeasure):
@@ -240,13 +235,15 @@ class DiscreteControl(ControlMeasure):
             raise ValueError("discrete jump weights must be positive")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        # read-only arrays, built once; not fields, so eq and hash still
+        # read-only arrays and the full-range moments of orders 0-4 (all
+        # the statistics use), built once; not fields, so eq and hash still
         # see only the tuples
         vals, w = np.array(self.values), np.array(self.weights)
         for a in (vals, w):
             a.setflags(write=False)
         object.__setattr__(self, "_values", vals)
         object.__setattr__(self, "_weights", w)
+        object.__setattr__(self, "_moments", {i: float(np.sum(w * vals ** i)) for i in range(5)})
 
     def _sel(self, u_lo, u_hi):
         vals, w = self._values, self._weights
@@ -267,6 +264,8 @@ class DiscreteControl(ControlMeasure):
         return self.jump_mass(window.u_lo, window.u_hi) * window.length
 
     def moment(self, i: int, u_lo=None, u_hi=None) -> float:
+        if u_lo is None and u_hi is None and i in self._moments:
+            return self._moments[i]
         v, w = self._sel(u_lo, u_hi)
         return float(np.sum(w * v ** i))
 
@@ -280,16 +279,6 @@ class DiscreteControl(ControlMeasure):
         x = rng.uniform(window.x_lo, window.x_hi, size=n)
         u = rng.choice(vals, size=n, p=w / w.sum()) if n else np.empty(0)
         return u, x, float(total)
-
-    def integrate(self, fn, window: Window) -> float:
-        from scipy.integrate import quad
-        vals, w = self._sel(window.u_lo, window.u_hi)
-        total = 0.0
-        for v, wt in zip(vals, w):
-            val, _ = quad(lambda x, v=v: fn(np.asarray([v]), np.asarray([x]))[0],
-                          window.x_lo, window.x_hi, epsabs=1e-12, epsrel=1e-10, limit=400)
-            total += wt * val
-        return total
 
 
 def _upper_gamma(a: float, z: float) -> float:
@@ -373,20 +362,6 @@ class GeneralizedGammaControl(ControlMeasure):
         x = rng.uniform(window.x_lo, window.x_hi, size=n)
         u = table.lookup(rng.uniform(size=n))
         return u, x, total
-
-    def integrate(self, fn, window: Window) -> float:
-        from scipy.integrate import quad
-        self._require_eps()
-        lo = self.eps if window.u_lo is None else max(window.u_lo, self.eps)
-        hi = window.u_hi if window.u_hi is not None else lo + 60.0 / self.gamma
-
-        def inner(u):
-            val, _ = quad(lambda x: fn(np.asarray([u]), np.asarray([x]))[0],
-                          window.x_lo, window.x_hi, epsabs=1e-12, epsrel=1e-9, limit=200)
-            return val * self._norm() * np.exp(-self.gamma * u) * u ** (-1.0 - self.sigma)
-
-        val, _ = quad(inner, lo, hi, epsabs=1e-12, epsrel=1e-9, limit=400)
-        return val
 
 
 @dataclass(frozen=True)
@@ -518,21 +493,6 @@ class ExtendedGammaControl(ControlMeasure):
         u = v / self.beta(x)
         return np.clip(u, lo, hi, out=u), x, mass
 
-    def integrate(self, fn, window: Window) -> float:
-        from scipy.integrate import quad
-        self._require_eps()
-        lo = self.eps if window.u_lo is None else max(window.u_lo, self.eps)
-        hi = window.u_hi if window.u_hi is not None else lo + 80.0 / self.beta0
-
-        def inner(x):
-            val, _ = quad(lambda u: fn(np.asarray([u]), np.asarray([x]))[0]
-                          * np.exp(-self.beta(x) * u) / u,
-                          lo, hi, epsabs=1e-12, epsrel=1e-9, limit=200)
-            return val
-
-        val, _ = quad(inner, window.x_lo, window.x_hi, epsabs=1e-11, epsrel=1e-8, limit=400)
-        return float(val)
-
 
 @dataclass(frozen=True)
 class BetaControl(ControlMeasure):
@@ -592,19 +552,6 @@ class BetaControl(ControlMeasure):
         x = rng.uniform(window.x_lo, window.x_hi, size=n)
         u = 1.0 - (1.0 - rng.uniform(size=n)) ** (1.0 / self.c(x))
         return u, x, float(total)
-
-    def integrate(self, fn, window: Window) -> float:
-        from scipy.integrate import quad
-
-        def inner(x):
-            c = float(self.c(x))
-            val, _ = quad(lambda u: fn(np.asarray([u]), np.asarray([x]))[0]
-                          * c * (1.0 - u) ** (c - 1.0),
-                          0.0, 1.0, epsabs=1e-12, epsrel=1e-9, limit=200)
-            return val
-
-        val, _ = quad(inner, window.x_lo, window.x_hi, epsabs=1e-11, epsrel=1e-8, limit=400)
-        return float(val)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,10 @@ import numpy as np
 import pytest
 
 from poisson_chaos.chaos import (
-    charlier_block_oracle, combine_fourth_moment, eval_I1, eval_I2,
-    fourth_moment_chaos, rep_block,
+    combine_fourth_moment, eval_I1, eval_I2, fourth_moment_chaos, rep_block,
 )
 from poisson_chaos.cli import main as cli_main
-from poisson_chaos.contractions import contraction_norms, product_expand
+from poisson_chaos.contractions import contraction_norms
 from poisson_chaos.harness import collect, jackknife_variance_se, ks_statistic, slope_fit
 from poisson_chaos.hazard import (
     cumulative_variance_exact, rect_model, rep_linear_case, rep_quadratic as hz_rep_quadratic,
@@ -32,6 +31,9 @@ from poisson_chaos.point_process import (
     BetaControl, DiscreteControl, ExtendedGammaControl, Window, replication_seed,
     sample_pattern,
 )
+
+from chaos_oracle import charlier_block_oracle
+from expansion_oracle import product_expand
 
 MASTER_SEED = 20240801
 UNIT = DiscreteControl(values=(1.0,), weights=(1.0,))

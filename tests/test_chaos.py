@@ -6,20 +6,24 @@ from hypothesis import given, settings, strategies as st
 
 from poisson_chaos import chaos
 from poisson_chaos.chaos import (
-    charlier_block_oracle, charlier_polynomials, chaos_value, check_limit,
-    clt_criterion, combine_fourth_moment, eval_I1, eval_I2, fourth_moment_chaos,
-    levy_khinchine_cf, rep_block, single_clt_check, tail_mass,
+    check_limit, clt_criterion, combine_fourth_moment, eval_I1, eval_I2,
+    fourth_moment_chaos, rep_block, tail_mass,
 )
-from poisson_chaos.contractions import product_expand
 from poisson_chaos.kernels import (
     _SCAN_SPAN, DENSE_PAIR_BYTES_MAX, BlockKernel, GridKernel, OUDoubleHKernel,
-    OUSingleKernel,
+    OUSingleKernel, _distinct_pair_sum,
 )
 from poisson_chaos.point_process import (
     DiscreteControl, PointPattern, SupportError, Window, replication_seed,
     sample_pattern,
 )
 from poisson_chaos.quadrature import _dot
+
+from chaos_oracle import (
+    charlier_block_oracle, charlier_polynomials, chaos_value, levy_khinchine_cf,
+    single_clt_check,
+)
+from expansion_oracle import product_expand
 
 CTRL = DiscreteControl(values=(1.0,), weights=(1.0,))
 
@@ -144,13 +148,11 @@ def recursion_pair_sum(f, u, x):
         recursion[k] = acc
     first_pos = int(np.searchsorted(x, 0.0, side="right"))
     near = 2.0 * _dot(u[first_pos:], recursion[first_pos:])
-    a = u[:first_pos] * np.exp(lam * x[:first_pos])
     c_neg = 1.0
     if f.stated_form:
         c_neg += math.exp(-2.0 * lam * T) - math.exp(-2.0 * T)
-    neg = c_neg * (a.sum() ** 2 - _dot(a, a))
-    b = u * np.exp(lam * (x - T))
-    tail = b.sum() ** 2 - _dot(b, b)
+    neg = c_neg * _distinct_pair_sum(u[:first_pos] * np.exp(lam * x[:first_pos]))
+    tail = _distinct_pair_sum(u * np.exp(lam * (x - T)))
     return float(near + neg - tail) / T
 
 
@@ -200,11 +202,9 @@ class TestPairSum:
         ref = getattr(f, "factor", 1.0) * recursion_pair_sum(base, u, x)
         assert abs(f.pair_sum(u, x) - ref) <= 1e-11 * max(500.0 ** 2, abs(ref))
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the rank-one terms (sum a)^2 - sum a^2 carry an absolute error of "
-        "about eps (sum |a|)^2, which swamps sum_{i != j} a_i a_j when one "
-        "weight dominates: 1.6e-10 relative here"))
     def test_rank_one_terms_with_one_dominant_weight(self):
+        # one dominant weight: the rounding error of (sum a)^2 - sum a^2
+        # scales with (sum |a|)^2 and would be 1.6e-10 relative here
         f = OUDoubleHKernel(0.5, 0.5)
         u = np.array([1e3, 1e-3])
         x = np.array([0.0, 0.0])

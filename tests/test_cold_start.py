@@ -1,13 +1,17 @@
-"""The command line starts without scipy.
+"""The command line starts without scipy, the process pool or the config
+parser.
 
 scipy.special and scipy.integrate are imported by the functions that call
 them (the non-homogeneous controls' masses and moments, the generalized-Gamma
 moments and the non-homogeneous Campbell integrals), so the CLI import and the
 subcommands that never reach those functions do not load scipy at all; the
 homogeneous case-1 Campbell integrals are closed forms.  They do not load
-numpy.ma either, which np.unique imports on first use.
+numpy.ma either, which np.unique imports on first use.  The process pool
+(concurrent.futures.process, multiprocessing) is imported only by runs with
+more than one worker, and configparser only by runs that read a config file.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -21,9 +25,12 @@ import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
 import poisson_chaos.cli as cli
 
+DEFERRED = ("scipy", "numpy.ma", "multiprocessing", "concurrent.futures.process",
+            "configparser")
+
 def loaded():
     return sorted(m for m in sys.modules
-                  if m in ("scipy", "numpy.ma") or m.startswith("scipy."))
+                  if m in DEFERRED or m.startswith(("scipy.", "multiprocessing.")))
 
 print("import", "-", loaded())
 runs = {
@@ -32,6 +39,8 @@ runs = {
     "hazard": ["hazard", "--theorem", "8", "--T", "20", "--reps", "100", "--seed", "1"],
     "hazard-case1": ["hazard", "--theorem", "7", "--case", "1", "--T", "20", "--reps", "100",
                      "--seed", "1"],
+    "ou-w2": ["ou", "--theorem", "5", "--T", "20", "--reps", "100", "--seed", "1",
+              "--workers", "2"],
 }
 for name, argv in runs.items():
     with contextlib.redirect_stdout(io.StringIO()):
@@ -45,7 +54,13 @@ def test_cli_paths_do_not_load_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rows = [line.split(" ", 2) for line in proc.stdout.splitlines()]
-    assert [r[0] for r in rows] == ["import", "criterion", "ou", "hazard", "hazard-case1"], \
-        proc.stdout
-    assert all(r[2] == "[]" for r in rows), proc.stdout
+    assert [r[0] for r in rows] == ["import", "criterion", "ou", "hazard", "hazard-case1",
+                                    "ou-w2"], proc.stdout
+    # every --workers 1 run leaves the deferred modules unloaded
+    assert all(r[2] == "[]" for r in rows[:-1]), proc.stdout
     assert {r[1] for r in rows[1:]} <= {"0", "1"}   # 1: a verdict failed, not a crash
+    # two workers load the pool, and still no scipy or config parser
+    pool = ast.literal_eval(rows[-1][2])
+    assert {"concurrent.futures.process", "multiprocessing"} <= set(pool), proc.stdout
+    assert not [m for m in pool if m.startswith("scipy") or m in ("numpy.ma", "configparser")], \
+        proc.stdout

@@ -6,21 +6,22 @@ from hypothesis import example, given, settings, strategies as st
 
 from poisson_chaos import hazard
 from poisson_chaos.hazard import (
-    cumulative_hazard_grid,
-    CaseMismatchError, HazardModel, campbell_mean, cumulative_hazard,
+    CaseMismatchError, HazardModel, cumulative_hazard,
     cumulative_mean_exact, cumulative_variance_exact, linear_case_targets,
     linear_clt_stat, quadratic_clt_stat, quadratic_variance_derived,
     quadratic_variance_stated, rect_model, rep_linear_case, rep_quadratic,
-    sample_hazard_pattern, simulate_hazard, square_hazard_integral,
-    square_hazard_integral_grid,
+    sample_hazard_pattern, square_hazard_integral,
 )
-from poisson_chaos.kernels import (
-    DENSE_PAIR_BYTES_MAX, DykstraLaudHazardKernel, OUHazardKernel, RectHazardKernel,
-)
+from poisson_chaos.kernels import DENSE_PAIR_BYTES_MAX, RectHazardKernel
 from poisson_chaos.point_process import (
     BetaControl, DiscreteControl, ExtendedGammaControl, PointPattern,
     replication_seed,
 )
+
+from hazard_path_oracle import (
+    campbell_mean, cumulative_hazard_grid, simulate_hazard, square_hazard_integral_grid,
+)
+from kernel_oracles import DykstraLaudHazardKernel, OUHazardKernel
 
 UNIT = DiscreteControl(values=(1.0,), weights=(1.0,))
 

@@ -13,10 +13,12 @@ from poisson_chaos import contractions
 from poisson_chaos.chaos import clt_criterion
 from poisson_chaos.contractions import ContractionIndex, contraction_norms, star
 from poisson_chaos.kernels import (
-    BlockKernel, ContractionError, GridKernel, OUDoubleHKernel, OUInstantKernel, ou_ghat,
+    BlockKernel, ContractionError, GridKernel, OUDoubleHKernel, ou_ghat,
 )
 from poisson_chaos.ou import DEFAULT_JUMPS
 from poisson_chaos.point_process import DiscreteControl, Window
+
+from kernel_oracles import OUInstantKernel
 
 SKEWED_JUMPS = DiscreteControl(values=(2.0, -0.5), weights=(0.3, 0.7))
 

@@ -6,14 +6,16 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate as si
 
 from poisson_chaos.kernels import (
-    ArityError, BlockKernel, DykstraLaudHazardKernel, GridKernel, OUDiagHstarKernel,
-    OUDoubleHKernel, OUHazardKernel, OUSingleKernel, RectHazardKernel,
-    grid_from_csv, grid_to_csv, ou_ghat,
+    ArityError, BlockKernel, GridKernel, OUDiagHstarKernel, OUDoubleHKernel, OUSingleKernel,
+    RectHazardKernel, ou_ghat,
 )
 from poisson_chaos.chaos import eval_I2
 from poisson_chaos.point_process import DiscreteControl, PointPattern, SupportError, Window
 from poisson_chaos.quadrature import exp_refined_edges, integrate_checked
 
+from kernel_oracles import (
+    DykstraLaudHazardKernel, OUHazardKernel, grid_from_csv, grid_to_csv,
+)
 from ou_contraction_oracle import pair_overlap
 
 

@@ -7,16 +7,19 @@ import scipy.integrate as si
 from poisson_chaos.harness import slope_fit
 from poisson_chaos.kernels import OUDoubleHKernel, ou_ghat
 from poisson_chaos.ou import (
-    OUConfig, autocovariance_exact, h_norm2_doubled,
+    OUConfig, h_norm2_doubled,
     k1_variance_exact, k2_variance_exact, linear_stat, linear_variance_exact,
-    path_on_grid, quadratic_stat, rep_quadratic, sample_ou_pattern,
-    sample_variance_stat, square_time_integral_exact,
-    square_time_integral_grid,
+    quadratic_stat, rep_quadratic, sample_ou_pattern,
+    sample_variance_stat,
 )
 from poisson_chaos.point_process import DiscreteControl, Window, replication_seed
 from poisson_chaos.quadrature import QuadratureError
 
+from kernel_oracles import OUInstantKernel
 from ou_contraction_oracle import contraction_norms_by_quadrature
+from ou_path_oracle import (
+    autocovariance_exact, path_on_grid, square_time_integral_exact, square_time_integral_grid,
+)
 
 
 class TestConfig:
@@ -158,7 +161,6 @@ class TestInstantKernel:
     def test_pathwise_square_identity_uncentered(self):
         # Y(t)^2 = I2(hhat_t) + I1(diag hhat_t) + ||g_t||^2 exactly per path,
         # with a one-sided marginal so every compensator term is exercised
-        from poisson_chaos.kernels import OUInstantKernel
         cfg = OUConfig(lam=1.0, T=6.0,
                        jumps=DiscreteControl(values=(1.0,), weights=(1.0,)))
         rng = np.random.default_rng(replication_seed(38, 0))

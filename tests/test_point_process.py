@@ -12,6 +12,8 @@ from poisson_chaos.point_process import (
     replication_seed, sample_pattern,
 )
 
+from control_oracle import integrate
+
 
 def per_call_generalized_gamma_sample(ctrl, window, rng):
     """Reference: the table rebuilt on every call and looked up unsorted."""
@@ -177,6 +179,16 @@ class TestMoments:
         assert ctrl == DiscreteControl(values=(2, -1), weights=(0.25, 0.5))
         assert hash(ctrl) == hash(DiscreteControl(values=(2, -1), weights=(0.25, 0.5)))
 
+    @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(1e-6, 1e3)), min_size=1,
+                    max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_discrete_moments_built_once_are_the_same_floats(self, jumps):
+        ctrl = DiscreteControl(values=tuple(v for v, _ in jumps),
+                               weights=tuple(w for _, w in jumps))
+        v, w = np.array(ctrl.values), np.array(ctrl.weights)
+        for i in range(7):
+            assert ctrl.moment(i) == float(np.sum(w * v ** i))
+
     def test_extended_gamma_per_time_moments(self):
         ctrl = ExtendedGammaControl(beta0=1.0, beta1=1.0, eps=1e-4)
         x = 4.0
@@ -199,6 +211,30 @@ class TestMoments:
                             epsabs=1e-15, epsrel=1e-12)
         from scipy.special import gamma as gfn
         assert ctrl.neglected_second_moment() == pytest.approx(oracle / gfn(0.5), rel=1e-8)
+
+
+class TestControlQuadratureOracle:
+    """The nested-quadrature integration of the test oracles against the
+    families' own masses and moments."""
+
+    def test_generalized_gamma_second_moment(self):
+        ctrl = GeneralizedGammaControl(sigma=0.5, gamma=1.0, eps=1e-3)
+        w = Window(0.0, 2.0)
+        got = integrate(ctrl, lambda u, x: u ** 2, w)
+        assert got == pytest.approx(ctrl.moment(2) * w.length, rel=1e-8)
+
+    def test_extended_gamma_mass(self):
+        ctrl = ExtendedGammaControl(beta0=1.0, beta1=1.0, eps=1e-2)
+        w = Window(0.0, 3.0)
+        assert integrate(ctrl, lambda u, x: np.ones_like(u), w) == pytest.approx(
+            ctrl.mass(w), rel=1e-7)
+
+    def test_beta_mass_and_discrete_moment(self, symmetric_jump):
+        w = Window(1.0, 4.0)
+        assert integrate(BetaControl(), lambda u, x: np.ones_like(u), w) == pytest.approx(
+            w.length, rel=1e-9)
+        assert integrate(symmetric_jump, lambda u, x: u ** 2 * x, w) == pytest.approx(
+            7.5, rel=1e-12)
 
 
 class TestSampling:
