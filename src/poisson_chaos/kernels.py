@@ -521,14 +521,22 @@ def _scaled_coefficient(c: str) -> int:
 
 
 @lru_cache(maxsize=None)
-def _exp_poly_branches(name: str):
-    """Both evaluation branches of one part of _OU_NORM_PARTS.
+def _exp_poly_direct(name: str):
+    """Direct branch of one part of _OU_NORM_PARTS: ((j, float
+    coefficients of P_j from the constant term up), ...)."""
+    return tuple((j, tuple(_scaled_coefficient(c) / _EXP_POLY_DEN for c in coeffs))
+                 for j, coeffs in _OU_NORM_PARTS[name].items())
 
-    Direct: ((j, float coefficients of P_j), ...).  Series: F(x) =
-    e^{-h x} G(x) with h = max(j) / 2 and G(x) = sum_j P_j(x) e^{(h - j) x};
-    the Taylor coefficients of G are exact integers over
-    _EXP_POLY_DEN (N - 1)!, rounded once, so the terms that cancel in the
-    direct sum are exactly zero here.  Returned highest order first.
+
+@lru_cache(maxsize=None)
+def _exp_poly_series(name: str):
+    """Series branch of one part of _OU_NORM_PARTS: F(x) = e^{-h x} G(x)
+    with h = max(j) / 2 and G(x) = sum_j P_j(x) e^{(h - j) x}; returns h and
+    the Taylor coefficients of G, highest order first.  They are exact
+    integers over _EXP_POLY_DEN (N - 1)!, rounded once, so the terms that
+    cancel in the direct sum are exactly zero here.  Built on first use:
+    the big-integer sums cost about 3 ms for all parts, and arguments at or
+    above _EXP_POLY_SWITCH never need them.
     """
     parts = _OU_NORM_PARTS[name]
     n_terms = _EXP_POLY_TERMS
@@ -540,9 +548,7 @@ def _exp_poly_branches(name: str):
             c = _scaled_coefficient(c)
             for n in range(i, n_terms):
                 series[n] += c * (h - j) ** (n - i) * (top // math.factorial(n - i))
-    direct = tuple((j, tuple(_scaled_coefficient(c) / _EXP_POLY_DEN for c in coeffs))
-                   for j, coeffs in parts.items())
-    return direct, float(h), tuple(g / (_EXP_POLY_DEN * top) for g in reversed(series))
+    return float(h), tuple(g / (_EXP_POLY_DEN * top) for g in reversed(series))
 
 
 def _horner(coeffs, x: float) -> float:
@@ -561,10 +567,11 @@ def _exp_poly(name: str, x: float) -> float:
     instead.  Both branches are accurate to about 1e-14 relative on each
     side of the switch.
     """
-    direct, h, series = _exp_poly_branches(name)
     if x < _EXP_POLY_SWITCH:
+        h, series = _exp_poly_series(name)
         return math.exp(-h * x) * _horner(series, x)
-    return math.fsum(_horner(coeffs[::-1], x) * math.exp(-j * x) for j, coeffs in direct)
+    return math.fsum(_horner(coeffs[::-1], x) * math.exp(-j * x)
+                     for j, coeffs in _exp_poly_direct(name))
 
 
 @dataclass(frozen=True)

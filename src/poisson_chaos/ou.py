@@ -142,14 +142,6 @@ def k2_variance_exact(lam: float, T: float, moment2: float = 1.0) -> float:
     return moment2 ** 2 * 2.0 * d / T
 
 
-def h_norm2_doubled(lam: float, T: float, window: Window | None = None,
-                    moment2: float = 1.0) -> float:
-    """2T ||H_{lam,T}||^2 by the closed per-window form (quadrature-checked)."""
-    w = window if window is not None else Window(-40.0 / lam, T)
-    kern = OUDoubleHKernel(lam, T)
-    return moment2 ** 2 * 2.0 * T * kern._ghat_sq_double_integral(2, w) / T ** 2
-
-
 # ---------------------------------------------------------------------------
 # replication entry points (picklable, for the parallel harness)
 # ---------------------------------------------------------------------------

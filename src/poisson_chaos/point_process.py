@@ -32,10 +32,8 @@ __all__ = [
     "ExtendedGammaControl",
     "BetaControl",
     "sample_pattern",
-    "compensated_count",
     "replication_seed",
     "pattern_to_csv",
-    "pattern_from_csv",
 ]
 
 
@@ -235,14 +233,16 @@ class DiscreteControl(ControlMeasure):
             raise ValueError("discrete jump weights must be positive")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        # read-only arrays and the full-range moments of orders 0-4 (all
-        # the statistics use), built once; not fields, so eq and hash still
-        # see only the tuples
+        # read-only arrays, the full-range sampling CDF and the full-range
+        # moments of orders 0-4 (all the statistics use), built once; not
+        # fields, so eq and hash still see only the tuples
         vals, w = np.array(self.values), np.array(self.weights)
-        for a in (vals, w):
+        cdf = _choice_cdf(w)
+        for a in (vals, w, cdf):
             a.setflags(write=False)
         object.__setattr__(self, "_values", vals)
         object.__setattr__(self, "_weights", w)
+        object.__setattr__(self, "_cdf", cdf)
         object.__setattr__(self, "_moments", {i: float(np.sum(w * vals ** i)) for i in range(5)})
 
     def _sel(self, u_lo, u_hi):
@@ -277,8 +277,20 @@ class DiscreteControl(ControlMeasure):
         total = w.sum() * window.length
         n = rng.poisson(total)
         x = rng.uniform(window.x_lo, window.x_hi, size=n)
-        u = rng.choice(vals, size=n, p=w / w.sum()) if n else np.empty(0)
+        if not n:
+            return np.empty(0), x, float(total)
+        full_range = window.u_lo is None and window.u_hi is None
+        cdf = self._cdf if full_range else _choice_cdf(w)
+        # rng.choice(vals, size=n, p=w / w.sum()), draw for draw
+        u = vals.take(cdf.searchsorted(rng.random(n), side="right"))
         return u, x, float(total)
+
+
+def _choice_cdf(w: np.ndarray) -> np.ndarray:
+    # the CDF Generator.choice builds from p = w / w.sum()
+    cdf = np.cumsum(w / w.sum())
+    cdf /= cdf[-1]
+    return cdf
 
 
 def _upper_gamma(a: float, z: float) -> float:
@@ -483,14 +495,19 @@ class ExtendedGammaControl(ControlMeasure):
     def sample(self, window: Window, rng: np.random.Generator):
         table, lo, hi, mass = _window_constants(self, window)
         n = rng.poisson(table.total)
-        v = table.lookup(rng.uniform(size=n))
+        v = table.lookup(rng.random(n))
         a, b = self._x_interval(v, lo, hi, window)
-        x = rng.uniform(size=n)
+        x = rng.random(n)
         b -= a
         x *= b
         x += a
         np.minimum(x, window.x_hi, out=x)   # a + (b - a) t can round above b
-        u = v / self.beta(x)
+        # u = v / beta(x) with no temporaries besides u; x >= 0 here, so
+        # beta's clamp at 0 is not needed
+        u = np.sqrt(x)
+        u *= self.beta1
+        u += self.beta0
+        np.divide(v, u, out=u)
         return np.clip(u, lo, hi, out=u), x, mass
 
 
@@ -568,15 +585,8 @@ def sample_pattern(control: ControlMeasure, window: Window, seed) -> PointPatter
     return PointPattern(u=u, x=x, window=window, total_mass=total, seed=seed_int)
 
 
-def compensated_count(pattern: PointPattern, region: Window, control: ControlMeasure) -> float:
-    """Count of atoms in the region minus mu(region)."""
-    if region.x_lo < pattern.window.x_lo - 1e-12 or region.x_hi > pattern.window.x_hi + 1e-12:
-        raise SupportError("region extends outside the sampled window")
-    return pattern.count_in(region) - control.mass(region)
-
-
 # ---------------------------------------------------------------------------
-# pattern CSV export / import
+# pattern CSV export
 # ---------------------------------------------------------------------------
 
 
@@ -588,9 +598,3 @@ def pattern_to_csv(pattern: PointPattern, path) -> None:
         for u, x in zip(pattern.u, pattern.x):
             fh.write(f"{float(u)!r},{float(x)!r}\n")
 
-
-def pattern_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    data = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
-    if data.size == 0:
-        return np.empty(0), np.empty(0)
-    return data[:, 0], data[:, 1]

@@ -4,6 +4,7 @@
 for the four control families; fn takes and returns numpy arrays.  It is the
 slow, independent route behind the characteristic-function and Campbell-mean
 oracles, and is checked here against the families' own masses and moments.
+``compensated_count`` is the first-chaos integral of a region's indicator.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import quad
 
-from poisson_chaos.point_process import (BetaControl, DiscreteControl, ExtendedGammaControl,
-                                         GeneralizedGammaControl, Window)
+from poisson_chaos.point_process import (BetaControl, ControlMeasure, DiscreteControl,
+                                         ExtendedGammaControl, GeneralizedGammaControl,
+                                         PointPattern, SupportError, Window)
 
 
 def integrate_discrete(ctrl: DiscreteControl, fn, window: Window) -> float:
@@ -82,3 +84,10 @@ def integrate(ctrl, fn, window: Window) -> float:
     except KeyError:
         raise NotImplementedError(f"no quadrature for {type(ctrl).__name__}") from None
     return family(ctrl, fn, window)
+
+
+def compensated_count(pattern: PointPattern, region: Window, control: ControlMeasure) -> float:
+    """Count of atoms in the region minus mu(region)."""
+    if region.x_lo < pattern.window.x_lo - 1e-12 or region.x_hi > pattern.window.x_hi + 1e-12:
+        raise SupportError("region extends outside the sampled window")
+    return pattern.count_in(region) - control.mass(region)

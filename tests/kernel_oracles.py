@@ -1,6 +1,8 @@
-"""Kernels and grid-kernel I/O that only the tests use.
+"""Kernels and CSV readers that only the tests use.
 
 - ``grid_to_csv`` / ``grid_from_csv``: a round-trip format for grid kernels.
+- ``pattern_from_csv``: reads back the atoms that
+  ``point_process.pattern_to_csv`` writes.
 - ``OUInstantKernel``: the pair kernel of the squared OU level at one
   instant, the oracle of the pathwise square identity.
 - ``DykstraLaudHazardKernel`` and ``OUHazardKernel``: hazard kernels on the
@@ -54,6 +56,13 @@ def grid_from_csv(path) -> GridKernel:
         for row, col, v in data:
             vals[int(row), int(col)] = v
     return GridKernel(edges, vals)
+
+
+def pattern_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    data = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+    if data.size == 0:
+        return np.empty(0), np.empty(0)
+    return data[:, 0], data[:, 1]
 
 
 @dataclass(frozen=True)

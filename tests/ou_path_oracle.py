@@ -1,7 +1,8 @@
 """Path-level oracles for the OU statistics: the process on a time grid, the
 exact and trapezoid time integrals of Y^2, and the stationary
 autocovariance, all independent of the pathwise chaos representation in
-``poisson_chaos.ou``."""
+``poisson_chaos.ou``; and 2T ||H||^2 by the per-window double integral of
+the pair kernel, the second route to ``ou.k2_variance_exact``."""
 
 from __future__ import annotations
 
@@ -9,9 +10,9 @@ import math
 
 import numpy as np
 
-from poisson_chaos.kernels import ou_ghat
+from poisson_chaos.kernels import OUDoubleHKernel, ou_ghat
 from poisson_chaos.ou import OUConfig
-from poisson_chaos.point_process import PointPattern
+from poisson_chaos.point_process import PointPattern, Window
 
 
 def path_on_grid(cfg: OUConfig, pattern: PointPattern, times) -> np.ndarray:
@@ -63,3 +64,11 @@ def square_time_integral_grid(cfg: OUConfig, pattern: PointPattern, n_points: in
 def autocovariance_exact(lam: float, s: float) -> float:
     """Stationary lag-s autocovariance of Y: e^{-lam |s|}."""
     return math.exp(-lam * abs(s))
+
+
+def h_norm2_doubled(lam: float, T: float, window: Window | None = None,
+                    moment2: float = 1.0) -> float:
+    """2T ||H_{lam,T}||^2 by the closed per-window form (quadrature-checked)."""
+    w = window if window is not None else Window(-40.0 / lam, T)
+    kern = OUDoubleHKernel(lam, T)
+    return moment2 ** 2 * 2.0 * T * kern._ghat_sq_double_integral(2, w) / T ** 2

@@ -241,3 +241,36 @@ class TestThreadCountIndependence:
             blocks += float(np.dot(a[i:i + _DOT_BLOCK], b[i:i + _DOT_BLOCK]))
         assert _dot(a, b) == blocks
         assert _dot(a, b) == pytest.approx(math.fsum(a * b), rel=1e-13)
+
+
+FAULT_SCRIPT = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from poisson_chaos.harness import collect
+from poisson_chaos.hazard import ExtendedGammaControl, rect_model, rep_linear_case
+
+args = (rect_model(ExtendedGammaControl(), T=1e4), 2)
+collect(rep_linear_case, args, 3, 1)          # table, window mass, warm heap
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+collect(rep_linear_case, args, 20, 2)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+def _glibc_mallopt() -> bool:
+    import ctypes
+    return sys.platform.startswith("linux") and hasattr(ctypes.CDLL(None), "mallopt")
+
+
+class TestAllocator:
+    @pytest.mark.skipif(not _glibc_mallopt(), reason="needs glibc mallopt")
+    def test_long_replications_do_not_refault_the_heap(self):
+        # a case-2 replication at T = 1e4 frees about 20 arrays of 360 KB;
+        # with glibc's adaptive thresholds the heap top is trimmed and
+        # faulted in again every replication (about 500 minor faults each).
+        # Run in a fresh process: the adaptive thresholds depend on what the
+        # process allocated before.
+        src = str(Path(poisson_chaos.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", FAULT_SCRIPT, src],
+                             capture_output=True, text=True, timeout=300, check=True).stdout
+        assert float(out) < 10.0

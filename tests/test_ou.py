@@ -7,8 +7,7 @@ import scipy.integrate as si
 from poisson_chaos.harness import slope_fit
 from poisson_chaos.kernels import OUDoubleHKernel, ou_ghat
 from poisson_chaos.ou import (
-    OUConfig, h_norm2_doubled,
-    k1_variance_exact, k2_variance_exact, linear_stat, linear_variance_exact,
+    OUConfig, k1_variance_exact, k2_variance_exact, linear_stat, linear_variance_exact,
     quadratic_stat, rep_quadratic, sample_ou_pattern,
     sample_variance_stat,
 )
@@ -18,7 +17,8 @@ from poisson_chaos.quadrature import QuadratureError
 from kernel_oracles import OUInstantKernel
 from ou_contraction_oracle import contraction_norms_by_quadrature
 from ou_path_oracle import (
-    autocovariance_exact, path_on_grid, square_time_integral_exact, square_time_integral_grid,
+    autocovariance_exact, h_norm2_doubled, path_on_grid, square_time_integral_exact,
+    square_time_integral_grid,
 )
 
 

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poisson_chaos.kernels import (
-    _EXP_POLY_SWITCH, _OU_NORM_PARTS, OUDoubleHKernel, _exp_poly_branches, _horner,
+    _EXP_POLY_SWITCH, _OU_NORM_PARTS, OUDoubleHKernel, _exp_poly_direct, _exp_poly_series,
+    _horner,
 )
 from poisson_chaos.point_process import DiscreteControl, Window
 
@@ -80,12 +81,23 @@ def test_matches_50_digit_reference(lam, ells, rtol):
 def test_part_branches_agree_around_switch(name):
     # both evaluation branches of every part are accurate from about x = 1.05
     # (direct sum) up to about x = 2 (40-term series), around the switch
-    direct, h, series = _exp_poly_branches(name)
+    direct = _exp_poly_direct(name)
+    h, series = _exp_poly_series(name)
     for x in (1.2, _EXP_POLY_SWITCH, 1.8):
         by_series = math.exp(-h * x) * _horner(series, x)
         by_sum = math.fsum(_horner(cs[::-1], x) * math.exp(-j * x) for j, cs in direct)
         assert by_series > 0.0
         assert by_series == pytest.approx(by_sum, rel=1e-13)
+
+
+def test_series_branch_is_built_only_below_the_switch():
+    # the 40-term big-integer series costs milliseconds; horizons with
+    # lam T >= _EXP_POLY_SWITCH evaluate the direct sums alone
+    _exp_poly_series.cache_clear()
+    closed_form(1.0, 50.0, 12.0)
+    assert _exp_poly_series.cache_info().currsize == 0
+    closed_form(1.0, 1.0, 12.0)
+    assert _exp_poly_series.cache_info().currsize == len(_OU_NORM_PARTS)
 
 
 def test_moments_and_scale_enter_as_powers():

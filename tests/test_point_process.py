@@ -8,11 +8,11 @@ from poisson_chaos import point_process
 from poisson_chaos.point_process import (
     BetaControl, DiscreteControl, ExtendedGammaControl, GeneralizedGammaControl,
     InfiniteMassError, PointPattern, SupportError, Window,
-    compensated_count, pattern_from_csv, pattern_to_csv,
-    replication_seed, sample_pattern,
+    pattern_to_csv, replication_seed, sample_pattern,
 )
 
-from control_oracle import integrate
+from control_oracle import compensated_count, integrate
+from kernel_oracles import pattern_from_csv
 
 
 def per_call_generalized_gamma_sample(ctrl, window, rng):
@@ -263,6 +263,24 @@ class TestSampling:
         corr = np.corrcoef(nb, nc)[0, 1]
         assert abs(corr) < 3.0 / np.sqrt(nb.size)
 
+    @pytest.mark.parametrize("jumps, window", [
+        (DiscreteControl(values=(1.0, -1.0), weights=(0.5, 0.5)), Window(0.0, 400.0)),
+        (DiscreteControl(values=(1.0,), weights=(1.0,)), Window(0.0, 400.0)),
+        (DiscreteControl(values=(0.3, 1.0, 2.5, -1.0), weights=(0.1, 0.7, 0.15, 0.05)),
+         Window(0.0, 400.0, 0.5, 3.0)),
+    ], ids=["pm1", "single", "windowed"])
+    def test_discrete_jumps_are_drawn_as_rng_choice(self, jumps, window):
+        # the inverse-CDF draw on the prebuilt CDF is Generator.choice draw
+        # for draw, and leaves the generator in the same state
+        vals, w = jumps._sel(window.u_lo, window.u_hi)
+        for seed in range(50):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            u, x, _ = jumps.sample(window, rng)
+            n = ref.poisson(w.sum() * window.length)
+            assert np.array_equal(x, ref.uniform(window.x_lo, window.x_hi, size=n))
+            assert np.array_equal(u, ref.choice(vals, size=n, p=w / w.sum()))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_bit_reproducible_for_fixed_seed(self, symmetric_jump):
         w = Window(0.0, 50.0)
         p1 = sample_pattern(symmetric_jump, w, seed=12345)
@@ -319,6 +337,21 @@ class TestCachedSamplers:
         ref = per_call_generalized_gamma_sample(ctrl, window, np.random.default_rng(seed))
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
         assert got[2] == ref[2]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_extended_gamma_jumps_computed_in_place_are_v_over_beta(self, seed):
+        # the sampler divides v by beta(x) in place, drawing with rng.random;
+        # replaying the draws with rng.uniform and beta() gives the same bits
+        ctrl, window = ExtendedGammaControl(), Window(0.0, 1e4 + 1.0)
+        table, lo, hi, _ = point_process._window_constants(ctrl, window)
+        rng = np.random.default_rng(seed)
+        u, x, _ = ctrl.sample(window, rng)
+        replay = np.random.default_rng(seed)
+        v = table.lookup(replay.uniform(size=replay.poisson(table.total)))
+        replay.uniform(size=v.size)
+        assert u.size > 40_000
+        assert np.array_equal(u, np.clip(v / ctrl.beta(x), lo, hi))
+        assert rng.bit_generator.state == replay.bit_generator.state
 
     def test_sizes_cover_empty_small_and_large_patterns(self):
         # the windows above reach n = 0, 0 < n < 4096 (table size) and n >= 4096
