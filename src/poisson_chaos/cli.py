@@ -2,12 +2,17 @@
 reports.
 
 Subcommands: criterion | block | ou | hazard | sample.  Flags override
-config-file values.  Every output file embeds the tool version, the config
-hash, and the master seed, so a rerun from that triple reproduces the file
-byte-identically; wall times go to stdout only.  Exit codes: 0 all verdicts
-pass, 1 at least one fails, 2 usage or configuration error, 3 a replication
-crashed (the one-line message names its index and the master seed) or a
-quadrature accuracy check failed.
+config-file values.  The Monte Carlo subcommands (block, ou, hazard) run
+harness.collect and harness.summarize and share one tail, _finish, that
+writes the JSON report, the --format csv summary and the --dump value files.
+Every output file embeds the tool version, the config hash, and the master
+seed, so a rerun from that triple reproduces the file byte-identically; wall
+times go to stdout only.  Exit codes: 0 all verdicts pass, 1 at least one
+fails, 2 usage or configuration error (an unknown family, theorem or case, a
+control that does not match the requested case or theorem, fewer than 100
+replications for ou theorem 4), 3 a replication crashed (the one-line
+message names its index and the master seed) or a quadrature accuracy check
+failed.
 """
 
 from __future__ import annotations
@@ -26,16 +31,16 @@ from .configio import ConfigError, config_hash, control_from_section, read_confi
 from .point_process import DiscreteControl, Window, sample_pattern, pattern_to_csv
 from .kernels import BlockKernel, GridKernel, OUDoubleHKernel
 from . import chaos, hazard as hz, ou as oumod
-from .harness import TargetSpec, collect, run_experiment, summarize
+from .harness import TargetSpec, collect, summarize, values_to_csv
 
 USAGE_ERROR = 2
 CRASH = 3
 
 
-def _provenance(args, cfg_path) -> dict:
+def _provenance(args) -> dict:
     return {
         "tool_version": __version__,
-        "config_hash": config_hash(cfg_path),
+        "config_hash": config_hash(args.config),
         "master_seed": args.seed,
     }
 
@@ -54,11 +59,30 @@ def _emit_summary_csv(path: Path, rows) -> None:
                               for c in row) + "\n")
 
 
-def _report_rows(T, report, target):
-    return [(T, report.mean, report.variance, report.variance_se,
-             report.skewness, report.kurtosis,
-             report.ks_distance if report.ks_distance is not None else "",
-             target, "PASS" if report.passed else "FAIL")]
+def _report_row(T, report, target) -> tuple:
+    return (T, report.mean, report.variance, report.variance_se,
+            report.skewness, report.kurtosis,
+            report.ks_distance if report.ks_distance is not None else "",
+            target, "PASS" if report.passed else "FAIL")
+
+
+def _finish(args, stem: str, payload: dict, rows, dumps: dict, label: str, t0: float) -> int:
+    """Shared tail of the Monte Carlo subcommands.  Writes <stem>.json with
+    the provenance stamped in, the summary rows to <stem>.csv under
+    --format csv and each dumps entry (file name -> per-replication values)
+    under --dump, prints one line, and returns 0 if every row's verdict
+    (its last column) is PASS, else 1."""
+    outdir = Path(args.out)
+    payload.update(_provenance(args))
+    _emit_json(outdir / f"{stem}.json", payload)
+    if args.dump:
+        for name, values in dumps.items():
+            values_to_csv(values, outdir / name)
+    if args.format == "csv":
+        _emit_summary_csv(outdir / f"{stem}.csv", rows)
+    ok = all(row[-1] == "PASS" for row in rows)
+    print(f"{label}: {'PASS' if ok else 'FAIL'}  [{time.perf_counter() - t0:.1f}s]")
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -67,43 +91,34 @@ def _report_rows(T, report, target):
 
 
 def cmd_criterion(args) -> int:
-    outdir = Path(args.out)
     control = DiscreteControl(values=(1.0,), weights=(1.0,))
-    if args.family == "block":
-        indices = [int(t) for t in args.indices.split(",")]
-        kernels = [BlockKernel(n) for n in indices]
-        windows = [Window(0.0, float(n)) for n in indices]
-        verdict = chaos.clt_criterion(kernels, control, windows,
-                                      labels=[f"block_{n}" for n in indices], index=indices)
-    elif args.family == "fixed":
-        indices = [int(t) for t in args.indices.split(",")]
-        base = GridKernel((0.0, 1.0), np.array([[2.0 ** -0.5]]))
-        kernels = [base for _ in indices]
-        windows = [Window(0.0, 1.0)] * len(indices)
-        verdict = chaos.clt_criterion(kernels, control, windows,
-                                      labels=[f"fixed_{n}" for n in indices], index=indices)
-    elif args.family in ("ou-pair", "ou-pair-unit"):
+    if args.family in ("block", "fixed"):
+        index = [int(t) for t in args.indices.split(",")]
+        if args.family == "block":
+            kernels = [BlockKernel(n) for n in index]
+            windows = [Window(0.0, float(n)) for n in index]
+        else:
+            kernels = [GridKernel((0.0, 1.0), np.array([[2.0 ** -0.5]]))] * len(index)
+            windows = [Window(0.0, 1.0)] * len(index)
+        labels = [f"{args.family}_{n}" for n in index]
+    else:
         lam = args.lam
-        ts = [float(t) for t in args.indices.split(",")]
-        bases = [OUDoubleHKernel(lam, t) for t in ts]  # rejects lam, T <= 0 first
+        index = [float(t) for t in args.indices.split(",")]
+        bases = [OUDoubleHKernel(lam, t) for t in index]  # rejects lam, T <= 0 first
         scale = math.sqrt(lam) if args.family == "ou-pair" else math.sqrt(lam / 2.0)
         control = oumod.DEFAULT_JUMPS
         kernels = [h.scaled(scale * math.sqrt(h.T)) for h in bases]
-        windows = [Window(-12.0 / lam, t) for t in ts]
-        verdict = chaos.clt_criterion(kernels, control, windows,
-                                      labels=[f"T_{t:g}" for t in ts], index=ts)
-    else:
-        print(f"unknown kernel family {args.family!r}", file=sys.stderr)
-        return USAGE_ERROR
+        windows = [Window(-12.0 / lam, t) for t in index]
+        labels = [f"T_{t:g}" for t in index]
+    verdict = chaos.clt_criterion(kernels, control, windows, labels=labels, index=index)
     payload = verdict.to_dict()
-    payload.update(_provenance(args, args.config))
-    _emit_json(outdir / f"criterion_{args.family}.json", payload)
+    payload.update(_provenance(args))
+    _emit_json(Path(args.out) / f"criterion_{args.family}.json", payload)
     print(f"criterion[{args.family}]: {'PASS' if verdict.passed else 'FAIL'}")
     return 0 if verdict.passed else 1
 
 
 def cmd_block(args) -> int:
-    outdir = Path(args.out)
     n = args.n
     t0 = time.perf_counter()
     values = collect(chaos.rep_block, n, args.reps, args.seed, args.workers)
@@ -115,81 +130,53 @@ def cmd_block(args) -> int:
                        tail_thresholds=(10.0, 100.0, 1000.0))
     g2 = float(np.mean(g_vals ** 2))
     g2_se = float(np.std(g_vals ** 2, ddof=1) / math.sqrt(g_vals.size))
-    wall = time.perf_counter() - t0
-    payload = report.to_dict(include_timing=False)
+    payload = report.to_dict()
     payload["fourth_moment_mc"] = g2
     payload["fourth_moment_mc_se"] = g2_se
     payload["fourth_moment_target"] = target
-    payload.update(_provenance(args, args.config))
-    _emit_json(outdir / f"block_n{n}.json", payload)
-    if args.dump:
-        from .harness import values_to_csv
-        values_to_csv(f_vals, outdir / f"block_n{n}_values.csv")
-    ok = abs(g2 - target) <= 0.15
-    if args.format == "csv":
-        _emit_summary_csv(outdir / f"block_n{n}.csv",
-                          [(n, report.mean, report.variance, report.variance_se,
-                            report.skewness, g2, report.ks_distance, target,
-                            "PASS" if ok else "FAIL")])
-    print(f"block n={n}: fourth moment {g2:.4f} (target {target:.4f}), "
-          f"ks {report.ks_distance:.4f}  [{wall:.1f}s]")
-    return 0 if ok else 1
-
-
-def _ou_config(args) -> oumod.OUConfig:
-    return oumod.OUConfig(lam=args.lam, T=args.T)
+    # the exit code judges the fourth moment, so the summary row carries it
+    # in the m4 column with its verdict
+    row = (n, report.mean, report.variance, report.variance_se, report.skewness, g2,
+           report.ks_distance, target, "PASS" if abs(g2 - target) <= 0.15 else "FAIL")
+    return _finish(args, f"block_n{n}", payload, [row], {f"block_n{n}_values.csv": f_vals},
+                   f"block n={n}: fourth moment {g2:.4f} (target {target:.4f}), "
+                   f"ks {report.ks_distance:.4f}", t0)
 
 
 def cmd_ou(args) -> int:
-    outdir = Path(args.out)
-    cfg = _ou_config(args)
+    lam, T = args.lam, args.T
+    cfg = oumod.OUConfig(lam=lam, T=T)
     t0 = time.perf_counter()
     if args.theorem == 4:
-        target = oumod.linear_variance_exact(args.lam, args.T)
-        report = run_experiment(oumod.rep_linear, cfg, args.reps, args.seed,
-                                targets=[TargetSpec("variance", target, args.tol or 0.15)],
-                                name=f"ou_linear_T{args.T:g}", workers=args.workers,
-                                ks_reference_variance=target)
-        rows = _report_rows(args.T, report, target)
-        payload = report.to_dict(include_timing=False)
-    elif args.theorem in (5, 6):
+        if args.reps < 100:
+            raise ValueError("need at least 100 replications")
+        target = oumod.linear_variance_exact(lam, T)
+        series = {"linear": collect(oumod.rep_linear, cfg, args.reps, args.seed, args.workers)[:, 0]}
+        report = summarize(f"ou_linear_T{T:g}", series["linear"],
+                           targets=[TargetSpec("variance", target, args.tol or 0.15)],
+                           master_seed=args.seed, ks_reference_variance=target)
+        payload = report.to_dict()
+        rows = [_report_row(T, report, target)]
+    else:
         values = collect(oumod.rep_quadratic, cfg, args.reps, args.seed, args.workers)
-        k2, k1, total, sv, lin = (values[:, i] for i in range(5))
-        lam = args.lam
+        k2, k1, total, sv = (values[:, i] for i in range(4))
         derived = {"k2": 2.0 / lam, "k1": cfg.c_nu_sq,
                    "total": 2.0 / lam + cfg.c_nu_sq, "sample_var": 2.0 / lam + cfg.c_nu_sq}
         stated = {"k2": 1.0 / lam, "k1": cfg.c_nu_sq,
-                   "total": 1.0 / lam + cfg.c_nu_sq, "sample_var": 1.0 / lam + cfg.c_nu_sq}
-        series = {"k2": k2, "k1": k1, "total": total, "sample_var": sv}
-        keys = ["k2", "k1", "total"] if args.theorem == 5 else ["sample_var"]
-        reports = {}
-        rows = []
-        for key in keys:
-            rep = summarize(f"ou_{key}_T{args.T:g}", series[key],
-                            targets=[TargetSpec("variance", derived[key], args.tol or 0.2)],
-                            master_seed=args.seed, ks_reference_variance=derived[key])
-            reports[key] = rep
-            rows.extend(_report_rows(args.T, rep, derived[key]))
-        payload = {k: r.to_dict(include_timing=False) for k, r in reports.items()}
+                  "total": 1.0 / lam + cfg.c_nu_sq, "sample_var": 1.0 / lam + cfg.c_nu_sq}
+        series = {"k2": k2, "k1": k1, "total": total} if args.theorem == 5 else {"sample_var": sv}
+        reports = {key: summarize(f"ou_{key}_T{T:g}", v,
+                                  targets=[TargetSpec("variance", derived[key], args.tol or 0.2)],
+                                  master_seed=args.seed, ks_reference_variance=derived[key])
+                   for key, v in series.items()}
+        payload = {key: r.to_dict() for key, r in reports.items()}
         payload["targets_stated"] = stated
         payload["targets_derived"] = derived
         payload["corr_k2_k1"] = float(np.corrcoef(k2, k1)[0, 1])
-        report = reports[keys[0]]
-    else:
-        print(f"unknown theorem {args.theorem} for ou", file=sys.stderr)
-        return USAGE_ERROR
-    wall = time.perf_counter() - t0
-    payload.update(_provenance(args, args.config))
-    _emit_json(outdir / f"ou_thm{args.theorem}_T{args.T:g}.json", payload)
-    if args.dump and args.theorem in (5, 6):
-        from .harness import values_to_csv
-        for key in keys:
-            values_to_csv(series[key], outdir / f"ou_thm{args.theorem}_{key}_values.csv")
-    if args.format == "csv":
-        _emit_summary_csv(outdir / f"ou_thm{args.theorem}_T{args.T:g}.csv", rows)
-    ok = all(r[-1] == "PASS" for r in rows)
-    print(f"ou theorem {args.theorem} T={args.T:g}: {'PASS' if ok else 'FAIL'}  [{wall:.1f}s]")
-    return 0 if ok else 1
+        rows = [_report_row(T, r, derived[key]) for key, r in reports.items()]
+    dumps = {f"ou_thm{args.theorem}_{key}_values.csv": v for key, v in series.items()}
+    return _finish(args, f"ou_thm{args.theorem}_T{T:g}", payload, rows, dumps,
+                   f"ou theorem {args.theorem} T={T:g}", t0)
 
 
 def _hazard_model(args) -> hz.HazardModel:
@@ -209,53 +196,38 @@ def _hazard_model(args) -> hz.HazardModel:
 
 
 def cmd_hazard(args) -> int:
-    outdir = Path(args.out)
     model = _hazard_model(args)
     t0 = time.perf_counter()
+    # the targets are computed first: each raises CaseMismatchError, a usage
+    # error, for a model its theorem or case is not stated for
     if args.theorem == 7:
         target = hz.linear_case_targets(model, args.case)
         values = collect(hz.rep_linear_case, (model, args.case), args.reps, args.seed, args.workers)
-        stats, cum = values[:, 0], values[:, 1]
+        stat, cum = values[:, 0], values[:, 1]
         tol = args.tol or {1: 0.3, 2: 0.8, 3: 1.0}[args.case]
-        report = summarize(f"hazard_case{args.case}_T{args.T:g}", stats,
+        report = summarize(f"hazard_case{args.case}_T{args.T:g}", stat,
                            targets=[TargetSpec("variance", target, tol)],
                            master_seed=args.seed, ks_reference_variance=target)
-        payload = report.to_dict(include_timing=False)
+        payload = report.to_dict()
         payload["empirical_centering_mean_H"] = float(np.mean(cum))
         payload["campbell_mean_H"] = hz.cumulative_mean_exact(model)
         payload["campbell_variance_H"] = hz.cumulative_variance_exact(model)
-        rows = _report_rows(args.T, report, target)
-        name = f"hazard_thm7_case{args.case}_T{args.T:g}"
-    elif args.theorem == 8:
-        values = collect(hz.rep_quadratic, model, args.reps, args.seed, args.workers)
-        raw, centered = values[:, 0], values[:, 1]
-        series = {"raw": raw, "centered": centered}
-        stat = series[args.variant]
+        stem = f"hazard_thm7_case{args.case}_T{args.T:g}"
+    else:
         stated = hz.quadratic_variance_stated(model, args.variant)
-        derived = hz.quadratic_variance_derived(model, args.variant)
+        target = hz.quadratic_variance_derived(model, args.variant)
+        values = collect(hz.rep_quadratic, model, args.reps, args.seed, args.workers)
+        stat = values[:, 0 if args.variant == "raw" else 1]
         tol = args.tol or (4.0 if args.variant == "raw" else 1.5)
         report = summarize(f"hazard_quad_{args.variant}_T{args.T:g}", stat,
-                           targets=[TargetSpec("variance", derived, max(tol, 0.1 * derived))],
-                           master_seed=args.seed, ks_reference_variance=derived)
-        payload = report.to_dict(include_timing=False)
+                           targets=[TargetSpec("variance", target, max(tol, 0.1 * target))],
+                           master_seed=args.seed, ks_reference_variance=target)
+        payload = report.to_dict()
         payload["variance_stated"] = stated
-        payload["variance_derived"] = derived
-        rows = _report_rows(args.T, report, derived)
-        name = f"hazard_thm8_{args.variant}_T{args.T:g}"
-    else:
-        print(f"unknown theorem {args.theorem} for hazard", file=sys.stderr)
-        return USAGE_ERROR
-    wall = time.perf_counter() - t0
-    payload.update(_provenance(args, args.config))
-    _emit_json(outdir / f"{name}.json", payload)
-    if args.dump:
-        from .harness import values_to_csv
-        values_to_csv(stats if args.theorem == 7 else stat, outdir / f"{name}_values.csv")
-    if args.format == "csv":
-        _emit_summary_csv(outdir / f"{name}.csv", rows)
-    ok = report.passed
-    print(f"hazard theorem {args.theorem}: {'PASS' if ok else 'FAIL'}  [{wall:.1f}s]")
-    return 0 if ok else 1
+        payload["variance_derived"] = target
+        stem = f"hazard_thm8_{args.variant}_T{args.T:g}"
+    return _finish(args, stem, payload, [_report_row(args.T, report, target)],
+                   {f"{stem}_values.csv": stat}, f"hazard theorem {args.theorem}", t0)
 
 
 def cmd_sample(args) -> int:
@@ -300,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("criterion", help="audit a kernel sequence for the Gaussian limit")
     common(p)
-    p.add_argument("--family", required=True,
-                   help="block | fixed | ou-pair (sqrt(lam) scaling) | ou-pair-unit (sqrt(lam/2))")
+    p.add_argument("--family", required=True, choices=("block", "fixed", "ou-pair", "ou-pair-unit"),
+                   help="ou-pair scales the pair kernel by sqrt(lam), ou-pair-unit by sqrt(lam/2)")
     p.add_argument("--indices", default="10,30,100,300,1000",
                    help="comma-separated sequence indices (block sizes or horizons)")
     p.add_argument("--lam", "--lambda", type=float, default=1.0)
@@ -312,15 +284,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ou", help="moving-average process experiments")
     common(p)
-    p.add_argument("--theorem", type=int, required=True,
+    p.add_argument("--theorem", type=int, required=True, choices=(4, 5, 6),
                    help="4 = linear statistic, 5 = quadratic split, 6 = sample variance")
     p.add_argument("--lam", "--lambda", type=float, default=1.0)
     p.add_argument("--T", type=float, default=200.0)
 
     p = sub.add_parser("hazard", help="random hazard rate experiments")
     common(p)
-    p.add_argument("--theorem", type=int, required=True, help="7 = linear, 8 = quadratic")
-    p.add_argument("--case", type=int, default=1, help="control family case for theorem 7")
+    p.add_argument("--theorem", type=int, required=True, choices=(7, 8),
+                   help="7 = linear, 8 = quadratic")
+    p.add_argument("--case", type=int, default=1, choices=(1, 2, 3),
+                   help="control family case for theorem 7")
     p.add_argument("--variant", choices=("raw", "centered"), default="raw")
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--T", type=float, default=200.0)

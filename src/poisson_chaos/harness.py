@@ -9,10 +9,8 @@ replication-index order.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +21,7 @@ from .quadrature import _dot
 
 __all__ = [
     "TargetSpec", "VerdictRecord", "ExperimentReport",
-    "collect", "run_experiment", "summarize",
+    "collect", "summarize",
     "ks_statistic", "gaussian_cdf", "slope_fit", "jackknife_variance_se",
 ]
 
@@ -184,14 +182,13 @@ class ExperimentReport:
     ks_reference_variance: float | None
     verdicts: tuple[VerdictRecord, ...]
     tail_masses: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
 
     @property
     def passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "statistic": self.statistic,
             "replications": self.replications,
             "master_seed": self.master_seed,
@@ -213,12 +210,6 @@ class ExperimentReport:
                 for v in self.verdicts
             ],
         }
-        if include_timing:
-            out["wall_time_s"] = self.wall_time_s
-        return out
-
-    def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +299,11 @@ def collect(rep_fn, cfg, R: int, master_seed: int, workers: int = 1) -> np.ndarr
 
 def summarize(name: str, values: np.ndarray, targets=(), master_seed: int = 0,
               ks_reference_variance: float | None = None,
-              tail_thresholds=(), wall_time_s: float = 0.0) -> ExperimentReport:
+              tail_thresholds=()) -> ExperimentReport:
     """Moment summary with jackknife errors and verdicts against targets.
 
-    Targets named 'mean' or 'variance' compare against those moments; a
-    target named 'ks' compares the KS distance.
+    A target named 'variance' compares the sample variance; a target named
+    'ks' compares the KS distance.
     """
     v = np.asarray(values, dtype=float).ravel()
     r = v.size
@@ -326,16 +317,10 @@ def summarize(name: str, values: np.ndarray, targets=(), master_seed: int = 0,
     ks = ks_statistic(v, ks_reference_variance) if ks_reference_variance else None
     verdicts = []
     for t in targets:
-        if t.name.startswith("mean"):
-            est, se = mean, mean_se
-        elif t.name.startswith("var"):
+        if t.name.startswith("var"):
             est, se = var, var_se
         elif t.name.startswith("ks"):
             est, se = (ks if ks is not None else math.nan), 0.0
-        elif t.name.startswith("fourth"):
-            f4 = v ** 4 if t.name == "fourth_raw" else (v - mean) ** 4
-            est = float(np.mean(f4))
-            se = float(np.std(f4, ddof=1) / math.sqrt(r))
         else:
             raise ValueError(f"unknown target kind {t.name!r}")
         within_tol = abs(est - t.value) <= t.tol
@@ -351,23 +336,8 @@ def summarize(name: str, values: np.ndarray, targets=(), master_seed: int = 0,
         mean=mean, mean_se=mean_se, variance=var, variance_se=var_se,
         skewness=skew, kurtosis=kurt,
         ks_distance=ks, ks_reference_variance=ks_reference_variance,
-        verdicts=tuple(verdicts), tail_masses=tails, wall_time_s=wall_time_s,
+        verdicts=tuple(verdicts), tail_masses=tails,
     )
-
-
-def run_experiment(rep_fn, cfg, R: int, master_seed: int, targets=(),
-                   name: str = "stat", workers: int = 1,
-                   ks_reference_variance: float | None = None,
-                   tail_thresholds=()) -> ExperimentReport:
-    """collect + summarize for a scalar statistic; deterministic given
-    (master_seed, R, cfg), independent of parallelism."""
-    if R < 100:
-        raise ValueError("need at least 100 replications")
-    t0 = time.perf_counter()
-    values = collect(rep_fn, cfg, R, master_seed, workers)[:, 0]
-    wall = time.perf_counter() - t0
-    return summarize(name, values, targets, master_seed,
-                     ks_reference_variance, tail_thresholds, wall_time_s=wall)
 
 
 def values_to_csv(values: np.ndarray, path) -> None:

@@ -96,21 +96,19 @@ def cumulative_variance_exact(model: HazardModel) -> float:
 def _campbell(model: HazardModel, power: int) -> float:
     """int int u^power w(x)^power mu(du, dx).  For a homogeneous control the
     jump moment stays outside and the kernel integrates w^power itself;
-    otherwise quad over the window."""
+    otherwise quad of the x-moment against w^power over the window."""
     ctrl, T = model.control, model.T
-    if isinstance(ctrl, DiscreteControl):
+    if ctrl.homogeneous:
         return ctrl.moment(power) * model.kernel.power_integral(power, T)
-    if isinstance(ctrl, (ExtendedGammaControl, BetaControl)):
-        from scipy.integrate import quad
+    from scipy.integrate import quad
 
-        def w_power(x):
-            return model.kernel.time_integral(np.array([x]), T)[0] ** power
+    def w_power(x):
+        return model.kernel.time_integral(np.array([x]), T)[0] ** power
 
-        val, _ = quad(lambda x: float(ctrl.x_moment(power, x)) * w_power(x),
-                      model.window.x_lo, model.window.x_hi,
-                      epsabs=1e-11, epsrel=1e-9, limit=800)
-        return val
-    raise NotImplementedError
+    val, _ = quad(lambda x: float(ctrl.x_moment(power, x)) * w_power(x),
+                  model.window.x_lo, model.window.x_hi,
+                  epsabs=1e-11, epsrel=1e-9, limit=800)
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -118,21 +116,14 @@ def _campbell(model: HazardModel, power: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def linear_clt_stat(model: HazardModel, case: int, seed=None,
-                    pattern: PointPattern | None = None) -> float:
-    """Standardized cumulative hazard for the three stated regimes.
+def _linear_center_scale(model: HazardModel, case: int) -> tuple[float, float]:
+    """Stated centering and scaling of H(T) for a case, after checking that
+    the model is the one the case is stated for:
 
     case 1 (homogeneous nu x dx, rect tau):   (H - 2 tau K1 T) / sqrt(T)
     case 2 (extended-Gamma, beta = 1+sqrt x): (H - 4 sqrt(T)) / sqrt(log T)
     case 3 (Beta, c ~ sqrt x):                (H - 2 T) / T^{1/4}
     """
-    center, scale = _linear_center_scale(model, case)
-    return (cumulative_hazard(model, seed, pattern=pattern) - center) / scale
-
-
-def _linear_center_scale(model: HazardModel, case: int) -> tuple[float, float]:
-    """Stated centering and scaling of H(T) for a case, after checking that
-    the model is the one the case is stated for."""
     if not isinstance(model.kernel, RectHazardKernel):
         raise CaseMismatchError("linear CLT statistics are stated for the rectangular kernel")
     tau = model.kernel.tau
@@ -155,34 +146,31 @@ def _linear_center_scale(model: HazardModel, case: int) -> tuple[float, float]:
 
 
 def linear_case_targets(model: HazardModel, case: int) -> float:
-    """Stated limit variance for each case (4 tau^2 K2 / 4 / 8)."""
-    tau = model.kernel.tau
+    """Stated limit variance for each case (4 tau^2 K2 / 4 / 8); raises
+    CaseMismatchError if the model is not the one the case is stated for."""
+    _linear_center_scale(model, case)
     if case == 1:
-        return 4.0 * tau ** 2 * model.control.moment(2)
-    return {2: 4.0, 3: 8.0}[case]
+        return 4.0 * model.kernel.tau ** 2 * model.control.moment(2)
+    return 4.0 if case == 2 else 8.0
 
 
-def quadratic_clt_stat(model: HazardModel, variant: str, seed=None,
-                       pattern: PointPattern | None = None) -> float:
-    """Standardized quadratic functional of the hazard (homogeneous control):
+def _quadratic_moments(model: HazardModel) -> tuple[float, list[float]]:
+    """(tau, [K0, ..., K4]) of a model the quadratic statistics are stated
+    for: the rectangular kernel and a homogeneous control."""
+    if not isinstance(model.kernel, RectHazardKernel):
+        raise CaseMismatchError("quadratic CLT statistics are stated for the rectangular kernel")
+    if not model.control.homogeneous:
+        raise CaseMismatchError("quadratic statistics need a homogeneous control with K1..K4 finite")
+    return model.kernel.tau, [model.control.moment(i) for i in range(5)]
+
+
+def _quadratic_stats(model: HazardModel, pattern: PointPattern) -> tuple[float, float]:
+    """(raw, centered) standardized quadratic functionals of the hazard on
+    one pattern (homogeneous control):
 
     raw:      sqrt(T) [ (1/T) int h^2 - (2 tau K2 + 4 tau^2 K1^2) ]
     centered: sqrt(T) [ (1/T) int (h - H/T)^2 - 2 tau K2 ]
     """
-    if not isinstance(model.kernel, RectHazardKernel):
-        raise CaseMismatchError("quadratic CLT statistics are stated for the rectangular kernel")
-    if not isinstance(model.control, DiscreteControl):
-        raise CaseMismatchError("quadratic statistics need a homogeneous control with K1..K4 finite")
-    if variant not in ("raw", "centered"):
-        raise CaseMismatchError(f"unknown variant {variant!r}")
-    if pattern is None:
-        pattern = sample_hazard_pattern(model, seed)
-    raw, centered = _quadratic_stats(model, pattern)
-    return raw if variant == "raw" else centered
-
-
-def _quadratic_stats(model: HazardModel, pattern: PointPattern) -> tuple[float, float]:
-    """(raw, centered) quadratic statistics of one pattern."""
     tau = model.kernel.tau
     T = model.T
     k1 = model.control.moment(1)
@@ -198,8 +186,7 @@ def quadratic_variance_stated(model: HazardModel, variant: str) -> float:
     """Stated reference limit variances used by the acceptance battery; the
     raw-variant combination is dimensionally inconsistent in its last term
     (K2^2 K1 scales like u^5), the centered one is correct."""
-    tau = model.kernel.tau
-    k = [model.control.moment(i) for i in range(5)]
+    tau, k = _quadratic_moments(model)
     if variant == "raw":
         return 16.0 * tau ** 2 * (k[4] / 4.0 + tau * k[1] * k[3]
                                   + 2.0 * tau * k[2] ** 2 / 3.0
@@ -214,8 +201,7 @@ def quadratic_variance_derived(model: HazardModel, variant: str) -> float:
     c1 = 4 tau^2 K4 + 32 tau^3 K1 K3 + (32/3) tau^3 K2^2 + 64 tau^4 K1^2 K2
     c2 = 4 tau^2 K4 + (32/3) tau^3 K2^2
     """
-    tau = model.kernel.tau
-    k = [model.control.moment(i) for i in range(5)]
+    tau, k = _quadratic_moments(model)
     c2 = 4.0 * tau ** 2 * k[4] + (32.0 / 3.0) * tau ** 3 * k[2] ** 2
     if variant == "centered":
         return c2

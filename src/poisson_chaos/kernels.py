@@ -461,13 +461,6 @@ class OUSingleKernel(Kernel):
         L = -window.x_lo
         return (2.0 / (lam * T)) * (1.0 - math.exp(-lam * T)) ** 2 * math.exp(-2 * lam * L) / (2 * lam)
 
-    def variance_exact(self, lam_moment2: float = 1.0) -> float:
-        """Exact untruncated variance of I1 of this kernel (finite-T value)."""
-        lam, T = self.lam, self.T
-        bracket = ((1.0 - math.exp(-lam * T)) ** 2 / (2 * lam)
-                   + _binom_time_integral(2, lam, T))
-        return lam_moment2 * (2.0 / (lam * T)) * bracket
-
 
 def ou_ghat(lam: float, T: float, x, y, stated_form: bool = False):
     """Time integral int_{max(x,y,0)}^T 2 lam e^{-lam(2t-x-y)} dt on x, y <= T.
@@ -846,10 +839,6 @@ class OUDiagHstarKernel(Kernel):
     def integral(self, control, window):
         return control.moment(2) * self._shape_integral(1, window) / self.T
 
-    def variance_exact(self, control, T_scale: float, window: Window) -> float:
-        """Exact variance of I1(sqrt(T_scale) * Hstar) on the window."""
-        return T_scale * control.moment(4) * self._shape_integral(2, window) / self.T ** 2
-
     def support_excess(self, window):
         lam, T = self.lam, self.T
         if window.x_hi < T:
@@ -893,7 +882,10 @@ class HazardKernel:
         return float(u @ self.pair_time_integral(x[:, None], x[None, :], T) @ u)
 
     def x_support(self, T: float) -> tuple[float, float]:
-        """Smallest x-interval outside which k(t, .) vanishes for all t in [0, T]."""
+        """x-interval the atoms of a hazard model are sampled on: the smallest
+        interval outside which k(t, .) vanishes for all t in [0, T], cut at
+        x = 0 because hazard atoms live on x >= 0.  The rectangular kernel
+        reaches back to x = -tau but returns (0, T + tau)."""
         raise NotImplementedError
 
     def power_integral(self, p: int, T: float) -> float:

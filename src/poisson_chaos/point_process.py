@@ -105,9 +105,6 @@ class PointPattern:
     def __len__(self) -> int:
         return int(self.u.size)
 
-    def count_in(self, region: Window) -> int:
-        return int(np.count_nonzero(region.contains(self.u, self.x)))
-
 
 def replication_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     """Counter-based replication seed: depends only on (master_seed, index),

@@ -1,10 +1,11 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
 from poisson_chaos import hazard
-from poisson_chaos.cli import CRASH, USAGE_ERROR, main
+from poisson_chaos.cli import CRASH, USAGE_ERROR, build_parser, main
 from poisson_chaos.configio import (
     ConfigError, config_hash, control_from_section, read_config, window_from_section,
 )
@@ -248,6 +249,105 @@ class TestGoldenReports:
         rc = main([*argv, "--out", str(tmp_path)])
         assert rc == code
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+class TestGoldenRuns:
+    """Every file a Monte Carlo run writes under --format csv --dump (the
+    JSON report, the summary CSV, the per-replication values), recorded
+    before the subcommands shared one report tail, and its exit code."""
+
+    RUNS = {
+        "ou_thm4": (["ou", "--theorem", "4", "--T", "30", "--reps", "400", "--seed", "21"], 0),
+        "ou_thm5": (["ou", "--theorem", "5", "--T", "30", "--reps", "200", "--seed", "3"], 1),
+        "ou_thm6": (["ou", "--theorem", "6", "--T", "30", "--reps", "200", "--seed", "3"], 1),
+        "hazard_thm7_case1": (["hazard", "--theorem", "7", "--case", "1", "--T", "50",
+                               "--reps", "200", "--seed", "5"], 0),
+        "hazard_thm8_raw": (["hazard", "--theorem", "8", "--variant", "raw", "--T", "50",
+                             "--reps", "200", "--seed", "5"], 0),
+        "hazard_thm8_centered": (["hazard", "--theorem", "8", "--variant", "centered",
+                                  "--T", "50", "--reps", "200", "--seed", "5"], 0),
+        # block_n10.csv carries E G^2 in its m4 column
+        "block_n10": (["block", "--n", "10", "--reps", "2000", "--seed", "5"], 1),
+    }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_outputs_are_byte_identical(self, tmp_path, run, workers):
+        argv, code = self.RUNS[run]
+        rc = main([*argv, "--format", "csv", "--dump", "--workers", workers,
+                   "--out", str(tmp_path)])
+        assert rc == code
+        want = sorted(p.name for p in (GOLDEN / run).iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == want
+        for name in want:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / run / name).read_bytes(), name
+
+
+def _choice_argvs():
+    """One small run per argparse choice of --family, --theorem and --case."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    small = {"criterion": ["--indices", "50,100,200"],
+             "ou": ["--T", "10", "--reps", "100"],
+             "hazard": ["--T", "20", "--reps", "20"]}
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.dest not in ("family", "theorem", "case"):
+                continue
+            for choice in action.choices:
+                extra = ["--theorem", "7"] if action.dest == "case" else []
+                yield [command, action.option_strings[0], str(choice), *extra,
+                       *small[command], "--seed", "3"]
+
+
+class TestChoiceMatrix:
+    @pytest.mark.parametrize("argv", list(_choice_argvs()), ids=" ".join)
+    def test_every_choice_writes_its_report(self, tmp_path, argv):
+        rc = main([*argv, "--out", str(tmp_path)])
+        assert rc in (0, 1)
+        reports = list(tmp_path.glob("*.json"))
+        assert len(reports) == 1 and json.loads(reports[0].read_text())["master_seed"] == 3
+
+    def test_matrix_covers_every_choice(self):
+        flags = {(argv[0], argv[1], argv[2]) for argv in _choice_argvs()}
+        assert ("hazard", "--case", "3") in flags and ("ou", "--theorem", "6") in flags
+        assert ("criterion", "--family", "ou-pair-unit") in flags and len(flags) == 12
+
+    @pytest.mark.parametrize("argv", [
+        ["hazard", "--theorem", "7", "--case", "4"],
+        ["hazard", "--theorem", "9"],
+        ["ou", "--theorem", "9"],
+        ["criterion", "--family", "nope"],
+        ["hazard", "--theorem", "8", "--variant", "bogus"],
+    ], ids=" ".join)
+    def test_out_of_range_choice_is_a_usage_error(self, tmp_path, capsys, argv):
+        rc = main([*argv, "--reps", "20", "--out", str(tmp_path)])
+        assert rc == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("control, argv, message", [
+        ("beta", ["--theorem", "7", "--case", "2"], "case 2 needs the extended-Gamma control"),
+        ("extended-gamma", ["--theorem", "8"], "need a homogeneous control"),
+        ("beta", ["--theorem", "8", "--variant", "centered"], "need a homogeneous control"),
+    ])
+    def test_mismatched_control_fails_before_any_replication(self, tmp_path, monkeypatch,
+                                                             capsys, control, argv, message):
+        for rep in ("rep_linear_case", "rep_quadratic"):
+            monkeypatch.setattr(hazard, rep, lambda *a: pytest.fail("a replication ran"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[control]\ntype = {control}\n", encoding="utf-8")
+        rc = main(["hazard", *argv, "--T", "20", "--reps", "20", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == USAGE_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid request: ") and message in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_ou_theorem4_needs_100_replications(self, tmp_path, capsys):
+        rc = main(["ou", "--theorem", "4", "--T", "10", "--reps", "50", "--out", str(tmp_path)])
+        assert rc == USAGE_ERROR
+        assert capsys.readouterr().err.strip() == "invalid request: need at least 100 replications"
 
 
 GOLDEN = Path(__file__).parent / "golden"

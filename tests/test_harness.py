@@ -13,7 +13,7 @@ from scipy.special import ndtri
 import poisson_chaos
 from poisson_chaos.harness import (
     TargetSpec, collect, gaussian_cdf, jackknife_variance_se,
-    ks_statistic, run_experiment, slope_fit, summarize, values_to_csv,
+    ks_statistic, slope_fit, summarize, values_to_csv,
 )
 
 
@@ -157,18 +157,18 @@ class TestEngine:
         assert np.array_equal(vals1, vals8)
 
     def test_report_byte_identical_across_workers(self):
-        reports = [run_experiment(_gaussian_rep, None, 300, 7, workers=w,
-                                  targets=[TargetSpec("variance", 1.0, 0.5)],
-                                  ks_reference_variance=1.0)
+        reports = [summarize("stat", collect(_gaussian_rep, None, 300, 7, workers=w),
+                             targets=[TargetSpec("variance", 1.0, 0.5)], master_seed=7,
+                             ks_reference_variance=1.0)
                    for w in (1, 4)]
-        payloads = [r.to_json(include_timing=False) for r in reports]
+        payloads = [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
         assert payloads[0] == payloads[1]
-        # wall time is the only timing field, excluded from the comparison form
-        with_timing = json.loads(reports[0].to_json(include_timing=True))
-        assert "wall_time_s" in with_timing
+        # reports carry no wall time: the CLI prints it, and never writes it
+        assert "wall_time_s" not in reports[0].to_dict()
 
     def test_degenerate_statistic(self):
-        rep = run_experiment(_zero_rep, None, 200, 1, ks_reference_variance=1.0)
+        rep = summarize("stat", collect(_zero_rep, None, 200, 1), master_seed=1,
+                        ks_reference_variance=1.0)
         assert rep.mean == 0.0 and rep.variance == 0.0
         assert rep.ks_distance == pytest.approx(0.5)
 
@@ -185,10 +185,6 @@ class TestEngine:
         rep_bad = summarize("x", values, targets=[TargetSpec("variance", 2.0, 0.2)],
                             master_seed=8)
         assert not rep_bad.passed
-
-    def test_minimum_replications(self):
-        with pytest.raises(ValueError):
-            run_experiment(_gaussian_rep, None, 50, 1)
 
     def test_values_csv(self, tmp_path):
         path = tmp_path / "vals.csv"

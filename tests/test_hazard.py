@@ -8,8 +8,8 @@ from poisson_chaos import hazard
 from poisson_chaos.hazard import (
     CaseMismatchError, HazardModel, cumulative_hazard,
     cumulative_mean_exact, cumulative_variance_exact, linear_case_targets,
-    linear_clt_stat, quadratic_clt_stat, quadratic_variance_derived,
-    quadratic_variance_stated, rect_model, rep_linear_case, rep_quadratic,
+    quadratic_variance_derived, quadratic_variance_stated, rect_model,
+    rep_linear_case, rep_quadratic,
     sample_hazard_pattern, square_hazard_integral,
 )
 from poisson_chaos.kernels import DENSE_PAIR_BYTES_MAX, RectHazardKernel
@@ -235,13 +235,18 @@ class TestLinearStat:
     def test_case_mismatch_errors(self):
         model = rect_model(UNIT, T=10.0)
         with pytest.raises(CaseMismatchError):
-            linear_clt_stat(model, 2, seed=0)
+            hazard._linear_center_scale(model, 2)
         model_beta = rect_model(BetaControl(), T=10.0)
         with pytest.raises(CaseMismatchError):
-            linear_clt_stat(model_beta, 1, seed=0)
+            hazard._linear_center_scale(model_beta, 1)
         model_dl = HazardModel(kernel=DykstraLaudHazardKernel(), control=UNIT, T=10.0)
         with pytest.raises(CaseMismatchError):
-            linear_clt_stat(model_dl, 1, seed=0)
+            hazard._linear_center_scale(model_dl, 1)
+        # the stated targets check the model too, and reject a case that is not stated
+        with pytest.raises(CaseMismatchError):
+            linear_case_targets(model_beta, 2)
+        with pytest.raises(CaseMismatchError):
+            linear_case_targets(model, 4)
 
     def test_one_cumulative_hazard_per_replication(self, monkeypatch):
         calls = []
@@ -286,18 +291,26 @@ class TestLinearStat:
 
 class TestQuadraticStat:
     def test_variant_validation(self):
-        model = rect_model(UNIT, T=10.0)
+        # the CLI rejects an unknown --variant (tests/test_cli.py); the model
+        # check rejects a non-homogeneous control and a non-rectangular kernel
         with pytest.raises(CaseMismatchError):
-            quadratic_clt_stat(model, "bogus", seed=0)
+            hazard._quadratic_moments(rect_model(BetaControl(), T=10.0))
         with pytest.raises(CaseMismatchError):
-            quadratic_clt_stat(rect_model(BetaControl(), T=10.0), "raw", seed=0)
+            hazard._quadratic_moments(rect_model(ExtendedGammaControl(eps=1e-4), T=10.0))
+        with pytest.raises(CaseMismatchError):
+            hazard._quadratic_moments(
+                HazardModel(kernel=DykstraLaudHazardKernel(), control=UNIT, T=10.0))
+        for variant in ("raw", "centered"):
+            with pytest.raises(CaseMismatchError):
+                quadratic_variance_derived(rect_model(BetaControl(), T=10.0), variant)
+            with pytest.raises(CaseMismatchError):
+                quadratic_variance_stated(rect_model(BetaControl(), T=10.0), variant)
 
     def test_replication_matches_single_statistics(self):
         model = rect_model(UNIT, T=40.0)
         raw, centered = rep_quadratic(model, np.random.default_rng(replication_seed(63, 0)))
         pat = sample_hazard_pattern(model, np.random.default_rng(replication_seed(63, 0)))
-        assert raw == quadratic_clt_stat(model, "raw", pattern=pat)
-        assert centered == quadratic_clt_stat(model, "centered", pattern=pat)
+        assert (raw, centered) == hazard._quadratic_stats(model, pat)
 
     def test_centering_constants(self):
         model = rect_model(UNIT, T=400.0)

@@ -10,6 +10,7 @@ from poisson_chaos.kernels import (
     RectHazardKernel, ou_ghat,
 )
 from poisson_chaos.chaos import eval_I2
+from poisson_chaos.ou import linear_variance_exact
 from poisson_chaos.point_process import DiscreteControl, PointPattern, SupportError, Window
 from poisson_chaos.quadrature import exp_refined_edges, integrate_checked
 
@@ -119,7 +120,7 @@ class TestOUSingle:
 
     def test_variance_limit(self):
         # finite-horizon variance tends to 2/lam; within 2% at T = 800
-        assert OUSingleKernel(1.0, 800.0).variance_exact() == pytest.approx(2.0, rel=0.02)
+        assert linear_variance_exact(1.0, 800.0) == pytest.approx(2.0, rel=0.02)
 
     def test_truncation_tail_bound(self, symmetric_jump):
         lam, T = 1.0, 4.0
