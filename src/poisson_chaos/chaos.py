@@ -182,7 +182,10 @@ def clt_criterion(kernels, control: ControlMeasure, windows, labels=None,
     2||f||^2 -> 1, int f^4 -> 0, and both contraction norms -> 0.
 
     Each kernel must also pass the integrability check: int (int f^2)^2
-    (= n21) and int (int f^4)^{1/2} (``sqrt4_section_integral``) are finite.
+    (= n21), int f^4 (= l4) and the window mass mu(W) are finite.  They
+    certify the condition int (int f^4 dmu)^{1/2} dmu < infinity as well,
+    by Cauchy-Schwarz on W:
+        int_W (int f(z, w)^4 mu(dw))^{1/2} mu(dz) <= (mu(W) l4)^{1/2}.
     """
     kernels = list(kernels)
     windows = list(windows) if isinstance(windows, (list, tuple)) else [windows] * len(kernels)
@@ -192,13 +195,14 @@ def clt_criterion(kernels, control: ControlMeasure, windows, labels=None,
     for f, w, lab in zip(kernels, windows, labels):
         _check_arity(f, 2)
         n11, n21, n10 = contraction_norms(f, control, w)
-        q1 = f.sqrt4_section_integral(control, w)
+        l4 = f.lp_norm(4, control, w)
         reports.append(CriterionReport(
             label=lab,
             norm2_doubled=2.0 * f.l2_norm_sq(control, w),
-            l4=f.lp_norm(4, control, w),
+            l4=l4,
             n11=n11, n21=n21, n10=n10,
-            integrable=bool(np.isfinite(n21) and np.isfinite(q1)),
+            integrable=bool(math.isfinite(n21) and math.isfinite(l4)
+                            and math.isfinite(control.mass(w))),
         ))
     if not all(r.integrable for r in reports):
         checks = (LimitCheck("integrability", (), 0.0, False, None,

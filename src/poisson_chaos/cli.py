@@ -11,8 +11,7 @@ times go to stdout only.  Exit codes: 0 all verdicts pass, 1 at least one
 fails, 2 usage or configuration error (an unknown family, theorem or case, a
 control that does not match the requested case or theorem, fewer than 100
 replications for ou theorem 4), 3 a replication crashed (the one-line
-message names its index and the master seed) or a quadrature accuracy check
-failed.
+message names its index and the master seed) or a numerical check failed.
 """
 
 from __future__ import annotations

@@ -127,7 +127,7 @@ def _linear_center_scale(model: HazardModel, case: int) -> tuple[float, float]:
     if not isinstance(model.kernel, RectHazardKernel):
         raise CaseMismatchError("linear CLT statistics are stated for the rectangular kernel")
     tau = model.kernel.tau
-    if case == 1 and not isinstance(model.control, DiscreteControl):
+    if case == 1 and not model.control.homogeneous:
         raise CaseMismatchError("case 1 needs a homogeneous control")
     if case == 2 and not isinstance(model.control, ExtendedGammaControl):
         raise CaseMismatchError("case 2 needs the extended-Gamma control")

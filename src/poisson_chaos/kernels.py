@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .point_process import ControlMeasure, Window
-from .quadrature import _dot, exp_refined_edges, integrate_checked
+from .quadrature import _dot
 
 # largest n x n float64 pair matrix the dense pair sums may allocate
 DENSE_PAIR_BYTES_MAX = 1 << 28
@@ -112,11 +112,6 @@ class Kernel:
         section integral as ||f *_2^1 f||^2 for symmetric kernels.
         """
         raise ContractionError(f"no contraction-norm scheme for {type(self).__name__}")
-
-    def sqrt4_section_integral(self, control: ControlMeasure, window: Window) -> float:
-        """int (int f(z, w)^4 mu(dw))^{1/2} mu(dz), for the fourth-power
-        integrability check."""
-        raise ContractionError(f"no fourth-power section scheme for {type(self).__name__}")
 
     def as_grid(self) -> "GridKernel":
         """The kernel as a cell-constant grid, on which contractions are
@@ -246,12 +241,6 @@ class GridKernel(Kernel):
         n21 = float(sec ** 2 @ m)
         return n11, n21, n21
 
-    def sqrt4_section_integral(self, control, window):
-        # exact cell sum: sum_a m_a (sum_b m_b v_ab^4)^{1/2}
-        _check_arity(self, 2)
-        m = self.cell_masses(control, window)
-        return float(m @ np.sqrt(self.values ** 4 @ m))
-
     def as_grid(self) -> "GridKernel":
         return self
 
@@ -298,9 +287,6 @@ class ScaledKernel(Kernel):
         n11, n21, n10 = self.base.contraction_norms(control, window)
         c4 = self.factor ** 4
         return c4 * n11, c4 * n21, c4 * n10
-
-    def sqrt4_section_integral(self, control, window):
-        return self.factor ** 2 * self.base.sqrt4_section_integral(control, window)
 
     def as_grid(self) -> GridKernel:
         grid = self.base.as_grid()
@@ -379,11 +365,6 @@ class BlockKernel(Kernel):
 
     def support_excess(self, window):
         return 0.0 if (window.x_lo <= 0.0 and window.x_hi >= self.n) else math.inf
-
-    def sqrt4_section_integral(self, control, window):
-        # each block contributes m (c^4 m)^{1/2}
-        m = self._block_mass(control, window)
-        return self.n * self.coef ** 2 * m ** 1.5
 
     def as_grid(self) -> GridKernel:
         vals = self.coef * np.eye(self.n)
@@ -704,12 +685,6 @@ class OUDoubleHKernel(Kernel):
         if self.stated_form:
             raise ValueError(f"{what} models only the corrected (stated_form=False) kernel")
 
-    def _check_section_inputs(self, what: str, window: Window) -> None:
-        # the section formulas model the corrected kernel on [x_lo <= 0, T]
-        self._require_corrected_form(what)
-        if window.x_lo > 0.0:
-            raise ValueError(f"{what} needs a window starting at or below 0")
-
     def _shape_power_section(self, p: int, y, window: Window):
         """C_p(y) = int_window Ghat(x, y)^p dx, vectorized in y."""
         lam, T = self.lam, self.T
@@ -776,7 +751,10 @@ class OUDoubleHKernel(Kernel):
         exponential polynomial in x, listed in _OU_NORM_PARTS, so no sum
         above cancels; see _exp_poly for how each part is evaluated.
         """
-        self._check_section_inputs("contraction_norms", window)
+        # the closed forms model the corrected kernel on [x_lo <= 0, T]
+        self._require_corrected_form("contraction_norms")
+        if window.x_lo > 0.0:
+            raise ValueError("contraction_norms needs a window starting at or below 0")
         lam, T = self.lam, self.T
         x = lam * T
         ell = -lam * window.x_lo
@@ -791,20 +769,6 @@ class OUDoubleHKernel(Kernel):
         n11 = k2 ** 4 * trace / x ** 4
         n21 = control.moment(4) * k2 ** 2 * sec / (lam ** 3 * T ** 4)
         return n11, n21, n21
-
-    def sqrt4_section_integral(self, control, window):
-        """K2 sqrt(K4) / T^2 * int (C_4(y))^{1/2} dy over [x_lo, T], by panel
-        quadrature (no closed form is known)."""
-        self._check_section_inputs("sqrt4_section_integral", window)
-        lam, T = self.lam, self.T
-        L = -window.x_lo
-        edges = exp_refined_edges(0.0, T, 1.0 / lam)
-        if L > 0.0:
-            edges = np.concatenate([exp_refined_edges(-L, 0.0, 1.0 / lam)[:-1], edges])
-        val, _ = integrate_checked(
-            lambda y: np.sqrt(np.maximum(self._shape_power_section(4, y, window), 0.0)),
-            edges, nodes=18)
-        return control.moment(2) * math.sqrt(control.moment(4)) * val / T ** 2
 
 
 @dataclass(frozen=True)
@@ -869,17 +833,8 @@ class HazardKernel:
         raise NotImplementedError
 
     def square_integral(self, u, x, T) -> float:
-        """int_0^T h(t)^2 dt = sum_{i,j} u_i u_j int_0^T k(t, x_i) k(t, x_j) dt.
-
-        Dense: evaluates the n x n pair-time-integral matrix, O(n^2) time and
-        memory, and refuses matrices over DENSE_PAIR_BYTES_MAX.
-        """
-        u = np.asarray(u, dtype=float)
-        x = np.asarray(x, dtype=float)
-        if not x.size:
-            return 0.0
-        _check_dense_budget(x.size)
-        return float(u @ self.pair_time_integral(x[:, None], x[None, :], T) @ u)
+        """int_0^T h(t)^2 dt = sum_{i,j} u_i u_j int_0^T k(t, x_i) k(t, x_j) dt."""
+        raise NotImplementedError
 
     def x_support(self, T: float) -> tuple[float, float]:
         """x-interval the atoms of a hazard model are sampled on: the smallest

@@ -1,19 +1,18 @@
-"""Panel Gauss-Legendre quadrature with a two-level accuracy check.
+"""Panel Gauss-Legendre quadrature with a two-level accuracy check, and the
+package's thread-count-independent dot product ``_dot``.
 
-The package uses them in one place, where no closed form is known:
-``OUDoubleHKernel.sqrt4_section_integral``, the int (int f^4)^{1/2} term of
-the criterion's integrability check.  The tests use them as oracles for the
-closed forms (the OU contraction-norm oracle calls ``check_levels`` and
-``panel_points`` directly).  Integrands are assumed vectorized (numpy in, numpy out)
+No command-line path integrates numerically: every criterion quantity has a
+closed form.  The tests use the panels as oracles for those closed forms
+(the OU contraction-norm oracle calls ``check_levels`` and ``panel_points``
+directly), and the benchmark tracer times ``integrate_checked`` and
+``panel_points``.  Integrands are assumed vectorized (numpy in, numpy out)
 and piecewise-analytic on the supplied panels; panel edges must include every
-kink of the integrand.  ``_dot`` is the package's thread-count-independent
-dot product.
+kink of the integrand.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import numpy.polynomial.legendre   # numpy loads it lazily; load it here, not mid-run
 
 
 # Longest block _dot hands to np.dot.  OpenBLAS threads dot products above
@@ -39,10 +38,12 @@ class QuadratureError(RuntimeError):
 
 
 def _gl_nodes(n: int):
-    # cached Legendre nodes/weights on [-1, 1]
+    # cached Legendre nodes/weights on [-1, 1]; numpy.polynomial is imported
+    # on first use, so no command-line start pays for it
     key = int(n)
     if key not in _GL_CACHE:
-        _GL_CACHE[key] = np.polynomial.legendre.leggauss(key)
+        from numpy.polynomial.legendre import leggauss
+        _GL_CACHE[key] = leggauss(key)
     return _GL_CACHE[key]
 
 
@@ -92,31 +93,3 @@ def check_levels(lo: float, hi: float, rtol: float = 1e-6, what: str = "quadratu
             f"{what} check failed: levels differ by {disc:.3e} on scale {scale:.3e}"
         )
     return disc
-
-
-def exp_refined_edges(lo: float, hi: float, scale: float, base_panels: int = 4) -> np.ndarray:
-    """Panel edges on [lo, hi] geometrically refined toward both endpoints.
-
-    ``scale`` is the characteristic length of boundary layers (e.g. 1/lambda
-    for integrands involving exp(-lambda * distance-to-endpoint)).
-    """
-    if hi <= lo:
-        raise QuadratureError("empty interval")
-    length = hi - lo
-    scale = min(abs(scale), length)
-    ladder = []
-    step = scale
-    pos = 0.0
-    while pos + step < 0.5 * length:
-        pos += step
-        ladder.append(pos)
-        step *= 2.0
-    offsets = np.array(ladder, dtype=float)
-    left = lo + offsets
-    right = hi - offsets[::-1]
-    inner = np.linspace(lo + (offsets[-1] if ladder else 0.0),
-                        hi - (offsets[-1] if ladder else 0.0),
-                        base_panels + 1)[1:-1] if length > 4 * scale else np.array([])
-    # np.unique's own sort and mask, without the numpy.ma import it triggers
-    edges = np.sort(np.concatenate([[lo], left, inner, right, [hi]]))
-    return edges[np.concatenate([[True], edges[1:] != edges[:-1]])]

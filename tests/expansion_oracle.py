@@ -3,10 +3,10 @@ pathwise product-formula tests.
 
 ``product_expand`` lists, for each r <= p ^ q and l <= r, the term of order
 p + q - r - l with coefficient r! C(p,r) C(q,r) C(r,l) and kernel
-sym(f *_r^l g).  The p = q = 2 contractions of arity <= 2 come from
-``contractions.star``; ``star`` here adds the arity-3 and arity-4 outputs
-(l = 0, r < 2) as lazy tensor views, so cubic and quartic grids are never
-stored.  First-order terms are materialized on shared grids.  Mixed orders
+sym(f *_r^l g).  ``star`` computes the p = q = 2 contractions on the
+kernels' ``as_grid`` views: outputs of arity <= 2 are materialized exactly,
+the arity-3 and arity-4 outputs (l = 0, r < 2) are lazy tensor views, so
+cubic and quartic grids are never stored.  First-order terms are materialized on shared grids.  Mixed orders
 (p != q) are not expanded: their r = 0 term has arity 3 and no lazy view.
 """
 
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from poisson_chaos import contractions
-from poisson_chaos.contractions import ContractionIndex
 from poisson_chaos.kernels import ContractionError, GridKernel, Kernel, _check_arity
 from poisson_chaos.point_process import ControlMeasure, Window
 
@@ -42,18 +40,48 @@ class LazyTensorKernel(Kernel):
         return self.f(ug, xg, u1, x1) * self.g(ug, xg, u2, x2)
 
 
+@dataclass(frozen=True)
+class ContractionIndex:
+    """r identified variable pairs, l of them integrated out; 0 <= l <= r <= p ^ q."""
+
+    r: int
+    l: int
+
+    def __post_init__(self):
+        if not (0 <= self.l <= self.r):
+            raise ContractionError(f"need 0 <= l <= r, got r={self.r}, l={self.l}")
+
+    def validate(self, p: int, q: int):
+        if self.r > min(p, q):
+            raise ContractionError(f"r={self.r} exceeds min arity {min(p, q)}")
+
+
 def star(f: Kernel, g: Kernel, idx: ContractionIndex,
          control: ControlMeasure, window: Window):
-    """``contractions.star``, with the arity-3/4 outputs as lazy views."""
-    if idx.l == 0 and idx.r < 2:
-        _check_arity(f, 2)
-        _check_arity(g, 2)
-        idx.validate(2, 2)
-        f, g = f.as_grid(), g.as_grid()
-        if f.edges != g.edges:
-            raise ContractionError("grid kernels must share a partition")
-        return LazyTensorKernel(f, g, idx.r)
-    return contractions.star(f, g, idx, control, window)
+    """Contraction f *_r^l g for p = q = 2, on the kernels' grid views.
+
+    Returns a scalar for (r, l) = (2, 2), a GridKernel for (1, 1), (2, 1) and
+    (2, 0), and a LazyTensorKernel for (0, 0) and (1, 0).  Kernels without a
+    grid view, or on different partitions, raise ContractionError.
+    """
+    _check_arity(f, 2)
+    _check_arity(g, 2)
+    idx.validate(2, 2)
+    f, g = f.as_grid(), g.as_grid()
+    if f.edges != g.edges:
+        raise ContractionError("grid kernels must share a partition")
+    r, l = idx.r, idx.l
+    if l == 0 and r < 2:
+        return LazyTensorKernel(f, g, r)
+    m = f.cell_masses(control, window)
+    vf, vg = f.values, g.values
+    if (r, l) == (1, 1):
+        return GridKernel(f.edges, (vf * m[:, None]).T @ vg)
+    if (r, l) == (2, 1):
+        return GridKernel(f.edges, (vf * vg).T @ m)
+    if (r, l) == (2, 2):
+        return float(m @ (vf * vg) @ m)
+    return GridKernel(f.edges, vf * vg)
 
 
 @dataclass(frozen=True)

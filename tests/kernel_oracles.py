@@ -5,9 +5,12 @@
   ``point_process.pattern_to_csv`` writes.
 - ``OUInstantKernel``: the pair kernel of the squared OU level at one
   instant, the oracle of the pathwise square identity.
-- ``DykstraLaudHazardKernel`` and ``OUHazardKernel``: hazard kernels on the
-  dense O(n^2) ``square_integral`` default, against which the rectangular
-  kernel's prefix sums and the grid oracles are checked.
+- ``sqrt4_section_integral``: int (int f(z, w)^4 mu(dw))^{1/2} mu(dz), the
+  fourth-power integrability quantity, exact for grid, block and scaled
+  kernels and by panel quadrature for the OU pair kernel.
+- ``DenseHazardKernel``: the dense O(n^2) ``square_integral``, the base of
+  ``DykstraLaudHazardKernel`` and ``OUHazardKernel``, against which the
+  rectangular kernel's prefix sums and the grid oracles are checked.
 """
 
 from __future__ import annotations
@@ -17,7 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from poisson_chaos.kernels import GridKernel, HazardKernel, Kernel
+from poisson_chaos.kernels import (
+    BlockKernel, GridKernel, HazardKernel, Kernel, OUDoubleHKernel, ScaledKernel,
+    _check_dense_budget,
+)
+
+from ou_contraction_oracle import ou_sqrt4_section_integral
 
 
 def grid_to_csv(kernel: GridKernel, path) -> None:
@@ -108,8 +116,43 @@ class OUInstantKernel(Kernel):
         return 2.0 * lam * k1 ** 2 * time_part ** 2
 
 
+def sqrt4_section_integral(kernel: Kernel, control, window) -> float:
+    """int (int f(z, w)^4 mu(dw))^{1/2} mu(dz) of a grid, block, OU pair or
+    scaled kernel; a scaled kernel gives factor^2 times its base's value."""
+    if isinstance(kernel, ScaledKernel):
+        return kernel.factor ** 2 * sqrt4_section_integral(kernel.base, control, window)
+    if isinstance(kernel, GridKernel):
+        # exact cell sum: sum_a m_a (sum_b m_b v_ab^4)^{1/2}
+        m = kernel.cell_masses(control, window)
+        return float(m @ np.sqrt(kernel.values ** 4 @ m))
+    if isinstance(kernel, BlockKernel):
+        # each block contributes m (c^4 m)^{1/2}
+        m = kernel._block_mass(control, window)
+        return kernel.n * kernel.coef ** 2 * m ** 1.5
+    if isinstance(kernel, OUDoubleHKernel):
+        return ou_sqrt4_section_integral(kernel, control, window)
+    raise TypeError(f"no fourth-power section oracle for {type(kernel).__name__}")
+
+
+class DenseHazardKernel(HazardKernel):
+    """Hazard kernels whose square integral is the dense pair sum."""
+
+    def square_integral(self, u, x, T) -> float:
+        """int_0^T h(t)^2 dt = sum_{i,j} u_i u_j int_0^T k(t, x_i) k(t, x_j) dt.
+
+        Dense: evaluates the n x n pair-time-integral matrix, O(n^2) time and
+        memory, and refuses matrices over DENSE_PAIR_BYTES_MAX.
+        """
+        u = np.asarray(u, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if not x.size:
+            return 0.0
+        _check_dense_budget(x.size)
+        return float(u @ self.pair_time_integral(x[:, None], x[None, :], T) @ u)
+
+
 @dataclass(frozen=True)
-class DykstraLaudHazardKernel(HazardKernel):
+class DykstraLaudHazardKernel(DenseHazardKernel):
     def __call__(self, t, x):
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
@@ -128,7 +171,7 @@ class DykstraLaudHazardKernel(HazardKernel):
 
 
 @dataclass(frozen=True)
-class OUHazardKernel(HazardKernel):
+class OUHazardKernel(DenseHazardKernel):
     lam: float
 
     def __call__(self, t, x):

@@ -1,4 +1,4 @@
-"""Panel-quadrature oracle for the contraction norms of the OU pair kernel.
+"""Panel-quadrature oracles for the OU pair kernel.
 
 Independent of the closed forms in ``OUDoubleHKernel.contraction_norms``:
 
@@ -8,13 +8,44 @@ Independent of the closed forms in ``OUDoubleHKernel.contraction_norms``:
   W(y, y') = int_window Ghat(x, y) Ghat(x, y') dx, folded to y' = y + s,
   s > 0, on geometrically refined panels, computed at two node levels and
   checked with ``check_levels``.
+
+``ou_sqrt4_section_integral`` is int (int f^4 dmu)^{1/2} dmu, which has no
+known closed form, by checked panel quadrature of the exact section C_4.
 """
 
 import math
 
 import numpy as np
 
-from poisson_chaos.quadrature import check_levels, exp_refined_edges, integrate_checked, panel_points
+from poisson_chaos.quadrature import QuadratureError, check_levels, integrate_checked, panel_points
+
+
+def exp_refined_edges(lo: float, hi: float, scale: float, base_panels: int = 4) -> np.ndarray:
+    """Panel edges on [lo, hi] geometrically refined toward both endpoints.
+
+    ``scale`` is the characteristic length of boundary layers (e.g. 1/lambda
+    for integrands involving exp(-lambda * distance-to-endpoint)).
+    """
+    if hi <= lo:
+        raise QuadratureError("empty interval")
+    length = hi - lo
+    scale = min(abs(scale), length)
+    ladder = []
+    step = scale
+    pos = 0.0
+    while pos + step < 0.5 * length:
+        pos += step
+        ladder.append(pos)
+        step *= 2.0
+    offsets = np.array(ladder, dtype=float)
+    left = lo + offsets
+    right = hi - offsets[::-1]
+    inner = np.linspace(lo + (offsets[-1] if ladder else 0.0),
+                        hi - (offsets[-1] if ladder else 0.0),
+                        base_panels + 1)[1:-1] if length > 4 * scale else np.array([])
+    # np.unique's own sort and mask, without the numpy.ma import it triggers
+    edges = np.sort(np.concatenate([[lo], left, inner, right, [hi]]))
+    return edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
 
 
 def pair_overlap(kernel, y, yp, window):
@@ -85,3 +116,20 @@ def contraction_norms_by_quadrature(kernel, control, window, nodes=18):
     disc = abs(off - off2) / max(abs(off2), 1e-300)
     n11 = k2 ** 4 * 2.0 * off2 / T ** 4
     return n11, n21, n21, disc
+
+
+def ou_sqrt4_section_integral(kernel, control, window):
+    """K2 sqrt(K4) / T^2 * int (C_4(y))^{1/2} dy over [x_lo, T] of an unscaled
+    OUDoubleHKernel, by checked panel quadrature."""
+    kernel._require_corrected_form("sqrt4_section_integral")
+    if window.x_lo > 0.0:
+        raise ValueError("sqrt4_section_integral needs a window starting at or below 0")
+    lam, T = kernel.lam, kernel.T
+    L = -window.x_lo
+    edges = exp_refined_edges(0.0, T, 1.0 / lam)
+    if L > 0.0:
+        edges = np.concatenate([exp_refined_edges(-L, 0.0, 1.0 / lam)[:-1], edges])
+    val, _ = integrate_checked(
+        lambda y: np.sqrt(np.maximum(kernel._shape_power_section(4, y, window), 0.0)),
+        edges, nodes=18)
+    return control.moment(2) * math.sqrt(control.moment(4)) * val / T ** 2

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from poisson_chaos import hazard
+from poisson_chaos import hazard, quadrature
 from poisson_chaos.cli import CRASH, USAGE_ERROR, build_parser, main
 from poisson_chaos.configio import (
     ConfigError, config_hash, control_from_section, read_config, window_from_section,
@@ -207,12 +207,25 @@ class TestOUPairCriterion:
         def failing(self, control, window):
             raise QuadratureError("quadrature check failed: levels differ")
 
-        monkeypatch.setattr(OUDoubleHKernel, "sqrt4_section_integral", failing)
+        monkeypatch.setattr(OUDoubleHKernel, "contraction_norms", failing)
         rc = main(["criterion", "--family", "ou-pair-unit", "--indices", "50,100",
                    "--out", str(tmp_path)])
         assert rc == CRASH
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["crash: quadrature check failed: levels differ"]
+
+    def test_criterion_runs_no_panel_quadrature(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise AssertionError("panel quadrature ran")
+
+        for name in ("integrate_checked", "panel_points"):
+            monkeypatch.setattr(quadrature, name, failing)
+        rc = main(["criterion", "--family", "ou-pair-unit", "--lam", "1",
+                   "--indices", "50,100,200,400,800,1600", "--out", str(tmp_path)])
+        assert rc == 0
+        got = json.loads((tmp_path / "criterion_ou-pair-unit.json").read_text())
+        _assert_close(got, json.loads((GOLDEN / "criterion_ou-pair-unit_lam1.json").read_text()))
+        assert all(r["integrable"] for r in got["reports"])
 
     @pytest.mark.parametrize("family, lam, golden", [
         ("ou-pair-unit", "1", "criterion_ou-pair-unit_lam1.json"),
@@ -330,6 +343,7 @@ class TestChoiceMatrix:
         ("beta", ["--theorem", "7", "--case", "2"], "case 2 needs the extended-Gamma control"),
         ("extended-gamma", ["--theorem", "8"], "need a homogeneous control"),
         ("beta", ["--theorem", "8", "--variant", "centered"], "need a homogeneous control"),
+        ("beta", ["--theorem", "7", "--case", "1"], "case 1 needs a homogeneous control"),
     ])
     def test_mismatched_control_fails_before_any_replication(self, tmp_path, monkeypatch,
                                                              capsys, control, argv, message):
@@ -343,6 +357,16 @@ class TestChoiceMatrix:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("invalid request: ") and message in err[0]
         assert not (tmp_path / "out").exists()
+
+    def test_case1_runs_with_a_homogeneous_generalized_gamma_control(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[control]\ntype = generalized-gamma\nsigma = 0.5\ngamma = 1.0\n"
+                       "eps = 0.01\n", encoding="utf-8")
+        rc = main(["hazard", "--theorem", "7", "--case", "1", "--T", "20", "--reps", "20",
+                   "--seed", "3", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc in (0, 1)
+        payload = json.loads((tmp_path / "out" / "hazard_thm7_case1_T20.json").read_text())
+        assert payload["replications"] == 20
 
     def test_ou_theorem4_needs_100_replications(self, tmp_path, capsys):
         rc = main(["ou", "--theorem", "4", "--T", "10", "--reps", "50", "--out", str(tmp_path)])

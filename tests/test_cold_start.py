@@ -6,7 +6,8 @@ them (the non-homogeneous controls' masses and moments, the generalized-Gamma
 moments and the non-homogeneous Campbell integrals), so the CLI import and the
 subcommands that never reach those functions do not load scipy at all; the
 homogeneous case-1 Campbell integrals are closed forms.  They do not load
-numpy.ma either, which np.unique imports on first use.  The process pool
+numpy.ma either, which np.unique imports on first use, nor numpy.polynomial,
+which only the tests' panel quadrature needs.  The process pool
 (concurrent.futures.process, multiprocessing) is imported only by runs with
 more than one worker, and configparser only by runs that read a config file.
 """
@@ -25,8 +26,8 @@ import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
 import poisson_chaos.cli as cli
 
-DEFERRED = ("scipy", "numpy.ma", "multiprocessing", "concurrent.futures.process",
-            "configparser")
+DEFERRED = ("scipy", "numpy.ma", "numpy.polynomial", "multiprocessing",
+            "concurrent.futures.process", "configparser")
 
 def loaded():
     return sorted(m for m in sys.modules
@@ -62,5 +63,5 @@ def test_cli_paths_do_not_load_scipy(tmp_path):
     # two workers load the pool, and still no scipy or config parser
     pool = ast.literal_eval(rows[-1][2])
     assert {"concurrent.futures.process", "multiprocessing"} <= set(pool), proc.stdout
-    assert not [m for m in pool if m.startswith("scipy") or m in ("numpy.ma", "configparser")], \
-        proc.stdout
+    assert not [m for m in pool if m.startswith("scipy")
+                or m in ("numpy.ma", "numpy.polynomial", "configparser")], proc.stdout

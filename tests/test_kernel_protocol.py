@@ -1,6 +1,7 @@
-"""The criterion quantities every arity-2 kernel answers for itself:
-``contraction_norms``, ``sqrt4_section_integral`` and ``as_grid``, each
-checked against an independent oracle."""
+"""The criterion quantities every arity-2 kernel answers for itself,
+``contraction_norms`` and ``as_grid``, each checked against an independent
+oracle; and the fourth-power integrability certificate of ``clt_criterion``,
+checked against the exact int (int f^4)^{1/2} of the test oracles."""
 
 import math
 
@@ -11,14 +12,15 @@ from scipy import integrate as si
 
 from poisson_chaos import contractions
 from poisson_chaos.chaos import clt_criterion
-from poisson_chaos.contractions import ContractionIndex, contraction_norms, star
+from poisson_chaos.contractions import contraction_norms
 from poisson_chaos.kernels import (
     BlockKernel, ContractionError, GridKernel, OUDoubleHKernel, ou_ghat,
 )
 from poisson_chaos.ou import DEFAULT_JUMPS
 from poisson_chaos.point_process import DiscreteControl, Window
 
-from kernel_oracles import OUInstantKernel
+from expansion_oracle import ContractionIndex, star
+from kernel_oracles import OUInstantKernel, sqrt4_section_integral
 
 SKEWED_JUMPS = DiscreteControl(values=(2.0, -0.5), weights=(0.3, 0.7))
 
@@ -66,7 +68,7 @@ class TestSqrt4SectionIntegral:
     def test_grid_matches_cell_loop(self, f):
         w = Window(f.edges[0], f.edges[-1])
         for control in (DEFAULT_JUMPS, SKEWED_JUMPS):
-            got = f.sqrt4_section_integral(control, w)
+            got = sqrt4_section_integral(f, control, w)
             assert got == pytest.approx(brute_sqrt4(f, control), rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("n", [1, 4, 50])
@@ -74,8 +76,8 @@ class TestSqrt4SectionIntegral:
         f = BlockKernel(n)
         w = Window(0.0, float(n))
         for control in (DEFAULT_JUMPS, SKEWED_JUMPS):
-            want = f.as_grid().sqrt4_section_integral(control, w)
-            assert f.sqrt4_section_integral(control, w) == pytest.approx(want, rel=1e-14)
+            want = sqrt4_section_integral(f.as_grid(), control, w)
+            assert sqrt4_section_integral(f, control, w) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("base, w", [
         (BlockKernel(3), Window(0.0, 3.0)),
@@ -83,25 +85,25 @@ class TestSqrt4SectionIntegral:
         (OUDoubleHKernel(0.7, 5.0), Window(-12.0, 5.0)),
     ])
     def test_scaled_is_factor_squared_times_base(self, base, w):
-        want = base.sqrt4_section_integral(SKEWED_JUMPS, w)
+        want = sqrt4_section_integral(base, SKEWED_JUMPS, w)
         for c in (2.5, -0.4):
-            assert base.scaled(c).sqrt4_section_integral(SKEWED_JUMPS, w) == c ** 2 * want
+            assert sqrt4_section_integral(base.scaled(c), SKEWED_JUMPS, w) == c ** 2 * want
 
     @pytest.mark.parametrize("x_lo", [0.0, -12.0])
     @pytest.mark.parametrize("control", [DEFAULT_JUMPS, SKEWED_JUMPS])
     def test_ou_matches_nested_quad(self, x_lo, control):
         lam, T = 1.0, 10.0
-        got = OUDoubleHKernel(lam, T).sqrt4_section_integral(control, Window(x_lo, T))
+        got = sqrt4_section_integral(OUDoubleHKernel(lam, T), control, Window(x_lo, T))
         assert got == pytest.approx(ou_sqrt4_by_quad(lam, T, x_lo, control), rel=1e-8)
 
     def test_ou_refuses_window_starting_above_zero(self):
         with pytest.raises(ValueError, match="at or below 0"):
-            OUDoubleHKernel(1.0, 10.0).sqrt4_section_integral(DEFAULT_JUMPS, Window(1.0, 10.0))
+            sqrt4_section_integral(OUDoubleHKernel(1.0, 10.0), DEFAULT_JUMPS, Window(1.0, 10.0))
 
 
 class TestCriterionOnWindowAtZero:
     def test_ou_pair_kernel_on_window_starting_at_zero(self):
-        # L = 0: no panels below 0, where exp_refined_edges would get an empty interval
+        # L = 0: the closed-form norms handle an empty negative half-line
         verdict = clt_criterion([OUDoubleHKernel(1, 10).scaled(2.0)], DEFAULT_JUMPS,
                                 Window(0.0, 10.0))
         (report,) = verdict.reports
@@ -109,6 +111,54 @@ class TestCriterionOnWindowAtZero:
         assert report.n21 == pytest.approx(
             16.0 * OUDoubleHKernel(1, 10).contraction_norms(DEFAULT_JUMPS, Window(0.0, 10.0))[1],
             rel=1e-15)
+
+
+def cauchy_schwarz_bound(f, control, w):
+    """(mu(W) int f^4)^{1/2}, which bounds int_W (int f^4 dmu)^{1/2} dmu; the
+    criterion's integrability check certifies it finite."""
+    return math.sqrt(control.mass(w) * f.lp_norm(4, control, w))
+
+
+# relative rounding slack: the bound is attained by the block kernel, whose
+# fourth-power sections are the same at every point of the window
+BOUND_SLACK = 1.0 + 1e-12
+CONTROLS = st.sampled_from([DEFAULT_JUMPS, SKEWED_JUMPS])
+
+
+class TestIntegrabilityCertificate:
+    @given(grids(), CONTROLS)
+    @settings(max_examples=40, deadline=None)
+    def test_grid_below_bound(self, f, control):
+        w = Window(f.edges[0], f.edges[-1])
+        assert sqrt4_section_integral(f, control, w) <= (
+            cauchy_schwarz_bound(f, control, w) * BOUND_SLACK)
+
+    @given(st.integers(1, 200), st.one_of(st.floats(-3.0, -0.01), st.floats(0.01, 3.0)),
+           CONTROLS)
+    @settings(max_examples=40, deadline=None)
+    def test_block_below_bound(self, n, c, control):
+        f = BlockKernel(n).scaled(c)
+        w = Window(0.0, float(n))
+        assert sqrt4_section_integral(f, control, w) <= (
+            cauchy_schwarz_bound(f, control, w) * BOUND_SLACK)
+
+    @given(st.floats(0.2, 5.0), st.floats(0.1, 200.0), st.sampled_from([0.0, -12.0]),
+           CONTROLS)
+    @settings(max_examples=30, deadline=None)
+    def test_ou_below_bound(self, lam, T, x_lo, control):
+        f = OUDoubleHKernel(lam, T)
+        w = Window(x_lo, T)
+        assert sqrt4_section_integral(f, control, w) <= (
+            cauchy_schwarz_bound(f, control, w) * BOUND_SLACK)
+
+    def test_infinite_cell_fails_integrability_alone(self, unit_jump):
+        f = GridKernel((0.0, 1.0, 2.0), np.array([[math.inf, 1.0], [1.0, 0.5]]))
+        with np.errstate(invalid="ignore"):   # matmul warns on the inf cell
+            verdict = clt_criterion([f, f], unit_jump, Window(0.0, 2.0))
+        assert [r.integrable for r in verdict.reports] == [False, False]
+        assert not verdict.passed
+        (check,) = verdict.checks
+        assert check.name == "integrability" and not check.passed
 
 
 class TestGridViewsAndNorms:
@@ -138,7 +188,6 @@ class TestGridViewsAndNorms:
         h = OUInstantKernel(1.0, 2.0)
         w = Window(-12.0, 2.0)
         for call in (lambda: h.contraction_norms(unit_jump, w),
-                     lambda: h.sqrt4_section_integral(unit_jump, w),
                      h.as_grid,
                      lambda: contraction_norms(h.scaled(2.0), unit_jump, w)):
             with pytest.raises(ContractionError):

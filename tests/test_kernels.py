@@ -12,12 +12,12 @@ from poisson_chaos.kernels import (
 from poisson_chaos.chaos import eval_I2
 from poisson_chaos.ou import linear_variance_exact
 from poisson_chaos.point_process import DiscreteControl, PointPattern, SupportError, Window
-from poisson_chaos.quadrature import exp_refined_edges, integrate_checked
+from poisson_chaos.quadrature import integrate_checked
 
 from kernel_oracles import (
     DykstraLaudHazardKernel, OUHazardKernel, grid_from_csv, grid_to_csv,
 )
-from ou_contraction_oracle import pair_overlap
+from ou_contraction_oracle import exp_refined_edges, pair_overlap
 
 
 class TestBlockKernel:
