@@ -6,8 +6,9 @@ p + q - r - l with coefficient r! C(p,r) C(q,r) C(r,l) and kernel
 sym(f *_r^l g).  ``star`` computes the p = q = 2 contractions on the
 kernels' ``as_grid`` views: outputs of arity <= 2 are materialized exactly,
 the arity-3 and arity-4 outputs (l = 0, r < 2) are lazy tensor views, so
-cubic and quartic grids are never stored.  First-order terms are materialized on shared grids.  Mixed orders
-(p != q) are not expanded: their r = 0 term has arity 3 and no lazy view.
+cubic and quartic grids are never stored.  First-order terms are
+materialized on shared grids.  Mixed orders (p != q) are not expanded:
+their r = 0 term has arity 3 and no lazy view.
 """
 
 from __future__ import annotations
