@@ -296,6 +296,45 @@ class TestGoldenRuns:
             assert (tmp_path / name).read_bytes() == (GOLDEN / run / name).read_bytes(), name
 
 
+class TestGoldenSamples:
+    """pattern.csv of `sample --config` for every control family, recorded
+    before the jump-range window was removed; the extended-Gamma cases cover
+    both branches of its x-interval (beta1 > 0 and beta1 = 0)."""
+
+    CONFIGS = {
+        "discrete": ("[control]\ntype = discrete\nvalues = 1.0,-1.0\nweights = 0.5,0.5\n"
+                     "[window]\nx_lo = -2.0\nx_hi = 30.0\n", "11"),
+        "generalized_gamma": ("[control]\ntype = generalized-gamma\nsigma = 0.5\ngamma = 1.0\n"
+                              "eps = 0.01\n[window]\nx_lo = 0.0\nx_hi = 20.0\n", "12"),
+        "extended_gamma": ("[control]\ntype = extended-gamma\nbeta0 = 1.0\nbeta1 = 1.0\n"
+                           "eps = 1e-3\n[window]\nx_lo = 2.0\nx_hi = 40.0\n", "13"),
+        "extended_gamma_flat": ("[control]\ntype = extended-gamma\nbeta0 = 2.0\nbeta1 = 0.0\n"
+                                "eps = 1e-3\n[window]\nx_lo = 1.0\nx_hi = 30.0\n", "14"),
+        "beta": ("[control]\ntype = beta\nc0 = 1.0\nc1 = 1.0\n"
+                 "[window]\nx_lo = 0.5\nx_hi = 40.0\n", "15"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_pattern_is_byte_identical(self, tmp_path, name):
+        text, seed = self.CONFIGS[name]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        rc = main(["sample", "--config", str(cfg), "--seed", seed, "--out", str(tmp_path)])
+        assert rc == 0
+        got = (tmp_path / "pattern.csv").read_bytes()
+        assert got == (GOLDEN / "sample" / f"{name}.csv").read_bytes()
+
+    @pytest.mark.parametrize("key", ["u_lo", "u_hi"])
+    def test_jump_range_key_is_a_usage_error(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[control]\ntype = discrete\nvalues = 1.0,2.0\nweights = 0.5,0.5\n"
+                       f"[window]\nx_lo = 0.0\nx_hi = 10.0\n{key} = 1.5\n", encoding="utf-8")
+        rc = main(["sample", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == USAGE_ERROR
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def _choice_argvs():
     """One small run per argparse choice of --family, --theorem and --case."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
