@@ -62,10 +62,12 @@ def control_from_section(section: dict):
 
 
 def window_from_section(section: dict) -> Window:
+    # the window spans the full jump range; any other key (a jump range
+    # u_lo/u_hi, a typo) would otherwise be ignored without a word
+    unknown = sorted(set(section) - {"x_lo", "x_hi"})
+    if unknown:
+        raise ConfigError(f"bad [window] section: unknown keys {', '.join(unknown)}")
     try:
-        return Window(
-            x_lo=float(section["x_lo"]), x_hi=float(section["x_hi"]),
-            u_lo=float(section["u_lo"]) if "u_lo" in section else None,
-            u_hi=float(section["u_hi"]) if "u_hi" in section else None)
+        return Window(x_lo=float(section["x_lo"]), x_hi=float(section["x_hi"]))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad [window] section: {exc}") from exc

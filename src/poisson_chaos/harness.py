@@ -265,35 +265,26 @@ def _run_chunk(args):
         except Exception as exc:  # abort with the offending replication pinned
             raise RuntimeError(f"replication {i} (master seed {master_seed}) failed: "
                                f"{type(exc).__name__}: {exc}") from exc
-    return lo, out
+    return out
 
 
 def collect(rep_fn, cfg, R: int, master_seed: int, workers: int = 1) -> np.ndarray:
     """Run rep_fn(cfg, rng) for R derived generators; returns the (R, m) value
-    array reduced in replication-index order regardless of worker count."""
+    array reduced in replication-index order regardless of worker count
+    (both maps return the chunks in the order they were given)."""
     if R < 1:
         raise ValueError("need at least one replication")
-    chunks = []
-    n_chunks = max(workers * 4, 1)
-    step = -(-R // n_chunks)
-    for lo in range(0, R, step):
-        chunks.append((rep_fn, cfg, master_seed, lo, min(lo + step, R)))
-    results: dict[int, list] = {}
+    step = -(-R // max(workers * 4, 1))
+    chunks = [(rep_fn, cfg, master_seed, lo, min(lo + step, R)) for lo in range(0, R, step)]
     if workers <= 1:
-        for ch in chunks:
-            lo, vals = _run_chunk(ch)
-            results[lo] = vals
+        results = map(_run_chunk, chunks)
     else:
         # imported here: the pool module and multiprocessing cost start-up
         # time that single-worker runs never use
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for lo, vals in pool.map(_run_chunk, chunks):
-                results[lo] = vals
-    ordered = []
-    for lo in sorted(results):
-        ordered.extend(results[lo])
-    arr = np.asarray(ordered, dtype=float)
+            results = list(pool.map(_run_chunk, chunks))
+    arr = np.asarray([v for chunk in results for v in chunk], dtype=float)
     return arr if arr.ndim > 1 else arr[:, None]
 
 

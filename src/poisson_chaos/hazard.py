@@ -59,11 +59,8 @@ def sample_hazard_pattern(model: HazardModel, seed) -> PointPattern:
     return sample_pattern(model.control, model.window, seed)
 
 
-def cumulative_hazard(model: HazardModel, seed=None,
-                      pattern: PointPattern | None = None) -> float:
+def cumulative_hazard(model: HazardModel, pattern: PointPattern) -> float:
     """H(T) = sum_i u_i int_0^T k(s, x_i) ds, closed form per kernel family."""
-    if pattern is None:
-        pattern = sample_hazard_pattern(model, seed)
     if not len(pattern):
         return 0.0
     w = model.kernel.time_integral(pattern.x, model.T)
@@ -176,7 +173,7 @@ def _quadratic_stats(model: HazardModel, pattern: PointPattern) -> tuple[float, 
     k1 = model.control.moment(1)
     k2 = model.control.moment(2)
     q = square_hazard_integral(model, pattern)
-    hbar = cumulative_hazard(model, pattern=pattern) / T
+    hbar = cumulative_hazard(model, pattern) / T
     raw = math.sqrt(T) * (q / T - (2.0 * tau * k2 + 4.0 * tau ** 2 * k1 ** 2))
     centered = math.sqrt(T) * (q / T - hbar ** 2 - 2.0 * tau * k2)
     return raw, centered
@@ -218,7 +215,7 @@ def rep_linear_case(args, rng) -> tuple:
     retained so reports can show the empirical centering."""
     model, case = args
     center, scale = _linear_center_scale(model, case)
-    h_total = cumulative_hazard(model, pattern=sample_hazard_pattern(model, rng))
+    h_total = cumulative_hazard(model, sample_hazard_pattern(model, rng))
     return ((h_total - center) / scale, h_total)
 
 

@@ -113,13 +113,6 @@ class Kernel:
         """
         raise ContractionError(f"no contraction-norm scheme for {type(self).__name__}")
 
-    def as_grid(self) -> "GridKernel":
-        """The kernel as a cell-constant grid, on which contractions are
-        materialized exactly."""
-        raise ContractionError(
-            "pointwise contractions are materialized for grid/block kernels only; "
-            "use contraction_norms for analytic families")
-
     def scaled(self, c: float) -> "Kernel":
         return ScaledKernel(self, float(c))
 
@@ -178,12 +171,9 @@ class GridKernel(Kernel):
         inside = (idx >= 0) & (idx <= e.size - 2) & (x >= e[0]) & (x <= e[-1])
         return np.where(inside, idx, 0), inside
 
-    def cell_masses(self, control: ControlMeasure, window: Window) -> np.ndarray:
+    def cell_masses(self, control: ControlMeasure) -> np.ndarray:
         e = self.edges
-        return np.array([
-            control.mass(Window(e[a], e[a + 1], window.u_lo, window.u_hi))
-            for a in range(len(e) - 1)
-        ])
+        return np.array([control.mass(Window(e[a], e[a + 1])) for a in range(len(e) - 1)])
 
     def __call__(self, *coords):
         if self.arity == 1:
@@ -201,7 +191,7 @@ class GridKernel(Kernel):
         return GridKernel(self.edges, 0.5 * (self.values + self.values.T))
 
     def lp_norm(self, p, control, window):
-        m = self.cell_masses(control, window)
+        m = self.cell_masses(control)
         v = np.abs(self.values) ** p
         if self.arity == 1:
             return float(v @ m)
@@ -209,17 +199,17 @@ class GridKernel(Kernel):
 
     def integral(self, control, window):
         _check_arity(self, 1)
-        return float(self.values @ self.cell_masses(control, window))
+        return float(self.values @ self.cell_masses(control))
 
     def partial_integral(self, control, window, u, x):
         _check_arity(self, 2)
-        m = self.cell_masses(control, window)
+        m = self.cell_masses(control)
         idx, inside = self._cell(x)
         return np.where(inside, (self.values @ m)[idx], 0.0)
 
     def double_integral(self, control, window):
         _check_arity(self, 2)
-        m = self.cell_masses(control, window)
+        m = self.cell_masses(control)
         return float(m @ self.values @ m)
 
     def support_excess(self, window: Window) -> float:
@@ -233,16 +223,15 @@ class GridKernel(Kernel):
 
     def contraction_norms(self, control, window):
         _check_arity(self, 2)
-        m = self.cell_masses(control, window)
+        m = self.cell_masses(control)
         v = self.values
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(m))):
+            return math.inf, math.inf, math.inf
         s11 = (v * m[:, None]).T @ v
         n11 = float(m @ (s11 ** 2) @ m)
         sec = (v ** 2).T @ m
         n21 = float(sec ** 2 @ m)
         return n11, n21, n21
-
-    def as_grid(self) -> "GridKernel":
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +276,6 @@ class ScaledKernel(Kernel):
         n11, n21, n10 = self.base.contraction_norms(control, window)
         c4 = self.factor ** 4
         return c4 * n11, c4 * n21, c4 * n10
-
-    def as_grid(self) -> GridKernel:
-        grid = self.base.as_grid()
-        return GridKernel(grid.edges, self.factor * grid.values)
 
     def scaled(self, c):
         return ScaledKernel(self.base, self.factor * float(c))
@@ -337,26 +322,26 @@ class BlockKernel(Kernel):
     def symmetrize(self):
         return self
 
-    def _block_mass(self, control, window):
+    def _block_mass(self, control):
         # blocks share one mass for homogeneous controls
-        return control.mass(Window(0.0, 1.0, window.u_lo, window.u_hi))
+        return control.mass(Window(0.0, 1.0))
 
     def lp_norm(self, p, control, window):
-        m = self._block_mass(control, window)
+        m = self._block_mass(control)
         return float(self.n * self.coef ** p * m ** 2)
 
     def partial_integral(self, control, window, u, x):
-        m = self._block_mass(control, window)
+        m = self._block_mass(control)
         _, inside = self.block_index(x)
         return np.where(inside, self.coef * m, 0.0)
 
     def double_integral(self, control, window):
-        m = self._block_mass(control, window)
+        m = self._block_mass(control)
         return float(self.n * self.coef * m ** 2)
 
     def contraction_norms(self, control, window):
         # star_1^1, star_2^1 and star_1^0 squared norms; all equal c^4 n m^k
-        m = self._block_mass(control, window)
+        m = self._block_mass(control)
         c4 = self.coef ** 4
         n11 = self.n * c4 * m ** 4
         n21 = self.n * c4 * m ** 3
@@ -365,10 +350,6 @@ class BlockKernel(Kernel):
 
     def support_excess(self, window):
         return 0.0 if (window.x_lo <= 0.0 and window.x_hi >= self.n) else math.inf
-
-    def as_grid(self) -> GridKernel:
-        vals = self.coef * np.eye(self.n)
-        return GridKernel(tuple(float(j) for j in range(self.n + 1)), vals)
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +424,12 @@ class OUSingleKernel(Kernel):
         return (2.0 / (lam * T)) * (1.0 - math.exp(-lam * T)) ** 2 * math.exp(-2 * lam * L) / (2 * lam)
 
 
-def ou_ghat(lam: float, T: float, x, y, stated_form: bool = False):
+def ou_ghat(lam: float, T: float, x, y):
     """Time integral int_{max(x,y,0)}^T 2 lam e^{-lam(2t-x-y)} dt on x, y <= T.
 
-    ``stated_form`` reproduces the reference variant whose x v y <= 0 branch
-    carries (1 - e^{-2T}) instead of (1 - e^{-2 lam T}); only the
-    lambda-corrected branch satisfies the variance limits for lambda != 1.
+    Where x v y <= 0 it is (1 - e^{-2 lam T}) e^{lam (x + y)}; a reference
+    variant with (1 - e^{-2T}) there fails the variance limits for
+    lambda != 1.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -456,10 +437,6 @@ def ou_ghat(lam: float, T: float, x, y, stated_form: bool = False):
     s = x + y
     inside = (x <= T) & (y <= T)
     val = np.exp(lam * (s - 2.0 * m)) - np.exp(lam * s - 2.0 * lam * T)
-    if stated_form:
-        neg = np.maximum(x, y) <= 0.0
-        # s <= 0 where neg; the clip keeps the unused branch from overflowing
-        val = np.where(neg, np.exp(lam * np.minimum(s, 0.0)) * (1.0 - math.exp(-2.0 * T)), val)
     return np.where(inside, val, 0.0)
 
 
@@ -555,14 +532,13 @@ class OUDoubleHKernel(Kernel):
 
     lam: float
     T: float
-    stated_form: bool = False
     arity = 2
 
     def __post_init__(self):
         _check_rate_and_horizon(self.lam, self.T)
 
     def __call__(self, u1, x1, u2, x2):
-        g = ou_ghat(self.lam, self.T, x1, x2, self.stated_form)
+        g = ou_ghat(self.lam, self.T, x1, x2)
         return np.asarray(u1) * np.asarray(u2) * g / self.T
 
     def symmetrize(self):
@@ -573,10 +549,8 @@ class OUDoubleHKernel(Kernel):
         lam, T = self.lam, self.T
         L = -window.x_lo
         E = math.exp(-2.0 * lam * T)
-        # both coordinates <= 0: Ghat = c e^{lam (x + x')} with c = 1 - E,
-        # or 1 - e^{-2T} in the stated form
-        c_neg = 1.0 - (math.exp(-2.0 * T) if self.stated_form else E)
-        both_neg = c_neg ** p * ((1.0 - math.exp(-p * lam * L)) / (p * lam)) ** 2
+        # both coordinates <= 0: Ghat = (1 - E) e^{lam (x + x')}
+        both_neg = (1.0 - E) ** p * ((1.0 - math.exp(-p * lam * L)) / (p * lam)) ** 2
         # 2 * int_0^T e^{p lam x}(e^{-2 lam x} - E)^p (e^{p lam x} - e^{-p lam L})/(p lam) dx
         first = 0.0   # int_0^T e^{2 p lam x} (e^{-2 lam x} - E)^p dx
         second = 0.0  # int_0^T e^{p lam x} (e^{-2 lam x} - E)^p dx
@@ -598,13 +572,6 @@ class OUDoubleHKernel(Kernel):
         mom = control.abs_moment(p)
         return mom ** 2 * self._ghat_sq_double_integral(p, window) / self.T ** p
 
-    def _stated_excess(self, window: Window) -> tuple[float, float]:
-        # stated minus corrected Ghat on x, t <= 0 is d e^{lam x} e^{lam t};
-        # returns d and m = int_{x_lo}^0 e^{lam t} dt
-        lam, T = self.lam, self.T
-        d = math.exp(-2.0 * lam * T) - math.exp(-2.0 * T)
-        return d, (1.0 - math.exp(-lam * max(-window.x_lo, 0.0))) / lam
-
     def partial_integral(self, control, window, u, x):
         # int H((u,x), z) mu(dz) = u K1 C_1(x) / T, over z in [x_lo, T]
         k1 = control.moment(1)
@@ -612,9 +579,6 @@ class OUDoubleHKernel(Kernel):
         if k1 == 0.0:
             return np.zeros_like(x)
         sec = self._shape_power_section(1, x, window)
-        if self.stated_form:
-            d, m = self._stated_excess(window)
-            sec = sec + np.where(x <= 0.0, d * m * np.exp(self.lam * np.minimum(x, 0.0)), 0.0)
         return np.asarray(u) * k1 * np.where(x <= self.T, sec, 0.0) / self.T
 
     def double_integral(self, control, window):
@@ -627,8 +591,8 @@ class OUDoubleHKernel(Kernel):
         """sum_{i != j} H(z_i, z_j) in O(n log n), without the pair matrix.
 
         On x, y <= T, Ghat(x, y) is e^{-lam |x - y|} where max(x, y) > 0 and
-        c e^{lam (x + y)} where both are <= 0 (c = 1, or the stated-form
-        factor), less e^{lam (x + y) - 2 lam T} everywhere.  Over atoms sorted
+        e^{lam (x + y)} where both are <= 0, less e^{lam (x + y) - 2 lam T}
+        everywhere.  Over atoms sorted
         by x the first part needs R_k = sum_{j < k} u_j e^{-lam (x_k - x_j)},
         a numpy scan over chunks of atoms: in a chunk that starts at x0 and
         spans lam (x - x0) <= _SCAN_SPAN, with g = e^{lam (x - x0)},
@@ -663,10 +627,7 @@ class OUDoubleHKernel(Kernel):
             start = stop
         first_pos = int(np.searchsorted(x, 0.0, side="right"))
         near = 2.0 * _dot(u[first_pos:], recursion[first_pos:])
-        c_neg = 1.0
-        if self.stated_form:
-            c_neg += math.exp(-2.0 * lam * T) - math.exp(-2.0 * T)
-        neg = c_neg * _distinct_pair_sum(u[:first_pos] * np.exp(lam * x[:first_pos]))
+        neg = _distinct_pair_sum(u[:first_pos] * np.exp(lam * x[:first_pos]))
         tail = _distinct_pair_sum(u * np.exp(lam * (x - T)))
         return float(near + neg - tail) / T
 
@@ -680,10 +641,6 @@ class OUDoubleHKernel(Kernel):
         return self._ghat_sq_double_integral(2, Window(-L - 40.0 / lam, T)) * math.exp(-2 * lam * L) / T ** 2
 
     # ---- contraction machinery --------------------------------------------
-
-    def _require_corrected_form(self, what: str) -> None:
-        if self.stated_form:
-            raise ValueError(f"{what} models only the corrected (stated_form=False) kernel")
 
     def _shape_power_section(self, p: int, y, window: Window):
         """C_p(y) = int_window Ghat(x, y)^p dx, vectorized in y."""
@@ -751,8 +708,6 @@ class OUDoubleHKernel(Kernel):
         exponential polynomial in x, listed in _OU_NORM_PARTS, so no sum
         above cancels; see _exp_poly for how each part is evaluated.
         """
-        # the closed forms model the corrected kernel on [x_lo <= 0, T]
-        self._require_corrected_form("contraction_norms")
         if window.x_lo > 0.0:
             raise ValueError("contraction_norms needs a window starting at or below 0")
         lam, T = self.lam, self.T
@@ -778,14 +733,13 @@ class OUDiagHstarKernel(Kernel):
 
     lam: float
     T: float
-    stated_form: bool = False
     arity = 1
 
     def __post_init__(self):
         _check_rate_and_horizon(self.lam, self.T)
 
     def __call__(self, u, x):
-        g = ou_ghat(self.lam, self.T, x, x, self.stated_form)
+        g = ou_ghat(self.lam, self.T, x, x)
         return np.asarray(u) ** 2 * g / self.T
 
     def _shape_integral(self, p: int, window: Window) -> float:

@@ -70,11 +70,9 @@ def sample_ou_pattern(cfg: OUConfig, seed) -> PointPattern:
 # ---------------------------------------------------------------------------
 
 
-def linear_stat(cfg: OUConfig, seed=None, pattern: PointPattern | None = None) -> float:
+def linear_stat(cfg: OUConfig, pattern: PointPattern) -> float:
     """T^{-1/2} int_0^T Y_t dt, evaluated as a single compensated integral
     (no path discretization)."""
-    if pattern is None:
-        pattern = sample_ou_pattern(cfg, seed)
     kern = OUSingleKernel(cfg.lam, cfg.T)
     return eval_I1(kern, pattern, cfg.jumps)
 
@@ -89,26 +87,19 @@ class QuadraticStat:
         return self.k2 + self.k1
 
 
-def quadratic_stat(cfg: OUConfig, seed=None, pattern: PointPattern | None = None) -> QuadraticStat:
+def quadratic_stat(cfg: OUConfig, pattern: PointPattern) -> QuadraticStat:
     """sqrt(T) (V_T - 1) split into its double- and single-integral parts:
     k2 = I2(sqrt(T) H), k1 = I1(sqrt(T) Hstar)."""
-    if pattern is None:
-        pattern = sample_ou_pattern(cfg, seed)
     scale = math.sqrt(cfg.T)
     k2 = eval_I2(OUDoubleHKernel(cfg.lam, cfg.T).scaled(scale), pattern, cfg.jumps)
     k1 = eval_I1(OUDiagHstarKernel(cfg.lam, cfg.T).scaled(scale), pattern, cfg.jumps)
     return QuadraticStat(k2=k2, k1=k1)
 
 
-def sample_variance_stat(cfg: OUConfig, seed=None, pattern: PointPattern | None = None,
-                         parts: tuple[QuadraticStat, float] | None = None) -> float:
+def sample_variance_stat(cfg: OUConfig, quad: QuadraticStat, lin: float) -> float:
     """sqrt(T) ((1/T) int (Y - Ybar)^2 dt - 1) via the exact split
-    quadratic_total - T^{-1/2} linear^2."""
-    if parts is None:
-        if pattern is None:
-            pattern = sample_ou_pattern(cfg, seed)
-        parts = (quadratic_stat(cfg, pattern=pattern), linear_stat(cfg, pattern=pattern))
-    quad, lin = parts
+    quadratic_total - T^{-1/2} linear^2, from the quadratic and linear
+    statistics of one pattern."""
     return quad.total - lin ** 2 / math.sqrt(cfg.T)
 
 
@@ -148,14 +139,14 @@ def k2_variance_exact(lam: float, T: float, moment2: float = 1.0) -> float:
 
 
 def rep_linear(cfg: OUConfig, rng) -> float:
-    return linear_stat(cfg, seed=rng)
+    return linear_stat(cfg, sample_ou_pattern(cfg, rng))
 
 
 def rep_quadratic(cfg: OUConfig, rng):
     """One replication of all quadratic observables from a shared pattern:
     (k2, k1, total, sample-variance stat, linear stat)."""
     pattern = sample_ou_pattern(cfg, rng)
-    quad = quadratic_stat(cfg, pattern=pattern)
-    lin = linear_stat(cfg, pattern=pattern)
-    sv = sample_variance_stat(cfg, parts=(quad, lin))
+    quad = quadratic_stat(cfg, pattern)
+    lin = linear_stat(cfg, pattern)
+    sv = sample_variance_stat(cfg, quad, lin)
     return (quad.k2, quad.k1, quad.total, sv, lin)

@@ -15,7 +15,6 @@ second-moment mass is reported so callers can bound the bias.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,35 +47,22 @@ class SupportError(ValueError):
 
 @dataclass(frozen=True)
 class Window:
-    """Rectangle [x_lo, x_hi] x [u_lo, u_hi] in Z; u bounds of None mean the
-    full support of the jump marginal."""
+    """Strip [x_lo, x_hi] x (full support of the jump marginal) in Z."""
 
     x_lo: float
     x_hi: float
-    u_lo: float | None = None
-    u_hi: float | None = None
 
     def __post_init__(self):
         if not self.x_hi > self.x_lo:
             raise ValueError(f"degenerate window: x in [{self.x_lo}, {self.x_hi}]")
-        if self.u_lo is not None and self.u_hi is not None and not self.u_hi > self.u_lo:
-            raise ValueError("degenerate window: empty jump range")
 
     @property
     def length(self) -> float:
         return self.x_hi - self.x_lo
 
-    def contains_x(self, x) -> np.ndarray:
+    def contains(self, x) -> np.ndarray:
         x = np.asarray(x)
         return (x >= self.x_lo) & (x <= self.x_hi)
-
-    def contains(self, u, x) -> np.ndarray:
-        ok = self.contains_x(x)
-        if self.u_lo is not None:
-            ok = ok & (np.asarray(u) >= self.u_lo)
-        if self.u_hi is not None:
-            ok = ok & (np.asarray(u) <= self.u_hi)
-        return ok
 
 
 @dataclass(frozen=True)
@@ -99,7 +85,7 @@ class PointPattern:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         if self.u.shape != self.x.shape:
             raise ValueError("u and x must be parallel arrays")
-        if self.u.size and not bool(np.all(self.window.contains(self.u, self.x))):
+        if self.u.size and not bool(np.all(self.window.contains(self.x))):
             raise ValueError("atom outside window")
 
     def __len__(self) -> int:
@@ -191,14 +177,14 @@ class ControlMeasure:
     homogeneous: bool = True
 
     # -- masses ------------------------------------------------------------
-    def jump_mass(self, u_lo=None, u_hi=None) -> float:
+    def jump_mass(self) -> float:
         raise NotImplementedError
 
     def mass(self, window: Window) -> float:
         raise NotImplementedError
 
     # -- moments -----------------------------------------------------------
-    def moment(self, i: int, u_lo=None, u_hi=None) -> float:
+    def moment(self, i: int) -> float:
         """K_nu^(i) = int u^i nu(du) over the (truncated) support."""
         raise NotImplementedError
 
@@ -230,11 +216,13 @@ class DiscreteControl(ControlMeasure):
             raise ValueError("discrete jump weights must be positive")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        # read-only arrays, the full-range sampling CDF and the full-range
-        # moments of orders 0-4 (all the statistics use), built once; not
-        # fields, so eq and hash still see only the tuples
+        # read-only arrays, the sampling CDF (the one Generator.choice builds
+        # from p = w / w.sum()) and the moments of orders 0-4 (all the
+        # statistics use), built once; not fields, so eq and hash still see
+        # only the tuples
         vals, w = np.array(self.values), np.array(self.weights)
-        cdf = _choice_cdf(w)
+        cdf = np.cumsum(w / w.sum())
+        cdf /= cdf[-1]
         for a in (vals, w, cdf):
             a.setflags(write=False)
         object.__setattr__(self, "_values", vals)
@@ -242,52 +230,29 @@ class DiscreteControl(ControlMeasure):
         object.__setattr__(self, "_cdf", cdf)
         object.__setattr__(self, "_moments", {i: float(np.sum(w * vals ** i)) for i in range(5)})
 
-    def _sel(self, u_lo, u_hi):
-        vals, w = self._values, self._weights
-        if u_lo is None and u_hi is None:
-            return vals, w
-        keep = np.ones(vals.size, dtype=bool)
-        if u_lo is not None:
-            keep &= vals >= u_lo
-        if u_hi is not None:
-            keep &= vals <= u_hi
-        return vals[keep], w[keep]
-
-    def jump_mass(self, u_lo=None, u_hi=None) -> float:
-        _, w = self._sel(u_lo, u_hi)
-        return float(w.sum())
+    def jump_mass(self) -> float:
+        return float(self._weights.sum())
 
     def mass(self, window: Window) -> float:
-        return self.jump_mass(window.u_lo, window.u_hi) * window.length
+        return self.jump_mass() * window.length
 
-    def moment(self, i: int, u_lo=None, u_hi=None) -> float:
-        if u_lo is None and u_hi is None and i in self._moments:
+    def moment(self, i: int) -> float:
+        if i in self._moments:
             return self._moments[i]
-        v, w = self._sel(u_lo, u_hi)
-        return float(np.sum(w * v ** i))
+        return float(np.sum(self._weights * self._values ** i))
 
     def abs_moment(self, i: int) -> float:
         return float(np.sum(self._weights * np.abs(self._values) ** i))
 
     def sample(self, window: Window, rng: np.random.Generator):
-        vals, w = self._sel(window.u_lo, window.u_hi)
-        total = w.sum() * window.length
+        total = self._weights.sum() * window.length
         n = rng.poisson(total)
         x = rng.uniform(window.x_lo, window.x_hi, size=n)
         if not n:
             return np.empty(0), x, float(total)
-        full_range = window.u_lo is None and window.u_hi is None
-        cdf = self._cdf if full_range else _choice_cdf(w)
         # rng.choice(vals, size=n, p=w / w.sum()), draw for draw
-        u = vals.take(cdf.searchsorted(rng.random(n), side="right"))
+        u = self._values.take(self._cdf.searchsorted(rng.random(n), side="right"))
         return u, x, float(total)
-
-
-def _choice_cdf(w: np.ndarray) -> np.ndarray:
-    # the CDF Generator.choice builds from p = w / w.sum()
-    cdf = np.cumsum(w / w.sum())
-    cdf /= cdf[-1]
-    return cdf
 
 
 def _upper_gamma(a: float, z: float) -> float:
@@ -331,39 +296,32 @@ class GeneralizedGammaControl(ControlMeasure):
         from scipy.special import gamma as gamma_fn
         return 1.0 / float(gamma_fn(1.0 - self.sigma))
 
-    def moment(self, i: int, u_lo=None, u_hi=None) -> float:
-        lo = self.eps if u_lo is None else max(u_lo, self.eps)
-        if i == 0:
-            if lo <= 0.0:
-                raise InfiniteMassError("zeroth moment diverges without truncation")
-        part = _upper_gamma(i - self.sigma, self.gamma * lo)
-        if u_hi is not None:
-            part -= _upper_gamma(i - self.sigma, self.gamma * u_hi)
+    def moment(self, i: int) -> float:
+        if i == 0 and self.eps <= 0.0:
+            raise InfiniteMassError("zeroth moment diverges without truncation")
+        part = _upper_gamma(i - self.sigma, self.gamma * self.eps)
         return self._norm() * self.gamma ** (self.sigma - i) * part
 
-    def jump_mass(self, u_lo=None, u_hi=None) -> float:
+    def jump_mass(self) -> float:
         self._require_eps()
-        return self.moment(0, u_lo, u_hi)
+        return self.moment(0)
 
     def mass(self, window: Window) -> float:
-        return self.jump_mass(window.u_lo, window.u_hi) * window.length
+        return self.jump_mass() * window.length
 
     def neglected_second_moment(self) -> float:
         # int_0^eps u^2 nu(du), finite for all sigma in (0,1)
         full = self._norm() * self.gamma ** (self.sigma - 2) * _upper_gamma(2 - self.sigma, 0.0)
         return full - self.moment(2)
 
-    def _u_grid(self, u_lo, u_hi):
-        lo = self.eps if u_lo is None else max(u_lo, self.eps)
+    def _u_grid(self):
         self._require_eps()
-        hi = u_hi if u_hi is not None else lo + 60.0 / self.gamma
-        return np.geomspace(lo, hi, self._table_size)
+        return np.geomspace(self.eps, self.eps + 60.0 / self.gamma, self._table_size)
 
     def _compute_window_constants(self, window: Window):
-        grid = self._u_grid(window.u_lo, window.u_hi)
+        grid = self._u_grid()
         dens = np.exp(-self.gamma * grid) * grid ** (-1.0 - self.sigma)
-        return (_InverseCDF(grid, dens),
-                float(self.jump_mass(window.u_lo, window.u_hi) * window.length))
+        return _InverseCDF(grid, dens), float(self.jump_mass() * window.length)
 
     def sample(self, window: Window, rng: np.random.Generator):
         table, total = _window_constants(self, window)
@@ -380,13 +338,13 @@ class ExtendedGammaControl(ControlMeasure):
 
     The u-marginal is infinite-activity (u^{-1} at the origin); jumps below
     eps are dropped.  Sampling is exact conditional sampling in v = beta(x) u:
-    du / u = dv / v, so mu is e^{-v} / v dv dx on beta(x) lo <= v <=
-    beta(x) hi, and given v the time x is uniform on the closed interval
-    [a(v), b(v)] of window times with beta(x) lo <= v <= beta(x) hi.  A call
+    du / u = dv / v, so mu is e^{-v} / v dv dx on v >= beta(x) eps, and
+    given v the time x is uniform on the closed interval [x_lo, b(v)] of
+    window times with beta(x) eps <= v (beta is nondecreasing).  A call
     draws a Poisson count, v from a 4096-point inverse-CDF table of
-    e^{-v} / v (b(v) - a(v)) on [beta(x_lo) lo, beta(x_lo) lo + 80] (capped
-    at beta(x_hi) hi; the kinks of b - a are grid points and each smooth
-    piece between them gets 33 more), x uniform on [a(v), b(v)] and
+    e^{-v} / v (b(v) - x_lo) on [beta(x_lo) eps, beta(x_lo) eps + 80] (the
+    kink of b at beta(x_hi) eps, where b reaches x_hi, is a grid point and
+    each smooth piece beside it gets 33 more), x uniform on [x_lo, b(v)] and
     u = v / beta(x); nothing is rejected.  The table and
     mu(window) depend only on the (control, window) pair and are computed
     once per process.  mu(window) and the per-time masses and moments call
@@ -414,16 +372,11 @@ class ExtendedGammaControl(ControlMeasure):
             raise InfiniteMassError(
                 "extended-Gamma marginal has infinite mass without truncation (eps = 0)")
 
-    def x_mass(self, x, u_lo=None, u_hi=None):
-        """Per-time u-mass int e^{-beta(x)u}/u du over the truncated range."""
+    def x_mass(self, x):
+        """Per-time u-mass int e^{-beta(x)u}/u du over [eps, inf)."""
         from scipy.special import exp1
         self._require_eps()
-        lo = self.eps if u_lo is None else max(u_lo, self.eps)
-        b = self.beta(x)
-        out = exp1(b * lo)
-        if u_hi is not None:
-            out = out - exp1(b * u_hi)
-        return out
+        return exp1(self.beta(x) * self.eps)
 
     def x_moment(self, i: int, x):
         """int u^i e^{-beta(x)u}/u du over [eps, inf) for i >= 1."""
@@ -433,7 +386,7 @@ class ExtendedGammaControl(ControlMeasure):
         b = self.beta(x)
         return gamma_fn(i) * gammaincc(i, b * self.eps) / b ** i
 
-    def moment(self, i: int, u_lo=None, u_hi=None) -> float:
+    def moment(self, i: int) -> float:
         raise ValueError("non-homogeneous control has no global jump moments; use x_moment")
 
     def neglected_mean_mass(self) -> float:
@@ -445,22 +398,18 @@ class ExtendedGammaControl(ControlMeasure):
         self._require_eps()
         if window.x_lo < 0:
             raise ValueError("extended-Gamma control is supported on x > 0")
-        val, _ = quad(lambda x: self.x_mass(x, window.u_lo, window.u_hi),
-                      window.x_lo, window.x_hi, epsabs=1e-11, epsrel=1e-9, limit=400)
+        val, _ = quad(self.x_mass, window.x_lo, window.x_hi,
+                      epsabs=1e-11, epsrel=1e-9, limit=400)
         return float(val)
 
-    def _x_interval(self, v: np.ndarray, lo: float, hi: float, window: Window):
-        """Closed interval [a, b] of window times x with beta(x) lo <= v <=
-        beta(x) hi, elementwise in v (hi may be inf)."""
+    def _x_end(self, v: np.ndarray, window: Window) -> np.ndarray:
+        """b(v), the last window time x with beta(x) eps <= v, elementwise
+        in v; a fresh array."""
         if self.beta1 == 0.0:
-            a = np.where(v <= self.beta0 * hi, window.x_lo, window.x_hi)
-            b = np.where(v >= self.beta0 * lo, window.x_hi, window.x_lo)
-            return a, b
-        return self._beta_inverse(v / hi, window), self._beta_inverse(v / lo, window)
-
-    def _beta_inverse(self, s: np.ndarray, window: Window) -> np.ndarray:
-        # ((s - beta0) / beta1)_+^2, the x >= 0 with beta(x) = s (0 where
-        # s <= beta0), clipped to the window; s is a fresh array, overwritten
+            return np.where(v >= self.beta0 * self.eps, window.x_hi, window.x_lo)
+        # ((v / eps - beta0) / beta1)_+^2, the x >= 0 with beta(x) = v / eps
+        # (0 where v / eps <= beta0), clipped to the window
+        s = v / self.eps
         s -= self.beta0
         s /= self.beta1
         np.maximum(s, 0.0, out=s)
@@ -469,43 +418,41 @@ class ExtendedGammaControl(ControlMeasure):
 
     def _compute_window_constants(self, window: Window):
         self._require_eps()
-        lo = self.eps if window.u_lo is None else max(window.u_lo, self.eps)
-        hi = math.inf if window.u_hi is None else window.u_hi
-        b_lo, b_hi = float(self.beta(window.x_lo)), float(self.beta(window.x_hi))
-        v_lo = b_lo * lo
-        v_hi = min(b_hi * hi, v_lo + 80.0)
-        # b - a is smooth between the kinks b_hi lo (b reaches x_hi) and
-        # b_lo hi (a leaves x_lo).  Each piece between them gets its own
-        # _PIECE_POINTS geometric points besides the global grid, so a piece
-        # narrower than the grid spacing is still resolved.  Sorting and
-        # masking repeats avoids np.unique, which loads numpy.ma.
-        kinks = [k for k in (b_hi * lo, b_lo * hi) if v_lo < k < v_hi]
-        edges = sorted([v_lo, v_hi] + kinks)
+        v_lo = float(self.beta(window.x_lo)) * self.eps
+        v_hi = v_lo + 80.0
+        # b is smooth on each side of the kink beta(x_hi) eps, where it
+        # reaches x_hi.  Each piece gets its own _PIECE_POINTS geometric
+        # points besides the global grid, so a piece narrower than the grid
+        # spacing is still resolved.  Sorting and masking repeats avoids
+        # np.unique, which loads numpy.ma.
+        kink = float(self.beta(window.x_hi)) * self.eps
+        edges = [v_lo, kink, v_hi] if v_lo < kink < v_hi else [v_lo, v_hi]
         grid = np.sort(np.concatenate(
             [np.geomspace(v_lo, v_hi, self._table_size)]
             + [np.geomspace(p, q, _PIECE_POINTS) for p, q in zip(edges[:-1], edges[1:])]))
         grid = grid[np.concatenate([[True], np.diff(grid) > 0.0])]
-        a, b = self._x_interval(grid, lo, hi, window)
-        table = _InverseCDF(grid, np.exp(-grid) / grid * (b - a))
-        return table, lo, hi, self.mass(window)
+        b = self._x_end(grid, window)
+        b -= window.x_lo
+        table = _InverseCDF(grid, np.exp(-grid) / grid * b)
+        return table, self.mass(window)
 
     def sample(self, window: Window, rng: np.random.Generator):
-        table, lo, hi, mass = _window_constants(self, window)
+        table, mass = _window_constants(self, window)
         n = rng.poisson(table.total)
         v = table.lookup(rng.random(n))
-        a, b = self._x_interval(v, lo, hi, window)
+        b = self._x_end(v, window)
         x = rng.random(n)
-        b -= a
+        b -= window.x_lo
         x *= b
-        x += a
-        np.minimum(x, window.x_hi, out=x)   # a + (b - a) t can round above b
+        x += window.x_lo
+        np.minimum(x, window.x_hi, out=x)   # x_lo + (b - x_lo) t can round above b
         # u = v / beta(x) with no temporaries besides u; x >= 0 here, so
         # beta's clamp at 0 is not needed
         u = np.sqrt(x)
         u *= self.beta1
         u += self.beta0
         np.divide(v, u, out=u)
-        return np.clip(u, lo, hi, out=u), x, mass
+        return np.maximum(u, self.eps, out=u), x, mass
 
 
 @dataclass(frozen=True)
@@ -530,12 +477,6 @@ class BetaControl(ControlMeasure):
     def c(self, x):
         return np.maximum(self.c1 * np.sqrt(np.maximum(np.asarray(x, dtype=float), 0.0)), self.c0)
 
-    def x_mass(self, x, u_lo=None, u_hi=None):
-        c = self.c(x)
-        lo = 0.0 if u_lo is None else max(u_lo, 0.0)
-        hi = 1.0 if u_hi is None else min(u_hi, 1.0)
-        return (1.0 - lo) ** c - (1.0 - hi) ** c
-
     def x_moment(self, i: int, x):
         # int u^i c (1-u)^{c-1} du = i! / ((c+1)...(c+i))
         c = self.c(x)
@@ -544,23 +485,16 @@ class BetaControl(ControlMeasure):
             out = out * k / (c + k)
         return out
 
-    def moment(self, i: int, u_lo=None, u_hi=None) -> float:
+    def moment(self, i: int) -> float:
         raise ValueError("non-homogeneous control has no global jump moments; use x_moment")
 
     def mass(self, window: Window) -> float:
         if window.x_lo < 0:
             raise ValueError("Beta control is supported on x > 0")
-        if window.u_lo is None and window.u_hi is None:
-            return window.length
-        from scipy.integrate import quad
-        val, _ = quad(lambda x: self.x_mass(x, window.u_lo, window.u_hi),
-                      window.x_lo, window.x_hi, epsabs=1e-12, epsrel=1e-10, limit=400)
-        return float(val)
+        return window.length
 
     def sample(self, window: Window, rng: np.random.Generator):
         # exact conditional inversion: u | x ~ 1 - (1-V)^{1/c(x)}
-        if window.u_lo is not None or window.u_hi is not None:
-            raise NotImplementedError("Beta control sampling uses the full jump range")
         total = window.length
         n = rng.poisson(total)
         x = rng.uniform(window.x_lo, window.x_hi, size=n)

@@ -104,7 +104,7 @@ def levy_khinchine_cf(g: Kernel, theta: float, control: ControlMeasure,
     if theta == 0.0:
         return 1.0 + 0.0j
     if isinstance(g, GridKernel):
-        m = g.cell_masses(control, window)
+        m = g.cell_masses(control)
         v = g.values
         expo = np.sum(m * (np.exp(1j * theta * v) - 1.0 - 1j * theta * v))
         return complex(np.exp(expo))

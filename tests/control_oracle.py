@@ -18,9 +18,8 @@ from poisson_chaos.point_process import (BetaControl, ControlMeasure, DiscreteCo
 
 
 def integrate_discrete(ctrl: DiscreteControl, fn, window: Window) -> float:
-    vals, w = ctrl._sel(window.u_lo, window.u_hi)
     total = 0.0
-    for v, wt in zip(vals, w):
+    for v, wt in zip(ctrl.values, ctrl.weights):
         val, _ = quad(lambda x, v=v: fn(np.asarray([v]), np.asarray([x]))[0],
                       window.x_lo, window.x_hi, epsabs=1e-12, epsrel=1e-10, limit=400)
         total += wt * val
@@ -29,8 +28,7 @@ def integrate_discrete(ctrl: DiscreteControl, fn, window: Window) -> float:
 
 def integrate_generalized_gamma(ctrl: GeneralizedGammaControl, fn, window: Window) -> float:
     ctrl._require_eps()
-    lo = ctrl.eps if window.u_lo is None else max(window.u_lo, ctrl.eps)
-    hi = window.u_hi if window.u_hi is not None else lo + 60.0 / ctrl.gamma
+    lo, hi = ctrl.eps, ctrl.eps + 60.0 / ctrl.gamma
 
     def inner(u):
         val, _ = quad(lambda x: fn(np.asarray([u]), np.asarray([x]))[0],
@@ -43,8 +41,7 @@ def integrate_generalized_gamma(ctrl: GeneralizedGammaControl, fn, window: Windo
 
 def integrate_extended_gamma(ctrl: ExtendedGammaControl, fn, window: Window) -> float:
     ctrl._require_eps()
-    lo = ctrl.eps if window.u_lo is None else max(window.u_lo, ctrl.eps)
-    hi = window.u_hi if window.u_hi is not None else lo + 80.0 / ctrl.beta0
+    lo, hi = ctrl.eps, ctrl.eps + 80.0 / ctrl.beta0
 
     def inner(x):
         val, _ = quad(lambda u: fn(np.asarray([u]), np.asarray([x]))[0]
@@ -90,4 +87,4 @@ def compensated_count(pattern: PointPattern, region: Window, control: ControlMea
     """Count of atoms in the region minus mu(region)."""
     if region.x_lo < pattern.window.x_lo - 1e-12 or region.x_hi > pattern.window.x_hi + 1e-12:
         raise SupportError("region extends outside the sampled window")
-    return np.count_nonzero(region.contains(pattern.u, pattern.x)) - control.mass(region)
+    return np.count_nonzero(region.contains(pattern.x)) - control.mass(region)

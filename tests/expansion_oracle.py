@@ -4,9 +4,10 @@ pathwise product-formula tests.
 ``product_expand`` lists, for each r <= p ^ q and l <= r, the term of order
 p + q - r - l with coefficient r! C(p,r) C(q,r) C(r,l) and kernel
 sym(f *_r^l g).  ``star`` computes the p = q = 2 contractions on the
-kernels' ``as_grid`` views: outputs of arity <= 2 are materialized exactly,
-the arity-3 and arity-4 outputs (l = 0, r < 2) are lazy tensor views, so
-cubic and quartic grids are never stored.  First-order terms are
+kernels' ``as_grid`` views (grid, block and scaled kernels): outputs of
+arity <= 2 are materialized exactly, the arity-3 and arity-4 outputs
+(l = 0, r < 2) are lazy tensor views, so cubic and quartic grids are never
+stored.  First-order terms are
 materialized on shared grids.  Mixed orders (p != q) are not expanded:
 their r = 0 term has arity 3 and no lazy view.
 """
@@ -18,8 +19,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from poisson_chaos.kernels import ContractionError, GridKernel, Kernel, _check_arity
+from poisson_chaos.kernels import (BlockKernel, ContractionError, GridKernel, Kernel,
+                                   ScaledKernel, _check_arity)
 from poisson_chaos.point_process import ControlMeasure, Window
+
+
+def as_grid(kernel: Kernel) -> GridKernel:
+    """The kernel as a cell-constant grid, on which contractions are
+    materialized exactly: a grid kernel is its own view, a block kernel is
+    the diagonal grid on its unit blocks, and a scaled kernel is its base's
+    view times the factor."""
+    if isinstance(kernel, GridKernel):
+        return kernel
+    if isinstance(kernel, ScaledKernel):
+        grid = as_grid(kernel.base)
+        return GridKernel(grid.edges, kernel.factor * grid.values)
+    if isinstance(kernel, BlockKernel):
+        return GridKernel(tuple(float(j) for j in range(kernel.n + 1)),
+                          kernel.coef * np.eye(kernel.n))
+    raise ContractionError(
+        "pointwise contractions are materialized for grid/block kernels only; "
+        "use contraction_norms for analytic families")
 
 
 @dataclass(frozen=True)
@@ -68,13 +88,13 @@ def star(f: Kernel, g: Kernel, idx: ContractionIndex,
     _check_arity(f, 2)
     _check_arity(g, 2)
     idx.validate(2, 2)
-    f, g = f.as_grid(), g.as_grid()
+    f, g = as_grid(f), as_grid(g)
     if f.edges != g.edges:
         raise ContractionError("grid kernels must share a partition")
     r, l = idx.r, idx.l
     if l == 0 and r < 2:
         return LazyTensorKernel(f, g, r)
-    m = f.cell_masses(control, window)
+    m = f.cell_masses(control)
     vf, vg = f.values, g.values
     if (r, l) == (1, 1):
         return GridKernel(f.edges, (vf * m[:, None]).T @ vg)
@@ -161,5 +181,5 @@ def _pointwise_product(g: GridKernel, h: GridKernel) -> GridKernel:
 
 def _inner_product(g: GridKernel, h: GridKernel, control, window) -> float:
     _require_grids(g, h)
-    m = g.cell_masses(control, window)
+    m = g.cell_masses(control)
     return float(np.sum(g.values * h.values * m))

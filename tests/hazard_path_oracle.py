@@ -7,18 +7,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from poisson_chaos.hazard import HazardModel, sample_hazard_pattern
+from poisson_chaos.hazard import HazardModel
 from poisson_chaos.kernels import RectHazardKernel
 from poisson_chaos.point_process import PointPattern
 
 from control_oracle import integrate
 
 
-def simulate_hazard(model: HazardModel, seed, times,
-                    pattern: PointPattern | None = None) -> np.ndarray:
+def simulate_hazard(model: HazardModel, times, pattern: PointPattern) -> np.ndarray:
     """h on a time grid, exactly from the atoms."""
-    if pattern is None:
-        pattern = sample_hazard_pattern(model, seed)
     times = np.asarray(times, dtype=float)
     if not len(pattern):
         return np.zeros_like(times)
@@ -44,14 +41,14 @@ def hazard_grid_times(model: HazardModel, pattern: PointPattern, n_points: int) 
 
 def cumulative_hazard_grid(model: HazardModel, pattern: PointPattern, n_points: int) -> float:
     times = hazard_grid_times(model, pattern, n_points)
-    h = simulate_hazard(model, None, times, pattern=pattern)
+    h = simulate_hazard(model, times, pattern)
     return float(np.trapezoid(h, times))
 
 
 def square_hazard_integral_grid(model: HazardModel, pattern: PointPattern,
                                 n_points: int) -> float:
     times = hazard_grid_times(model, pattern, n_points)
-    h = simulate_hazard(model, None, times, pattern=pattern)
+    h = simulate_hazard(model, times, pattern)
     return float(np.trapezoid(h ** 2, times))
 
 

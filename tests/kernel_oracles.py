@@ -123,11 +123,11 @@ def sqrt4_section_integral(kernel: Kernel, control, window) -> float:
         return kernel.factor ** 2 * sqrt4_section_integral(kernel.base, control, window)
     if isinstance(kernel, GridKernel):
         # exact cell sum: sum_a m_a (sum_b m_b v_ab^4)^{1/2}
-        m = kernel.cell_masses(control, window)
+        m = kernel.cell_masses(control)
         return float(m @ np.sqrt(kernel.values ** 4 @ m))
     if isinstance(kernel, BlockKernel):
         # each block contributes m (c^4 m)^{1/2}
-        m = kernel._block_mass(control, window)
+        m = kernel._block_mass(control)
         return kernel.n * kernel.coef ** 2 * m ** 1.5
     if isinstance(kernel, OUDoubleHKernel):
         return ou_sqrt4_section_integral(kernel, control, window)

@@ -50,7 +50,6 @@ def exp_refined_edges(lo: float, hi: float, scale: float, base_panels: int = 4) 
 
 def pair_overlap(kernel, y, yp, window):
     """W(y, y') = int_window Ghat(x, y) Ghat(x, y') dx, exact and stable."""
-    kernel._require_corrected_form("pair_overlap")
     lam, T = kernel.lam, kernel.T
     L = -window.x_lo
     y = np.asarray(y, dtype=float)
@@ -80,7 +79,6 @@ def contraction_norms_by_quadrature(kernel, control, window, nodes=18):
     """(n11, n21, n10, rel_discrepancy) of an unscaled OUDoubleHKernel; the
     last entry is the two-level discrepancy of the n11 double integral.
     Raises QuadratureError when either two-level check fails."""
-    kernel._require_corrected_form("contraction_norms")
     lam, T = kernel.lam, kernel.T
     k2 = control.moment(2)
     k4 = control.moment(4)
@@ -121,7 +119,6 @@ def contraction_norms_by_quadrature(kernel, control, window, nodes=18):
 def ou_sqrt4_section_integral(kernel, control, window):
     """K2 sqrt(K4) / T^2 * int (C_4(y))^{1/2} dy over [x_lo, T] of an unscaled
     OUDoubleHKernel, by checked panel quadrature."""
-    kernel._require_corrected_form("sqrt4_section_integral")
     if window.x_lo > 0.0:
         raise ValueError("sqrt4_section_integral needs a window starting at or below 0")
     lam, T = kernel.lam, kernel.T

@@ -299,8 +299,7 @@ class TestCriterion6SampleVariance:
         means = []
         for T in ts:
             cfg = OUConfig(lam=1.0, T=T)
-            vals = [__import__("poisson_chaos.ou", fromlist=["linear_stat"])
-                    .linear_stat(cfg, seed=rng) ** 2 / math.sqrt(T) for _ in range(600)]
+            vals = [rep_linear(cfg, rng) ** 2 / math.sqrt(T) for _ in range(600)]
             means.append(float(np.mean(vals)))
         slope, _ = slope_fit(ts, means)
         ok = -0.75 < slope < -0.25

@@ -148,10 +148,7 @@ def recursion_pair_sum(f, u, x):
         recursion[k] = acc
     first_pos = int(np.searchsorted(x, 0.0, side="right"))
     near = 2.0 * _dot(u[first_pos:], recursion[first_pos:])
-    c_neg = 1.0
-    if f.stated_form:
-        c_neg += math.exp(-2.0 * lam * T) - math.exp(-2.0 * T)
-    neg = c_neg * _distinct_pair_sum(u[:first_pos] * np.exp(lam * x[:first_pos]))
+    neg = _distinct_pair_sum(u[:first_pos] * np.exp(lam * x[:first_pos]))
     tail = _distinct_pair_sum(u * np.exp(lam * (x - T)))
     return float(near + neg - tail) / T
 
@@ -165,7 +162,7 @@ def ou_pair_atoms(draw, u_max=2.0):
     first chunk's edge with more just past it."""
     lam = draw(st.sampled_from([0.5, 1.0, 2.0]))
     T = draw(st.floats(0.5, 2000.0))
-    f = OUDoubleHKernel(lam, T, stated_form=draw(st.booleans()))
+    f = OUDoubleHKernel(lam, T)
     factor = draw(st.one_of(st.just(1.0), st.floats(-3.0, 3.0)))
     if factor != 1.0:
         f = f.scaled(factor)
@@ -211,19 +208,18 @@ class TestPairSum:
         dense = explicit_pair_sum(f, u, x)
         assert abs(f.pair_sum(u, x) - dense) <= 1e-11 * max(1.0, abs(dense))
 
-    @pytest.mark.parametrize("lam, stated", [(1.0, False), (2.0, True), (0.5, False)])
-    def test_scan_matches_per_atom_recursion_at_long_horizon(self, lam, stated):
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 0.5])
+    def test_scan_matches_per_atom_recursion_at_long_horizon(self, lam):
         # T = 1e4 (about 10k atoms, lam T / _SCAN_SPAN up to 33 chunks)
-        f = OUDoubleHKernel(lam, 1e4, stated_form=stated)
+        f = OUDoubleHKernel(lam, 1e4)
         rng = np.random.default_rng(replication_seed(21, int(2 * lam)))
         x = rng.uniform(-12.0 / lam, f.T, rng.poisson(f.T + 12.0 / lam))
         u = rng.choice([1.0, -1.0], size=x.size)
         ref = recursion_pair_sum(f, u, x)
         assert abs(f.pair_sum(u, x) - ref) <= 1e-12 * abs(ref)
 
-    @pytest.mark.parametrize("stated", [False, True])
-    def test_no_pairs_sum_to_zero(self, stated):
-        f = OUDoubleHKernel(0.5, 3.0, stated_form=stated)
+    def test_no_pairs_sum_to_zero(self):
+        f = OUDoubleHKernel(0.5, 3.0)
         assert f.pair_sum(np.empty(0), np.empty(0)) == 0.0
         assert f.pair_sum(np.array([1.5]), np.array([-0.5])) == 0.0
         # an atom beyond T contributes nothing

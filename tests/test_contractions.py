@@ -8,7 +8,7 @@ from poisson_chaos.contractions import ContractionError, contraction_norms
 from poisson_chaos.kernels import BlockKernel, GridKernel
 from poisson_chaos.point_process import DiscreteControl, Window
 
-from expansion_oracle import ContractionIndex, LazyTensorKernel, product_expand, star
+from expansion_oracle import ContractionIndex, LazyTensorKernel, as_grid, product_expand, star
 
 CTRL = DiscreteControl(values=(1.0,), weights=(1.0,))
 
@@ -152,7 +152,7 @@ class TestContractionNorms:
         n = 6
         f = BlockKernel(n)
         w = Window(0.0, float(n))
-        got = contraction_norms(f.as_grid(), unit_jump, w)
+        got = contraction_norms(as_grid(f), unit_jump, w)
         want = contraction_norms(f, unit_jump, w)
         assert got == pytest.approx(want, rel=1e-14)
 
@@ -183,7 +183,7 @@ class TestProductExpand:
         assert by_order[0].kernel == 0.0                  # <g, h> = 0
 
     def test_coefficients_p2q2(self):
-        f = BlockKernel(2).as_grid()
+        f = as_grid(BlockKernel(2))
         exp = product_expand(2, 2, f, f, CTRL, Window(0.0, 2.0))
         coef = {(t.r, t.l): t.coefficient for t in exp.terms}
         # Coefficients r! C(2,r)^2 C(r,l); the (2,1) entry is 4 (the exact
@@ -197,13 +197,13 @@ class TestProductExpand:
         assert const.coefficient * const.kernel == pytest.approx(1.0)  # 2 * 1/2
 
     def test_terms_with_equal_order_not_merged(self):
-        f = BlockKernel(2).as_grid()
+        f = as_grid(BlockKernel(2))
         exp = product_expand(2, 2, f, f, CTRL, Window(0.0, 2.0))
         order2 = [t for t in exp.terms if t.order == 2]
         assert len(order2) == 2
         assert {(t.r, t.l) for t in order2} == {(1, 1), (2, 0)}
 
     def test_unsupported_orders(self):
-        f = BlockKernel(2).as_grid()
+        f = as_grid(BlockKernel(2))
         with pytest.raises(ContractionError):
             product_expand(3, 2, f, f, CTRL, Window(0.0, 2.0))

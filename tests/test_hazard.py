@@ -36,23 +36,23 @@ class TestSimulation:
     def test_empty_pattern_zero_hazard(self):
         model = rect_model(UNIT, T=10.0)
         pat = pattern_of([], [], model.window)
-        h = simulate_hazard(model, None, np.linspace(0, 10, 21), pattern=pat)
+        h = simulate_hazard(model, np.linspace(0, 10, 21), pat)
         assert np.all(h == 0.0)
 
     def test_single_atom_step_hazard(self):
         model = HazardModel(kernel=DykstraLaudHazardKernel(), control=UNIT, T=10.0)
         pat = pattern_of([2.0], [3.0], model.window)
         t = np.array([1.0, 2.9, 3.0, 7.0])
-        h = simulate_hazard(model, None, t, pattern=pat)
+        h = simulate_hazard(model, t, pat)
         assert np.allclose(h, [0.0, 0.0, 2.0, 2.0])
 
     def test_nonnegative_paths_and_monotone_cumulative(self):
         model = rect_model(UNIT, T=20.0)
         rng = np.random.default_rng(replication_seed(50, 0))
         pat = sample_hazard_pattern(model, rng)
-        h = simulate_hazard(model, None, np.linspace(0, 20, 401), pattern=pat)
+        h = simulate_hazard(model, np.linspace(0, 20, 401), pat)
         assert np.all(h >= 0.0)
-        partial = [cumulative_hazard(rect_model(UNIT, T=t), pattern=pattern_of(
+        partial = [cumulative_hazard(rect_model(UNIT, T=t), pattern_of(
             pat.u, pat.x, rect_model(UNIT, T=20.0).window)) for t in (5.0, 10.0, 20.0)]
         assert partial[0] <= partial[1] <= partial[2]
 
@@ -61,7 +61,8 @@ class TestSimulation:
         model = rect_model(UNIT, T=10.0)
         assert campbell_mean(model, 5.0) == pytest.approx(2.0, rel=1e-9)
         rng = np.random.default_rng(replication_seed(51, 0))
-        vals = np.array([simulate_hazard(model, rng, np.array([5.0]))[0]
+        vals = np.array([simulate_hazard(model, np.array([5.0]),
+                                         sample_hazard_pattern(model, rng))[0]
                          for _ in range(20_000)])
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert vals.mean() == pytest.approx(2.0, abs=3 * se)
@@ -73,7 +74,8 @@ class TestSimulation:
         t0 = 5.0
         oracle = campbell_mean(model, t0)
         rng = np.random.default_rng(replication_seed(52, 0))
-        vals = np.array([simulate_hazard(model, rng, np.array([t0]))[0]
+        vals = np.array([simulate_hazard(model, np.array([t0]),
+                                         sample_hazard_pattern(model, rng))[0]
                          for _ in range(8000)])
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert vals.mean() == pytest.approx(oracle, abs=4 * se)
@@ -113,19 +115,20 @@ def campbell_errors(T):
 class TestCumulativeHazard:
     def test_empty(self):
         model = rect_model(UNIT, T=5.0)
-        assert cumulative_hazard(model, pattern=pattern_of([], [], model.window)) == 0.0
+        assert cumulative_hazard(model, pattern_of([], [], model.window)) == 0.0
 
     def test_single_atom_interval_length(self):
         model = rect_model(UNIT, T=5.0, tau=1.0)
         pat = pattern_of([1.0], [0.0], model.window)
-        assert cumulative_hazard(model, pattern=pat) == pytest.approx(1.0)
+        assert cumulative_hazard(model, pat) == pytest.approx(1.0)
 
     def test_mean_matches_campbell(self):
         model = rect_model(UNIT, T=50.0)
         oracle = cumulative_mean_exact(model)   # 2 tau K1 T - tau^2/2 here
         assert oracle == pytest.approx(2.0 * 50.0 - 0.5, rel=1e-10)
         rng = np.random.default_rng(replication_seed(53, 0))
-        vals = np.array([cumulative_hazard(model, rng) for _ in range(8000)])
+        vals = np.array([cumulative_hazard(model, sample_hazard_pattern(model, rng))
+                         for _ in range(8000)])
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert vals.mean() == pytest.approx(oracle, abs=3 * se)
 
@@ -162,7 +165,7 @@ class TestCumulativeHazard:
         rng = np.random.default_rng(replication_seed(54, 0))
         pat = sample_hazard_pattern(model, rng)
         assert cumulative_hazard_grid(model, pat, 5001) == pytest.approx(
-            cumulative_hazard(model, pattern=pat), rel=1e-6)
+            cumulative_hazard(model, pat), rel=1e-6)
 
 
 class TestSquareIntegral:

@@ -1,6 +1,6 @@
 """The criterion quantities every arity-2 kernel answers for itself,
-``contraction_norms`` and ``as_grid``, each checked against an independent
-oracle; and the fourth-power integrability certificate of ``clt_criterion``,
+``contraction_norms``, and the test oracles' grid views ``as_grid``, each
+checked against an independent oracle; and the fourth-power integrability certificate of ``clt_criterion``,
 checked against the exact int (int f^4)^{1/2} of the test oracles."""
 
 import math
@@ -19,7 +19,7 @@ from poisson_chaos.kernels import (
 from poisson_chaos.ou import DEFAULT_JUMPS
 from poisson_chaos.point_process import DiscreteControl, Window
 
-from expansion_oracle import ContractionIndex, star
+from expansion_oracle import ContractionIndex, as_grid, star
 from kernel_oracles import OUInstantKernel, sqrt4_section_integral
 
 SKEWED_JUMPS = DiscreteControl(values=(2.0, -0.5), weights=(0.3, 0.7))
@@ -76,7 +76,7 @@ class TestSqrt4SectionIntegral:
         f = BlockKernel(n)
         w = Window(0.0, float(n))
         for control in (DEFAULT_JUMPS, SKEWED_JUMPS):
-            want = sqrt4_section_integral(f.as_grid(), control, w)
+            want = sqrt4_section_integral(as_grid(f), control, w)
             assert sqrt4_section_integral(f, control, w) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("base, w", [
@@ -151,10 +151,11 @@ class TestIntegrabilityCertificate:
         assert sqrt4_section_integral(f, control, w) <= (
             cauchy_schwarz_bound(f, control, w) * BOUND_SLACK)
 
+    @pytest.mark.filterwarnings("error")
     def test_infinite_cell_fails_integrability_alone(self, unit_jump):
         f = GridKernel((0.0, 1.0, 2.0), np.array([[math.inf, 1.0], [1.0, 0.5]]))
-        with np.errstate(invalid="ignore"):   # matmul warns on the inf cell
-            verdict = clt_criterion([f, f], unit_jump, Window(0.0, 2.0))
+        verdict = clt_criterion([f, f], unit_jump, Window(0.0, 2.0))
+        assert verdict.reports[0].n11 == verdict.reports[0].n21 == math.inf
         assert [r.integrable for r in verdict.reports] == [False, False]
         assert not verdict.passed
         (check,) = verdict.checks
@@ -164,13 +165,13 @@ class TestIntegrabilityCertificate:
 class TestGridViewsAndNorms:
     def test_grid_view_of_grid_is_itself(self):
         f = GridKernel((0.0, 1.0, 2.0), np.array([[1.0, 0.5], [0.5, 0.0]]))
-        assert f.as_grid() is f
+        assert as_grid(f) is f
 
     def test_scaled_grid_view(self):
         f = BlockKernel(3)
-        g = f.scaled(-2.0).as_grid()
-        assert g.edges == f.as_grid().edges
-        assert np.array_equal(g.values, -2.0 * f.as_grid().values)
+        g = as_grid(f.scaled(-2.0))
+        assert g.edges == as_grid(f).edges
+        assert np.array_equal(g.values, -2.0 * as_grid(f).values)
 
     def test_star_of_scaled_kernels(self, unit_jump):
         f = GridKernel((0.0, 1.0, 3.0), np.array([[1.0, -0.5], [-0.5, 2.0]]))
@@ -188,7 +189,7 @@ class TestGridViewsAndNorms:
         h = OUInstantKernel(1.0, 2.0)
         w = Window(-12.0, 2.0)
         for call in (lambda: h.contraction_norms(unit_jump, w),
-                     h.as_grid,
+                     lambda: as_grid(h),
                      lambda: contraction_norms(h.scaled(2.0), unit_jump, w)):
             with pytest.raises(ContractionError):
                 call()

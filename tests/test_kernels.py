@@ -17,6 +17,7 @@ from poisson_chaos.quadrature import integrate_checked
 from kernel_oracles import (
     DykstraLaudHazardKernel, OUHazardKernel, grid_from_csv, grid_to_csv,
 )
+from expansion_oracle import as_grid
 from ou_contraction_oracle import exp_refined_edges, pair_overlap
 
 
@@ -42,7 +43,7 @@ class TestBlockKernel:
     def test_matches_grid_realization(self, unit_jump):
         n = 4
         f = BlockKernel(n)
-        g = f.as_grid()
+        g = as_grid(f)
         w = Window(0.0, float(n))
         pts = np.random.default_rng(0).uniform(0, n, size=(30, 2))
         for a, b in pts:
@@ -140,18 +141,6 @@ class TestOUDoubleH:
         assert h(1.0, -1.0, 1.0, -1.0) == pytest.approx(oracle, rel=1e-12)
         assert h(1.0, -1.0, 1.0, -1.0) == pytest.approx(0.5 * math.exp(-2) * (1 - math.exp(-4)))
 
-    def test_stated_branch_flag(self):
-        lam, T = 0.5, 3.0
-        corrected = OUDoubleHKernel(lam, T)
-        stated = OUDoubleHKernel(lam, T, stated_form=True)
-        # on the negative branch they differ unless lam = 1
-        val_c = corrected(1.0, -1.0, 1.0, -0.5)
-        val_p = stated(1.0, -1.0, 1.0, -0.5)
-        assert val_c == pytest.approx(np.exp(lam * -1.5) * (1 - np.exp(-2 * lam * T)) / T)
-        assert val_p == pytest.approx(np.exp(lam * -1.5) * (1 - np.exp(-2 * T)) / T)
-        # positive branch agrees
-        assert corrected(1.0, 0.5, 1.0, 1.0) == stated(1.0, 0.5, 1.0, 1.0)
-
     def test_l2_vs_2d_quadrature(self, symmetric_jump):
         # nested adaptive oracle with explicit kink points at y in {0, x}
         lam, T, L = 1.3, 4.0, 11.0
@@ -192,32 +181,6 @@ class TestOUDoubleH:
             lambda yp, y: (pair_overlap(h, np.array([y]), np.array([yp]), w)[0] / T ** 2) ** 2,
             -L, T, -L, T, epsabs=1e-14, epsrel=1e-9)
         assert n11 == pytest.approx(num_n11, rel=1e-6)
-
-    def test_stated_norm_vs_2d_quadrature(self, unit_jump):
-        # the stated branch's both-negative factor (1 - e^{-2T})^p enters the norm
-        lam, T, L = 0.5, 1.0, 24.0
-        h = OUDoubleHKernel(lam, T, stated_form=True)
-
-        def inner(x):
-            val, _ = si.quad(lambda y: ou_ghat(lam, T, np.array([x]), np.array([y]), True)[0] ** 2,
-                             -L, T, epsabs=1e-14, epsrel=1e-12, limit=400,
-                             points=sorted({0.0, x} - {-L, T}))
-            return val
-
-        num, _ = si.quad(inner, -L, T, epsabs=1e-13, epsrel=1e-11, limit=400, points=[0.0])
-        got = h.lp_norm(2, unit_jump, Window(-L, T))
-        assert got == pytest.approx(num / T ** 2, rel=1e-9)
-        assert got == pytest.approx(1.0838, abs=5e-5)
-        assert OUDoubleHKernel(lam, T).lp_norm(2, unit_jump, Window(-L, T)) == pytest.approx(
-            0.7358, abs=5e-5)
-
-    def test_stated_contractions_refused(self, symmetric_jump):
-        h = OUDoubleHKernel(0.5, 3.0, stated_form=True)
-        w = Window(-24.0, 3.0)
-        with pytest.raises(ValueError, match="corrected"):
-            h.contraction_norms(symmetric_jump, w)
-        with pytest.raises(ValueError, match="corrected"):
-            pair_overlap(h, np.array([0.5]), np.array([1.0]), w)
 
     @pytest.mark.parametrize("kind", [OUDoubleHKernel, OUSingleKernel, OUDiagHstarKernel])
     def test_window_ending_before_horizon_is_unsupported(self, kind):

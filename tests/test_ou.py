@@ -8,7 +8,7 @@ from poisson_chaos.harness import slope_fit
 from poisson_chaos.kernels import OUDoubleHKernel, ou_ghat
 from poisson_chaos.ou import (
     OUConfig, k1_variance_exact, k2_variance_exact, linear_stat, linear_variance_exact,
-    quadratic_stat, rep_quadratic, sample_ou_pattern,
+    quadratic_stat, rep_linear, rep_quadratic, sample_ou_pattern,
     sample_variance_stat,
 )
 from poisson_chaos.point_process import DiscreteControl, Window, replication_seed
@@ -75,7 +75,7 @@ class TestLinearStat:
     def test_centered_marginal_zero_mean(self):
         cfg = OUConfig(lam=1.0, T=50.0)
         rng = np.random.default_rng(replication_seed(32, 0))
-        vals = np.array([linear_stat(cfg, seed=rng) for _ in range(4000)])
+        vals = np.array([rep_linear(cfg, rng) for _ in range(4000)])
         assert abs(vals.mean()) < 3 * vals.std(ddof=1) / math.sqrt(vals.size)
 
     def test_finite_horizon_variance_oracle(self):
@@ -90,7 +90,7 @@ class TestLinearStat:
     def test_mc_variance_matches_closed_form(self):
         cfg = OUConfig(lam=1.0, T=100.0)
         rng = np.random.default_rng(replication_seed(33, 0))
-        vals = np.array([linear_stat(cfg, seed=rng) for _ in range(5000)])
+        vals = np.array([rep_linear(cfg, rng) for _ in range(5000)])
         target = linear_variance_exact(1.0, 100.0)
         se = vals.var(ddof=1) * math.sqrt(2.0 / vals.size) * 1.3
         assert vals.var(ddof=1) == pytest.approx(target, abs=3 * se)
@@ -105,7 +105,7 @@ class TestQuadraticStat:
         rng = np.random.default_rng(replication_seed(34, 0))
         for _ in range(40):
             pat = sample_ou_pattern(cfg, rng)
-            q = quadratic_stat(cfg, pattern=pat)
+            q = quadratic_stat(cfg, pat)
             direct = math.sqrt(cfg.T) * (square_time_integral_exact(cfg, pat) / cfg.T - 1.0)
             assert q.total == pytest.approx(direct, rel=1e-8, abs=1e-8)
 
@@ -116,7 +116,7 @@ class TestQuadraticStat:
                             lambda *a: pytest.fail("pair matrix evaluated"))
         cfg = OUConfig(lam=1.0, T=2000.0)
         pat = sample_ou_pattern(cfg, np.random.default_rng(replication_seed(40, 0)))
-        q = quadratic_stat(cfg, pattern=pat)
+        q = quadratic_stat(cfg, pat)
         direct = math.sqrt(cfg.T) * (square_time_integral_exact(cfg, pat) / cfg.T - 1.0)
         assert q.total == pytest.approx(direct, rel=1e-8, abs=1e-8)
 
@@ -183,36 +183,35 @@ class TestInstantKernel:
                        jumps=DiscreteControl(values=(1.0,), weights=(1.0,)))
         rng = np.random.default_rng(replication_seed(39, 0))
         pat = sample_ou_pattern(cfg, rng)
-        q = quadratic_stat(cfg, pattern=pat)
+        q = quadratic_stat(cfg, pat)
         grid_route = math.sqrt(cfg.T) * (
             square_time_integral_grid(cfg, pat, 200_001) / cfg.T - 1.0)
         assert q.total == pytest.approx(grid_route, rel=1e-5, abs=1e-5)
 
 
 class TestPairCompensator:
-    @pytest.mark.parametrize("lam,T,stated", [
-        (2.0, 800.0, False),   # the per-atom adaptive quadrature failed here
-        (1.0, 50.0, False),
-        (0.5, 1.0, True),      # short horizon: the stated branch differs
+    @pytest.mark.parametrize("lam,T", [
+        (2.0, 800.0),   # the per-atom adaptive quadrature failed here
+        (1.0, 50.0),
+        (0.5, 1.0),     # short horizon, where 1 - e^{-2 lam T} is far from 1
     ])
-    def test_closed_form_vs_quadrature(self, lam, T, stated):
+    def test_closed_form_vs_quadrature(self, lam, T):
         ctrl = DiscreteControl(values=(0.75,), weights=(1.0,))
         L = 12.0 / lam
-        h = OUDoubleHKernel(lam, T, stated_form=stated)
+        h = OUDoubleHKernel(lam, T)
         xs = np.array([-L, -0.5 * L, 0.0, 0.3, 0.5 * T, T - 0.5, T])
         got = h.partial_integral(ctrl, Window(-L, T), np.full_like(xs, -2.0), xs)
         for xi, g in zip(xs, got):
             kinks = sorted({0.0, xi} - {-L, T})
             oracle, _ = si.quad(
-                lambda t: ou_ghat(lam, T, np.array([xi]), np.array([t]), stated)[0],
+                lambda t: ou_ghat(lam, T, np.array([xi]), np.array([t]))[0],
                 -L, T, points=kinks, limit=2000, epsabs=1e-15, epsrel=1e-12)
             assert g == pytest.approx(-2.0 * 0.75 * oracle / T, rel=1e-10, abs=1e-18)
 
-    @pytest.mark.parametrize("stated", [False, True])
-    def test_double_integral_is_integrated_compensator(self, stated):
+    def test_double_integral_is_integrated_compensator(self):
         ctrl = DiscreteControl(values=(0.75,), weights=(1.0,))
         lam, T, L = 0.5, 1.0, 24.0
-        h = OUDoubleHKernel(lam, T, stated_form=stated)
+        h = OUDoubleHKernel(lam, T)
         w = Window(-L, T)
         oracle, _ = si.quad(
             lambda t: h.partial_integral(ctrl, w, np.array([1.0]), np.array([t]))[0],
@@ -228,7 +227,7 @@ class TestPairCompensator:
         cfg = OUConfig(lam=2.0, T=800.0, jumps=jumps)
         assert jumps.moment(1) == pytest.approx(0.75)
         rng = np.random.default_rng(replication_seed(41, 0))
-        k2 = np.array([quadratic_stat(cfg, seed=rng).k2 for _ in range(200)])
+        k2 = np.array([quadratic_stat(cfg, sample_ou_pattern(cfg, rng)).k2 for _ in range(200)])
         assert np.all(np.isfinite(k2))
         assert abs(k2.mean()) < 4 * k2.std(ddof=1) / math.sqrt(k2.size)
 
@@ -239,9 +238,9 @@ class TestSampleVariance:
         rng = np.random.default_rng(replication_seed(36, 0))
         for _ in range(20):
             pat = sample_ou_pattern(cfg, rng)
-            quad = quadratic_stat(cfg, pattern=pat)
-            lin = linear_stat(cfg, pattern=pat)
-            sv = sample_variance_stat(cfg, parts=(quad, lin))
+            quad = quadratic_stat(cfg, pat)
+            lin = linear_stat(cfg, pat)
+            sv = sample_variance_stat(cfg, quad, lin)
             assert sv == pytest.approx(quad.total - lin ** 2 / math.sqrt(cfg.T), abs=1e-12)
 
     def test_correction_term_decays_like_inverse_sqrt(self):
@@ -251,7 +250,7 @@ class TestSampleVariance:
         means = []
         for T in ts:
             cfg = OUConfig(lam=1.0, T=T)
-            vals = [linear_stat(cfg, seed=rng) ** 2 / math.sqrt(T) for _ in range(800)]
+            vals = [rep_linear(cfg, rng) ** 2 / math.sqrt(T) for _ in range(800)]
             means.append(float(np.mean(vals)))
         slope, hw = slope_fit(ts, means)
         assert -0.75 < slope < -0.25

@@ -17,11 +17,11 @@ from kernel_oracles import pattern_from_csv
 
 def per_call_generalized_gamma_sample(ctrl, window, rng):
     """Reference: the table rebuilt on every call and looked up unsorted."""
-    grid = ctrl._u_grid(window.u_lo, window.u_hi)
+    grid = ctrl._u_grid()
     dens = np.exp(-ctrl.gamma * grid) * grid ** (-1.0 - ctrl.sigma)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
     cdf /= cdf[-1]
-    total = ctrl.jump_mass(window.u_lo, window.u_hi) * window.length
+    total = ctrl.jump_mass() * window.length
     n = rng.poisson(total)
     x = rng.uniform(window.x_lo, window.x_hi, size=n)
     u = np.interp(rng.uniform(size=n), cdf, grid)
@@ -29,9 +29,10 @@ def per_call_generalized_gamma_sample(ctrl, window, rng):
 
 
 def extended_gamma_grid(ctrl, window, lo, hi):
-    """The v-grid of the extended-Gamma table: geometric on [beta(x_lo) lo,
-    min(beta(x_hi) hi, beta(x_lo) lo + 80)], plus 33 geometric points on
-    each piece between the kinks of b - a."""
+    """The v-grid of the extended-Gamma table for jumps in [lo, hi]:
+    geometric on [beta(x_lo) lo, min(beta(x_hi) hi, beta(x_lo) lo + 80)],
+    plus 33 geometric points on each piece between the kinks of b - a.  The
+    sampler's table is the one for [eps, inf)."""
     b_lo, b_hi = float(ctrl.beta(window.x_lo)), float(ctrl.beta(window.x_hi))
     v_lo = b_lo * lo
     v_hi = min(b_hi * hi, v_lo + 80.0)
@@ -63,8 +64,7 @@ def extended_gamma_atoms(ctrl, window, rng, v, lo, hi):
 def per_call_extended_gamma_sample(ctrl, window, rng):
     """Reference: v-table and window mass rebuilt on every call, v looked up
     with np.interp."""
-    lo = ctrl.eps if window.u_lo is None else max(window.u_lo, ctrl.eps)
-    hi = np.inf if window.u_hi is None else window.u_hi
+    lo, hi = ctrl.eps, np.inf
     grid = extended_gamma_grid(ctrl, window, lo, hi)
     a, b = extended_gamma_interval(ctrl, grid, lo, hi, window)
     dens = np.exp(-grid) / grid * (b - a)
@@ -94,24 +94,20 @@ def argsort_lookup_sample(ctrl, window, rng):
         n = rng.poisson(total)
         x = rng.uniform(window.x_lo, window.x_hi, size=n)
         return argsort_lookup(rng, n, table.cdf, table.grid), x, total
-    table, lo, hi, mass = constants
+    table, mass = constants
     v = argsort_lookup(rng, rng.poisson(table.total), table.cdf, table.grid)
-    u, x = extended_gamma_atoms(ctrl, window, rng, v, lo, hi)
+    u, x = extended_gamma_atoms(ctrl, window, rng, v, ctrl.eps, np.inf)
     return u, x, mass
 
 
 @st.composite
-def sampling_windows(draw, eps):
+def sampling_windows(draw):
     """Windows on x > 0 from empty (n = 0) through a few hundred to several
-    thousand atoms, with and without jump-range bounds above eps."""
+    thousand atoms."""
     x_lo = draw(st.one_of(st.just(0.0), st.floats(0.0, 400.0)))
     length = draw(st.one_of(st.floats(1e-9, 1e-3), st.floats(1e-3, 30.0),
                             st.floats(30.0, 900.0)))
-    u_lo = draw(st.one_of(st.none(), st.floats(0.5 * eps, 0.2)))
-    u_hi = draw(st.one_of(st.none(), st.floats(0.05, 5.0)))
-    if u_hi is not None:
-        u_hi += max(u_lo or 0.0, eps)
-    return Window(x_lo, x_lo + length, u_lo, u_hi)
+    return Window(x_lo, x_lo + length)
 
 
 class TestMeasureOf:
@@ -173,9 +169,7 @@ class TestMoments:
         assert ctrl.moment(1) == pytest.approx(0.0)
         assert ctrl.moment(2) == pytest.approx(1.5)
         assert ctrl.abs_moment(3) == pytest.approx(2.5)
-        # a u bound masks the cached arrays; eq and hash see only the fields
-        assert ctrl.moment(2, u_lo=0.0) == 1.0
-        assert ctrl.jump_mass(u_hi=0.0) == 0.5
+        # eq and hash see only the fields, not the cached arrays
         assert ctrl == DiscreteControl(values=(2, -1), weights=(0.25, 0.5))
         assert hash(ctrl) == hash(DiscreteControl(values=(2, -1), weights=(0.25, 0.5)))
 
@@ -267,12 +261,12 @@ class TestSampling:
         (DiscreteControl(values=(1.0, -1.0), weights=(0.5, 0.5)), Window(0.0, 400.0)),
         (DiscreteControl(values=(1.0,), weights=(1.0,)), Window(0.0, 400.0)),
         (DiscreteControl(values=(0.3, 1.0, 2.5, -1.0), weights=(0.1, 0.7, 0.15, 0.05)),
-         Window(0.0, 400.0, 0.5, 3.0)),
-    ], ids=["pm1", "single", "windowed"])
+         Window(0.0, 400.0)),
+    ], ids=["pm1", "single", "skewed"])
     def test_discrete_jumps_are_drawn_as_rng_choice(self, jumps, window):
         # the inverse-CDF draw on the prebuilt CDF is Generator.choice draw
         # for draw, and leaves the generator in the same state
-        vals, w = jumps._sel(window.u_lo, window.u_hi)
+        vals, w = np.array(jumps.values), np.array(jumps.weights)
         for seed in range(50):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             u, x, _ = jumps.sample(window, rng)
@@ -321,7 +315,7 @@ class TestCachedSamplers:
            st.data(), st.integers(0, 2 ** 63))
     def test_extended_gamma_matches_per_call_rebuild(self, params, data, seed):
         ctrl = ExtendedGammaControl(*params)
-        window = data.draw(sampling_windows(ctrl.eps))
+        window = data.draw(sampling_windows())
         got = ctrl.sample(window, np.random.default_rng(seed))
         ref = per_call_extended_gamma_sample(ctrl, window, np.random.default_rng(seed))
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
@@ -332,7 +326,7 @@ class TestCachedSamplers:
            st.data(), st.integers(0, 2 ** 63))
     def test_generalized_gamma_matches_per_call_rebuild(self, params, data, seed):
         ctrl = GeneralizedGammaControl(*params)
-        window = data.draw(sampling_windows(ctrl.eps))
+        window = data.draw(sampling_windows())
         got = ctrl.sample(window, np.random.default_rng(seed))
         ref = per_call_generalized_gamma_sample(ctrl, window, np.random.default_rng(seed))
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
@@ -343,14 +337,14 @@ class TestCachedSamplers:
         # the sampler divides v by beta(x) in place, drawing with rng.random;
         # replaying the draws with rng.uniform and beta() gives the same bits
         ctrl, window = ExtendedGammaControl(), Window(0.0, 1e4 + 1.0)
-        table, lo, hi, _ = point_process._window_constants(ctrl, window)
+        table, _ = point_process._window_constants(ctrl, window)
         rng = np.random.default_rng(seed)
         u, x, _ = ctrl.sample(window, rng)
         replay = np.random.default_rng(seed)
         v = table.lookup(replay.uniform(size=replay.poisson(table.total)))
         replay.uniform(size=v.size)
         assert u.size > 40_000
-        assert np.array_equal(u, np.clip(v / ctrl.beta(x), lo, hi))
+        assert np.array_equal(u, np.maximum(v / ctrl.beta(x), ctrl.eps))
         assert rng.bit_generator.state == replay.bit_generator.state
 
     def test_sizes_cover_empty_small_and_large_patterns(self):
@@ -382,9 +376,9 @@ class TestGuideTableLookup:
     CASES = [
         (ExtendedGammaControl(), Window(0.0, 50.0)),
         (ExtendedGammaControl(), Window(400.0, 500.0)),          # flat tail: crowded buckets
-        (ExtendedGammaControl(2.0, 3.0, 1e-2), Window(1.0, 9.0, 0.05, 0.7)),
+        (ExtendedGammaControl(2.0, 3.0, 1e-2), Window(1.0, 9.0)),
         (GeneralizedGammaControl(0.5, 1.0, 0.1), Window(0.0, 5.0)),
-        (GeneralizedGammaControl(0.3, 3.0, 1e-3), Window(2.0, 4.0, 0.01, 2.0)),
+        (GeneralizedGammaControl(0.3, 3.0, 1e-3), Window(2.0, 4.0)),
     ]
 
     @pytest.mark.parametrize("ctrl, window", CASES)
@@ -421,7 +415,7 @@ class TestGuideTableLookup:
            st.data(), st.integers(0, 2 ** 63))
     def test_extended_gamma_matches_argsort_lookup(self, params, data, seed):
         ctrl = ExtendedGammaControl(*params)
-        window = data.draw(sampling_windows(ctrl.eps))
+        window = data.draw(sampling_windows())
         got = ctrl.sample(window, np.random.default_rng(seed))
         ref = argsort_lookup_sample(ctrl, window, np.random.default_rng(seed))
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
@@ -432,7 +426,7 @@ class TestGuideTableLookup:
            st.data(), st.integers(0, 2 ** 63))
     def test_generalized_gamma_matches_argsort_lookup(self, params, data, seed):
         ctrl = GeneralizedGammaControl(*params)
-        window = data.draw(sampling_windows(ctrl.eps))
+        window = data.draw(sampling_windows())
         got = ctrl.sample(window, np.random.default_rng(seed))
         ref = argsort_lookup_sample(ctrl, window, np.random.default_rng(seed))
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
@@ -445,8 +439,8 @@ class TestExtendedGammaLaw:
 
     CASES = [
         (ExtendedGammaControl(1.0, 1.0, 1e-4), Window(0.0, 50.0), 300),
-        (ExtendedGammaControl(2.0, 3.0, 1e-2), Window(1.0, 9.0, 0.05, 0.7), 3000),
-        (ExtendedGammaControl(0.5, 0.0, 1e-4), Window(2.0, 12.0, None, 1.0), 300),
+        (ExtendedGammaControl(2.0, 3.0, 1e-2), Window(1.0, 9.0), 3000),
+        (ExtendedGammaControl(0.5, 0.0, 1e-4), Window(2.0, 12.0), 300),
     ]
 
     @staticmethod
@@ -462,22 +456,20 @@ class TestExtendedGammaLaw:
         edges = np.linspace(window.x_lo, window.x_hi, 11)
         got = np.histogram(x, edges)[0]
         for count, a, b in zip(got, edges[:-1], edges[1:]):
-            m, _ = si.quad(lambda t: float(ctrl.x_mass(t, window.u_lo, window.u_hi)), a, b,
+            m, _ = si.quad(lambda t: float(ctrl.x_mass(t)), a, b,
                            epsabs=1e-12, epsrel=1e-10)
             assert abs(count - reps * m) <= 4 * np.sqrt(reps * m), (a, b, count, reps * m)
 
     @pytest.mark.parametrize("ctrl, window, reps, slab", [
         (*CASES[0], (20.0, 22.0)), (*CASES[1], (3.0, 5.0)), (*CASES[2], (4.0, 6.0))])
     def test_jumps_in_a_slab_follow_the_conditional_law(self, ctrl, window, reps, slab):
-        # F(u) = int_slab [E1(beta lo) - E1(beta u)] dx / int_slab [E1(beta lo) - E1(beta hi)] dx
+        # F(u) = int_slab [E1(beta eps) - E1(beta u)] dx / int_slab E1(beta eps) dx
         u, x, _ = self._pool(ctrl, window, 4 * reps, 84)
         u = np.sort(u[(x >= slab[0]) & (x <= slab[1])])
-        lo = max(window.u_lo or 0.0, ctrl.eps)
-        hi = np.inf if window.u_hi is None else window.u_hi
         t, w = np.polynomial.legendre.leggauss(24)
         beta = ctrl.beta(0.5 * (slab[0] + slab[1]) + 0.5 * (slab[1] - slab[0]) * t)
-        below = (exp1(np.outer(beta, np.full(u.size, lo))) - exp1(np.outer(beta, u)))
-        cdf = w @ below / (w @ (exp1(beta * lo) - exp1(beta * hi)))
+        below = (exp1(np.outer(beta, np.full(u.size, ctrl.eps))) - exp1(np.outer(beta, u)))
+        cdf = w @ below / (w @ exp1(beta * ctrl.eps))
         n = u.size
         ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
         assert n > 1000
@@ -493,7 +485,7 @@ class TestExtendedGammaLaw:
     @given(st.sampled_from([(1.0, 1.0, 1e-4), (0.5, 0.0, 1e-4), (2.0, 3.0, 1e-2)]), st.data())
     def test_table_total_is_the_window_mass(self, params, data):
         ctrl = ExtendedGammaControl(*params)
-        window = data.draw(sampling_windows(ctrl.eps))
+        window = data.draw(sampling_windows())
         table = point_process._window_constants(ctrl, window)[0]
         assert table.total == pytest.approx(ctrl.mass(window), rel=1e-5, abs=0.0)
 
