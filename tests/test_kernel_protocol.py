@@ -1,7 +1,8 @@
-"""The criterion quantities every arity-2 kernel answers for itself,
+"""The criterion quantity every arity-2 kernel answers for itself,
 ``contraction_norms``, and the test oracles' grid views ``as_grid``, each
-checked against an independent oracle; and the fourth-power integrability certificate of ``clt_criterion``,
-checked against the exact int (int f^4)^{1/2} of the test oracles."""
+checked against an independent oracle; and the fourth-power integrability
+certificate of ``clt_criterion``, checked against the exact
+int (int f^4)^{1/2} of the test oracles."""
 
 import math
 
