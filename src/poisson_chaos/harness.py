@@ -2,8 +2,10 @@
 summaries with jackknife errors, Kolmogorov-Smirnov distances against
 centered Gaussian references, and log-log decay-slope fits.
 
-Replication i draws its generator from SeedSequence(master_seed, spawn_key=(i,)),
-so results are independent of worker count and scheduling; reductions run in
+Replication i draws the stream of PCG64(SeedSequence(master_seed, spawn_key=(i,))):
+each chunk of replications reuses one generator and sets its state from
+point_process.replication_seed(master_seed, i), a port of that seeding.  So
+results are independent of worker count and scheduling; reductions run in
 replication-index order.
 """
 
@@ -164,6 +166,7 @@ class VerdictRecord:
     def passed(self) -> bool:
         # bias and noise are judged separately: the estimate must sit inside
         # the stated tolerance band AND the target inside estimate +- 3 se
+        # (inside the tolerance band when se is 0)
         return self.within_tol and self.within_3se
 
 
@@ -257,9 +260,11 @@ def _tune_allocator() -> None:
 def _run_chunk(args):
     _tune_allocator()
     rep_fn, cfg, master_seed, lo, hi = args
+    rng = np.random.default_rng()   # its state is set before every replication
+    bitgen = rng.bit_generator
     out = []
     for i in range(lo, hi):
-        rng = np.random.default_rng(replication_seed(master_seed, i))
+        bitgen.state = replication_seed(master_seed, i)
         try:
             out.append(rep_fn(cfg, rng))
         except Exception as exc:  # abort with the offending replication pinned
@@ -269,9 +274,11 @@ def _run_chunk(args):
 
 
 def collect(rep_fn, cfg, R: int, master_seed: int, workers: int = 1) -> np.ndarray:
-    """Run rep_fn(cfg, rng) for R derived generators; returns the (R, m) value
-    array reduced in replication-index order regardless of worker count
-    (both maps return the chunks in the order they were given)."""
+    """Run rep_fn(cfg, rng) for R replications, rng set to the stream of
+    replication i (one generator per chunk is reseeded in place, so rep_fn
+    must not keep it); returns the (R, m) value array reduced in
+    replication-index order regardless of worker count (both maps return
+    the chunks in the order they were given)."""
     if R < 1:
         raise ValueError("need at least one replication")
     step = -(-R // max(workers * 4, 1))
@@ -315,7 +322,8 @@ def summarize(name: str, values: np.ndarray, targets=(), master_seed: int = 0,
         else:
             raise ValueError(f"unknown target kind {t.name!r}")
         within_tol = abs(est - t.value) <= t.tol
-        within_3se = abs(est - t.value) <= max(3.0 * se, t.tol)
+        # a target without a standard error (ks) is held to its tolerance
+        within_3se = abs(est - t.value) <= (3.0 * se if se > 0 else t.tol)
         verdicts.append(VerdictRecord(t.name, t.value, t.tol, est, se,
                                       bool(within_tol), bool(within_3se)))
     tails = {}

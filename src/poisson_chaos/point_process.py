@@ -60,10 +60,6 @@ class Window:
     def length(self) -> float:
         return self.x_hi - self.x_lo
 
-    def contains(self, x) -> np.ndarray:
-        x = np.asarray(x)
-        return (x >= self.x_lo) & (x <= self.x_hi)
-
 
 @dataclass(frozen=True)
 class PointPattern:
@@ -85,17 +81,97 @@ class PointPattern:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         if self.u.shape != self.x.shape:
             raise ValueError("u and x must be parallel arrays")
-        if self.u.size and not bool(np.all(self.window.contains(self.x))):
+        # the comparisons are False for a NaN atom, which is refused too
+        if self.u.size and not (self.x.min() >= self.window.x_lo
+                                and self.x.max() <= self.window.x_hi):
             raise ValueError("atom outside window")
 
     def __len__(self) -> int:
         return int(self.u.size)
 
 
-def replication_seed(master_seed: int, index: int) -> np.random.SeedSequence:
-    """Counter-based replication seed: depends only on (master_seed, index),
-    never on scheduling order or worker count."""
-    return np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
+# ---------------------------------------------------------------------------
+# replication seeds: numpy's SeedSequence hash (O'Neill's seed_seq, NEP 19)
+# and PCG64's seeding step, in Python ints
+# ---------------------------------------------------------------------------
+
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(n: int) -> list[int]:
+    """SeedSequence's uint32 words of a non-negative int, low word first."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _M32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _hash_constants(h: int, mult: int, count: int) -> list[tuple[int, int]]:
+    # (xor, multiplier) of successive hashes: the running constant before
+    # and after its update
+    out = []
+    for _ in range(count):
+        out.append((h, h * mult & _M32))
+        h = out[-1][1]
+    return out
+
+
+def _hashmix(value: int, xm: tuple[int, int]) -> int:
+    value = (value ^ xm[0]) * xm[1] & _M32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return r ^ r >> 16
+
+
+@lru_cache(maxsize=16)
+def _master_pool(master_seed: int, index_words: int):
+    """The index-free part of SeedSequence(master_seed, spawn_key=(index,)):
+    the pool after mixing in the master's words, the hash constants that mix
+    in each of the index's words (four per word), and those of
+    generate_state."""
+    words = _uint32_words(master_seed)
+    words += [0] * (4 - len(words))   # with a spawn key, the entropy fills the pool
+    hashes = iter(_hash_constants(0x43B0D7E5, 0x931E8875, 4 * (len(words) + index_words)))
+    pool = [_hashmix(w, next(hashes)) for w in words[:4]]
+    for s in range(4):
+        for d in range(4):
+            if s != d:
+                pool[d] = _mix(pool[d], _hashmix(pool[s], next(hashes)))
+    for w in words[4:]:
+        pool = [_mix(p, _hashmix(w, next(hashes))) for p in pool]
+    rest = tuple(hashes)
+    return (tuple(pool), tuple(rest[k:k + 4] for k in range(0, len(rest), 4)),
+            tuple(_hash_constants(0x8B51F9DD, 0x58F38DED, 8)))
+
+
+def replication_seed(master_seed: int, index: int) -> dict:
+    """Counter-based replication seed: the state that
+    np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(index,)))
+    starts in, as a dict to assign to a PCG64's ``state``.  It depends only
+    on (master_seed, index), never on scheduling order or worker count."""
+    words = _uint32_words(int(index))
+    pool, hashes, out = _master_pool(int(master_seed), len(words))
+    for w, hs in zip(words, hashes):
+        # pool[d] = _mix(pool[d], _hashmix(w, hs[d])), inlined: this runs once
+        # per replication
+        pool = [(r := (0xCA01F9DD * p - 0x4973F715 * ((v := (w ^ x) * m & _M32) ^ v >> 16))
+                 & _M32) ^ r >> 16 for p, (x, m) in zip(pool, hs)]
+    # generate_state(4, np.uint64): the pool words hashed twice round
+    s = [(v := (p ^ x) * m & _M32) ^ v >> 16 for p, (x, m) in zip(pool * 2, out)]
+    # PCG64 seeds with the 128-bit state s and increment t from those four
+    # words, then pcg_setseq_128_srandom_r: inc = 2t + 1, two LCG steps
+    seed = s[1] << 96 | s[0] << 64 | s[3] << 32 | s[2]
+    inc = (s[5] << 97 | s[4] << 65 | s[7] << 33 | s[6] << 1 | 1) & _M128
+    return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": ((inc + seed) * _PCG64_MULT + inc) & _M128, "inc": inc}}
 
 
 # ---------------------------------------------------------------------------

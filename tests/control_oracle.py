@@ -87,4 +87,5 @@ def compensated_count(pattern: PointPattern, region: Window, control: ControlMea
     """Count of atoms in the region minus mu(region)."""
     if region.x_lo < pattern.window.x_lo - 1e-12 or region.x_hi > pattern.window.x_hi + 1e-12:
         raise SupportError("region extends outside the sampled window")
-    return np.count_nonzero(region.contains(pattern.x)) - control.mass(region)
+    inside = (pattern.x >= region.x_lo) & (pattern.x <= region.x_hi)
+    return np.count_nonzero(inside) - control.mass(region)

@@ -14,8 +14,7 @@ from poisson_chaos.kernels import (
     OUSingleKernel, _distinct_pair_sum,
 )
 from poisson_chaos.point_process import (
-    DiscreteControl, PointPattern, SupportError, Window, replication_seed,
-    sample_pattern,
+    DiscreteControl, PointPattern, SupportError, Window, sample_pattern,
 )
 from poisson_chaos.quadrature import _dot
 
@@ -24,6 +23,7 @@ from chaos_oracle import (
     single_clt_check,
 )
 from expansion_oracle import product_expand
+from seeds import replication_rng
 
 CTRL = DiscreteControl(values=(1.0,), weights=(1.0,))
 
@@ -55,7 +55,7 @@ class TestEvalI1:
         g = GridKernel((0.0, 1.0, 2.0, 3.0), np.array([1.0, -2.0, 0.5]))
         w = Window(0.0, 3.0)
         norm_sq = g.l2_norm_sq(CTRL, w)
-        rng = np.random.default_rng(replication_seed(11, 0))
+        rng = replication_rng(11, 0)
         vals = np.array([eval_I1(g, sample_pattern(CTRL, w, rng), CTRL)
                          for _ in range(40_000)])
         se = vals.var(ddof=1) * math.sqrt(2.0 / vals.size) * 1.5
@@ -83,7 +83,7 @@ class TestEvalI2:
         n = 7
         f = BlockKernel(n)
         w = Window(0.0, float(n))
-        rng = np.random.default_rng(replication_seed(12, 0))
+        rng = replication_rng(12, 0)
         for _ in range(200):
             pat = sample_pattern(unit_jump, w, rng)
             direct = eval_I2(f, pat, unit_jump)
@@ -94,7 +94,7 @@ class TestEvalI2:
         vals = np.array([[0.3, 2.0, -1.0], [0.0, 1.0, 0.5], [1.0, -0.5, 0.2]])
         g = GridKernel((0.0, 1.0, 2.0, 3.0), vals)
         w = Window(0.0, 3.0)
-        rng = np.random.default_rng(replication_seed(13, 0))
+        rng = replication_rng(13, 0)
         for _ in range(50):
             pat = sample_pattern(CTRL, w, rng)
             assert eval_I2(g, pat, CTRL) == pytest.approx(
@@ -104,7 +104,7 @@ class TestEvalI2:
         f = BlockKernel(4)
         g = GridKernel((0.0, 1.0, 2.0, 3.0, 4.0), np.array([1.0, -1.0, 0.5, 0.0]))
         w = Window(0.0, 4.0)
-        rng = np.random.default_rng(replication_seed(14, 0))
+        rng = replication_rng(14, 0)
         i1s, i2s = [], []
         for _ in range(100_000):
             pat = sample_pattern(CTRL, w, rng)
@@ -212,7 +212,7 @@ class TestPairSum:
     def test_scan_matches_per_atom_recursion_at_long_horizon(self, lam):
         # T = 1e4 (about 10k atoms, lam T / _SCAN_SPAN up to 33 chunks)
         f = OUDoubleHKernel(lam, 1e4)
-        rng = np.random.default_rng(replication_seed(21, int(2 * lam)))
+        rng = replication_rng(21, int(2 * lam))
         x = rng.uniform(-12.0 / lam, f.T, rng.poisson(f.T + 12.0 / lam))
         u = rng.choice([1.0, -1.0], size=x.size)
         ref = recursion_pair_sum(f, u, x)
@@ -251,7 +251,7 @@ class TestCharlier:
 
     def test_polynomial_recurrence_matches_brute_force(self):
         # orthogonality E[C_j C_k] = delta_jk k! m^k for a Poisson count
-        rng = np.random.default_rng(replication_seed(15, 0))
+        rng = replication_rng(15, 0)
         m = 1.0
         counts = rng.poisson(m, size=400_000)
         polys = charlier_polynomials(counts - m, m, 4)
@@ -272,7 +272,7 @@ class TestPathwiseProductFormula:
         w = Window(0.0, 3.0)
         exp = product_expand(1, 1, g, h, CTRL, w)
         by_order = {t.order: t for t in exp.terms}
-        rng = np.random.default_rng(replication_seed(16, 0))
+        rng = replication_rng(16, 0)
         for _ in range(100):
             pat = sample_pattern(CTRL, w, rng)
             lhs = eval_I1(g, pat, CTRL) * eval_I1(h, pat, CTRL)
@@ -287,7 +287,7 @@ class TestPathwiseProductFormula:
         w = Window(0.0, 1.0)
         f = GridKernel((0.0, 1.0), np.array([[1.0]]))
         exp = product_expand(2, 2, f, f, CTRL, w)
-        rng = np.random.default_rng(replication_seed(17, 0))
+        rng = replication_rng(17, 0)
         for _ in range(200):
             pat = sample_pattern(CTRL, w, rng)
             count = np.array([len(pat)], dtype=float)
@@ -304,7 +304,7 @@ class TestPathwiseProductFormula:
         # the face-value coefficient 2 on the order-1 term breaks the identity
         w = Window(0.0, 1.0)
         f = GridKernel((0.0, 1.0), np.array([[1.0]]))
-        rng = np.random.default_rng(replication_seed(18, 0))
+        rng = replication_rng(18, 0)
         bad = 0
         for _ in range(50):
             pat = sample_pattern(CTRL, w, rng)
@@ -354,7 +354,7 @@ class TestFourthMoment:
         # the exact E[(F^2 - 2 I2(f *_2^0 f))^2] is 3 + 40/n; the stated
         # combination gives 3 + 37/n and both sit inside the stated MC band
         n, reps = 50, 200_000
-        rng = np.random.default_rng(replication_seed(19, 0))
+        rng = replication_rng(19, 0)
         vals = np.array([rep_block(n, rng) for _ in range(reps)])
         g2 = np.mean(vals[:, 1] ** 2)
         se = np.std(vals[:, 1] ** 2, ddof=1) / math.sqrt(reps)
@@ -455,7 +455,7 @@ class TestCharacteristicFunction:
     def test_empirical_cf_matches(self):
         g = GridKernel((0.0, 1.0, 2.0), np.array([1.0, -0.7]))
         w = Window(0.0, 2.0)
-        rng = np.random.default_rng(replication_seed(20, 0))
+        rng = replication_rng(20, 0)
         reps = 100_000
         vals = np.array([eval_I1(g, sample_pattern(CTRL, w, rng), CTRL)
                          for _ in range(reps)])

@@ -186,6 +186,22 @@ class TestEngine:
                             master_seed=8)
         assert not rep_bad.passed
 
+    def test_3se_gate_binds_below_the_tolerance(self):
+        # se of the variance is about sqrt(2 / 50000) = 0.0063: a target 0.1
+        # away is inside the 0.2 band but more than 3 se from the estimate
+        values = np.random.default_rng(9).standard_normal(50000)
+        (v,) = summarize("x", values, targets=[TargetSpec("variance", 1.1, 0.2)]).verdicts
+        assert v.within_tol and 0 < 3 * v.se < 0.1
+        assert not v.within_3se and not v.passed
+
+    def test_target_without_se_is_held_to_its_tolerance(self):
+        values = np.random.default_rng(10).standard_normal(2000)
+        ks = summarize("x", values, ks_reference_variance=1.0).ks_distance
+        for tol, ok in ((ks + 0.01, True), (ks - 0.01, False)):
+            (v,) = summarize("x", values, targets=[TargetSpec("ks", 0.0, tol)],
+                             ks_reference_variance=1.0).verdicts
+            assert v.se == 0.0 and v.within_3se is ok
+
     def test_values_csv(self, tmp_path):
         path = tmp_path / "vals.csv"
         values_to_csv(np.array([1.5, -2.0]), path)

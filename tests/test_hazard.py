@@ -13,15 +13,13 @@ from poisson_chaos.hazard import (
     sample_hazard_pattern, square_hazard_integral,
 )
 from poisson_chaos.kernels import DENSE_PAIR_BYTES_MAX, RectHazardKernel
-from poisson_chaos.point_process import (
-    BetaControl, DiscreteControl, ExtendedGammaControl, PointPattern,
-    replication_seed,
-)
+from poisson_chaos.point_process import BetaControl, DiscreteControl, ExtendedGammaControl, PointPattern
 
 from hazard_path_oracle import (
     campbell_mean, cumulative_hazard_grid, simulate_hazard, square_hazard_integral_grid,
 )
 from kernel_oracles import DykstraLaudHazardKernel, OUHazardKernel
+from seeds import replication_rng
 
 UNIT = DiscreteControl(values=(1.0,), weights=(1.0,))
 
@@ -48,7 +46,7 @@ class TestSimulation:
 
     def test_nonnegative_paths_and_monotone_cumulative(self):
         model = rect_model(UNIT, T=20.0)
-        rng = np.random.default_rng(replication_seed(50, 0))
+        rng = replication_rng(50, 0)
         pat = sample_hazard_pattern(model, rng)
         h = simulate_hazard(model, np.linspace(0, 20, 401), pat)
         assert np.all(h >= 0.0)
@@ -60,7 +58,7 @@ class TestSimulation:
         # E h(t) = strip mass = 2 for t >= tau under nu = delta_1
         model = rect_model(UNIT, T=10.0)
         assert campbell_mean(model, 5.0) == pytest.approx(2.0, rel=1e-9)
-        rng = np.random.default_rng(replication_seed(51, 0))
+        rng = replication_rng(51, 0)
         vals = np.array([simulate_hazard(model, np.array([5.0]),
                                          sample_hazard_pattern(model, rng))[0]
                          for _ in range(20_000)])
@@ -73,7 +71,7 @@ class TestSimulation:
         model = rect_model(control, T=8.0)
         t0 = 5.0
         oracle = campbell_mean(model, t0)
-        rng = np.random.default_rng(replication_seed(52, 0))
+        rng = replication_rng(52, 0)
         vals = np.array([simulate_hazard(model, np.array([t0]),
                                          sample_hazard_pattern(model, rng))[0]
                          for _ in range(8000)])
@@ -126,7 +124,7 @@ class TestCumulativeHazard:
         model = rect_model(UNIT, T=50.0)
         oracle = cumulative_mean_exact(model)   # 2 tau K1 T - tau^2/2 here
         assert oracle == pytest.approx(2.0 * 50.0 - 0.5, rel=1e-10)
-        rng = np.random.default_rng(replication_seed(53, 0))
+        rng = replication_rng(53, 0)
         vals = np.array([cumulative_hazard(model, sample_hazard_pattern(model, rng))
                          for _ in range(8000)])
         se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -162,7 +160,7 @@ class TestCumulativeHazard:
         # rect-kernel paths are piecewise constant: the breakpoint-aligned
         # trapezoid agrees with the closed form to 1e-6 relative
         model = rect_model(UNIT, T=12.0)
-        rng = np.random.default_rng(replication_seed(54, 0))
+        rng = replication_rng(54, 0)
         pat = sample_hazard_pattern(model, rng)
         assert cumulative_hazard_grid(model, pat, 5001) == pytest.approx(
             cumulative_hazard(model, pat), rel=1e-6)
@@ -171,7 +169,7 @@ class TestCumulativeHazard:
 class TestSquareIntegral:
     def test_double_sum_vs_fine_grid(self):
         model = rect_model(UNIT, T=15.0)
-        rng = np.random.default_rng(replication_seed(55, 0))
+        rng = replication_rng(55, 0)
         for _ in range(5):
             pat = sample_hazard_pattern(model, rng)
             exact = square_hazard_integral(model, pat)
@@ -180,7 +178,7 @@ class TestSquareIntegral:
 
     def test_banded_path_matches_full_path(self):
         model = rect_model(UNIT, T=10.0)
-        rng = np.random.default_rng(replication_seed(56, 0))
+        rng = replication_rng(56, 0)
         for _ in range(10):
             pat = sample_hazard_pattern(model, rng)
             full = HazardModel(kernel=OUHazardKernel(1.0), control=UNIT, T=10.0)
@@ -223,7 +221,7 @@ class TestRectPrefixSums:
         monkeypatch.setattr(RectHazardKernel, "pair_time_integral",
                             lambda *a: pytest.fail("pair loop used"))
         model = rect_model(UNIT, T=400.0)
-        pat = sample_hazard_pattern(model, np.random.default_rng(replication_seed(61, 0)))
+        pat = sample_hazard_pattern(model, replication_rng(61, 0))
         assert square_hazard_integral(model, pat) > 0.0
 
     def test_dense_default_refuses_large_matrix(self, monkeypatch):
@@ -257,13 +255,13 @@ class TestLinearStat:
         monkeypatch.setattr(hazard, "cumulative_hazard",
                             lambda *a, **kw: calls.append(1) or cumulative(*a, **kw))
         model = rect_model(UNIT, T=50.0)
-        stat, h_total = rep_linear_case((model, 1), np.random.default_rng(replication_seed(62, 0)))
+        stat, h_total = rep_linear_case((model, 1), replication_rng(62, 0))
         assert len(calls) == 1
         assert stat == pytest.approx((h_total - 2.0 * 50.0) / math.sqrt(50.0), rel=1e-15)
 
     def test_case1_variance(self):
         model = rect_model(UNIT, T=200.0)
-        rng = np.random.default_rng(replication_seed(57, 0))
+        rng = replication_rng(57, 0)
         vals = np.array([rep_linear_case((model, 1), rng)[0] for _ in range(5000)])
         assert linear_case_targets(model, 1) == pytest.approx(4.0)
         # exact finite-horizon variance (edge-corrected): (4T - 3)/T
@@ -275,7 +273,7 @@ class TestLinearStat:
         T = 2000.0
         model = rect_model(ExtendedGammaControl(eps=1e-4), T=T)
         oracle_var = cumulative_variance_exact(model) / math.log(T)
-        rng = np.random.default_rng(replication_seed(58, 0))
+        rng = replication_rng(58, 0)
         vals = np.array([rep_linear_case((model, 2), rng)[0] for _ in range(600)])
         assert vals.var(ddof=1) == pytest.approx(oracle_var, rel=0.2)
         # the stated limit 4 is approached from below, logarithmically
@@ -285,7 +283,7 @@ class TestLinearStat:
         T = 2000.0
         model = rect_model(BetaControl(), T=T)
         oracle_var = cumulative_variance_exact(model) / math.sqrt(T)
-        rng = np.random.default_rng(replication_seed(59, 0))
+        rng = replication_rng(59, 0)
         vals = np.array([rep_linear_case((model, 3), rng)[0] for _ in range(600)])
         assert vals.var(ddof=1) == pytest.approx(oracle_var, rel=0.2)
         # with the stated T^{1/4} normalization the variance decays, far from 8
@@ -311,8 +309,8 @@ class TestQuadraticStat:
 
     def test_replication_matches_single_statistics(self):
         model = rect_model(UNIT, T=40.0)
-        raw, centered = rep_quadratic(model, np.random.default_rng(replication_seed(63, 0)))
-        pat = sample_hazard_pattern(model, np.random.default_rng(replication_seed(63, 0)))
+        raw, centered = rep_quadratic(model, replication_rng(63, 0))
+        pat = sample_hazard_pattern(model, replication_rng(63, 0))
         assert (raw, centered) == hazard._quadratic_stats(model, pat)
 
     def test_centering_constants(self):
@@ -327,7 +325,7 @@ class TestQuadraticStat:
     @pytest.mark.slow
     def test_variances_match_derived_constants(self):
         model = rect_model(UNIT, T=400.0)
-        rng = np.random.default_rng(replication_seed(60, 0))
+        rng = replication_rng(60, 0)
         vals = np.array([rep_quadratic(model, rng) for _ in range(4000)])
         raw, centered = vals[:, 0], vals[:, 1]
         assert raw.var(ddof=1) == pytest.approx(332.0 / 3.0, rel=0.10)

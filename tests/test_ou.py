@@ -11,7 +11,7 @@ from poisson_chaos.ou import (
     quadratic_stat, rep_linear, rep_quadratic, sample_ou_pattern,
     sample_variance_stat,
 )
-from poisson_chaos.point_process import DiscreteControl, Window, replication_seed
+from poisson_chaos.point_process import DiscreteControl, Window
 from poisson_chaos.quadrature import QuadratureError
 
 from kernel_oracles import OUInstantKernel
@@ -20,6 +20,7 @@ from ou_path_oracle import (
     autocovariance_exact, h_norm2_doubled, path_on_grid, square_time_integral_exact,
     square_time_integral_grid,
 )
+from seeds import replication_rng
 
 
 class TestConfig:
@@ -53,7 +54,7 @@ class TestPathSimulation:
 
     def test_stationary_variance_one(self):
         cfg = OUConfig(lam=1.0, T=2.0)
-        rng = np.random.default_rng(replication_seed(30, 0))
+        rng = replication_rng(30, 0)
         ys = np.array([path_on_grid(cfg, sample_ou_pattern(cfg, rng), np.array([2.0]))[0]
                        for _ in range(10_000)])
         se = ys.var(ddof=1) * math.sqrt(2.0 / ys.size) * 1.6
@@ -61,7 +62,7 @@ class TestPathSimulation:
 
     def test_autocovariance(self):
         cfg = OUConfig(lam=1.0, T=4.0)
-        rng = np.random.default_rng(replication_seed(31, 0))
+        rng = replication_rng(31, 0)
         grid = np.array([2.0, 2.5, 3.0, 4.0])
         paths = np.array([path_on_grid(cfg, sample_ou_pattern(cfg, rng), grid)
                           for _ in range(20_000)])
@@ -74,7 +75,7 @@ class TestPathSimulation:
 class TestLinearStat:
     def test_centered_marginal_zero_mean(self):
         cfg = OUConfig(lam=1.0, T=50.0)
-        rng = np.random.default_rng(replication_seed(32, 0))
+        rng = replication_rng(32, 0)
         vals = np.array([rep_linear(cfg, rng) for _ in range(4000)])
         assert abs(vals.mean()) < 3 * vals.std(ddof=1) / math.sqrt(vals.size)
 
@@ -89,7 +90,7 @@ class TestLinearStat:
 
     def test_mc_variance_matches_closed_form(self):
         cfg = OUConfig(lam=1.0, T=100.0)
-        rng = np.random.default_rng(replication_seed(33, 0))
+        rng = replication_rng(33, 0)
         vals = np.array([rep_linear(cfg, rng) for _ in range(5000)])
         target = linear_variance_exact(1.0, 100.0)
         se = vals.var(ddof=1) * math.sqrt(2.0 / vals.size) * 1.3
@@ -102,7 +103,7 @@ class TestLinearStat:
 class TestQuadraticStat:
     def test_pathwise_identity_total_vs_exact_square_integral(self):
         cfg = OUConfig(lam=1.0, T=20.0)
-        rng = np.random.default_rng(replication_seed(34, 0))
+        rng = replication_rng(34, 0)
         for _ in range(40):
             pat = sample_ou_pattern(cfg, rng)
             q = quadratic_stat(cfg, pat)
@@ -115,7 +116,7 @@ class TestQuadraticStat:
         monkeypatch.setattr(OUDoubleHKernel, "__call__",
                             lambda *a: pytest.fail("pair matrix evaluated"))
         cfg = OUConfig(lam=1.0, T=2000.0)
-        pat = sample_ou_pattern(cfg, np.random.default_rng(replication_seed(40, 0)))
+        pat = sample_ou_pattern(cfg, replication_rng(40, 0))
         q = quadratic_stat(cfg, pat)
         direct = math.sqrt(cfg.T) * (square_time_integral_exact(cfg, pat) / cfg.T - 1.0)
         assert q.total == pytest.approx(direct, rel=1e-8, abs=1e-8)
@@ -136,7 +137,7 @@ class TestQuadraticStat:
     def test_variances_match_derived_constants(self):
         # Var K2 -> 2/lam and Var K1 -> c_nu^2 (= 1 for the default marginal)
         cfg = OUConfig(lam=1.0, T=200.0)
-        rng = np.random.default_rng(replication_seed(35, 0))
+        rng = replication_rng(35, 0)
         vals = np.array([rep_quadratic(cfg, rng) for _ in range(3000)])
         k2, k1, total = vals[:, 0], vals[:, 1], vals[:, 2]
         vk2 = k2.var(ddof=1)
@@ -163,7 +164,7 @@ class TestInstantKernel:
         # with a one-sided marginal so every compensator term is exercised
         cfg = OUConfig(lam=1.0, T=6.0,
                        jumps=DiscreteControl(values=(1.0,), weights=(1.0,)))
-        rng = np.random.default_rng(replication_seed(38, 0))
+        rng = replication_rng(38, 0)
         for t in (2.0, 5.0):
             kern = OUInstantKernel(1.0, t)
             for _ in range(25):
@@ -181,7 +182,7 @@ class TestInstantKernel:
         # the chaos route must still match the trapezoid route on fine grids
         cfg = OUConfig(lam=1.0, T=10.0,
                        jumps=DiscreteControl(values=(1.0,), weights=(1.0,)))
-        rng = np.random.default_rng(replication_seed(39, 0))
+        rng = replication_rng(39, 0)
         pat = sample_ou_pattern(cfg, rng)
         q = quadratic_stat(cfg, pat)
         grid_route = math.sqrt(cfg.T) * (
@@ -226,7 +227,7 @@ class TestPairCompensator:
                                 weights=(0.5, 0.5))
         cfg = OUConfig(lam=2.0, T=800.0, jumps=jumps)
         assert jumps.moment(1) == pytest.approx(0.75)
-        rng = np.random.default_rng(replication_seed(41, 0))
+        rng = replication_rng(41, 0)
         k2 = np.array([quadratic_stat(cfg, sample_ou_pattern(cfg, rng)).k2 for _ in range(200)])
         assert np.all(np.isfinite(k2))
         assert abs(k2.mean()) < 4 * k2.std(ddof=1) / math.sqrt(k2.size)
@@ -235,7 +236,7 @@ class TestPairCompensator:
 class TestSampleVariance:
     def test_identity_with_parts(self):
         cfg = OUConfig(lam=1.0, T=30.0)
-        rng = np.random.default_rng(replication_seed(36, 0))
+        rng = replication_rng(36, 0)
         for _ in range(20):
             pat = sample_ou_pattern(cfg, rng)
             quad = quadratic_stat(cfg, pat)
@@ -245,7 +246,7 @@ class TestSampleVariance:
 
     def test_correction_term_decays_like_inverse_sqrt(self):
         # MC mean of T^{-1/2} (linear stat)^2 ~ 2/(lam sqrt(T)): slope -1/2
-        rng = np.random.default_rng(replication_seed(37, 0))
+        rng = replication_rng(37, 0)
         ts = [25.0, 50.0, 100.0, 200.0, 400.0]
         means = []
         for T in ts:

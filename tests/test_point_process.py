@@ -13,6 +13,7 @@ from poisson_chaos.point_process import (
 
 from control_oracle import compensated_count, integrate
 from kernel_oracles import pattern_from_csv
+from seeds import replication_rng
 
 
 def per_call_generalized_gamma_sample(ctrl, window, rng):
@@ -239,13 +240,13 @@ class TestSampling:
     def test_count_moments_poisson_law(self, symmetric_jump):
         # mass 4: mean within 0.05, variance within 0.1 over 1e5 replications
         window = Window(0.0, 4.0)
-        rng = np.random.default_rng(replication_seed(77, 0))
+        rng = replication_rng(77, 0)
         counts = np.array([len(symmetric_jump.sample(window, rng)[0]) for _ in range(100_000)])
         assert counts.mean() == pytest.approx(4.0, abs=0.05)
         assert counts.var(ddof=1) == pytest.approx(4.0, abs=0.1)
 
     def test_disjoint_regions_uncorrelated(self, unit_jump):
-        rng = np.random.default_rng(replication_seed(78, 0))
+        rng = replication_rng(78, 0)
         window = Window(0.0, 6.0)
         b, c = Window(0.0, 2.0), Window(3.0, 6.0)
         nb, nc = [], []
@@ -282,16 +283,15 @@ class TestSampling:
         assert np.array_equal(p1.u, p2.u) and np.array_equal(p1.x, p2.x)
 
     def test_replication_seeds_independent_of_order(self):
-        a = np.random.default_rng(replication_seed(9, 3)).uniform(size=4)
-        b = np.random.default_rng(replication_seed(9, 3)).uniform(size=4)
-        c = np.random.default_rng(replication_seed(9, 4)).uniform(size=4)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+        forward = [replication_seed(9, i) for i in range(5)]
+        backward = [replication_seed(9, i) for i in reversed(range(5))]
+        assert forward == backward[::-1]
+        assert forward[3] != forward[4]
 
     def test_beta_control_conditional_law(self):
         # mean jump at x with c(x)=3 is 1/(c+1) = 0.25
         ctrl = BetaControl()
-        rng = np.random.default_rng(replication_seed(80, 0))
+        rng = replication_rng(80, 0)
         u, x, _ = ctrl.sample(Window(8.9, 9.1), rng)
         for _ in range(200):
             uu, xx, _ = ctrl.sample(Window(8.9, 9.1), rng)
@@ -303,7 +303,7 @@ class TestSampling:
         ctrl = ExtendedGammaControl(beta0=1.0, beta1=1.0, eps=1e-4)
         w = Window(0.0, 5.0)
         oracle, _ = si.quad(lambda x: float(ctrl.x_moment(1, x)), 0.0, 5.0)
-        rng = np.random.default_rng(replication_seed(81, 0))
+        rng = replication_rng(81, 0)
         tot = [ctrl.sample(w, rng)[0].sum() for _ in range(4000)]
         tot = np.array(tot)
         assert tot.mean() == pytest.approx(oracle, abs=4 * tot.std(ddof=1) / np.sqrt(tot.size))
@@ -445,7 +445,7 @@ class TestExtendedGammaLaw:
 
     @staticmethod
     def _pool(ctrl, window, reps, seed):
-        rng = np.random.default_rng(replication_seed(seed, 0))
+        rng = replication_rng(seed, 0)
         draws = [ctrl.sample(window, rng) for _ in range(reps)]
         counts = np.array([len(d[0]) for d in draws])
         return np.concatenate([d[0] for d in draws]), np.concatenate([d[1] for d in draws]), counts
@@ -507,7 +507,7 @@ class TestCompensatedCount:
     def test_centered_moments(self, unit_jump):
         # mean 0, variance m, third central moment m within 4 se
         region = Window(0.0, 3.0)
-        rng = np.random.default_rng(replication_seed(82, 0))
+        rng = replication_rng(82, 0)
         vals = []
         for _ in range(100_000):
             u, x, _ = unit_jump.sample(region, rng)
@@ -533,3 +533,8 @@ def test_pattern_csv_roundtrip(tmp_path, symmetric_jump):
 def test_atom_outside_window_rejected():
     with pytest.raises(ValueError):
         PointPattern(np.array([1.0]), np.array([5.0]), Window(0.0, 2.0), 2.0, 0)
+
+
+def test_nan_atom_rejected():
+    with pytest.raises(ValueError, match="atom outside window"):
+        PointPattern(np.ones(3), np.array([0.5, np.nan, 1.0]), Window(0.0, 2.0), 2.0, 0)

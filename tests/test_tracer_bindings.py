@@ -28,3 +28,24 @@ def test_traced_functions_exist_after_importing_the_cli():
         name = f"poisson_chaos.{module}"
         assert name in sys.modules, f"{name} is not loaded by the CLI"
         assert callable(getattr(sys.modules[name], attr, None)), f"{name}.{attr} is missing"
+
+
+def test_one_replication_seed_call_per_replication_in_index_order(monkeypatch):
+    # the tracer marks the spans of replication i by the second positional
+    # argument of point_process.replication_seed, rebound in harness
+    from poisson_chaos import harness
+
+    calls = []
+    seed = harness.replication_seed
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return seed(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "replication_seed", counted)
+    harness.collect(_uniform_rep, None, 37, 5, workers=1)
+    assert [a[1] for a in calls] == list(range(37))
+
+
+def _uniform_rep(_cfg, rng):
+    return rng.uniform()
