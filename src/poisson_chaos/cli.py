@@ -258,38 +258,37 @@ def build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None, help="key = value config file")
-        p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--reps", "--R", type=int, default=None, help="replication count")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--tol", type=float, default=None, help="override verdict tolerance")
-        p.add_argument("--dump", action="store_true",
-                       help="also stream per-replication values to CSV")
+    # the flags every subcommand shares, built once and copied into each
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None, help="key = value config file")
+    common.add_argument("--seed", type=int, default=None, help="master seed")
+    common.add_argument("--reps", "--R", type=int, default=None, help="replication count")
+    common.add_argument("--out", default="out", help="output directory")
+    common.add_argument("--format", choices=("json", "csv"), default="json")
+    common.add_argument("--workers", type=int, default=1)
+    common.add_argument("--tol", type=float, default=None, help="override verdict tolerance")
+    common.add_argument("--dump", action="store_true",
+                        help="also stream per-replication values to CSV")
 
-    p = sub.add_parser("criterion", help="audit a kernel sequence for the Gaussian limit")
-    common(p)
+    p = sub.add_parser("criterion", parents=[common],
+                       help="audit a kernel sequence for the Gaussian limit")
     p.add_argument("--family", required=True, choices=("block", "fixed", "ou-pair", "ou-pair-unit"),
                    help="ou-pair scales the pair kernel by sqrt(lam), ou-pair-unit by sqrt(lam/2)")
     p.add_argument("--indices", default="10,30,100,300,1000",
                    help="comma-separated sequence indices (block sizes or horizons)")
     p.add_argument("--lam", "--lambda", type=float, default=1.0)
 
-    p = sub.add_parser("block", help="Monte Carlo fourth-moment check for the block family")
-    common(p)
+    p = sub.add_parser("block", parents=[common],
+                       help="Monte Carlo fourth-moment check for the block family")
     p.add_argument("--n", type=int, default=50, help="number of unit-mass blocks")
 
-    p = sub.add_parser("ou", help="moving-average process experiments")
-    common(p)
+    p = sub.add_parser("ou", parents=[common], help="moving-average process experiments")
     p.add_argument("--theorem", type=int, required=True, choices=(4, 5, 6),
                    help="4 = linear statistic, 5 = quadratic split, 6 = sample variance")
     p.add_argument("--lam", "--lambda", type=float, default=1.0)
     p.add_argument("--T", type=float, default=200.0)
 
-    p = sub.add_parser("hazard", help="random hazard rate experiments")
-    common(p)
+    p = sub.add_parser("hazard", parents=[common], help="random hazard rate experiments")
     p.add_argument("--theorem", type=int, required=True, choices=(7, 8),
                    help="7 = linear, 8 = quadratic")
     p.add_argument("--case", type=int, default=1, choices=(1, 2, 3),
@@ -299,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=200.0)
     p.add_argument("--eps", type=float, default=1e-4)
 
-    p = sub.add_parser("sample", help="dump one point pattern as CSV")
-    common(p)
+    p = sub.add_parser("sample", parents=[common], help="dump one point pattern as CSV")
     p.add_argument("--x-lo", type=float, default=0.0)
     p.add_argument("--x-hi", type=float, default=10.0)
     return parser

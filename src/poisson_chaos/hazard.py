@@ -44,11 +44,9 @@ class HazardModel:
         if isinstance(self.control, DiscreteControl):
             if any(v <= 0 for v in self.control.values):
                 raise ValueError("hazard jump marginal must be positive")
-
-    @property
-    def window(self) -> Window:
-        lo, hi = self.kernel.x_support(self.T)
-        return Window(lo, hi)
+        # built once, not per replication; not a field, so eq and hash still
+        # see only kernel, control and T
+        object.__setattr__(self, "window", Window(*self.kernel.x_support(self.T)))
 
 
 def rect_model(control: ControlMeasure, T: float, tau: float = 1.0) -> HazardModel:
@@ -68,8 +66,8 @@ def cumulative_hazard(model: HazardModel, pattern: PointPattern) -> float:
 
 
 def square_hazard_integral(model: HazardModel, pattern: PointPattern) -> float:
-    """int_0^T h(t)^2 dt as a double sum over atom pairs (closed-form pair
-    time integrals; prefix sums for the rectangular kernel)."""
+    """int_0^T h(t)^2 dt, by the kernel's square_integral (one sweep over
+    the interval ends for the rectangular kernel)."""
     if not len(pattern):
         return 0.0
     return model.kernel.square_integral(pattern.u, pattern.x, model.T)

@@ -1,9 +1,11 @@
 """Path-level oracles for the hazard statistics: h on a time grid refined at
-the kernel breakpoints, trapezoid integrals of h and h^2, and the Campbell
-mean E h(t) by quadrature, all independent of the closed forms in
-``poisson_chaos.hazard``."""
+the kernel breakpoints, trapezoid integrals of h and h^2, the rectangular
+int h^2 in exact rational arithmetic, and the Campbell mean E h(t) by
+quadrature, all independent of the closed forms in ``poisson_chaos.hazard``."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -50,6 +52,36 @@ def square_hazard_integral_grid(model: HazardModel, pattern: PointPattern,
     times = hazard_grid_times(model, pattern, n_points)
     h = simulate_hazard(model, times, pattern)
     return float(np.trapezoid(h ** 2, times))
+
+
+def _dyadic(values) -> tuple[list[int], int]:
+    """Integers n_i and one power of two d with values_i = n_i / d exactly."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    d = max((q for _, q in ratios), default=1)
+    return [p * (d // q) for p, q in ratios], d
+
+
+def rect_square_integral_exact(u, x, T: float, tau: float) -> Fraction:
+    """int_0^T h^2 for the rectangular kernel as the pair sum
+    sum_{i,j} u_i u_j |[a_i, b_i] & [a_j, b_j]|, exactly in rationals, on the
+    float breakpoints a = max(x - tau, 0), b = min(x + tau, T).  Over atoms
+    sorted by x, atom j > i overlaps atom i by (b_i - a_j)^+, and no later
+    atom overlaps i once a_j >= b_i."""
+    order = np.argsort(x, kind="stable")
+    x = np.asarray(x, dtype=float)[order]
+    a = np.maximum(x - tau, 0.0)
+    b = np.minimum(x + tau, T)
+    un, du = _dyadic(np.asarray(u, dtype=float)[order])
+    tn, dt = _dyadic(np.concatenate([a, b]))
+    an, bn = tn[:x.size], tn[x.size:]
+    total = 0
+    for i in range(x.size):
+        total += un[i] * un[i] * max(bn[i] - an[i], 0)
+        for j in range(i + 1, x.size):
+            if an[j] >= bn[i]:
+                break
+            total += 2 * un[i] * un[j] * (bn[i] - an[j])
+    return Fraction(total, du * du * dt)
 
 
 def campbell_mean(model: HazardModel, t: float) -> float:

@@ -18,7 +18,7 @@ from poisson_chaos.chaos import (
 )
 from poisson_chaos.cli import main as cli_main
 from poisson_chaos.contractions import contraction_norms
-from poisson_chaos.harness import collect, jackknife_variance_se, ks_statistic, slope_fit
+from poisson_chaos.harness import collect, jackknife_variance_se, ks_statistic
 from poisson_chaos.hazard import (
     cumulative_variance_exact, rect_model, rep_linear_case, rep_quadratic as hz_rep_quadratic,
 )
@@ -33,6 +33,7 @@ from poisson_chaos.point_process import (
 
 from chaos_oracle import charlier_block_oracle
 from expansion_oracle import product_expand
+from fits import slope_fit
 from seeds import replication_rng
 
 MASTER_SEED = 20240801

@@ -296,6 +296,18 @@ class TestGoldenRuns:
             assert (tmp_path / name).read_bytes() == (GOLDEN / run / name).read_bytes(), name
 
 
+class TestHelpText:
+    """--help of the top level and of every subcommand at 100 columns, as
+    argparse printed it before the subcommands shared a parent parser."""
+
+    @pytest.mark.parametrize("command", ["", "criterion", "block", "ou", "hazard", "sample"])
+    def test_help_is_byte_identical(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("COLUMNS", "100")
+        assert main([*command.split(), "--help"]) == 0
+        want = (GOLDEN / "help" / f"{command or 'top'}.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == want
+
+
 class TestGoldenSamples:
     """pattern.csv of `sample --config` for every control family, recorded
     before the jump-range window was removed; the extended-Gamma cases cover

@@ -13,8 +13,10 @@ from scipy.special import ndtri
 import poisson_chaos
 from poisson_chaos.harness import (
     TargetSpec, collect, gaussian_cdf, jackknife_variance_se,
-    ks_statistic, slope_fit, summarize, values_to_csv,
+    ks_statistic, summarize, values_to_csv,
 )
+
+from fits import slope_fit
 
 
 def _gaussian_rep(_cfg, rng):

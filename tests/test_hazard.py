@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from poisson_chaos.kernels import DENSE_PAIR_BYTES_MAX, RectHazardKernel
 from poisson_chaos.point_process import BetaControl, DiscreteControl, ExtendedGammaControl, PointPattern
 
 from hazard_path_oracle import (
-    campbell_mean, cumulative_hazard_grid, simulate_hazard, square_hazard_integral_grid,
+    campbell_mean, cumulative_hazard_grid, rect_square_integral_exact, simulate_hazard,
+    square_hazard_integral_grid,
 )
 from kernel_oracles import DykstraLaudHazardKernel, OUHazardKernel
 from seeds import replication_rng
@@ -230,6 +232,29 @@ class TestRectPrefixSums:
                             lambda *a: pytest.fail("evaluated"))
         with pytest.raises(ValueError, match=f"n={n} atoms needs {8 * n * n} bytes"):
             DykstraLaudHazardKernel().square_integral(np.ones(n), np.ones(n), 10.0)
+
+
+class TestRectExactSquareIntegral:
+    """The rectangular int h^2 against the exact rational pair sum over the
+    same float breakpoints, with Exp(1) jumps at five atoms per unit time."""
+
+    @pytest.mark.parametrize("T, tau", [(50.0, 1.0), (2e4, 1.0), (300.0, 7.5)])
+    def test_within_1e_13_of_exact_rationals(self, T, tau):
+        rng = np.random.default_rng(8125)
+        n = int(rng.poisson(5.0 * (T + tau)))
+        x = rng.uniform(0.0, T + tau, n)
+        u = rng.exponential(1.0, n)
+        exact = rect_square_integral_exact(u, x, T, tau)
+        got = RectHazardKernel(tau).square_integral(u, x, T)
+        assert abs(Fraction(got) - exact) <= Fraction(1, 10 ** 13) * exact
+
+    def test_oracle_on_hand_example(self):
+        # [0, 1] and [0.5, 2] (first atom cut at 0, second at T = 2) plus an
+        # atom beyond T + tau: 2^2*1 + 3^2*1.5 + 2*2*3*0.5
+        exact = rect_square_integral_exact([2.0, 3.0, 5.0], [0.0, 1.5, 3.5], 2.0, 1.0)
+        assert exact == Fraction(47, 2)
+        assert RectHazardKernel(1.0).square_integral(
+            np.array([2.0, 3.0, 5.0]), np.array([0.0, 1.5, 3.5]), 2.0) == 23.5
 
 
 class TestLinearStat:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
-from poisson_chaos.harness import slope_fit
 from poisson_chaos.kernels import OUDoubleHKernel, ou_ghat
 from poisson_chaos.ou import (
     OUConfig, k1_variance_exact, k2_variance_exact, linear_stat, linear_variance_exact,
@@ -14,6 +13,7 @@ from poisson_chaos.ou import (
 from poisson_chaos.point_process import DiscreteControl, Window
 from poisson_chaos.quadrature import QuadratureError
 
+from fits import slope_fit
 from kernel_oracles import OUInstantKernel
 from ou_contraction_oracle import contraction_norms_by_quadrature
 from ou_path_oracle import (
