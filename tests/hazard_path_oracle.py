@@ -67,8 +67,9 @@ def rect_square_integral_exact(u, x, T: float, tau: float) -> Fraction:
     float breakpoints a = max(x - tau, 0), b = min(x + tau, T).  Over atoms
     sorted by x, atom j > i overlaps atom i by (b_i - a_j)^+, and no later
     atom overlaps i once a_j >= b_i."""
+    x = np.asarray(x, dtype=float)
     order = np.argsort(x, kind="stable")
-    x = np.asarray(x, dtype=float)[order]
+    x = x[order]
     a = np.maximum(x - tau, 0.0)
     b = np.minimum(x + tau, T)
     un, du = _dyadic(np.asarray(u, dtype=float)[order])

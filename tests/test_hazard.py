@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +16,9 @@ from poisson_chaos.hazard import (
     sample_hazard_pattern, square_hazard_integral,
 )
 from poisson_chaos.kernels import DENSE_PAIR_BYTES_MAX, RectHazardKernel
-from poisson_chaos.point_process import BetaControl, DiscreteControl, ExtendedGammaControl, PointPattern
+from poisson_chaos.point_process import (
+    BetaControl, DiscreteControl, ExtendedGammaControl, PointPattern, Window,
+)
 
 from hazard_path_oracle import (
     campbell_mean, cumulative_hazard_grid, rect_square_integral_exact, simulate_hazard,
@@ -55,6 +59,18 @@ class TestSimulation:
         partial = [cumulative_hazard(rect_model(UNIT, T=t), pattern_of(
             pat.u, pat.x, rect_model(UNIT, T=20.0).window)) for t in (5.0, 10.0, 20.0)]
         assert partial[0] <= partial[1] <= partial[2]
+
+    def test_window_built_once_outside_fields(self, monkeypatch):
+        model = rect_model(UNIT, T=20.0)
+        assert model.window == Window(0.0, 21.0)
+        assert [f.name for f in dataclasses.fields(HazardModel)] == ["kernel", "control", "T"]
+        assert model == rect_model(UNIT, T=20.0) and hash(model) == hash(rect_model(UNIT, T=20.0))
+        assert pickle.loads(pickle.dumps(model)).window == model.window
+        built = []
+        monkeypatch.setattr(Window, "__post_init__", lambda self: built.append(self))
+        for i in range(3):
+            sample_hazard_pattern(model, replication_rng(51, i))
+        assert built == []
 
     def test_campbell_mean_rect(self):
         # E h(t) = strip mass = 2 for t >= tau under nu = delta_1
