@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contractions import contraction_norms
+from .harness import _record_dict
 from .kernels import Kernel, _check_arity
 from .point_process import ControlMeasure, PointPattern, SupportError, Window
 
@@ -102,16 +103,7 @@ class CriterionReport:
         return combine_fourth_moment(self.norm2_doubled, self.n11, self.n21, self.n10)
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "norm2_doubled": self.norm2_doubled,
-            "l4": self.l4,
-            "n11": self.n11,
-            "n21": self.n21,
-            "n10": self.n10,
-            "fourth_moment_chaos": self.fourth_moment_chaos,
-            "integrable": self.integrable,
-        }
+        return _record_dict(self, fourth_moment_chaos=self.fourth_moment_chaos)
 
 
 @dataclass(frozen=True)
@@ -131,13 +123,8 @@ class CriterionVerdict:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [{"name": c.name, "values": list(c.values), "target": c.target,
-                        "passed": c.passed, "slope": c.slope, "reason": c.reason}
-                       for c in self.checks],
-            "reports": [r.to_dict() for r in self.reports],
-        }
+        return _record_dict(self, checks=[_record_dict(c) for c in self.checks],
+                            reports=[r.to_dict() for r in self.reports])
 
 
 def _fit_slope(xs, ys):

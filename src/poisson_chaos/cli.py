@@ -3,15 +3,20 @@ reports.
 
 Subcommands: criterion | block | ou | hazard | sample.  Flags override
 config-file values.  The Monte Carlo subcommands (block, ou, hazard) run
-harness.collect and harness.summarize and share one tail, _finish, that
-writes the JSON report, the --format csv summary and the --dump value files.
-Every output file embeds the tool version, the config hash, and the master
-seed, so a rerun from that triple reproduces the file byte-identically; wall
-times go to stdout only.  Exit codes: 0 all verdicts pass, 1 at least one
-fails, 2 usage or configuration error (an unknown family, theorem or case, a
-control that does not match the requested case or theorem, fewer than 100
-replications for ou theorem 4), 3 a replication crashed (the one-line
-message names its index and the master seed) or a numerical check failed.
+harness.collect and harness.summarize; they and criterion share one tail,
+_finish, that writes the JSON report, the --format csv summary and the --dump
+value files, and takes the exit code from one verdict.  Every output file
+embeds the tool version, the config hash, and the master seed, so a rerun
+from that triple reproduces the file byte-identically; wall times go to
+stdout only.  Exit codes: 0 all verdicts pass, 1 at least one fails, 2 usage
+or configuration error (an unknown family, theorem or case, a control that
+does not match the requested case or theorem, fewer than 100 replications
+for ou theorem 4, a rate, horizon or bandwidth that is not finite and
+positive, an eps that is not finite and nonnegative, fewer than one block),
+3 a replication crashed (the one-line message names its index and the master
+seed) or a numerical check failed.  The exit code follows the JSON `passed`
+but for block, whose exit code judges the fourth moment E G^2 against
+3 + 37/n while its JSON `passed` judges the KS distance.
 """
 
 from __future__ import annotations
@@ -58,30 +63,31 @@ def _emit_summary_csv(path: Path, rows) -> None:
                               for c in row) + "\n")
 
 
-def _report_row(T, report, target) -> tuple:
-    return (T, report.mean, report.variance, report.variance_se,
-            report.skewness, report.kurtosis,
+def _report_row(T, report, target, passed: bool, m4=None) -> tuple:
+    # m4 replaces the kurtosis column when given
+    return (T, report.mean, report.variance, report.variance_se, report.skewness,
+            report.kurtosis if m4 is None else m4,
             report.ks_distance if report.ks_distance is not None else "",
-            target, "PASS" if report.passed else "FAIL")
+            target, "PASS" if passed else "FAIL")
 
 
-def _finish(args, stem: str, payload: dict, rows, dumps: dict, label: str, t0: float) -> int:
-    """Shared tail of the Monte Carlo subcommands.  Writes <stem>.json with
-    the provenance stamped in, the summary rows to <stem>.csv under
-    --format csv and each dumps entry (file name -> per-replication values)
-    under --dump, prints one line, and returns 0 if every row's verdict
-    (its last column) is PASS, else 1."""
+def _finish(args, stem: str, payload: dict, passed: bool, label: str, t0: float,
+            rows=(), dumps=None) -> int:
+    """Shared tail of the report-writing subcommands.  Writes <stem>.json
+    with the provenance stamped in, the summary rows (if any) to <stem>.csv
+    under --format csv and each dumps entry (file name -> per-replication
+    values) under --dump, prints the verdict and the wall time on one line,
+    and returns 0 if passed, else 1."""
     outdir = Path(args.out)
     payload.update(_provenance(args))
     _emit_json(outdir / f"{stem}.json", payload)
-    if args.dump:
+    if args.dump and dumps:
         for name, values in dumps.items():
             values_to_csv(values, outdir / name)
-    if args.format == "csv":
+    if args.format == "csv" and rows:
         _emit_summary_csv(outdir / f"{stem}.csv", rows)
-    ok = all(row[-1] == "PASS" for row in rows)
-    print(f"{label}: {'PASS' if ok else 'FAIL'}  [{time.perf_counter() - t0:.1f}s]")
-    return 0 if ok else 1
+    print(f"{label}: {'PASS' if passed else 'FAIL'}  [{time.perf_counter() - t0:.1f}s]")
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +96,7 @@ def _finish(args, stem: str, payload: dict, rows, dumps: dict, label: str, t0: f
 
 
 def cmd_criterion(args) -> int:
+    t0 = time.perf_counter()
     control = DiscreteControl(values=(1.0,), weights=(1.0,))
     if args.family in ("block", "fixed"):
         index = [int(t) for t in args.indices.split(",")]
@@ -107,18 +114,16 @@ def cmd_criterion(args) -> int:
         scale = math.sqrt(lam) if args.family == "ou-pair" else math.sqrt(lam / 2.0)
         control = oumod.DEFAULT_JUMPS
         kernels = [h.scaled(scale * math.sqrt(h.T)) for h in bases]
-        windows = [Window(-12.0 / lam, t) for t in index]
+        windows = [oumod.OUConfig(lam, t).window for t in index]
         labels = [f"T_{t:g}" for t in index]
     verdict = chaos.clt_criterion(kernels, control, windows, labels=labels, index=index)
-    payload = verdict.to_dict()
-    payload.update(_provenance(args))
-    _emit_json(Path(args.out) / f"criterion_{args.family}.json", payload)
-    print(f"criterion[{args.family}]: {'PASS' if verdict.passed else 'FAIL'}")
-    return 0 if verdict.passed else 1
+    return _finish(args, f"criterion_{args.family}", verdict.to_dict(), verdict.passed,
+                   f"criterion[{args.family}]", t0)
 
 
 def cmd_block(args) -> int:
     n = args.n
+    BlockKernel(n)   # rejects n < 1 before any replication
     t0 = time.perf_counter()
     values = collect(chaos.rep_block, n, args.reps, args.seed, args.workers)
     f_vals, g_vals = values[:, 0], values[:, 1]
@@ -133,13 +138,15 @@ def cmd_block(args) -> int:
     payload["fourth_moment_mc"] = g2
     payload["fourth_moment_mc_se"] = g2_se
     payload["fourth_moment_target"] = target
-    # the exit code judges the fourth moment, so the summary row carries it
-    # in the m4 column with its verdict
-    row = (n, report.mean, report.variance, report.variance_se, report.skewness, g2,
-           report.ks_distance, target, "PASS" if abs(g2 - target) <= 0.15 else "FAIL")
-    return _finish(args, f"block_n{n}", payload, [row], {f"block_n{n}_values.csv": f_vals},
+    # The one verdict that is not the report's own: the exit code judges the
+    # fourth moment while the JSON `passed` judges KS (ROADMAP item 1 gives
+    # block one verdict).  The summary row carries E G^2 in its m4 column.
+    passed = abs(g2 - target) <= 0.15
+    return _finish(args, f"block_n{n}", payload, passed,
                    f"block n={n}: fourth moment {g2:.4f} (target {target:.4f}), "
-                   f"ks {report.ks_distance:.4f}", t0)
+                   f"ks {report.ks_distance:.4f}", t0,
+                   rows=[_report_row(n, report, target, passed, m4=g2)],
+                   dumps={f"block_n{n}_values.csv": f_vals})
 
 
 def cmd_ou(args) -> int:
@@ -154,8 +161,8 @@ def cmd_ou(args) -> int:
         report = summarize(f"ou_linear_T{T:g}", series["linear"],
                            targets=[TargetSpec("variance", target, args.tol or 0.15)],
                            master_seed=args.seed, ks_reference_variance=target)
+        reports = {"linear": report}
         payload = report.to_dict()
-        rows = [_report_row(T, report, target)]
     else:
         values = collect(oumod.rep_quadratic, cfg, args.reps, args.seed, args.workers)
         k2, k1, total, sv = (values[:, i] for i in range(4))
@@ -172,10 +179,13 @@ def cmd_ou(args) -> int:
         payload["targets_stated"] = stated
         payload["targets_derived"] = derived
         payload["corr_k2_k1"] = float(np.corrcoef(k2, k1)[0, 1])
-        rows = [_report_row(T, r, derived[key]) for key, r in reports.items()]
-    dumps = {f"ou_thm{args.theorem}_{key}_values.csv": v for key, v in series.items()}
-    return _finish(args, f"ou_thm{args.theorem}_T{T:g}", payload, rows, dumps,
-                   f"ou theorem {args.theorem} T={T:g}", t0)
+    return _finish(args, f"ou_thm{args.theorem}_T{T:g}", payload,
+                   all(r.passed for r in reports.values()),
+                   f"ou theorem {args.theorem} T={T:g}", t0,
+                   rows=[_report_row(T, r, r.verdicts[0].target, r.passed)
+                         for r in reports.values()],
+                   dumps={f"ou_thm{args.theorem}_{key}_values.csv": v
+                          for key, v in series.items()})
 
 
 def _hazard_model(args) -> hz.HazardModel:
@@ -225,8 +235,9 @@ def cmd_hazard(args) -> int:
         payload["variance_stated"] = stated
         payload["variance_derived"] = target
         stem = f"hazard_thm8_{args.variant}_T{args.T:g}"
-    return _finish(args, stem, payload, [_report_row(args.T, report, target)],
-                   {f"{stem}_values.csv": stat}, f"hazard theorem {args.theorem}", t0)
+    return _finish(args, stem, payload, report.passed, f"hazard theorem {args.theorem}", t0,
+                   rows=[_report_row(args.T, report, target, report.passed)],
+                   dumps={f"{stem}_values.csv": stat})
 
 
 def cmd_sample(args) -> int:

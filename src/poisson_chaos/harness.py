@@ -1,6 +1,6 @@
 """Replicated-experiment engine: deterministic parallel replication, moment
 summaries with jackknife errors, Kolmogorov-Smirnov distances against
-centered Gaussian references, and log-log decay-slope fits.
+centered Gaussian references, and the report records the CLI serializes.
 
 Replication i draws the stream of PCG64(SeedSequence(master_seed, spawn_key=(i,))):
 each chunk of replications reuses one generator and sets its state from
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import numpy.random   # numpy loads it lazily; load it with this module, not mid-run
@@ -171,28 +171,18 @@ class ExperimentReport:
         return all(v.passed for v in self.verdicts)
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "mean": self.mean,
-            "mean_se": self.mean_se,
-            "variance": self.variance,
-            "variance_se": self.variance_se,
-            "skewness": self.skewness,
-            "kurtosis": self.kurtosis,
-            "ks_distance": self.ks_distance,
-            "ks_reference_variance": self.ks_reference_variance,
-            "tail_masses": {str(k): v for k, v in self.tail_masses.items()},
-            "passed": self.passed,
-            "verdicts": [
-                {"name": v.name, "target": v.target, "tol": v.tol,
-                 "estimate": v.estimate, "se": v.se,
-                 "within_tol": v.within_tol, "within_3se": v.within_3se,
-                 "passed": v.passed}
-                for v in self.verdicts
-            ],
-        }
+        return _record_dict(self, passed=self.passed,
+                            tail_masses={str(k): v for k, v in self.tail_masses.items()},
+                            verdicts=[_record_dict(v, passed=v.passed) for v in self.verdicts])
+
+
+def _record_dict(record, **extra) -> dict:
+    """A report record's dataclass fields by name, one level deep (values are
+    not copied; a nested record is serialized by the caller), updated with
+    extra."""
+    out = {f.name: getattr(record, f.name) for f in fields(record)}
+    out.update(extra)
+    return out
 
 
 # ---------------------------------------------------------------------------

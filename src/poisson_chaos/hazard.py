@@ -39,8 +39,8 @@ class HazardModel:
     T: float
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("horizon must be positive")
+        if not (0.0 < self.T < math.inf):
+            raise ValueError("horizon must be positive and finite")
         if isinstance(self.control, DiscreteControl):
             if any(v <= 0 for v in self.control.values):
                 raise ValueError("hazard jump marginal must be positive")

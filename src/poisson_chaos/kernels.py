@@ -408,11 +408,8 @@ class OUSingleKernel(Kernel):
         return control.abs_moment(p) * coef ** p * self._shape_power_integral(p, window)
 
     def integral(self, control, window):
-        lam, T = self.lam, self.T
-        L = -window.x_lo
-        neg = (1.0 - math.exp(-lam * T)) * (1.0 - math.exp(-lam * L)) / lam
-        pos = _binom_time_integral(1, lam, min(window.x_hi, T))
-        return control.moment(1) * math.sqrt(2.0 * lam / T) * (neg + pos) / lam
+        coef = math.sqrt(2.0 * self.lam / self.T)
+        return control.moment(1) * coef * self._shape_power_integral(1, window)
 
     def support_excess(self, window):
         # L2 tail below the window cut
@@ -662,7 +659,7 @@ class OUDoubleHKernel(Kernel):
                 piece2 += cmb * (T - a) * np.exp(p * lam * y - 2.0 * lam * k * T)
             else:
                 d = lam * (2.0 * k - p)
-                hi_t = np.exp(p * lam * (y - T) + 2.0 * lam * k * (T - T))  # e^{p lam y + (2k-p) lam T - 2k lam T}
+                hi_t = np.exp(p * lam * (y - T))
                 lo_t = np.exp(p * lam * (y - a) + 2.0 * lam * k * (a - T))
                 piece2 += cmb * (hi_t - lo_t) / d
         return piece1 + piece2
@@ -807,8 +804,8 @@ class RectHazardKernel(HazardKernel):
     tau: float
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not (0.0 < self.tau < math.inf):
+            raise ValueError("bandwidth must be positive and finite")
 
     def __call__(self, t, x):
         return (np.abs(np.asarray(t, dtype=float) - np.asarray(x, dtype=float)) <= self.tau).astype(float)

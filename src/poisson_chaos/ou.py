@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .chaos import eval_I1, eval_I2
 from .kernels import (OUDiagHstarKernel, OUDoubleHKernel, OUSingleKernel,
-                      _binom_time_integral)
+                      _binom_time_integral, _check_rate_and_horizon)
 from .point_process import DiscreteControl, PointPattern, Window, sample_pattern
 
 DEFAULT_JUMPS = DiscreteControl(values=(1.0, -1.0), weights=(0.5, 0.5))
@@ -28,29 +28,27 @@ DEFAULT_JUMPS = DiscreteControl(values=(1.0, -1.0), weights=(0.5, 0.5))
 
 @dataclass(frozen=True)
 class OUConfig:
-    """Rate, jump marginal, horizon and truncation depth for one experiment.
+    """Rate, jump marginal and horizon for one experiment.
 
     The jump marginal must satisfy int u^2 nu = 1 (checked to 1e-10); the
     default two-point marginal (1/2)(delta_1 + delta_-1) makes every limit
-    constant analytic and removes truncation bias.  The window cut at
-    x = -depth satisfies e^{-2 lam depth} < 1e-10 by construction.
+    constant analytic and removes truncation bias.  The window is cut at
+    x = -depth, depth = 12/lam, so e^{-2 lam depth} = e^{-24} < 1e-10.
     """
 
     lam: float
     T: float
     jumps: DiscreteControl = DEFAULT_JUMPS
-    depth: float | None = None
 
     def __post_init__(self):
-        if self.lam <= 0 or self.T <= 0:
-            raise ValueError("lam and T must be positive")
+        _check_rate_and_horizon(self.lam, self.T)
         m2 = self.jumps.moment(2)
         if abs(m2 - 1.0) > 1e-10:
             raise ValueError(f"jump marginal must have unit second moment, got {m2!r}")
-        if self.depth is None:
-            object.__setattr__(self, "depth", 12.0 / self.lam)
-        if math.exp(-2.0 * self.lam * self.depth) >= 1e-10:
-            raise ValueError("truncation depth too shallow: e^{-2 lam L} >= 1e-10")
+
+    @property
+    def depth(self) -> float:
+        return 12.0 / self.lam
 
     @property
     def window(self) -> Window:

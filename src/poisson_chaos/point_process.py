@@ -15,6 +15,7 @@ second-moment mass is reported so callers can bound the bias.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -184,7 +185,9 @@ def replication_seed(master_seed: int, index: int) -> dict:
 # uniforms in [k / B, (k + 1) / B).
 _GUIDE_BUCKETS = 1 << 14
 
-# Extra geometric points per smooth piece of the extended-Gamma table.
+# Points of the generalized- and extended-Gamma inverse-CDF tables, and the
+# extra geometric points per smooth piece of the extended-Gamma table.
+_TABLE_SIZE = 4096
 _PIECE_POINTS = 33
 
 
@@ -353,15 +356,14 @@ class GeneralizedGammaControl(ControlMeasure):
     sigma: float
     gamma: float
     eps: float = 0.0
-    _table_size: int = 4096
 
     def __post_init__(self):
         if not (0.0 < self.sigma < 1.0):
             raise ValueError("sigma must lie in (0, 1)")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not (0.0 <= self.eps < math.inf):
+            raise ValueError("eps must be nonnegative and finite")
 
     def _require_eps(self):
         if self.eps <= 0.0:
@@ -392,7 +394,7 @@ class GeneralizedGammaControl(ControlMeasure):
 
     def _u_grid(self):
         self._require_eps()
-        return np.geomspace(self.eps, self.eps + 60.0 / self.gamma, self._table_size)
+        return np.geomspace(self.eps, self.eps + 60.0 / self.gamma, _TABLE_SIZE)
 
     def _compute_window_constants(self, window: Window):
         grid = self._u_grid()
@@ -430,15 +432,14 @@ class ExtendedGammaControl(ControlMeasure):
     beta0: float = 1.0
     beta1: float = 1.0
     eps: float = 1e-4
-    _table_size: int = 4096
 
     homogeneous = False
 
     def __post_init__(self):
         if self.beta0 <= 0 or self.beta1 < 0:
             raise ValueError("need beta0 > 0 and beta1 >= 0")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not (0.0 <= self.eps < math.inf):
+            raise ValueError("eps must be nonnegative and finite")
 
     def beta(self, x):
         return self.beta0 + self.beta1 * np.sqrt(np.maximum(np.asarray(x, dtype=float), 0.0))
@@ -504,7 +505,7 @@ class ExtendedGammaControl(ControlMeasure):
         kink = float(self.beta(window.x_hi)) * self.eps
         edges = [v_lo, kink, v_hi] if v_lo < kink < v_hi else [v_lo, v_hi]
         grid = np.sort(np.concatenate(
-            [np.geomspace(v_lo, v_hi, self._table_size)]
+            [np.geomspace(v_lo, v_hi, _TABLE_SIZE)]
             + [np.geomspace(p, q, _PIECE_POINTS) for p, q in zip(edges[:-1], edges[1:])]))
         grid = grid[np.concatenate([[True], np.diff(grid) > 0.0])]
         b = self._x_end(grid, window)

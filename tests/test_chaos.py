@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -395,6 +396,19 @@ class TestCriterionEngine:
         assert rep.norm2_doubled == pytest.approx(1.0)
         assert rep.fourth_moment_chaos == pytest.approx(
             combine_fourth_moment(rep.norm2_doubled, rep.n11, rep.n21, rep.n10), rel=1e-12)
+
+    def test_to_dict_serializes_every_field(self, unit_jump):
+        # each record's fields, plus the derived fourth_moment_chaos
+        ns = [10, 30]
+        verdict = clt_criterion([BlockKernel(n) for n in ns], unit_jump,
+                                [Window(0.0, float(n)) for n in ns], index=ns)
+        d = verdict.to_dict()
+        assert set(d) == {f.name for f in dataclasses.fields(verdict)}
+        assert d["checks"] == [{f.name: getattr(c, f.name) for f in dataclasses.fields(c)}
+                               for c in verdict.checks]
+        rep, got = verdict.reports[0], d["reports"][0]
+        assert got == {**{f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)},
+                       "fourth_moment_chaos": rep.fourth_moment_chaos}
 
     def test_single_check_unit_blocks(self, unit_jump):
         # g_n = n^{-1/2} sum_{j<=n} 1_{B_j}: ||g||^2 = 1 exact, cube integral n^{-1/2}

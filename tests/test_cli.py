@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from poisson_chaos import hazard, quadrature
+from poisson_chaos import cli, hazard, quadrature
 from poisson_chaos.cli import CRASH, USAGE_ERROR, build_parser, main
 from poisson_chaos.configio import (
     ConfigError, config_hash, control_from_section, read_config, window_from_section,
@@ -240,6 +240,7 @@ class TestOUPairCriterion:
         want = json.loads((GOLDEN / golden).read_text())
         got = json.loads((tmp_path / f"criterion_{family}.json").read_text())
         assert rc == (0 if want["passed"] else 1)
+        assert (rc == 0) == all(_passed_flags(got))
         _assert_close(got, want)
 
 
@@ -262,6 +263,7 @@ class TestGoldenReports:
         rc = main([*argv, "--out", str(tmp_path)])
         assert rc == code
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+        assert (rc == 0) == all(_passed_flags(json.loads((tmp_path / name).read_text())))
 
 
 class TestGoldenRuns:
@@ -294,6 +296,14 @@ class TestGoldenRuns:
         assert sorted(p.name for p in tmp_path.iterdir()) == want
         for name in want:
             assert (tmp_path / name).read_bytes() == (GOLDEN / run / name).read_bytes(), name
+        report = json.loads(next(tmp_path.glob("*.json")).read_text())
+        if run == "block_n10":
+            # the one exit code that is not the report's verdict: block's
+            # judges the fourth moment, its JSON `passed` the KS distance
+            gap = abs(report["fourth_moment_mc"] - report["fourth_moment_target"])
+            assert (rc == 0) == (gap <= 0.15)
+        else:
+            assert (rc == 0) == all(_passed_flags(report))
 
 
 class TestHelpText:
@@ -419,6 +429,27 @@ class TestChoiceMatrix:
         payload = json.loads((tmp_path / "out" / "hazard_thm7_case1_T20.json").read_text())
         assert payload["replications"] == 20
 
+    @pytest.mark.parametrize("argv", [
+        ["ou", "--theorem", "5", "--lam", "nan"],
+        ["ou", "--theorem", "5", "--lam", "inf"],
+        ["ou", "--theorem", "4", "--T", "nan"],
+        ["ou", "--theorem", "6", "--T", "inf"],
+        ["hazard", "--theorem", "7", "--T", "inf"],
+        ["hazard", "--theorem", "8", "--tau", "inf"],
+        ["hazard", "--theorem", "7", "--case", "2", "--eps", "nan"],
+        ["hazard", "--theorem", "7", "--case", "2", "--eps", "inf"],
+        ["block", "--n", "0"],
+        ["block", "--n", "-3"],
+    ], ids=" ".join)
+    def test_out_of_range_value_fails_before_any_replication(self, tmp_path, monkeypatch,
+                                                             capsys, argv):
+        monkeypatch.setattr(cli, "collect", lambda *a: pytest.fail("a replication ran"))
+        rc = main([*argv, "--reps", "100", "--out", str(tmp_path / "out")])
+        assert rc == USAGE_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid request: ")
+        assert not (tmp_path / "out").exists()
+
     def test_ou_theorem4_needs_100_replications(self, tmp_path, capsys):
         rc = main(["ou", "--theorem", "4", "--T", "10", "--reps", "50", "--out", str(tmp_path)])
         assert rc == USAGE_ERROR
@@ -426,6 +457,15 @@ class TestChoiceMatrix:
 
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _passed_flags(node) -> list:
+    """Every `passed` value anywhere in a JSON report."""
+    if isinstance(node, list):
+        return [flag for item in node for flag in _passed_flags(item)]
+    if not isinstance(node, dict):
+        return []
+    return ([node["passed"]] if "passed" in node else []) + _passed_flags(list(node.values()))
 
 
 def _assert_close(got, want, path="$"):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -167,6 +168,19 @@ class TestEngine:
         assert payloads[0] == payloads[1]
         # reports carry no wall time: the CLI prints it, and never writes it
         assert "wall_time_s" not in reports[0].to_dict()
+
+    def test_to_dict_serializes_every_field(self):
+        # the report's fields plus passed, each verdict's fields plus passed
+        rep = summarize("stat", collect(_gaussian_rep, None, 200, 3),
+                        targets=[TargetSpec("variance", 1.0, 0.5), TargetSpec("ks", 0.0, 0.1)],
+                        master_seed=3, ks_reference_variance=1.0, tail_thresholds=(1.0, 10.0))
+        d = rep.to_dict()
+        assert set(d) == {f.name for f in dataclasses.fields(rep)} | {"passed"}
+        assert d["passed"] is rep.passed
+        assert d["tail_masses"] == {"1.0": rep.tail_masses[1.0], "10.0": rep.tail_masses[10.0]}
+        for got, v in zip(d["verdicts"], rep.verdicts, strict=True):
+            assert got == {**{f.name: getattr(v, f.name) for f in dataclasses.fields(v)},
+                           "passed": v.passed}
 
     def test_degenerate_statistic(self):
         rep = summarize("stat", collect(_zero_rep, None, 200, 1), master_seed=1,

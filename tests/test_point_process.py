@@ -39,7 +39,7 @@ def extended_gamma_grid(ctrl, window, lo, hi):
     v_hi = min(b_hi * hi, v_lo + 80.0)
     edges = sorted([v_lo, v_hi] + [k for k in (b_hi * lo, b_lo * hi) if v_lo < k < v_hi])
     pieces = [np.geomspace(p, q, 33) for p, q in zip(edges[:-1], edges[1:])]
-    return np.unique(np.concatenate([np.geomspace(v_lo, v_hi, ctrl._table_size)] + pieces))
+    return np.unique(np.concatenate([np.geomspace(v_lo, v_hi, point_process._TABLE_SIZE)] + pieces))
 
 
 def extended_gamma_interval(ctrl, v, lo, hi, window):
