@@ -8,7 +8,12 @@ Pathwise conventions, writing z_i for the atoms of a pattern with control mu:
     I2(f) = sum_{i != j} f(z_i, z_j) - 2 sum_i int f(z_i, z) mu(dz) + int int f dmu^2
 
 Both are exact given the atoms; compensator integrals use each kernel's
-closed form when available.
+closed form when available.  eval_I1 and eval_I2 are the generic pathwise
+API: any kernel of the protocol, one call per kernel, each with its own
+support check and compensators.  The OU subcommand does not call them: its
+replications evaluate the three OU statistics in one sorted pass
+(ou.OUStatistics), which shares the pair-sum scan with
+OUDoubleHKernel.pair_sum and is tested against these two functions.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ stdout only.  Exit codes: 0 all verdicts pass, 1 at least one fails, 2 usage
 or configuration error (an unknown family, theorem or case, a control that
 does not match the requested case or theorem, fewer than 100 replications
 for ou theorem 4, a rate, horizon or bandwidth that is not finite and
-positive, an eps that is not finite and nonnegative, fewer than one block),
+positive, an eps that is not finite and nonnegative, a hazard control with
+infinite mass (a Gamma control with eps = 0), a window bound that is not
+finite, fewer than one block),
 3 a replication crashed (the one-line message names its index and the master
 seed) or a numerical check failed.  The exit code follows the JSON `passed`
 but for block, whose exit code judges the fourth moment E G^2 against

@@ -44,6 +44,9 @@ class HazardModel:
         if isinstance(self.control, DiscreteControl):
             if any(v <= 0 for v in self.control.values):
                 raise ValueError("hazard jump marginal must be positive")
+        # every replication samples the control: refuse an untruncated one
+        # (eps = 0) here, before any replication, not in the first
+        self.control.require_finite_mass()
         # built once, not per replication; not a field, so eq and hash still
         # see only kernel, control and T
         object.__setattr__(self, "window", Window(*self.kernel.x_support(self.T)))

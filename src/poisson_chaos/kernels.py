@@ -522,6 +522,69 @@ def _exp_poly(name: str, x: float) -> float:
                      for j, coeffs in _exp_poly_direct(name))
 
 
+def ou_sorted_atoms(lam: float, T: float, u, x):
+    """The atoms at x <= T sorted by x, with e = e^{lam (x - T)} for every
+    one of them and p = e^{lam x} for the first p.size, those at x <= 0:
+    the exponentials ou_pair_terms and the OU statistics are built from."""
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x)
+    x = x[order]
+    # a NaN sorts last and is cut with the atoms beyond T
+    inside = int(np.searchsorted(x, T, side="right"))
+    x = x[:inside]
+    u = np.asarray(u, dtype=float)[order[:inside]]
+    nonpositive = int(np.searchsorted(x, 0.0, side="right"))
+    return u, x, np.exp(lam * (x - T)), np.exp(lam * x[:nonpositive])
+
+
+def ou_pair_terms(lam: float, T: float, u, x, e, p) -> float:
+    """sum_{i != j} u_i u_j Ghat(x_i, x_j), T times the OU pair kernel's
+    pair sum, over the atoms, exponentials e and p of ou_sorted_atoms.
+
+    On x, y <= T, Ghat(x, y) is e^{-lam |x - y|} where max(x, y) > 0 and
+    e^{lam (x + y)} where both are <= 0, less e^{lam (x + y) - 2 lam T}
+    everywhere.  The last two parts are rank-one sums over distinct pairs
+    (see _distinct_pair_sum) of u p and u e.  The first needs
+    R_k = sum_{j < k} u_j e^{-lam (x_k - x_j)}, a numpy scan over chunks of
+    atoms: in a chunk that starts at x0 and spans lam (x - x0) <= _SCAN_SPAN,
+    with g = e^{lam (x - x0)}, R = (carry + exclusive cumsum of u g) / g, and
+    the chunk's total, carried to the next chunk's first atom x1, is that
+    atom's R, (carry + sum u g) / g_last * e^{-lam (x1 - x_last)} with x_last
+    the chunk's last atom.  The last chunk holds the atoms with
+    lam (T - x) < _SCAN_SPAN, where e is a normal double, and takes
+    g = e / e_0 from e instead of new exponentials.
+    """
+    n = x.size
+    if n < 2:
+        return 0.0
+    span = _SCAN_SPAN / lam
+    last = int(np.searchsorted(x, T - span, side="right"))
+    recursion = np.empty_like(x)
+    carry = 0.0
+    start = 0
+    while start < n:
+        x0 = x[start]
+        if start < last:
+            stop = min(int(np.searchsorted(x, x0 + span, side="right")), last)
+            g = np.exp(lam * (x[start:stop] - x0))
+        else:
+            stop = n
+            g = e[start:] / e[start]
+        w = u[start:stop] * g
+        w[0] += carry
+        acc = np.cumsum(w)
+        recursion[start] = carry
+        recursion[start + 1:stop] = acc[:-1] / g[1:]
+        if stop < n:
+            # via the chunk's last atom: e^{-lam (x1 - x0)} alone underflows
+            # where the gap to x1 is long, and the carry with it
+            carry = float(acc[-1] / g[-1]) * math.exp(-lam * (x[stop] - x[stop - 1]))
+        start = stop
+    k = p.size
+    near = 2.0 * _dot(u[k:], recursion[k:])
+    return float(near + _distinct_pair_sum(u[:k] * p) - _distinct_pair_sum(u * e))
+
+
 @dataclass(frozen=True)
 class OUDoubleHKernel(Kernel):
     """Pair kernel of the time-averaged squared OU level:
@@ -585,48 +648,10 @@ class OUDoubleHKernel(Kernel):
         return k1 ** 2 * self._ghat_sq_double_integral(1, window) / self.T
 
     def pair_sum(self, u, x):
-        """sum_{i != j} H(z_i, z_j) in O(n log n), without the pair matrix.
-
-        On x, y <= T, Ghat(x, y) is e^{-lam |x - y|} where max(x, y) > 0 and
-        e^{lam (x + y)} where both are <= 0, less e^{lam (x + y) - 2 lam T}
-        everywhere.  Over atoms sorted
-        by x the first part needs R_k = sum_{j < k} u_j e^{-lam (x_k - x_j)},
-        a numpy scan over chunks of atoms: in a chunk that starts at x0 and
-        spans lam (x - x0) <= _SCAN_SPAN, with g = e^{lam (x - x0)},
-        R = (carry + exclusive cumsum of u g) / g, and the chunk's total,
-        carried to the next chunk's first atom x1, is
-        (carry + sum u g) e^{-lam (x1 - x0)}.  The other two parts are
-        rank-one sums over distinct pairs, see _distinct_pair_sum.
-        """
-        lam, T = self.lam, self.T
-        u = np.asarray(u, dtype=float)
-        x = np.asarray(x, dtype=float)
-        inside = x <= T
-        u, x = u[inside], x[inside]
-        if x.size < 2:
-            return 0.0
-        order = np.argsort(x)
-        u, x = u[order], x[order]
-        recursion = np.empty_like(x)
-        carry = 0.0
-        start = 0
-        while start < x.size:
-            x0 = x[start]
-            stop = int(np.searchsorted(x, x0 + _SCAN_SPAN / lam, side="right"))
-            g = np.exp(lam * (x[start:stop] - x0))
-            w = u[start:stop] * g
-            w[0] += carry
-            acc = np.cumsum(w)
-            recursion[start] = carry
-            recursion[start + 1:stop] = acc[:-1] / g[1:]
-            if stop < x.size:
-                carry = float(acc[-1]) * math.exp(-lam * (x[stop] - x0))
-            start = stop
-        first_pos = int(np.searchsorted(x, 0.0, side="right"))
-        near = 2.0 * _dot(u[first_pos:], recursion[first_pos:])
-        neg = _distinct_pair_sum(u[:first_pos] * np.exp(lam * x[:first_pos]))
-        tail = _distinct_pair_sum(u * np.exp(lam * (x - T)))
-        return float(near + neg - tail) / T
+        """sum_{i != j} H(z_i, z_j) in O(n log n), without the pair matrix:
+        one sort and one exponential per atom, then ou_pair_terms."""
+        u, x, e, p = ou_sorted_atoms(self.lam, self.T, u, x)
+        return ou_pair_terms(self.lam, self.T, u, x, e, p) / self.T
 
     def support_excess(self, window):
         lam, T = self.lam, self.T

@@ -5,7 +5,12 @@ verifies.
 The process is Y_t = sqrt(2 lam) int_{-inf}^t int u e^{-lam(t-x)} dN^(du,dx)
 with homogeneous control nu(du) dx normalized so that int u^2 nu = 1.  The
 statistics are evaluated exactly from the atoms (no time-stepping error)
-through the pathwise chaos representation.
+through the pathwise chaos representation: the compensated integrals
+k2 = I2(sqrt(T) H), k1 = I1(sqrt(T) Hstar) and linear = I1(g) of the OU
+kernels.  OUStatistics computes all three from one sorted copy of a
+pattern's atoms and one exponential per atom, with the kernels, support
+checks and compensators built once per configuration; chaos.eval_I1 and
+eval_I2 on the same kernels give the same values and are its reference.
 
 Derived (and MC-confirmed) variance limits for the quadratic statistics:
 Var K2 -> 2/lam, Var K1 -> int u^4 nu, Var(K2 + K1) -> 2/lam + int u^4 nu.
@@ -17,11 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .chaos import eval_I1, eval_I2
+import numpy as np
+
+from .chaos import _check_support
 from .kernels import (OUDiagHstarKernel, OUDoubleHKernel, OUSingleKernel,
-                      _binom_time_integral, _check_rate_and_horizon)
+                      _binom_time_integral, _check_rate_and_horizon, ou_pair_terms,
+                      ou_sorted_atoms)
 from .point_process import DiscreteControl, PointPattern, Window, sample_pattern
+from .quadrature import _dot
 
 DEFAULT_JUMPS = DiscreteControl(values=(1.0, -1.0), weights=(0.5, 0.5))
 
@@ -34,6 +44,8 @@ class OUConfig:
     default two-point marginal (1/2)(delta_1 + delta_-1) makes every limit
     constant analytic and removes truncation bias.  The window is cut at
     x = -depth, depth = 12/lam, so e^{-2 lam depth} = e^{-24} < 1e-10.
+    The window and the statistics' constants are built on first use and
+    kept, outside the dataclass fields.
     """
 
     lam: float
@@ -50,13 +62,17 @@ class OUConfig:
     def depth(self) -> float:
         return 12.0 / self.lam
 
-    @property
+    @cached_property
     def window(self) -> Window:
         return Window(-self.depth, self.T)
 
     @property
     def c_nu_sq(self) -> float:
         return self.jumps.moment(4)
+
+    @cached_property
+    def statistics(self) -> OUStatistics:
+        return OUStatistics(self)
 
 
 def sample_ou_pattern(cfg: OUConfig, seed) -> PointPattern:
@@ -68,37 +84,65 @@ def sample_ou_pattern(cfg: OUConfig, seed) -> PointPattern:
 # ---------------------------------------------------------------------------
 
 
-def linear_stat(cfg: OUConfig, pattern: PointPattern) -> float:
-    """T^{-1/2} int_0^T Y_t dt, evaluated as a single compensated integral
-    (no path discretization)."""
-    kern = OUSingleKernel(cfg.lam, cfg.T)
-    return eval_I1(kern, pattern, cfg.jumps)
+class OUStatistics:
+    """The linear and quadratic statistics of one configuration, from one
+    sorted copy of a pattern's atoms.
 
+    The statistics are the compensated integrals
+        k2 = I2(sqrt(T) H),  k1 = I1(sqrt(T) Hstar),  linear = I1(g)
+    of the OU kernels (g = OUSingleKernel), as chaos.eval_I2 and eval_I1
+    evaluate them, but with the per-run work done once: the kernels, their
+    support checks (a leak raises SupportError) and the closed-form
+    compensators.  Per pattern, one sort and the exponentials
+    e = e^{lam (x - T)} of every atom and p = e^{lam x} of those at x <= 0
+    (kernels.ou_sorted_atoms) give the pair sum (kernels.ou_pair_terms) and
+        Ghat(x, x) = p^2 - e^2 (x <= 0),  1 - e^2 (x > 0),
+        lam shape(x) = (1 - e^{-lam T}) p (x <= 0),  1 - e (x > 0),
+    the diagonal of Hstar and the time shape of g.  The per-atom pair
+    compensator vanishes with K1 = int u nu and is skipped then.
+    """
 
-@dataclass(frozen=True)
-class QuadraticStat:
-    k2: float
-    k1: float
+    def __init__(self, cfg: OUConfig):
+        lam, T, jumps, window = cfg.lam, cfg.T, cfg.jumps, cfg.window
+        self.lam, self.T, self.jumps, self.window = lam, T, jumps, window
+        self.scale = math.sqrt(T)
+        self.pair = OUDoubleHKernel(lam, T).scaled(self.scale)
+        diag = OUDiagHstarKernel(lam, T).scaled(self.scale)
+        single = OUSingleKernel(lam, T)
+        for kernel in (self.pair, diag, single):
+            _check_support(kernel, window)
+        self.first_moment = jumps.moment(1)
+        self.pair_comp = self.pair.double_integral(jumps, window)
+        self.diag_comp = diag.integral(jumps, window)
+        self.single_comp = single.integral(jumps, window)
+        self.shape_coef = math.sqrt(2.0 * lam / T) / lam
+        self.neg_shape = 1.0 - math.exp(-lam * T)
 
-    @property
-    def total(self) -> float:
-        return self.k2 + self.k1
+    def _linear(self, u, e, p) -> float:
+        shape = 1.0 - e
+        shape[:p.size] = self.neg_shape * p
+        return self.shape_coef * _dot(u, shape) - self.single_comp
 
+    def linear(self, pattern: PointPattern) -> float:
+        """T^{-1/2} int_0^T Y_t dt of one pattern."""
+        u, _, e, p = ou_sorted_atoms(self.lam, self.T, pattern.u, pattern.x)
+        return self._linear(u, e, p)
 
-def quadratic_stat(cfg: OUConfig, pattern: PointPattern) -> QuadraticStat:
-    """sqrt(T) (V_T - 1) split into its double- and single-integral parts:
-    k2 = I2(sqrt(T) H), k1 = I1(sqrt(T) Hstar)."""
-    scale = math.sqrt(cfg.T)
-    k2 = eval_I2(OUDoubleHKernel(cfg.lam, cfg.T).scaled(scale), pattern, cfg.jumps)
-    k1 = eval_I1(OUDiagHstarKernel(cfg.lam, cfg.T).scaled(scale), pattern, cfg.jumps)
-    return QuadraticStat(k2=k2, k1=k1)
-
-
-def sample_variance_stat(cfg: OUConfig, quad: QuadraticStat, lin: float) -> float:
-    """sqrt(T) ((1/T) int (Y - Ybar)^2 dt - 1) via the exact split
-    quadratic_total - T^{-1/2} linear^2, from the quadratic and linear
-    statistics of one pattern."""
-    return quad.total - lin ** 2 / math.sqrt(cfg.T)
+    def evaluate(self, pattern: PointPattern) -> tuple[float, float, float]:
+        """(k2, k1, linear) of one pattern: sqrt(T) (V_T - 1) = k2 + k1
+        split into its double- and single-integral parts, and
+        T^{-1/2} int_0^T Y_t dt."""
+        lam, T = self.lam, self.T
+        u, x, e, p = ou_sorted_atoms(lam, T, pattern.u, pattern.x)
+        k2 = self.scale * (ou_pair_terms(lam, T, u, x, e, p) / T)
+        if self.first_moment != 0.0:
+            k2 -= 2.0 * float(np.sum(self.pair.partial_integral(self.jumps, self.window, u, x)))
+        k2 += self.pair_comp
+        ghat = np.ones_like(e)
+        ghat[:p.size] = p * p
+        ghat -= e * e
+        k1 = self.scale * (_dot(u * u, ghat) / T) - self.diag_comp
+        return k2, k1, self._linear(u, e, p)
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +181,14 @@ def k2_variance_exact(lam: float, T: float, moment2: float = 1.0) -> float:
 
 
 def rep_linear(cfg: OUConfig, rng) -> float:
-    return linear_stat(cfg, sample_ou_pattern(cfg, rng))
+    return cfg.statistics.linear(sample_ou_pattern(cfg, rng))
 
 
 def rep_quadratic(cfg: OUConfig, rng):
     """One replication of all quadratic observables from a shared pattern:
-    (k2, k1, total, sample-variance stat, linear stat)."""
-    pattern = sample_ou_pattern(cfg, rng)
-    quad = quadratic_stat(cfg, pattern)
-    lin = linear_stat(cfg, pattern)
-    sv = sample_variance_stat(cfg, quad, lin)
-    return (quad.k2, quad.k1, quad.total, sv, lin)
+    (k2, k1, total, sample-variance stat, linear stat).  The sample-variance
+    stat sqrt(T) ((1/T) int (Y - Ybar)^2 dt - 1) is the exact split
+    total - T^{-1/2} linear^2."""
+    k2, k1, lin = cfg.statistics.evaluate(sample_ou_pattern(cfg, rng))
+    total = k2 + k1
+    return (k2, k1, total, total - lin ** 2 / math.sqrt(cfg.T), lin)

@@ -54,6 +54,9 @@ class Window:
     x_hi: float
 
     def __post_init__(self):
+        for name, value in (("x_lo", self.x_lo), ("x_hi", self.x_hi)):
+            if not math.isfinite(value):
+                raise ValueError(f"window bound {name} must be finite, got {value}")
         if not self.x_hi > self.x_lo:
             raise ValueError(f"degenerate window: x in [{self.x_lo}, {self.x_hi}]")
 
@@ -275,6 +278,11 @@ class ControlMeasure:
         """Second-moment mass int_0^eps u^2 nu(du) dropped by truncation."""
         return 0.0
 
+    def require_finite_mass(self) -> None:
+        """Raise InfiniteMassError if the control has infinite mass, so that
+        no pattern of it can be sampled.  Reads the parameters only: no mass
+        is computed."""
+
     # -- sampling ----------------------------------------------------------
     def sample(self, window: Window, rng: np.random.Generator):
         raise NotImplementedError
@@ -365,7 +373,7 @@ class GeneralizedGammaControl(ControlMeasure):
         if not (0.0 <= self.eps < math.inf):
             raise ValueError("eps must be nonnegative and finite")
 
-    def _require_eps(self):
+    def require_finite_mass(self):
         if self.eps <= 0.0:
             raise InfiniteMassError(
                 "generalized-Gamma marginal has infinite mass without truncation (eps = 0)")
@@ -381,7 +389,7 @@ class GeneralizedGammaControl(ControlMeasure):
         return self._norm() * self.gamma ** (self.sigma - i) * part
 
     def jump_mass(self) -> float:
-        self._require_eps()
+        self.require_finite_mass()
         return self.moment(0)
 
     def mass(self, window: Window) -> float:
@@ -393,7 +401,7 @@ class GeneralizedGammaControl(ControlMeasure):
         return full - self.moment(2)
 
     def _u_grid(self):
-        self._require_eps()
+        self.require_finite_mass()
         return np.geomspace(self.eps, self.eps + 60.0 / self.gamma, _TABLE_SIZE)
 
     def _compute_window_constants(self, window: Window):
@@ -444,7 +452,7 @@ class ExtendedGammaControl(ControlMeasure):
     def beta(self, x):
         return self.beta0 + self.beta1 * np.sqrt(np.maximum(np.asarray(x, dtype=float), 0.0))
 
-    def _require_eps(self):
+    def require_finite_mass(self):
         if self.eps <= 0.0:
             raise InfiniteMassError(
                 "extended-Gamma marginal has infinite mass without truncation (eps = 0)")
@@ -452,7 +460,7 @@ class ExtendedGammaControl(ControlMeasure):
     def x_mass(self, x):
         """Per-time u-mass int e^{-beta(x)u}/u du over [eps, inf)."""
         from scipy.special import exp1
-        self._require_eps()
+        self.require_finite_mass()
         return exp1(self.beta(x) * self.eps)
 
     def x_moment(self, i: int, x):
@@ -472,7 +480,7 @@ class ExtendedGammaControl(ControlMeasure):
 
     def mass(self, window: Window) -> float:
         from scipy.integrate import quad
-        self._require_eps()
+        self.require_finite_mass()
         if window.x_lo < 0:
             raise ValueError("extended-Gamma control is supported on x > 0")
         val, _ = quad(self.x_mass, window.x_lo, window.x_hi,
@@ -494,7 +502,7 @@ class ExtendedGammaControl(ControlMeasure):
         return np.clip(s, window.x_lo, window.x_hi, out=s)
 
     def _compute_window_constants(self, window: Window):
-        self._require_eps()
+        self.require_finite_mass()
         v_lo = float(self.beta(window.x_lo)) * self.eps
         v_hi = v_lo + 80.0
         # b is smooth on each side of the kink beta(x_hi) eps, where it

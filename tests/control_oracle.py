@@ -27,7 +27,7 @@ def integrate_discrete(ctrl: DiscreteControl, fn, window: Window) -> float:
 
 
 def integrate_generalized_gamma(ctrl: GeneralizedGammaControl, fn, window: Window) -> float:
-    ctrl._require_eps()
+    ctrl.require_finite_mass()
     lo, hi = ctrl.eps, ctrl.eps + 60.0 / ctrl.gamma
 
     def inner(u):
@@ -40,7 +40,7 @@ def integrate_generalized_gamma(ctrl: GeneralizedGammaControl, fn, window: Windo
 
 
 def integrate_extended_gamma(ctrl: ExtendedGammaControl, fn, window: Window) -> float:
-    ctrl._require_eps()
+    ctrl.require_finite_mass()
     lo, hi = ctrl.eps, ctrl.eps + 80.0 / ctrl.beta0
 
     def inner(x):

@@ -1,16 +1,20 @@
 """Path-level oracles for the OU statistics: the process on a time grid, the
 exact and trapezoid time integrals of Y^2, and the stationary
 autocovariance, all independent of the pathwise chaos representation in
-``poisson_chaos.ou``; and 2T ||H||^2 by the per-window double integral of
-the pair kernel, the second route to ``ou.k2_variance_exact``."""
+``poisson_chaos.ou``; 2T ||H||^2 by the per-window double integral of the
+pair kernel, the second route to ``ou.k2_variance_exact``; and the
+statistics by the generic pathwise API (``chaos.eval_I1``/``eval_I2`` on
+the OU kernels), the reference for ``ou.OUStatistics``."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from poisson_chaos.kernels import OUDoubleHKernel, ou_ghat
+from poisson_chaos.chaos import eval_I1, eval_I2
+from poisson_chaos.kernels import OUDiagHstarKernel, OUDoubleHKernel, OUSingleKernel, ou_ghat
 from poisson_chaos.ou import OUConfig
 from poisson_chaos.point_process import PointPattern, Window
 
@@ -72,3 +76,36 @@ def h_norm2_doubled(lam: float, T: float, window: Window | None = None,
     w = window if window is not None else Window(-40.0 / lam, T)
     kern = OUDoubleHKernel(lam, T)
     return moment2 ** 2 * 2.0 * T * kern._ghat_sq_double_integral(2, w) / T ** 2
+
+
+def linear_stat(cfg: OUConfig, pattern: PointPattern) -> float:
+    """T^{-1/2} int_0^T Y_t dt, evaluated as a single compensated integral
+    (no path discretization)."""
+    kern = OUSingleKernel(cfg.lam, cfg.T)
+    return eval_I1(kern, pattern, cfg.jumps)
+
+
+@dataclass(frozen=True)
+class QuadraticStat:
+    k2: float
+    k1: float
+
+    @property
+    def total(self) -> float:
+        return self.k2 + self.k1
+
+
+def quadratic_stat(cfg: OUConfig, pattern: PointPattern) -> QuadraticStat:
+    """sqrt(T) (V_T - 1) split into its double- and single-integral parts:
+    k2 = I2(sqrt(T) H), k1 = I1(sqrt(T) Hstar)."""
+    scale = math.sqrt(cfg.T)
+    k2 = eval_I2(OUDoubleHKernel(cfg.lam, cfg.T).scaled(scale), pattern, cfg.jumps)
+    k1 = eval_I1(OUDiagHstarKernel(cfg.lam, cfg.T).scaled(scale), pattern, cfg.jumps)
+    return QuadraticStat(k2=k2, k1=k1)
+
+
+def sample_variance_stat(cfg: OUConfig, quad: QuadraticStat, lin: float) -> float:
+    """sqrt(T) ((1/T) int (Y - Ybar)^2 dt - 1) via the exact split
+    quadratic_total - T^{-1/2} linear^2, from the quadratic and linear
+    statistics of one pattern."""
+    return quad.total - lin ** 2 / math.sqrt(cfg.T)

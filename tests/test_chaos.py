@@ -219,6 +219,17 @@ class TestPairSum:
         ref = recursion_pair_sum(f, u, x)
         assert abs(f.pair_sum(u, x) - ref) <= 1e-12 * abs(ref)
 
+    def test_carry_across_a_long_gap_keeps_relative_accuracy(self):
+        # the chunk [0, 9] carries its total 154 - 0 = 145 (lam 145 = 680)
+        # along; e^{-680} times e^{42} is a normal double, but e^{-722} alone
+        # is not, so a carry scaled in one step from the chunk's start lost
+        # all but seven digits
+        f = OUDoubleHKernel(4.6875, 154.02666666666667)
+        u = np.array([0.0, 1.0, 1.0])
+        x = np.array([0.0, 9.0, 154.0])
+        dense = explicit_pair_sum(f, u, x)
+        assert abs(f.pair_sum(u, x) - dense) <= 1e-13 * abs(dense)
+
     def test_no_pairs_sum_to_zero(self):
         f = OUDoubleHKernel(0.5, 3.0)
         assert f.pair_sum(np.empty(0), np.empty(0)) == 0.0

@@ -357,6 +357,36 @@ class TestGoldenSamples:
         assert not (tmp_path / "out").exists()
 
 
+class TestNonFiniteWindow:
+    """A window bound that is not finite is refused by Window itself, with
+    a message naming the bound, through flags and through a config file."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--x-hi", "inf"), ("--x-lo", "-inf"), ("--x-hi", "nan"), ("--x-lo", "nan"),
+    ])
+    def test_flag_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        rc = main(["sample", f"{flag}={value}", "--out", str(tmp_path / "out")])
+        assert rc == USAGE_ERROR
+        name = flag[2:].replace("-", "_")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"invalid request: window bound {name} must be finite, got {value}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("x_lo, x_hi, name", [
+        ("0.0", "inf", "x_hi"), ("-inf", "10.0", "x_lo"), ("nan", "10.0", "x_lo"),
+    ])
+    def test_config_is_a_usage_error(self, tmp_path, capsys, x_lo, x_hi, name):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[control]\ntype = discrete\nvalues = 1.0\nweights = 1.0\n"
+                       f"[window]\nx_lo = {x_lo}\nx_hi = {x_hi}\n", encoding="utf-8")
+        rc = main(["sample", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == USAGE_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error: bad [window] section: ")
+        assert f"window bound {name} must be finite" in err[0]
+        assert not (tmp_path / "out").exists()
+
+
 def _choice_argvs():
     """One small run per argparse choice of --family, --theorem and --case."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -448,6 +478,29 @@ class TestChoiceMatrix:
         assert rc == USAGE_ERROR
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("invalid request: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, config", [
+        (["--case", "2", "--eps", "0"], None),
+        (["--case", "1"], "[control]\ntype = generalized-gamma\nsigma = 0.5\ngamma = 1.0\n"
+                          "eps = 0\n"),
+    ], ids=["case2-eps-flag", "case1-generalized-gamma-config"])
+    def test_untruncated_control_fails_before_any_replication(self, tmp_path, monkeypatch,
+                                                              capsys, argv, config):
+        # eps = 0 leaves the Gamma controls with infinite mass: a usage error
+        # naming eps, not a crash in replication 0
+        monkeypatch.setattr(cli, "collect", lambda *a: pytest.fail("a replication ran"))
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+            argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+        rc = main(["hazard", "--theorem", "7", *argv, "--T", "20", "--reps", "20",
+                   "--out", str(tmp_path / "out")])
+        assert rc == USAGE_ERROR
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid request: ")
+        assert "(eps = 0)" in err[0]
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     def test_ou_theorem4_needs_100_replications(self, tmp_path, capsys):

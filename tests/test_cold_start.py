@@ -37,6 +37,8 @@ print("import", "-", loaded())
 runs = {
     "criterion": ["criterion", "--family", "ou-pair-unit", "--indices", "50,100"],
     "ou": ["ou", "--theorem", "5", "--T", "20", "--reps", "100", "--seed", "1"],
+    "ou-thm4": ["ou", "--theorem", "4", "--T", "20", "--reps", "100", "--seed", "1"],
+    "ou-thm6": ["ou", "--theorem", "6", "--T", "20", "--reps", "100", "--seed", "1"],
     "hazard": ["hazard", "--theorem", "8", "--T", "20", "--reps", "100", "--seed", "1"],
     "hazard-case1": ["hazard", "--theorem", "7", "--case", "1", "--T", "20", "--reps", "100",
                      "--seed", "1"],
@@ -55,8 +57,8 @@ def test_cli_paths_do_not_load_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rows = [line.split(" ", 2) for line in proc.stdout.splitlines()]
-    assert [r[0] for r in rows] == ["import", "criterion", "ou", "hazard", "hazard-case1",
-                                    "ou-w2"], proc.stdout
+    assert [r[0] for r in rows] == ["import", "criterion", "ou", "ou-thm4", "ou-thm6", "hazard",
+                                    "hazard-case1", "ou-w2"], proc.stdout
     # every --workers 1 run leaves the deferred modules unloaded
     assert all(r[2] == "[]" for r in rows[:-1]), proc.stdout
     assert {r[1] for r in rows[1:]} <= {"0", "1"}   # 1: a verdict failed, not a crash

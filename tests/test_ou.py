@@ -3,22 +3,25 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate as si
+from hypothesis import given, settings, strategies as st
 
-from poisson_chaos.kernels import OUDoubleHKernel, ou_ghat
-from poisson_chaos.ou import (
-    OUConfig, k1_variance_exact, k2_variance_exact, linear_stat, linear_variance_exact,
-    quadratic_stat, rep_linear, rep_quadratic, sample_ou_pattern,
-    sample_variance_stat,
+from poisson_chaos.chaos import eval_I1, eval_I2
+from poisson_chaos.kernels import (
+    _SCAN_SPAN, OUDiagHstarKernel, OUDoubleHKernel, OUSingleKernel, ou_ghat,
 )
-from poisson_chaos.point_process import DiscreteControl, Window
+from poisson_chaos.ou import (
+    DEFAULT_JUMPS, OUConfig, k1_variance_exact, k2_variance_exact, linear_variance_exact,
+    rep_linear, rep_quadratic, sample_ou_pattern,
+)
+from poisson_chaos.point_process import DiscreteControl, PointPattern, SupportError, Window
 from poisson_chaos.quadrature import QuadratureError
 
 from fits import slope_fit
 from kernel_oracles import OUInstantKernel
 from ou_contraction_oracle import contraction_norms_by_quadrature
 from ou_path_oracle import (
-    autocovariance_exact, h_norm2_doubled, path_on_grid, square_time_integral_exact,
-    square_time_integral_grid,
+    autocovariance_exact, h_norm2_doubled, linear_stat, path_on_grid, quadratic_stat,
+    sample_variance_stat, square_time_integral_exact, square_time_integral_grid,
 )
 from seeds import replication_rng
 
@@ -156,6 +159,150 @@ class TestQuadraticStat:
             a = k2_variance_exact(lam, T)
             b = h_norm2_doubled(lam, T)
             assert a == pytest.approx(b, rel=1e-10)
+
+
+class DensePairOUKernel(OUDoubleHKernel):
+    """The OU pair kernel with its pair sum over the dense matrix, so that a
+    reference built on it shares no code with the scan of
+    kernels.ou_pair_terms.  The diagonal is zeroed, not subtracted: the
+    rounding error of sum - trace scales with the diagonal, which is not
+    part of the sum."""
+
+    def pair_sum(self, u, x):
+        vals = self(u[:, None], x[:, None], u[None, :], x[None, :])
+        np.fill_diagonal(vals, 0.0)
+        return float(vals.sum())
+
+
+def exponential_parts(lam, T, x, y):
+    """The sum of the two exponentials whose difference is Ghat(x, y)."""
+    s = x + y
+    return np.exp(lam * (s - 2.0 * np.maximum(np.maximum(x, y), 0.0))) + np.exp(lam * (s - 2.0 * T))
+
+
+# values (1, -1) with weights (0.75, 0.25): unit second moment and K1 = 1/2,
+# so the pair kernel's per-atom and double compensators are nonzero
+UNCENTERED_JUMPS = DiscreteControl(values=(1.0, -1.0), weights=(0.75, 0.25))
+TINY = np.finfo(float).tiny
+
+
+@st.composite
+def ou_patterns(draw):
+    """An OU configuration and atoms on its window [-12/lam, T], weighted by
+    u in [-2, 2].  Draws hold no atom or one as well as many; atoms exactly
+    at -12/lam, 0 and T; ties; and, where the horizon is long enough for
+    the scan to need more than one chunk, atoms on a chunk edge
+    lam (T - x) = k _SCAN_SPAN and one ulp to either side of it.
+
+    lam T stays at or below 1500 (up to three chunks): the dense reference
+    rounds the exponent of each e^{-lam |x - y|} to about lam ulp(2T), which
+    at lam T = 1500 is already 7e-13 relative."""
+    lam = draw(st.floats(0.2, 5.0))
+    T = draw(st.floats(0.05, 1500.0)) / lam
+    cfg = OUConfig(lam, T, draw(st.sampled_from([DEFAULT_JUMPS, UNCENTERED_JUMPS])))
+    lo = cfg.window.x_lo
+    spots = st.one_of(st.floats(lo, T), st.sampled_from([lo, 0.0, T]))
+    x = draw(st.lists(spots, max_size=12))
+    for k in (1, 2):
+        edge = T - k * _SCAN_SPAN / lam
+        if edge > lo and draw(st.booleans()):
+            x += [edge] * draw(st.integers(1, 2))
+            x += [np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+    x = x + x[:draw(st.integers(0, len(x)))]
+    u = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(x), max_size=len(x)))
+    pattern = PointPattern(np.array(u, dtype=float), np.array(x, dtype=float), cfg.window,
+                           cfg.jumps.mass(cfg.window), 0)
+    return cfg, pattern
+
+
+class TestOnePass:
+    """ou.OUStatistics, the one sorted pass behind rep_quadratic and
+    rep_linear, against the generic pathwise route: eval_I2 and eval_I1 on
+    the OU kernels, one at a time, each with its own support check and
+    compensators, and the pair sum by the dense matrix."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ou_patterns())
+    def test_matches_eval_I1_and_eval_I2(self, case):
+        # Each statistic within 1e-12 of the sum of the absolute values of
+        # the exponential terms it is made of, compensators included:
+        # Ghat(x, y) = e^{lam (x + y - 2 max(x, y, 0))} - e^{lam (x + y - 2T)}
+        # and lam shape(x) = e^{lam min(x, 0)} - e^{lam (x - T)} are each a
+        # difference of two exponentials, and both vanish at x = T, where
+        # the two cancel.  Below the smallest normal double (tiny weights,
+        # whose products underflow) no relative accuracy is left.
+        cfg, pattern = case
+        lam, T, jumps, window = cfg.lam, cfg.T, cfg.jumps, cfg.window
+        u, x = pattern.u, pattern.x
+        scale = math.sqrt(T)
+        k2, k1, lin = cfg.statistics.evaluate(pattern)
+
+        pair = DensePairOUKernel(lam, T).scaled(scale)
+        uu = np.abs(u[:, None] * u[None, :])
+        np.fill_diagonal(uu, 0.0)
+        k2_abs = (scale / T * np.sum(uu * exponential_parts(lam, T, x[:, None], x[None, :]))
+                  + 2.0 * np.abs(pair.partial_integral(jumps, window, u, x)).sum()
+                  + abs(pair.double_integral(jumps, window)))
+        assert abs(k2 - eval_I2(pair, pattern, jumps)) <= 1e-12 * k2_abs + TINY
+
+        diag = OUDiagHstarKernel(lam, T).scaled(scale)
+        k1_abs = (scale / T * np.sum(u * u * exponential_parts(lam, T, x, x))
+                  + abs(diag.integral(jumps, window)))
+        assert abs(k1 - eval_I1(diag, pattern, jumps)) <= 1e-12 * k1_abs + TINY
+
+        single = OUSingleKernel(lam, T)
+        shape_parts = np.exp(lam * np.minimum(x, 0.0)) + np.exp(lam * (x - T))
+        lin_abs = (math.sqrt(2.0 * lam / T) / lam * np.sum(np.abs(u) * shape_parts)
+                   + abs(single.integral(jumps, window)))
+        assert abs(lin - eval_I1(single, pattern, jumps)) <= 1e-12 * lin_abs + TINY
+        assert cfg.statistics.linear(pattern) == lin
+
+    @pytest.mark.parametrize("T", [20.0, 2000.0])
+    def test_total_matches_exact_square_integral(self, T):
+        cfg = OUConfig(lam=1.0, T=T)
+        rng = replication_rng(42, 0)
+        for _ in range(10):
+            pat = sample_ou_pattern(cfg, rng)
+            k2, k1, _ = cfg.statistics.evaluate(pat)
+            direct = math.sqrt(T) * (square_time_integral_exact(cfg, pat) / T - 1.0)
+            assert k2 + k1 == pytest.approx(direct, rel=1e-8, abs=1e-8)
+
+    def test_replications_share_one_set_of_constants(self, monkeypatch):
+        # the kernels' support checks and compensators run once per
+        # configuration, and no replication evaluates a kernel pointwise as
+        # eval_I1 and eval_I2 do; reading only the window (as criterion
+        # does) builds none of it
+        checked = []
+        for kernel in (OUDoubleHKernel, OUDiagHstarKernel, OUSingleKernel):
+            monkeypatch.setattr(kernel, "__call__",
+                                lambda *a: pytest.fail("kernel evaluated pointwise"))
+            excess = kernel.support_excess
+            monkeypatch.setattr(kernel, "support_excess", lambda self, window, f=excess:
+                                (checked.append(type(self).__name__), f(self, window))[1])
+        cfg = OUConfig(lam=1.0, T=50.0)
+        assert cfg.window == Window(-12.0, 50.0) and not checked
+        rng = replication_rng(43, 0)
+        rows = [rep_quadratic(cfg, rng) for _ in range(5)]
+        rows += [(rep_linear(cfg, rng),) for _ in range(5)]
+        assert sorted(checked) == ["OUDiagHstarKernel", "OUDoubleHKernel", "OUSingleKernel"]
+        assert all(np.isfinite(v) for row in rows for v in row)
+
+    def test_replication_values(self):
+        # (k2, k1, total, sample-variance stat, linear) from one pattern
+        cfg = OUConfig(lam=1.0, T=30.0, jumps=UNCENTERED_JUMPS)
+        k2, k1, total, sv, lin = rep_quadratic(cfg, replication_rng(44, 0))
+        pat = sample_ou_pattern(cfg, replication_rng(44, 0))
+        assert (k2, k1, lin) == cfg.statistics.evaluate(pat)
+        assert total == k2 + k1
+        assert sv == total - lin ** 2 / math.sqrt(cfg.T)
+        assert rep_linear(cfg, replication_rng(44, 0)) == lin
+
+    def test_leaking_window_still_raises_support_error(self):
+        # at lam = 1e-6, T = 1e6 the cut at -12/lam leaves more than
+        # chaos.SUPPORT_TOL of the linear kernel's L2 mass outside the window
+        cfg = OUConfig(lam=1e-6, T=1e6)
+        with pytest.raises(SupportError):
+            cfg.statistics
 
 
 class TestInstantKernel:
