@@ -177,7 +177,8 @@ class DensePairOUKernel(OUDoubleHKernel):
 def exponential_parts(lam, T, x, y):
     """The sum of the two exponentials whose difference is Ghat(x, y)."""
     s = x + y
-    return np.exp(lam * (s - 2.0 * np.maximum(np.maximum(x, y), 0.0))) + np.exp(lam * (s - 2.0 * T))
+    m = np.maximum(np.maximum(x, y), 0.0)
+    return np.exp(lam * (s - 2.0 * m)) + np.exp(lam * (s - 2.0 * T))
 
 
 # values (1, -1) with weights (0.75, 0.25): unit second moment and K1 = 1/2,
@@ -191,8 +192,10 @@ def ou_patterns(draw):
     """An OU configuration and atoms on its window [-12/lam, T], weighted by
     u in [-2, 2].  Draws hold no atom or one as well as many; atoms exactly
     at -12/lam, 0 and T; ties; and, where the horizon is long enough for
-    the scan to need more than one chunk, atoms on a chunk edge
-    lam (T - x) = k _SCAN_SPAN and one ulp to either side of it.
+    the scan to need more than one chunk, atoms on its chunk edges and one
+    ulp to either side: lam (T - x) = _SCAN_SPAN, where the last chunk
+    begins, and lam (x - lo) = _SCAN_SPAN with an atom at lo = -12/lam,
+    where the first chunk ends.
 
     lam T stays at or below 1500 (up to three chunks): the dense reference
     rounds the exponent of each e^{-lam |x - y|} to about lam ulp(2T), which
@@ -203,10 +206,9 @@ def ou_patterns(draw):
     lo = cfg.window.x_lo
     spots = st.one_of(st.floats(lo, T), st.sampled_from([lo, 0.0, T]))
     x = draw(st.lists(spots, max_size=12))
-    for k in (1, 2):
-        edge = T - k * _SCAN_SPAN / lam
-        if edge > lo and draw(st.booleans()):
-            x += [edge] * draw(st.integers(1, 2))
+    for edge in (T - _SCAN_SPAN / lam, lo + _SCAN_SPAN / lam):
+        if lo < edge < T and draw(st.booleans()):
+            x += [lo] + [edge] * draw(st.integers(1, 2))
             x += [np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
     x = x + x[:draw(st.integers(0, len(x)))]
     u = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(x), max_size=len(x)))
