@@ -213,7 +213,9 @@ def cmd_hazard(args) -> int:
     # error, for a model its theorem or case is not stated for
     if args.theorem == 7:
         target = hz.linear_case_targets(model, args.case)
-        values = collect(hz.rep_linear_case, (model, args.case), args.reps, args.seed, args.workers)
+        center, scale = hz.linear_center_scale(model, args.case)
+        values = collect(hz.rep_linear_case, (model, center, scale), args.reps, args.seed,
+                         args.workers)
         stat, cum = values[:, 0], values[:, 1]
         tol = args.tol or {1: 0.3, 2: 0.8, 3: 1.0}[args.case]
         report = summarize(f"hazard_case{args.case}_T{args.T:g}", stat,

@@ -6,12 +6,20 @@ Statistics follow the stated normalizations for each control family; the
 experiment suite reports the empirical centering alongside, because for the
 two slow (non-homogeneous) cases the stated centerings and scalings are not
 consistent with the control families (see the acceptance notes).
+
+cumulative_hazard and square_hazard_integral are the generic pathwise API.
+A theorem-7 replication calls cumulative_hazard with the case's centering
+and scaling computed once per run (linear_center_scale).  A theorem-8
+replication calls neither: QuadraticStatistics, built once per model, takes
+H(T) and int h^2 from one call to the kernel's path_integrals, which for
+the rectangular kernel is one sorted sweep over the interval ends.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +59,10 @@ class HazardModel:
         # see only kernel, control and T
         object.__setattr__(self, "window", Window(*self.kernel.x_support(self.T)))
 
+    @cached_property
+    def quadratic(self) -> QuadraticStatistics:
+        return QuadraticStatistics(self)
+
 
 def rect_model(control: ControlMeasure, T: float, tau: float = 1.0) -> HazardModel:
     return HazardModel(kernel=RectHazardKernel(tau), control=control, T=T)
@@ -69,8 +81,8 @@ def cumulative_hazard(model: HazardModel, pattern: PointPattern) -> float:
 
 
 def square_hazard_integral(model: HazardModel, pattern: PointPattern) -> float:
-    """int_0^T h(t)^2 dt, by the kernel's square_integral (one sweep over
-    the interval ends for the rectangular kernel)."""
+    """int_0^T h(t)^2 dt, by the kernel's square_integral (for the
+    rectangular kernel, the second half of its path_integrals)."""
     if not len(pattern):
         return 0.0
     return model.kernel.square_integral(pattern.u, pattern.x, model.T)
@@ -114,7 +126,7 @@ def _campbell(model: HazardModel, power: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _linear_center_scale(model: HazardModel, case: int) -> tuple[float, float]:
+def linear_center_scale(model: HazardModel, case: int) -> tuple[float, float]:
     """Stated centering and scaling of H(T) for a case, after checking that
     the model is the one the case is stated for:
 
@@ -146,7 +158,7 @@ def _linear_center_scale(model: HazardModel, case: int) -> tuple[float, float]:
 def linear_case_targets(model: HazardModel, case: int) -> float:
     """Stated limit variance for each case (4 tau^2 K2 / 4 / 8); raises
     CaseMismatchError if the model is not the one the case is stated for."""
-    _linear_center_scale(model, case)
+    linear_center_scale(model, case)
     if case == 1:
         return 4.0 * model.kernel.tau ** 2 * model.control.moment(2)
     return 4.0 if case == 2 else 8.0
@@ -162,22 +174,33 @@ def _quadratic_moments(model: HazardModel) -> tuple[float, list[float]]:
     return model.kernel.tau, [model.control.moment(i) for i in range(5)]
 
 
-def _quadratic_stats(model: HazardModel, pattern: PointPattern) -> tuple[float, float]:
-    """(raw, centered) standardized quadratic functionals of the hazard on
-    one pattern (homogeneous control):
+class QuadraticStatistics:
+    """The raw and centered standardized quadratic functionals of the
+    hazard of one model (rectangular kernel, homogeneous control):
 
     raw:      sqrt(T) [ (1/T) int h^2 - (2 tau K2 + 4 tau^2 K1^2) ]
     centered: sqrt(T) [ (1/T) int (h - H/T)^2 - 2 tau K2 ]
+
+    The model checks (CaseMismatchError), sqrt(T) and the two centerings are
+    built once per model (HazardModel.quadratic); per pattern, one call to
+    the kernel's path_integrals gives H(T) and int h^2.
     """
-    tau = model.kernel.tau
-    T = model.T
-    k1 = model.control.moment(1)
-    k2 = model.control.moment(2)
-    q = square_hazard_integral(model, pattern)
-    hbar = cumulative_hazard(model, pattern) / T
-    raw = math.sqrt(T) * (q / T - (2.0 * tau * k2 + 4.0 * tau ** 2 * k1 ** 2))
-    centered = math.sqrt(T) * (q / T - hbar ** 2 - 2.0 * tau * k2)
-    return raw, centered
+
+    def __init__(self, model: HazardModel):
+        tau, k = _quadratic_moments(model)
+        self.kernel, self.T = model.kernel, model.T
+        self.root_T = math.sqrt(model.T)
+        self.centered_center = 2.0 * tau * k[2]
+        self.raw_center = 2.0 * tau * k[2] + 4.0 * tau ** 2 * k[1] ** 2
+
+    def evaluate(self, pattern: PointPattern) -> tuple[float, float]:
+        """(raw, centered) of one pattern."""
+        T = self.T
+        h_total, q = self.kernel.path_integrals(pattern.u, pattern.x, T)
+        hbar = h_total / T
+        raw = self.root_T * (q / T - self.raw_center)
+        centered = self.root_T * (q / T - hbar ** 2 - self.centered_center)
+        return raw, centered
 
 
 def quadratic_variance_stated(model: HazardModel, variant: str) -> float:
@@ -212,14 +235,14 @@ def quadratic_variance_derived(model: HazardModel, variant: str) -> float:
 
 
 def rep_linear_case(args, rng) -> tuple:
-    """(statistic, H(T)) for one replication; the raw cumulative hazard is
-    retained so reports can show the empirical centering."""
-    model, case = args
-    center, scale = _linear_center_scale(model, case)
+    """(statistic, H(T)) for one replication of args = (model, center,
+    scale), the last two from linear_center_scale; the raw cumulative hazard
+    is retained so reports can show the empirical centering."""
+    model, center, scale = args
     h_total = cumulative_hazard(model, sample_hazard_pattern(model, rng))
     return ((h_total - center) / scale, h_total)
 
 
 def rep_quadratic(model: HazardModel, rng) -> tuple:
     """(raw, centered) quadratic statistics from one shared pattern."""
-    return _quadratic_stats(model, sample_hazard_pattern(model, rng))
+    return model.quadratic.evaluate(sample_hazard_pattern(model, rng))

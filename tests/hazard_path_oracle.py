@@ -1,6 +1,7 @@
 """Path-level oracles for the hazard statistics: h on a time grid refined at
 the kernel breakpoints, trapezoid integrals of h and h^2, the rectangular
-int h^2 in exact rational arithmetic, and the Campbell mean E h(t) by
+int h^2 in exact rational arithmetic and by the two-argsort sweep the
+one pass must reproduce bit for bit, and the Campbell mean E h(t) by
 quadrature, all independent of the closed forms in ``poisson_chaos.hazard``."""
 
 from __future__ import annotations
@@ -83,6 +84,24 @@ def rect_square_integral_exact(u, x, T: float, tau: float) -> Fraction:
                 break
             total += 2 * un[i] * un[j] * (bn[i] - an[j])
     return Fraction(total, du * du * dt)
+
+
+def rect_square_integral_sweep(u, x, T: float, tau: float) -> float:
+    """The rectangular int h^2 by a sweep of its own over the interval ends:
+    the atoms sorted by x first, the ends built from the sorted x, then the
+    stable merge of starts and ends and the running sum of (u, -u).
+    RectHazardKernel.path_integrals builds the ends before it sorts; the
+    two agree bit for bit."""
+    u = np.asarray(u, dtype=float)
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x)
+    u, x = u[order], x[order]
+    a = np.maximum(x - tau, 0.0)
+    b = np.maximum(np.minimum(x + tau, T), a)
+    t = np.concatenate([a, b])
+    merge = np.argsort(t, kind="stable")
+    h = np.cumsum(np.concatenate([u, -u])[merge])
+    return float(np.dot(h[:-1] ** 2, np.diff(t[merge])))
 
 
 def campbell_mean(model: HazardModel, t: float) -> float:

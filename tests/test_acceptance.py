@@ -20,7 +20,8 @@ from poisson_chaos.cli import main as cli_main
 from poisson_chaos.contractions import contraction_norms
 from poisson_chaos.harness import collect, jackknife_variance_se, ks_statistic
 from poisson_chaos.hazard import (
-    cumulative_variance_exact, rect_model, rep_linear_case, rep_quadratic as hz_rep_quadratic,
+    cumulative_variance_exact, linear_center_scale, rect_model, rep_linear_case,
+    rep_quadratic as hz_rep_quadratic,
 )
 from poisson_chaos.kernels import BlockKernel, GridKernel, OUDoubleHKernel
 from poisson_chaos.ou import (
@@ -317,7 +318,8 @@ class TestCriterion6SampleVariance:
 class TestCriterion7LinearHazard:
     def test_case1_variance_and_ks(self):
         model = rect_model(UNIT, T=200.0)
-        vals = collect(rep_linear_case, (model, 1), 5000, MASTER_SEED)[:, 0]
+        args = (model, *linear_center_scale(model, 1))
+        vals = collect(rep_linear_case, args, 5000, MASTER_SEED)[:, 0]
         est = float(vals.var(ddof=1))
         ks = ks_statistic(vals, 4.0)
         ok = abs(est - 4.0) <= 0.3 and ks < 0.03
@@ -330,7 +332,8 @@ class TestCriterion7LinearHazard:
         "exact Campbell value at the stated T = 1e4 is 3.068, outside 4 +- 0.8"))
     def test_case2_variance_stated(self):
         model = rect_model(ExtendedGammaControl(eps=1e-4), T=1.0e4)
-        vals = collect(rep_linear_case, (model, 2), 2000, MASTER_SEED)[:, 0]
+        args = (model, *linear_center_scale(model, 2))
+        vals = collect(rep_linear_case, args, 2000, MASTER_SEED)[:, 0]
         est = float(vals.var(ddof=1))
         ok = abs(est - 4.0) <= 0.8
         report("7b (case 2 at T=1e4, stated band 4 +- 0.8)", ok,
@@ -346,7 +349,8 @@ class TestCriterion7LinearHazard:
             ladder.append(cumulative_variance_exact(model) / math.log(T))
         monotone = ladder[0] < ladder[1] < ladder[2] < 4.0
         model = rect_model(ExtendedGammaControl(eps=1e-4), T=1.0e4)
-        vals = collect(rep_linear_case, (model, 2), 2000, MASTER_SEED)[:, 0]
+        args = (model, *linear_center_scale(model, 2))
+        vals = collect(rep_linear_case, args, 2000, MASTER_SEED)[:, 0]
         est = float(vals.var(ddof=1))
         se = jackknife_variance_se(vals)
         agrees = abs(est - ladder[-1]) <= 4 * se
@@ -361,7 +365,8 @@ class TestCriterion7LinearHazard:
         "T = 1e4 and -> 0; the stated N(0, 8) band is unattainable"))
     def test_case3_variance_stated(self):
         model = rect_model(BetaControl(), T=1.0e4)
-        vals = collect(rep_linear_case, (model, 3), 2000, MASTER_SEED)[:, 0]
+        args = (model, *linear_center_scale(model, 3))
+        vals = collect(rep_linear_case, args, 2000, MASTER_SEED)[:, 0]
         est = float(vals.var(ddof=1))
         ok = abs(est - 8.0) <= 1.0
         report("7d (case 3 at T=1e4, stated band 8 +- 1.0)", ok,
@@ -385,7 +390,8 @@ class TestCriterion7LinearHazard:
 
     def test_case3_mc_matches_campbell_oracle(self):
         model = rect_model(BetaControl(), T=1.0e4)
-        vals = collect(rep_linear_case, (model, 3), 2000, MASTER_SEED)[:, 0]
+        args = (model, *linear_center_scale(model, 3))
+        vals = collect(rep_linear_case, args, 2000, MASTER_SEED)[:, 0]
         est = float(vals.var(ddof=1))
         oracle = cumulative_variance_exact(model) / math.sqrt(1.0e4)
         se = jackknife_variance_se(vals)

@@ -11,7 +11,7 @@ from poisson_chaos.chaos import (
     fourth_moment_chaos, rep_block, tail_mass,
 )
 from poisson_chaos.kernels import (
-    _SCAN_SPAN, DENSE_PAIR_BYTES_MAX, BlockKernel, GridKernel, OUDoubleHKernel,
+    _SCAN_SPAN, DENSE_PAIR_BYTES_MAX, BlockKernel, GridKernel, Kernel, OUDoubleHKernel,
     OUSingleKernel, _distinct_pair_sum,
 )
 from poisson_chaos.point_process import (
@@ -243,6 +243,20 @@ class TestPairSum:
         x = np.array([0.2, 0.2, 1.5, 2.9, 3.0, 0.0])
         u = np.ones_like(x)
         assert f.pair_sum(u, x) == pytest.approx(explicit_pair_sum(f, u, x), rel=1e-12)
+
+    def test_dense_default_keeps_a_pair_sum_below_the_diagonal(self):
+        # Subtracting the trace from the full sum loses every pair term
+        # below the rounding error of the diagonal; both sums returned 0.0.
+        f = OUDoubleHKernel(1.0, 10.0)
+        u = np.array([1.0, 1.27e-150])
+        x = np.zeros(2)
+        pair = 2.0 * float(f(u[0], x[0], u[1], x[1]))
+        assert pair == pytest.approx(2.54e-151, rel=1e-3)
+        assert Kernel.pair_sum(f, u, x) == pytest.approx(pair, rel=1e-15)
+        # a grid kernel ignores u: a diagonal cell of 1e20 beside
+        # off-diagonal cells of 1 leaves the pair sum 2 of the two atoms
+        g = GridKernel((0.0, 1.0, 2.0), np.array([[1e20, 1.0], [1.0, 0.0]]))
+        assert g.pair_sum(np.ones(2), np.array([0.5, 1.5])) == 2.0
 
     def test_dense_default_refuses_large_matrix(self, monkeypatch):
         n = int(math.isqrt(DENSE_PAIR_BYTES_MAX // 8)) + 1

@@ -11,6 +11,7 @@ from poisson_chaos import hazard
 from poisson_chaos.hazard import (
     CaseMismatchError, HazardModel, cumulative_hazard,
     cumulative_mean_exact, cumulative_variance_exact, linear_case_targets,
+    linear_center_scale,
     quadratic_variance_derived, quadratic_variance_stated, rect_model,
     rep_linear_case, rep_quadratic,
     sample_hazard_pattern, square_hazard_integral,
@@ -21,8 +22,8 @@ from poisson_chaos.point_process import (
 )
 
 from hazard_path_oracle import (
-    campbell_mean, cumulative_hazard_grid, rect_square_integral_exact, simulate_hazard,
-    square_hazard_integral_grid,
+    campbell_mean, cumulative_hazard_grid, rect_square_integral_exact,
+    rect_square_integral_sweep, simulate_hazard, square_hazard_integral_grid,
 )
 from kernel_oracles import DykstraLaudHazardKernel, OUHazardKernel
 from seeds import replication_rng
@@ -251,8 +252,9 @@ class TestRectPrefixSums:
 
 
 class TestRectExactSquareIntegral:
-    """The rectangular int h^2 against the exact rational pair sum over the
-    same float breakpoints, with Exp(1) jumps at five atoms per unit time."""
+    """The rectangular one pass (path_integrals, and square_integral, its
+    second half) against exact rational sums over the same float
+    breakpoints, with Exp(1) jumps at five atoms per unit time."""
 
     @pytest.mark.parametrize("T, tau", [(50.0, 1.0), (2e4, 1.0), (300.0, 7.5)])
     def test_within_1e_13_of_exact_rationals(self, T, tau):
@@ -260,30 +262,105 @@ class TestRectExactSquareIntegral:
         n = int(rng.poisson(5.0 * (T + tau)))
         x = rng.uniform(0.0, T + tau, n)
         u = rng.exponential(1.0, n)
+        k = RectHazardKernel(tau)
+        h_total, got = k.path_integrals(u, x, T)
+        assert k.square_integral(u, x, T) == got
         exact = rect_square_integral_exact(u, x, T, tau)
-        got = RectHazardKernel(tau).square_integral(u, x, T)
         assert abs(Fraction(got) - exact) <= Fraction(1, 10 ** 13) * exact
+        w = [Fraction(float(v)) for v in k.time_integral(x, T)]
+        exact_h = sum(Fraction(float(ui)) * wi for ui, wi in zip(u, w))
+        assert abs(Fraction(h_total) - exact_h) <= Fraction(1, 10 ** 13) * exact_h
 
     def test_oracle_on_hand_example(self):
         # [0, 1] and [0.5, 2] (first atom cut at 0, second at T = 2) plus an
-        # atom beyond T + tau: 2^2*1 + 3^2*1.5 + 2*2*3*0.5
+        # atom beyond T + tau: 2^2*1 + 3^2*1.5 + 2*2*3*0.5, and H = 2 + 4.5
         exact = rect_square_integral_exact([2.0, 3.0, 5.0], [0.0, 1.5, 3.5], 2.0, 1.0)
         assert exact == Fraction(47, 2)
-        assert RectHazardKernel(1.0).square_integral(
-            np.array([2.0, 3.0, 5.0]), np.array([0.0, 1.5, 3.5]), 2.0) == 23.5
+        u, x = np.array([2.0, 3.0, 5.0]), np.array([0.0, 1.5, 3.5])
+        assert RectHazardKernel(1.0).path_integrals(u, x, 2.0) == (6.5, 23.5)
+        assert RectHazardKernel(1.0).square_integral(u, x, 2.0) == 23.5
+
+
+@st.composite
+def rect_patterns(draw):
+    """A rectangular model and a pattern on its window [0, T + tau]: no atom
+    or one as well as many, ties, atoms at 0, tau, T - tau, T and T + tau,
+    and bandwidths at or beyond T as well as short ones."""
+    T = draw(st.floats(0.5, 30.0))
+    tau = draw(st.one_of(st.floats(0.05, 3.0), st.floats(0.5 * T, 1.5 * T),
+                         st.floats(T, 3.0 * T)))
+    model = rect_model(UNIT, T=T, tau=tau)
+    hi = model.window.x_hi
+    spots = st.one_of(st.floats(0.0, hi), st.floats(0.0, tau),
+                      st.floats(max(T - tau, 0.0), hi),
+                      st.sampled_from([0.0, tau, max(T - tau, 0.0), T, hi]))
+    x = draw(st.lists(spots, max_size=draw(st.sampled_from([0, 1, 40]))))
+    x = x + x[:draw(st.integers(0, len(x)))]
+    u = draw(st.lists(st.floats(0.0, 3.0), min_size=len(x), max_size=len(x)))
+    return model, pattern_of(u, x, model.window)
+
+
+class TestOnePass:
+    """RectHazardKernel.path_integrals, the one pass behind a theorem-8
+    replication, against the generic API and the two-argsort sweep."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rect_patterns())
+    @example((rect_model(UNIT, T=2.0, tau=5.0),
+              pattern_of([1.0, 2.0, 2.0], [0.0, 7.0, 7.0], Window(0.0, 7.0))))
+    def test_matches_cumulative_hazard_and_sweep_bit_for_bit(self, case):
+        model, pat = case
+        tau, T = model.kernel.tau, model.T
+        h_total, q = model.kernel.path_integrals(pat.u, pat.x, T)
+        assert h_total == cumulative_hazard(model, pat)
+        assert q == square_hazard_integral(model, pat)
+        assert q == rect_square_integral_sweep(pat.u, pat.x, T, tau)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rect_atoms())
+    def test_atoms_outside_the_support_add_nothing(self, case):
+        # atoms beyond [0, T + tau] (no model window refuses them here) have
+        # empty intervals, in H as in int h^2
+        T, tau, u, x = case
+        k = RectHazardKernel(tau)
+        h_total, q = k.path_integrals(u, x, T)
+        assert h_total == float(np.dot(u, k.time_integral(x, T)))
+        assert q == rect_square_integral_sweep(u, x, T, tau)
+
+    def test_protocol_default_is_the_generic_pair(self):
+        model = HazardModel(kernel=DykstraLaudHazardKernel(), control=UNIT, T=10.0)
+        pat = sample_hazard_pattern(model, replication_rng(65, 0))
+        assert model.kernel.path_integrals(pat.u, pat.x, model.T) == (
+            cumulative_hazard(model, pat), square_hazard_integral(model, pat))
+
+    def test_one_call_per_replication_and_constants_once_per_model(self, monkeypatch):
+        calls, moments = [], []
+        one_pass = RectHazardKernel.path_integrals
+        monkeypatch.setattr(RectHazardKernel, "path_integrals",
+                            lambda *a: calls.append(1) or one_pass(*a))
+        quadratic_moments = hazard._quadratic_moments
+        monkeypatch.setattr(hazard, "_quadratic_moments",
+                            lambda *a: moments.append(1) or quadratic_moments(*a))
+        for name in ("cumulative_hazard", "square_hazard_integral"):
+            monkeypatch.setattr(hazard, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+        model = rect_model(UNIT, T=50.0)
+        for i in range(3):
+            rep_quadratic(model, replication_rng(64, i))
+            assert len(calls) == i + 1
+        assert moments == [1]
 
 
 class TestLinearStat:
     def test_case_mismatch_errors(self):
         model = rect_model(UNIT, T=10.0)
         with pytest.raises(CaseMismatchError):
-            hazard._linear_center_scale(model, 2)
+            hazard.linear_center_scale(model, 2)
         model_beta = rect_model(BetaControl(), T=10.0)
         with pytest.raises(CaseMismatchError):
-            hazard._linear_center_scale(model_beta, 1)
+            hazard.linear_center_scale(model_beta, 1)
         model_dl = HazardModel(kernel=DykstraLaudHazardKernel(), control=UNIT, T=10.0)
         with pytest.raises(CaseMismatchError):
-            hazard._linear_center_scale(model_dl, 1)
+            hazard.linear_center_scale(model_dl, 1)
         # the stated targets check the model too, and reject a case that is not stated
         with pytest.raises(CaseMismatchError):
             linear_case_targets(model_beta, 2)
@@ -296,14 +373,19 @@ class TestLinearStat:
         monkeypatch.setattr(hazard, "cumulative_hazard",
                             lambda *a, **kw: calls.append(1) or cumulative(*a, **kw))
         model = rect_model(UNIT, T=50.0)
-        stat, h_total = rep_linear_case((model, 1), replication_rng(62, 0))
+        args = (model, *linear_center_scale(model, 1))
+        # the case checks ran once, above, and not per replication
+        monkeypatch.setattr(hazard, "linear_center_scale",
+                            lambda *a: pytest.fail("case checked per replication"))
+        stat, h_total = rep_linear_case(args, replication_rng(62, 0))
         assert len(calls) == 1
         assert stat == pytest.approx((h_total - 2.0 * 50.0) / math.sqrt(50.0), rel=1e-15)
 
     def test_case1_variance(self):
         model = rect_model(UNIT, T=200.0)
         rng = replication_rng(57, 0)
-        vals = np.array([rep_linear_case((model, 1), rng)[0] for _ in range(5000)])
+        args = (model, *linear_center_scale(model, 1))
+        vals = np.array([rep_linear_case(args, rng)[0] for _ in range(5000)])
         assert linear_case_targets(model, 1) == pytest.approx(4.0)
         # exact finite-horizon variance (edge-corrected): (4T - 3)/T
         assert vals.var(ddof=1) == pytest.approx(
@@ -315,7 +397,8 @@ class TestLinearStat:
         model = rect_model(ExtendedGammaControl(eps=1e-4), T=T)
         oracle_var = cumulative_variance_exact(model) / math.log(T)
         rng = replication_rng(58, 0)
-        vals = np.array([rep_linear_case((model, 2), rng)[0] for _ in range(600)])
+        args = (model, *linear_center_scale(model, 2))
+        vals = np.array([rep_linear_case(args, rng)[0] for _ in range(600)])
         assert vals.var(ddof=1) == pytest.approx(oracle_var, rel=0.2)
         # the stated limit 4 is approached from below, logarithmically
         assert oracle_var < 4.0
@@ -325,7 +408,8 @@ class TestLinearStat:
         model = rect_model(BetaControl(), T=T)
         oracle_var = cumulative_variance_exact(model) / math.sqrt(T)
         rng = replication_rng(59, 0)
-        vals = np.array([rep_linear_case((model, 3), rng)[0] for _ in range(600)])
+        args = (model, *linear_center_scale(model, 3))
+        vals = np.array([rep_linear_case(args, rng)[0] for _ in range(600)])
         assert vals.var(ddof=1) == pytest.approx(oracle_var, rel=0.2)
         # with the stated T^{1/4} normalization the variance decays, far from 8
         assert oracle_var < 1.0
@@ -352,7 +436,7 @@ class TestQuadraticStat:
         model = rect_model(UNIT, T=40.0)
         raw, centered = rep_quadratic(model, replication_rng(63, 0))
         pat = sample_hazard_pattern(model, replication_rng(63, 0))
-        assert (raw, centered) == hazard._quadratic_stats(model, pat)
+        assert (raw, centered) == model.quadratic.evaluate(pat)
 
     def test_centering_constants(self):
         model = rect_model(UNIT, T=400.0)

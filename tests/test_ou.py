@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from poisson_chaos.chaos import eval_I1, eval_I2
 from poisson_chaos.kernels import (
-    _SCAN_SPAN, OUDiagHstarKernel, OUDoubleHKernel, OUSingleKernel, ou_ghat,
+    _SCAN_SPAN, Kernel, OUDiagHstarKernel, OUDoubleHKernel, OUSingleKernel, ou_ghat,
 )
 from poisson_chaos.ou import (
     DEFAULT_JUMPS, OUConfig, k1_variance_exact, k2_variance_exact, linear_variance_exact,
@@ -162,16 +162,11 @@ class TestQuadraticStat:
 
 
 class DensePairOUKernel(OUDoubleHKernel):
-    """The OU pair kernel with its pair sum over the dense matrix, so that a
-    reference built on it shares no code with the scan of
-    kernels.ou_pair_terms.  The diagonal is zeroed, not subtracted: the
-    rounding error of sum - trace scales with the diagonal, which is not
-    part of the sum."""
+    """The OU pair kernel with the dense default pair sum of Kernel, so
+    that a reference built on it shares no code with the scan of
+    kernels.ou_pair_terms."""
 
-    def pair_sum(self, u, x):
-        vals = self(u[:, None], x[:, None], u[None, :], x[None, :])
-        np.fill_diagonal(vals, 0.0)
-        return float(vals.sum())
+    pair_sum = Kernel.pair_sum
 
 
 def exponential_parts(lam, T, x, y):
