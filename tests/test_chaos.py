@@ -246,7 +246,8 @@ class TestPairSum:
 
     def test_dense_default_keeps_a_pair_sum_below_the_diagonal(self):
         # Subtracting the trace from the full sum loses every pair term
-        # below the rounding error of the diagonal; both sums returned 0.0.
+        # below the rounding error of the diagonal: done that way, both
+        # cases below sum to 0.0.
         f = OUDoubleHKernel(1.0, 10.0)
         u = np.array([1.0, 1.27e-150])
         x = np.zeros(2)
