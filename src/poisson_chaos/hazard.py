@@ -7,8 +7,9 @@ experiment suite reports the empirical centering alongside, because for the
 two slow (non-homogeneous) cases the stated centerings and scalings are not
 consistent with the control families (see the acceptance notes).
 
-cumulative_hazard and square_hazard_integral are the generic pathwise API.
-A theorem-7 replication calls cumulative_hazard with the case's centering
+cumulative_hazard and square_hazard_integral are the generic pathwise API:
+the first from the kernel's time_integral, the second from its
+path_integrals, the hazard protocol's one pathwise method.  A theorem-7 replication calls cumulative_hazard with the case's centering
 and scaling computed once per run (linear_center_scale).  A theorem-8
 replication calls neither: QuadraticStatistics, built once per model, takes
 H(T) and int h^2 from one call to the kernel's path_integrals, which for
@@ -81,11 +82,10 @@ def cumulative_hazard(model: HazardModel, pattern: PointPattern) -> float:
 
 
 def square_hazard_integral(model: HazardModel, pattern: PointPattern) -> float:
-    """int_0^T h(t)^2 dt, by the kernel's square_integral (for the
-    rectangular kernel, the second half of its path_integrals)."""
+    """int_0^T h(t)^2 dt, the second half of the kernel's path_integrals."""
     if not len(pattern):
         return 0.0
-    return model.kernel.square_integral(pattern.u, pattern.x, model.T)
+    return model.kernel.path_integrals(pattern.u, pattern.x, model.T)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,13 @@ Evaluation conventions: arity-1 kernels are called as k(u, x), arity-2 as
 k(u1, x1, u2, x2); all entry points are numpy-vectorized and return 0 outside
 the declared support.  ``lp_norm(p)`` returns int |f|^p dmu^arity (not the
 p-th root).  Closed forms are written with exponents combined before
-exponentiation so they stay finite for horizons in the thousands.
+exponentiation so they stay finite for horizons in the thousands.  The OU
+closed forms hold on a window that covers the kernel's support down to a
+cut, x_lo <= 0 and x_hi >= T, and raise ValueError on any other.
+
+Hazard kernels k(t, x) give a pattern's H(T) and int_0^T h^2 through one
+method, path_integrals; the dense pair-time-integral reference lives with
+the test oracles.
 """
 
 from __future__ import annotations
@@ -118,11 +124,6 @@ class Kernel:
 
     def scaled(self, c: float) -> "Kernel":
         return ScaledKernel(self, float(c))
-
-    def __mul__(self, c):
-        return self.scaled(c)
-
-    __rmul__ = __mul__
 
 
 def _check_arity(kernel: Kernel, expected: int):
@@ -367,10 +368,43 @@ def _check_rate_and_horizon(lam: float, T: float) -> None:
 
 def _binom_time_integral(p: int, lam: float, T: float) -> float:
     # int_0^T (1 - e^{-lam s})^p ds
+    if lam * T < 1.0:
+        # the binomial sum below cancels for small lam T (1e-7 relative at
+        # lam T = 0.01, p = 4); with y = 1 - e^{-lam s} the integral is
+        # sum_{k > p} Y^k / (k lam), Y = 1 - e^{-lam T} < 0.64, whose 90th
+        # term is below 1e-17 of the first
+        y = -math.expm1(-lam * T)
+        return math.fsum(y ** k / k for k in range(p + 1, p + 91)) / lam
     total = T
     for k in range(1, p + 1):
         total += math.comb(p, k) * (-1.0) ** k * (1.0 - math.exp(-k * lam * T)) / (k * lam)
     return total
+
+
+def _ou_window_length(window: Window, T: float) -> float:
+    """L = -x_lo of a window that covers the OU kernels' support (-inf, T]
+    down to its cut at -L: the closed forms hold on no other window."""
+    if window.x_lo > 0.0:
+        raise ValueError("OU closed forms need a window starting at or below 0")
+    if window.x_hi < T:
+        raise ValueError("OU closed forms need a window ending at or after the horizon")
+    return -window.x_lo
+
+
+def _ou_shape_power_integral(p: int, r: float, T: float, L: float) -> float:
+    """int_{-L}^T s^p for the shape s(x) = e^{r x} (1 - e^{-r T}) on x <= 0,
+    1 - e^{-r (T - x)} on (0, T]: the single kernel's at r = lam, the
+    diagonal kernel's at r = 2 lam; L may be inf."""
+    neg = (1.0 - math.exp(-r * T)) ** p * (1.0 - math.exp(-p * r * L)) / (p * r)
+    return neg + _binom_time_integral(p, r, T)
+
+
+def _ou_shape_tail(r: float, T: float, window: Window) -> float:
+    """int s^2 below the window, s the shape of _ou_shape_power_integral;
+    inf for a window ending before T, which cuts the kernel."""
+    if window.x_hi < T:
+        return math.inf
+    return (1.0 - math.exp(-r * T)) ** 2 * math.exp(2.0 * r * window.x_lo) / (2.0 * r)
 
 
 @dataclass(frozen=True)
@@ -398,30 +432,21 @@ class OUSingleKernel(Kernel):
     def symmetrize(self):
         raise ArityError("symmetrize needs an arity-2 kernel")
 
-    def _shape_power_integral(self, p: int, window: Window) -> float:
-        lam, T = self.lam, self.T
-        L = -window.x_lo
-        hi = min(window.x_hi, T)
-        neg = (1.0 - math.exp(-lam * T)) ** p * (1.0 - math.exp(-p * lam * L)) / (p * lam)
-        pos = _binom_time_integral(p, lam, hi) if hi > 0 else 0.0
-        return (neg + pos) / lam ** p
-
     def lp_norm(self, p, control, window):
         coef = math.sqrt(2.0 * self.lam / self.T)
-        return control.abs_moment(p) * coef ** p * self._shape_power_integral(p, window)
+        L = _ou_window_length(window, self.T)
+        shape = _ou_shape_power_integral(p, self.lam, self.T, L) / self.lam ** p
+        return control.abs_moment(p) * coef ** p * shape
 
     def integral(self, control, window):
         coef = math.sqrt(2.0 * self.lam / self.T)
-        return control.moment(1) * coef * self._shape_power_integral(1, window)
+        L = _ou_window_length(window, self.T)
+        shape = _ou_shape_power_integral(1, self.lam, self.T, L) / self.lam
+        return control.moment(1) * coef * shape
 
     def support_excess(self, window):
-        # L2 tail below the window cut
         lam, T = self.lam, self.T
-        if window.x_hi < T:
-            # the kernel lives on x <= T; a window ending earlier cuts it
-            return math.inf
-        L = -window.x_lo
-        return (2.0 / (lam * T)) * (1.0 - math.exp(-lam * T)) ** 2 * math.exp(-2 * lam * L) / (2 * lam)
+        return (2.0 / (lam * T)) * _ou_shape_tail(lam, T, window)
 
 
 def ou_ghat(lam: float, T: float, x, y):
@@ -610,7 +635,7 @@ class OUDoubleHKernel(Kernel):
     def _ghat_sq_double_integral(self, p: int, window: Window) -> float:
         # int int Ghat(x, x')^p dx dx' over [x_lo, T]^2
         lam, T = self.lam, self.T
-        L = -window.x_lo
+        L = _ou_window_length(window, T)
         E = math.exp(-2.0 * lam * T)
         # both coordinates <= 0: Ghat = (1 - E) e^{lam (x + x')}
         both_neg = (1.0 - E) ** p * ((1.0 - math.exp(-p * lam * L)) / (p * lam)) ** 2
@@ -670,7 +695,7 @@ class OUDoubleHKernel(Kernel):
     def _shape_power_section(self, p: int, y, window: Window):
         """C_p(y) = int_window Ghat(x, y)^p dx, vectorized in y."""
         lam, T = self.lam, self.T
-        L = -window.x_lo
+        L = _ou_window_length(window, T)
         E = math.exp(-2.0 * lam * T)
         y = np.asarray(y, dtype=float)
         a = np.maximum(y, 0.0)
@@ -733,11 +758,9 @@ class OUDoubleHKernel(Kernel):
         exponential polynomial in x, listed in _OU_NORM_PARTS, so no sum
         above cancels; see _exp_poly for how each part is evaluated.
         """
-        if window.x_lo > 0.0:
-            raise ValueError("contraction_norms needs a window starting at or below 0")
         lam, T = self.lam, self.T
         x = lam * T
-        ell = -lam * window.x_lo
+        ell = lam * _ou_window_length(window, T)
         tr, p0, p1, p2, p3, s_aa, s_ab, s_bb = (_exp_poly(name, x) for name in _OU_NORM_PARTS)
         d = -math.expm1(-2.0 * ell)
         trace = tr + d * (4.0 * p3 + d * (4.0 * p0 * p2 + 2.0 * p1 ** 2
@@ -767,28 +790,17 @@ class OUDiagHstarKernel(Kernel):
         g = ou_ghat(self.lam, self.T, x, x)
         return np.asarray(u) ** 2 * g / self.T
 
-    def _shape_integral(self, p: int, window: Window) -> float:
-        # int Ghat(x,x)^p dx = int_{-L}^0 e^{2 p lam x}(1-E)^p + int_0^T (1-e^{-2 lam (T-x)})^p
-        lam, T = self.lam, self.T
-        L = -window.x_lo
-        E = math.exp(-2.0 * lam * T)
-        neg = (1.0 - E) ** p * (1.0 - math.exp(-2.0 * p * lam * L)) / (2.0 * p * lam)
-        pos = _binom_time_integral(p, 2.0 * lam, min(window.x_hi, T))
-        return neg + pos
-
     def lp_norm(self, p, control, window):
-        return control.abs_moment(2 * p) * self._shape_integral(p, window) / self.T ** p
+        L = _ou_window_length(window, self.T)
+        shape = _ou_shape_power_integral(p, 2.0 * self.lam, self.T, L)
+        return control.abs_moment(2 * p) * shape / self.T ** p
 
     def integral(self, control, window):
-        return control.moment(2) * self._shape_integral(1, window) / self.T
+        L = _ou_window_length(window, self.T)
+        return control.moment(2) * _ou_shape_power_integral(1, 2.0 * self.lam, self.T, L) / self.T
 
     def support_excess(self, window):
-        lam, T = self.lam, self.T
-        if window.x_hi < T:
-            # the kernel lives on x <= T; a window ending earlier cuts it
-            return math.inf
-        L = -window.x_lo
-        return (1.0 - math.exp(-2 * lam * T)) ** 2 * math.exp(-4 * lam * L) / (4 * lam * T ** 2)
+        return _ou_shape_tail(2.0 * self.lam, self.T, window) / self.T ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -807,20 +819,10 @@ class HazardKernel:
         """w(x) = int_0^T k(s, x) ds."""
         raise NotImplementedError
 
-    def pair_time_integral(self, x1, x2, T):
-        """int_0^T k(t, x1) k(t, x2) dt."""
-        raise NotImplementedError
-
-    def square_integral(self, u, x, T) -> float:
-        """int_0^T h(t)^2 dt = sum_{i,j} u_i u_j int_0^T k(t, x_i) k(t, x_j) dt."""
-        raise NotImplementedError
-
     def path_integrals(self, u, x, T) -> tuple[float, float]:
         """(H(T), int_0^T h^2) of one pattern's atoms: sum_i u_i w(x_i) and
-        square_integral.  A kernel that can share the work of the two
-        overrides it."""
-        u = np.asarray(u, dtype=float)
-        return _dot(u, self.time_integral(x, T)), self.square_integral(u, x, T)
+        sum_{i,j} u_i u_j int_0^T k(t, x_i) k(t, x_j) dt."""
+        raise NotImplementedError
 
     def x_support(self, T: float) -> tuple[float, float]:
         """x-interval the atoms of a hazard model are sampled on: the smallest
@@ -838,8 +840,7 @@ class HazardKernel:
 class RectHazardKernel(HazardKernel):
     """k(t, x) = 1{|t - x| <= tau}: atom i adds u_i to h on the interval
     [x_i - tau, x_i + tau] cut to [0, T].  path_integrals gives H(T) and
-    int h^2 from one set of interval ends; square_integral is its second
-    half."""
+    int h^2 from one set of interval ends."""
 
     tau: float
 
@@ -853,14 +854,6 @@ class RectHazardKernel(HazardKernel):
     def time_integral(self, x, T):
         x = np.asarray(x, dtype=float)
         return np.maximum(0.0, np.minimum(x + self.tau, T) - np.maximum(x - self.tau, 0.0))
-
-    def pair_time_integral(self, x1, x2, T):
-        lo = np.maximum(np.maximum(np.asarray(x1), np.asarray(x2)) - self.tau, 0.0)
-        hi = np.minimum(np.minimum(np.asarray(x1), np.asarray(x2)) + self.tau, T)
-        return np.maximum(0.0, hi - lo)
-
-    def square_integral(self, u, x, T):
-        return self.path_integrals(u, x, T)[1]
 
     def path_integrals(self, u, x, T):
         """(H(T), int_0^T h^2) in O(n log n), from one set of interval ends.

@@ -28,7 +28,7 @@ import numpy as np
 
 from .chaos import _check_support
 from .kernels import (OUDiagHstarKernel, OUDoubleHKernel, OUSingleKernel,
-                      _binom_time_integral, _check_rate_and_horizon, ou_pair_terms,
+                      _check_rate_and_horizon, _ou_shape_power_integral, ou_pair_terms,
                       ou_sorted_atoms)
 from .point_process import DiscreteControl, PointPattern, Window, sample_pattern
 from .quadrature import _dot
@@ -153,16 +153,12 @@ class OUStatistics:
 def linear_variance_exact(lam: float, T: float) -> float:
     """Exact variance of T^{-1/2} int_0^T Y dt (two-piece time integral);
     tends to 2/lam."""
-    bracket = ((1.0 - math.exp(-lam * T)) ** 2 / (2.0 * lam)
-               + _binom_time_integral(2, lam, T))
-    return (2.0 / (lam * T)) * bracket
+    return (2.0 / (lam * T)) * _ou_shape_power_integral(2, lam, T, math.inf)
 
 
 def k1_variance_exact(lam: float, T: float, c_nu_sq: float = 1.0) -> float:
     """Exact variance of K1(T); tends to int u^4 nu."""
-    bracket = ((1.0 - math.exp(-2.0 * lam * T)) ** 2 / (4.0 * lam)
-               + _binom_time_integral(2, 2.0 * lam, T))
-    return c_nu_sq * bracket / T
+    return c_nu_sq * _ou_shape_power_integral(2, 2.0 * lam, T, math.inf) / T
 
 
 def k2_variance_exact(lam: float, T: float, moment2: float = 1.0) -> float:

@@ -1,5 +1,6 @@
 """Path-level oracles for the hazard statistics: h on a time grid refined at
 the kernel breakpoints, trapezoid integrals of h and h^2, the rectangular
+pair time integral and the dense int h^2 built from it, the rectangular
 int h^2 in exact rational arithmetic and by the two-argsort sweep the
 one pass must reproduce bit for bit, and the Campbell mean E h(t) by
 quadrature, all independent of the closed forms in ``poisson_chaos.hazard``."""
@@ -53,6 +54,22 @@ def square_hazard_integral_grid(model: HazardModel, pattern: PointPattern,
     times = hazard_grid_times(model, pattern, n_points)
     h = simulate_hazard(model, times, pattern)
     return float(np.trapezoid(h ** 2, times))
+
+
+def rect_pair_time_integral(x1, x2, T: float, tau: float):
+    """int_0^T k(t, x1) k(t, x2) dt for the rectangular kernel: the length of
+    [max(x1, x2) - tau, min(x1, x2) + tau] cut to [0, T]."""
+    lo = np.maximum(np.maximum(np.asarray(x1), np.asarray(x2)) - tau, 0.0)
+    hi = np.minimum(np.minimum(np.asarray(x1), np.asarray(x2)) + tau, T)
+    return np.maximum(0.0, hi - lo)
+
+
+def rect_square_integral_dense(u, x, T: float, tau: float) -> float:
+    """The rectangular int h^2 as the dense pair sum
+    sum_{i,j} u_i u_j int_0^T k(t, x_i) k(t, x_j) dt."""
+    u = np.asarray(u, dtype=float)
+    x = np.asarray(x, dtype=float)
+    return float(u @ rect_pair_time_integral(x[:, None], x[None, :], T, tau) @ u)
 
 
 def _dyadic(values) -> tuple[list[int], int]:

@@ -8,9 +8,10 @@
 - ``sqrt4_section_integral``: int (int f(z, w)^4 mu(dw))^{1/2} mu(dz), the
   fourth-power integrability quantity, exact for grid, block and scaled
   kernels and by panel quadrature for the OU pair kernel.
-- ``DenseHazardKernel``: the dense O(n^2) ``square_integral``, the base of
-  ``DykstraLaudHazardKernel`` and ``OUHazardKernel``, against which the
-  rectangular kernel's prefix sums and the grid oracles are checked.
+- ``DenseHazardKernel``: ``path_integrals`` with int h^2 as the dense
+  O(n^2) pair sum of ``pair_time_integral``, the base of
+  ``DykstraLaudHazardKernel`` and ``OUHazardKernel``.  The rectangular
+  kernel's dense reference is ``hazard_path_oracle.rect_pair_time_integral``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from poisson_chaos.kernels import (
     BlockKernel, GridKernel, HazardKernel, Kernel, OUDoubleHKernel, ScaledKernel,
     _check_dense_budget,
 )
+from poisson_chaos.quadrature import _dot
 
 from ou_contraction_oracle import ou_sqrt4_section_integral
 
@@ -135,10 +137,12 @@ def sqrt4_section_integral(kernel: Kernel, control, window) -> float:
 
 
 class DenseHazardKernel(HazardKernel):
-    """Hazard kernels whose square integral is the dense pair sum."""
+    """Hazard kernels whose int h^2 is the dense pair sum of their
+    pair_time_integral, int_0^T k(t, x1) k(t, x2) dt."""
 
-    def square_integral(self, u, x, T) -> float:
-        """int_0^T h(t)^2 dt = sum_{i,j} u_i u_j int_0^T k(t, x_i) k(t, x_j) dt.
+    def path_integrals(self, u, x, T) -> tuple[float, float]:
+        """(H(T), int_0^T h^2) with
+        int_0^T h^2 = sum_{i,j} u_i u_j int_0^T k(t, x_i) k(t, x_j) dt.
 
         Dense: evaluates the n x n pair-time-integral matrix, O(n^2) time and
         memory, and refuses matrices over DENSE_PAIR_BYTES_MAX.
@@ -146,9 +150,10 @@ class DenseHazardKernel(HazardKernel):
         u = np.asarray(u, dtype=float)
         x = np.asarray(x, dtype=float)
         if not x.size:
-            return 0.0
+            return 0.0, 0.0
         _check_dense_budget(x.size)
-        return float(u @ self.pair_time_integral(x[:, None], x[None, :], T) @ u)
+        return (_dot(u, self.time_integral(x, T)),
+                float(u @ self.pair_time_integral(x[:, None], x[None, :], T) @ u))
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,11 @@ from poisson_chaos.point_process import (
 )
 
 from hazard_path_oracle import (
-    campbell_mean, cumulative_hazard_grid, rect_square_integral_exact,
-    rect_square_integral_sweep, simulate_hazard, square_hazard_integral_grid,
+    campbell_mean, cumulative_hazard_grid, rect_square_integral_dense,
+    rect_square_integral_exact, rect_square_integral_sweep, simulate_hazard,
+    square_hazard_integral_grid,
 )
-from kernel_oracles import DykstraLaudHazardKernel, OUHazardKernel
+from kernel_oracles import DykstraLaudHazardKernel
 from seeds import replication_rng
 
 UNIT = DiscreteControl(values=(1.0,), weights=(1.0,))
@@ -200,11 +201,9 @@ class TestSquareIntegral:
         rng = replication_rng(56, 0)
         for _ in range(10):
             pat = sample_hazard_pattern(model, rng)
-            full = HazardModel(kernel=OUHazardKernel(1.0), control=UNIT, T=10.0)
             exact = square_hazard_integral(model, pat)
             # brute-force dense double sum oracle
-            w = model.kernel.pair_time_integral(pat.x[:, None], pat.x[None, :], model.T)
-            dense = float(pat.u @ w @ pat.u)
+            dense = rect_square_integral_dense(pat.u, pat.x, model.T, model.kernel.tau)
             assert exact == pytest.approx(dense, rel=1e-12)
 
 
@@ -232,29 +231,35 @@ class TestRectPrefixSums:
               np.array([-2.0, -1.5, 1.0, 6.0, 7.0])))   # atoms outside the support
     def test_matches_dense_pair_time_integral(self, case):
         T, tau, u, x = case
-        k = RectHazardKernel(tau)
-        dense = float(u @ k.pair_time_integral(x[:, None], x[None, :], T) @ u)
-        assert abs(k.square_integral(u, x, T) - dense) <= 1e-11 * max(1.0, abs(dense))
+        dense = rect_square_integral_dense(u, x, T, tau)
+        got = RectHazardKernel(tau).path_integrals(u, x, T)[1]
+        assert abs(got - dense) <= 1e-11 * max(1.0, abs(dense))
 
     def test_no_pair_time_integral_calls(self, monkeypatch):
-        monkeypatch.setattr(RectHazardKernel, "pair_time_integral",
-                            lambda *a: pytest.fail("pair loop used"))
+        # the kernel's one pathwise method is all that either path calls
+        calls = []
+        one_pass = RectHazardKernel.path_integrals
+        monkeypatch.setattr(RectHazardKernel, "path_integrals",
+                            lambda *a: calls.append(1) or one_pass(*a))
         model = rect_model(UNIT, T=400.0)
+        rep_quadratic(model, replication_rng(61, 0))
+        assert len(calls) == 1
         pat = sample_hazard_pattern(model, replication_rng(61, 0))
         assert square_hazard_integral(model, pat) > 0.0
+        assert len(calls) == 2
 
     def test_dense_default_refuses_large_matrix(self, monkeypatch):
         n = int(math.isqrt(DENSE_PAIR_BYTES_MAX // 8)) + 1
         monkeypatch.setattr(DykstraLaudHazardKernel, "pair_time_integral",
                             lambda *a: pytest.fail("evaluated"))
         with pytest.raises(ValueError, match=f"n={n} atoms needs {8 * n * n} bytes"):
-            DykstraLaudHazardKernel().square_integral(np.ones(n), np.ones(n), 10.0)
+            DykstraLaudHazardKernel().path_integrals(np.ones(n), np.ones(n), 10.0)
 
 
 class TestRectExactSquareIntegral:
-    """The rectangular one pass (path_integrals, and square_integral, its
-    second half) against exact rational sums over the same float
-    breakpoints, with Exp(1) jumps at five atoms per unit time."""
+    """The rectangular one pass (path_integrals) against exact rational sums
+    over the same float breakpoints, with Exp(1) jumps at five atoms per
+    unit time."""
 
     @pytest.mark.parametrize("T, tau", [(50.0, 1.0), (2e4, 1.0), (300.0, 7.5)])
     def test_within_1e_13_of_exact_rationals(self, T, tau):
@@ -264,7 +269,6 @@ class TestRectExactSquareIntegral:
         u = rng.exponential(1.0, n)
         k = RectHazardKernel(tau)
         h_total, got = k.path_integrals(u, x, T)
-        assert k.square_integral(u, x, T) == got
         exact = rect_square_integral_exact(u, x, T, tau)
         assert abs(Fraction(got) - exact) <= Fraction(1, 10 ** 13) * exact
         w = [Fraction(float(v)) for v in k.time_integral(x, T)]
@@ -278,7 +282,6 @@ class TestRectExactSquareIntegral:
         assert exact == Fraction(47, 2)
         u, x = np.array([2.0, 3.0, 5.0]), np.array([0.0, 1.5, 3.5])
         assert RectHazardKernel(1.0).path_integrals(u, x, 2.0) == (6.5, 23.5)
-        assert RectHazardKernel(1.0).square_integral(u, x, 2.0) == 23.5
 
 
 @st.composite
@@ -328,6 +331,7 @@ class TestOnePass:
         assert q == rect_square_integral_sweep(u, x, T, tau)
 
     def test_protocol_default_is_the_generic_pair(self):
+        # the dense oracle's path_integrals against the generic API
         model = HazardModel(kernel=DykstraLaudHazardKernel(), control=UNIT, T=10.0)
         pat = sample_hazard_pattern(model, replication_rng(65, 0))
         assert model.kernel.path_integrals(pat.u, pat.x, model.T) == (

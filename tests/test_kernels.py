@@ -18,6 +18,7 @@ from kernel_oracles import (
     DykstraLaudHazardKernel, OUHazardKernel, grid_from_csv, grid_to_csv,
 )
 from expansion_oracle import as_grid
+from hazard_path_oracle import rect_pair_time_integral
 from ou_contraction_oracle import exp_refined_edges, pair_overlap
 
 
@@ -98,15 +99,34 @@ class TestGridKernel:
         assert np.array_equal(back.values, g.values)
 
 
+# (lam, T) at lam T = 0.01, 5 and 200
+OU_HORIZONS = pytest.mark.parametrize("lam, T", [(0.5, 0.02), (1.0, 5.0), (2.0, 100.0)],
+                                      ids=["lamT0.01", "lamT5", "lamT200"])
+
+
+def cut_windows(lam, T):
+    """Windows that do not cover an OU kernel's support: ending before T,
+    and starting above 0."""
+    return Window(-12.0 / lam, 0.6 * T), Window(0.2 * T, T)
+
+
 class TestOUSingle:
-    def test_lp_norms_vs_quadrature(self, symmetric_jump):
-        lam, T, L = 0.8, 6.0, 15.0
+    @OU_HORIZONS
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_lp_norms_vs_quadrature(self, symmetric_jump, unit_jump, lam, T, p):
         g = OUSingleKernel(lam, T)
-        w = Window(-L, T)
-        for p in (1, 2, 3, 4):
-            oracle, _ = si.quad(lambda x: abs(g(1.0, np.array([x]))[0]) ** p, -L, T,
-                                epsabs=1e-13, epsrel=1e-11, limit=400, points=[0.0])
-            assert g.lp_norm(p, symmetric_jump, w) == pytest.approx(oracle, rel=1e-9)
+        L = 12.0 / lam
+        oracle, _ = si.quad(lambda x: abs(g(1.0, np.array([x]))[0]) ** p, -L, T,
+                            epsabs=0.0, epsrel=1e-12, limit=400, points=[0.0])
+        assert g.lp_norm(p, symmetric_jump, Window(-L, T)) == pytest.approx(oracle, rel=1e-9)
+        if p == 1:
+            assert g.integral(unit_jump, Window(-L, T)) == pytest.approx(oracle, rel=1e-9)
+        # a window that does not cover the kernel is refused, not misread
+        for w in cut_windows(lam, T):
+            with pytest.raises(ValueError):
+                g.lp_norm(p, symmetric_jump, w)
+            with pytest.raises(ValueError):
+                g.integral(unit_jump, w)
 
     def test_compensator_vanishes_for_centered_marginal(self, symmetric_jump):
         g = OUSingleKernel(1.0, 5.0)
@@ -183,11 +203,17 @@ class TestOUDoubleH:
         assert n11 == pytest.approx(num_n11, rel=1e-6)
 
     @pytest.mark.parametrize("kind", [OUDoubleHKernel, OUSingleKernel, OUDiagHstarKernel])
-    def test_window_ending_before_horizon_is_unsupported(self, kind):
+    def test_window_ending_before_horizon_is_unsupported(self, kind, unit_jump):
         h = kind(1.0, 10.0)
-        assert h.support_excess(Window(-12.0, 5.0)) == math.inf
-        assert h.scaled(2.0).support_excess(Window(-12.0, 5.0)) == math.inf
+        cut = Window(-12.0, 5.0)
+        assert h.support_excess(cut) == math.inf
+        assert h.scaled(2.0).support_excess(cut) == math.inf
         assert h.support_excess(Window(-12.0, 10.0)) < 1e-6
+        # and its closed forms refuse that window rather than misread it
+        with pytest.raises(ValueError, match="ending at or after"):
+            h.lp_norm(2, unit_jump, cut)
+        with pytest.raises(ValueError, match="ending at or after"):
+            h.integral(unit_jump, cut) if h.arity == 1 else h.double_integral(unit_jump, cut)
 
     def test_eval_rejects_window_ending_before_horizon(self, unit_jump):
         h = OUDoubleHKernel(1.0, 10.0)
@@ -219,21 +245,28 @@ class TestTruncationConvergence:
 
 
 class TestOUDiagHstar:
-    def test_values_and_norms(self, symmetric_jump):
-        lam, T, L = 1.0, 5.0, 12.0
+    @OU_HORIZONS
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_values_and_norms(self, symmetric_jump, lam, T, p):
+        L = 12.0 / lam
         h = OUDiagHstarKernel(lam, T)
         w = Window(-L, T)
         # value at x < 0 and x > 0 against the defining integral
-        for x0 in (-1.5, 2.0):
+        for x0 in (-1.5, 0.4 * T):
             oracle, _ = si.quad(lambda t: 2 * lam * np.exp(-2 * lam * (t - x0)),
                                 max(x0, 0.0), T)
             assert h(2.0, x0) == pytest.approx(4.0 * oracle / T, rel=1e-12)
-        num, _ = si.quad(lambda x: h(1.0, np.array([x]))[0] ** 2, -L, T,
-                         epsabs=1e-14, epsrel=1e-12, points=[0.0])
-        assert h.lp_norm(2, symmetric_jump, w) == pytest.approx(num, rel=1e-10)
-        num1, _ = si.quad(lambda x: h(1.0, np.array([x]))[0], -L, T,
-                          epsabs=1e-14, epsrel=1e-12, points=[0.0])
-        assert h.integral(symmetric_jump, w) == pytest.approx(num1, rel=1e-10)
+        num, _ = si.quad(lambda x: h(1.0, np.array([x]))[0] ** p, -L, T,
+                         epsabs=0.0, epsrel=1e-12, points=[0.0])
+        assert h.lp_norm(p, symmetric_jump, w) == pytest.approx(num, rel=1e-10)
+        if p == 1:
+            assert h.integral(symmetric_jump, w) == pytest.approx(num, rel=1e-10)
+        # a window that does not cover the kernel is refused, not misread
+        for cut in cut_windows(lam, T):
+            with pytest.raises(ValueError):
+                h.lp_norm(p, symmetric_jump, cut)
+            with pytest.raises(ValueError):
+                h.integral(symmetric_jump, cut)
 
     def test_compensator_is_one_untruncated(self, symmetric_jump):
         # int Hstar dmu -> 1 as the window engulfs the support (E[Y^2] = 1)
@@ -263,7 +296,10 @@ class TestHazardKernels:
                                                 * kern(np.array([t]), np.array([x2]))[0]),
                                 0.0, T, epsabs=1e-13, epsrel=1e-11, limit=400,
                                 points=breaks)
-            got = float(kern.pair_time_integral(np.array([x1]), np.array([x2]), T)[0])
+            if isinstance(kern, RectHazardKernel):
+                got = float(rect_pair_time_integral(x1, x2, T, tau))
+            else:
+                got = float(kern.pair_time_integral(np.array([x1]), np.array([x2]), T)[0])
             assert got == pytest.approx(oracle, abs=1e-10)
 
     @pytest.mark.parametrize("kern", [RectHazardKernel(0.7), DykstraLaudHazardKernel(),
