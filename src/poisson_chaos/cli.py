@@ -161,7 +161,7 @@ def cmd_ou(args) -> int:
         target = oumod.linear_variance_exact(lam, T)
         series = {"linear": collect(oumod.rep_linear, cfg, args.reps, args.seed, args.workers)[:, 0]}
         report = summarize(f"ou_linear_T{T:g}", series["linear"],
-                           targets=[TargetSpec("variance", target, args.tol or 0.15)],
+                           targets=[TargetSpec("variance", target, 0.15)],
                            master_seed=args.seed, ks_reference_variance=target)
         reports = {"linear": report}
         payload = report.to_dict()
@@ -174,7 +174,7 @@ def cmd_ou(args) -> int:
                   "total": 1.0 / lam + cfg.c_nu_sq, "sample_var": 1.0 / lam + cfg.c_nu_sq}
         series = {"k2": k2, "k1": k1, "total": total} if args.theorem == 5 else {"sample_var": sv}
         reports = {key: summarize(f"ou_{key}_T{T:g}", v,
-                                  targets=[TargetSpec("variance", derived[key], args.tol or 0.2)],
+                                  targets=[TargetSpec("variance", derived[key], 0.2)],
                                   master_seed=args.seed, ks_reference_variance=derived[key])
                    for key, v in series.items()}
         payload = {key: r.to_dict() for key, r in reports.items()}
@@ -217,7 +217,7 @@ def cmd_hazard(args) -> int:
         values = collect(hz.rep_linear_case, (model, center, scale), args.reps, args.seed,
                          args.workers)
         stat, cum = values[:, 0], values[:, 1]
-        tol = args.tol or {1: 0.3, 2: 0.8, 3: 1.0}[args.case]
+        tol = {1: 0.3, 2: 0.8, 3: 1.0}[args.case]
         report = summarize(f"hazard_case{args.case}_T{args.T:g}", stat,
                            targets=[TargetSpec("variance", target, tol)],
                            master_seed=args.seed, ks_reference_variance=target)
@@ -231,7 +231,7 @@ def cmd_hazard(args) -> int:
         target = hz.quadratic_variance_derived(model, args.variant)
         values = collect(hz.rep_quadratic, model, args.reps, args.seed, args.workers)
         stat = values[:, 0 if args.variant == "raw" else 1]
-        tol = args.tol or (4.0 if args.variant == "raw" else 1.5)
+        tol = 4.0 if args.variant == "raw" else 1.5
         report = summarize(f"hazard_quad_{args.variant}_T{args.T:g}", stat,
                            targets=[TargetSpec("variance", target, max(tol, 0.1 * target))],
                            master_seed=args.seed, ks_reference_variance=target)
@@ -281,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--workers", type=int, default=1)
-    common.add_argument("--tol", type=float, default=None, help="override verdict tolerance")
     common.add_argument("--dump", action="store_true",
                         help="also stream per-replication values to CSV")
 

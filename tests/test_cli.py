@@ -77,6 +77,17 @@ class TestCLI:
                    "--reps", "200", "--config", str(bad), "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["criterion", "--family", "block"], ["block"], ["ou", "--theorem", "4"],
+        ["hazard", "--theorem", "8"], ["sample"],
+    ], ids=lambda argv: argv[0])
+    def test_tol_flag_is_a_usage_error(self, tmp_path, capsys, argv):
+        # every verdict tolerance is fixed per case; no flag widens one
+        rc = main([*argv, "--tol", "0.5", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "unrecognized arguments: --tol 0.5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_block_subcommand(self, tmp_path):
         rc = main(["block", "--n", "50", "--reps", "4000", "--seed", "7",
                    "--out", str(tmp_path), "--format", "csv"])
@@ -308,7 +319,8 @@ class TestGoldenRuns:
 
 class TestHelpText:
     """--help of the top level and of every subcommand at 100 columns, as
-    argparse printed it before the subcommands shared a parent parser."""
+    argparse printed it before the subcommands shared a parent parser, less
+    the --tol flag, since removed."""
 
     @pytest.mark.parametrize("command", ["", "criterion", "block", "ou", "hazard", "sample"])
     def test_help_is_byte_identical(self, monkeypatch, capsys, command):
