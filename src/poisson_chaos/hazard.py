@@ -9,11 +9,12 @@ consistent with the control families (see the acceptance notes).
 
 cumulative_hazard and square_hazard_integral are the generic pathwise API:
 the first from the kernel's time_integral, the second from its
-path_integrals, the hazard protocol's one pathwise method.  A theorem-7 replication calls cumulative_hazard with the case's centering
-and scaling computed once per run (linear_center_scale).  A theorem-8
-replication calls neither: QuadraticStatistics, built once per model, takes
-H(T) and int h^2 from one call to the kernel's path_integrals, which for
-the rectangular kernel is one sorted sweep over the interval ends.
+path_integrals, the hazard protocol's one pathwise method.  A theorem-7
+replication calls cumulative_hazard with the case's centering and scaling
+computed once per run (linear_center_scale).  A theorem-8 replication calls
+neither: QuadraticStatistics, built once per model, takes H(T) and int h^2
+from one call to the kernel's path_integrals, which for the rectangular
+kernel is one sorted sweep over the interval ends.
 """
 
 from __future__ import annotations
