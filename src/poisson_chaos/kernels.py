@@ -6,7 +6,9 @@ the declared support.  ``lp_norm(p)`` returns int |f|^p dmu^arity (not the
 p-th root).  Closed forms are written with exponents combined before
 exponentiation so they stay finite for horizons in the thousands.  The OU
 closed forms hold on a window that covers the kernel's support down to a
-cut, x_lo <= 0 and x_hi >= T, and raise ValueError on any other.
+cut, x_lo <= 0 and x_hi >= T, and raise ValueError on any other; their
+support_excess is the exact L2 mass below the cut, and inf on any other
+window.  All three build on one time integral, _binom_time_integral.
 
 Hazard kernels k(t, x) give a pattern's H(T) and int_0^T h^2 through one
 method, path_integrals; the dense pair-time-integral reference lives with
@@ -108,8 +110,9 @@ class Kernel:
         return float(vals.sum())
 
     def support_excess(self, window: Window) -> float:
-        """Upper bound on the L2 mass of the kernel outside the window; 0 for
-        kernels fully contained."""
+        """L2 mass of the kernel outside the window, for unit jumps: 0 for
+        kernels fully contained, inf for a window that cuts a kernel with no
+        closed-form tail."""
         return 0.0
 
     # criterion quantities (arity 2) ------------------------------------------
@@ -217,7 +220,6 @@ class GridKernel(Kernel):
         return float(m @ self.values @ m)
 
     def support_excess(self, window: Window) -> float:
-        lo, hi = self.edges[0], self.edges[-1]
         nz = np.nonzero(self.values) if self.arity == 1 else np.nonzero(np.any(self.values != 0, axis=1))
         if len(nz[0]) == 0:
             return 0.0
@@ -366,18 +368,26 @@ def _check_rate_and_horizon(lam: float, T: float) -> None:
         raise ValueError("lam and T must be positive")
 
 
-def _binom_time_integral(p: int, lam: float, T: float) -> float:
-    # int_0^T (1 - e^{-lam s})^p ds
-    if lam * T < 1.0:
-        # the binomial sum below cancels for small lam T (1e-7 relative at
-        # lam T = 0.01, p = 4); with y = 1 - e^{-lam s} the integral is
-        # sum_{k > p} Y^k / (k lam), Y = 1 - e^{-lam T} < 0.64, whose 90th
-        # term is below 1e-17 of the first
-        y = -math.expm1(-lam * T)
-        return math.fsum(y ** k / k for k in range(p + 1, p + 91)) / lam
-    total = T
-    for k in range(1, p + 1):
-        total += math.comb(p, k) * (-1.0) ** k * (1.0 - math.exp(-k * lam * T)) / (k * lam)
+def _binom_time_integral(p: int, r: float, T: float, m: int = 0) -> float:
+    # int_0^T e^{-m r (T - s) / 2} (1 - e^{-r s})^p ds, for m = 0 or m = p <= 4
+    if r * T < 1.0:
+        # the binomial sum below cancels for small r T (1e-7 relative at r T
+        # = 0.01, p = 4); with y = 1 - e^{-r s} the integral is e^{-m r T / 2}
+        # / r sum_{j >= 0} (m/2 + 1)_j / j! Y^{p+1+j} / (p+1+j), Y = 1 - e^{-r T}
+        # < 0.64, whose 110th term is below 1e-18 of the first for m <= 4
+        y = -math.expm1(-r * T)
+        terms, coef = [], 1.0
+        for k in range(p + 1, p + 111):
+            terms.append(coef * y ** k / k)
+            coef *= (m / 2 + k - p) / (k - p)
+        return math.exp(-m * r * T / 2) * math.fsum(terms) / r
+    total, em = 0.0, math.exp(-m * r / 2 * T)
+    for k in range(p + 1):
+        cmb = math.comb(p, k) * (-1.0) ** k
+        if 2 * k == m:
+            total += cmb * T * math.exp(-k * r * T)
+        else:
+            total += cmb * (em - math.exp(-k * r * T)) / (r / 2 * (2 * k - m))
     return total
 
 
@@ -401,8 +411,9 @@ def _ou_shape_power_integral(p: int, r: float, T: float, L: float) -> float:
 
 def _ou_shape_tail(r: float, T: float, window: Window) -> float:
     """int s^2 below the window, s the shape of _ou_shape_power_integral;
-    inf for a window ending before T, which cuts the kernel."""
-    if window.x_hi < T:
+    inf for a window starting above 0 or ending before T, which cuts the
+    kernel."""
+    if window.x_lo > 0.0 or window.x_hi < T:
         return math.inf
     return (1.0 - math.exp(-r * T)) ** 2 * math.exp(2.0 * r * window.x_lo) / (2.0 * r)
 
@@ -632,33 +643,30 @@ class OUDoubleHKernel(Kernel):
     def symmetrize(self):
         return self
 
-    def _ghat_sq_double_integral(self, p: int, window: Window) -> float:
-        # int int Ghat(x, x')^p dx dx' over [x_lo, T]^2
+    def _ghat_power_integrals(self, p: int, window: Window) -> tuple[float, float]:
+        """int int Ghat^p over the window [-L, T]^2, and over the rest of
+        (-inf, T]^2.
+
+        With c = e^{-p lam L}, E = e^{-2 lam T}, neg = (1 - E)^p / (p lam)^2
+        (both coordinates <= 0, where Ghat = (1 - E) e^{lam (x + x')}),
+        first = int_0^T (1 - e^{-2 lam s})^p ds and
+        second = int_0^T e^{-p lam x} (1 - e^{-2 lam (T - x)})^p dx:
+            inside  = neg (1 - c)^2 + (2 / (p lam)) (first - c second)
+            outside = c (neg (2 - c) + (2 / (p lam)) second)
+        """
         lam, T = self.lam, self.T
-        L = _ou_window_length(window, T)
         E = math.exp(-2.0 * lam * T)
-        # both coordinates <= 0: Ghat = (1 - E) e^{lam (x + x')}
-        both_neg = (1.0 - E) ** p * ((1.0 - math.exp(-p * lam * L)) / (p * lam)) ** 2
-        # 2 * int_0^T e^{p lam x}(e^{-2 lam x} - E)^p (e^{p lam x} - e^{-p lam L})/(p lam) dx
-        first = 0.0   # int_0^T e^{2 p lam x} (e^{-2 lam x} - E)^p dx
-        second = 0.0  # int_0^T e^{p lam x} (e^{-2 lam x} - E)^p dx
-        for k in range(p + 1):
-            cmb = math.comb(p, k) * (-1.0) ** k
-            if k == 0:
-                first += cmb * T
-            else:
-                first += cmb * (1.0 - math.exp(-2.0 * lam * k * T)) / (2.0 * lam * k)
-            if 2 * k == p:
-                second += cmb * T * math.exp(-2.0 * lam * k * T)
-            else:
-                d = lam * (2.0 * k - p)
-                second += cmb * (math.exp(-p * lam * T) - math.exp(-2.0 * lam * k * T)) / d
-        pos = (2.0 / (p * lam)) * (first - math.exp(-p * lam * L) * second)
-        return both_neg + pos
+        c = math.exp(-p * lam * _ou_window_length(window, T))
+        first = _binom_time_integral(p, 2.0 * lam, T)
+        second = _binom_time_integral(p, 2.0 * lam, T, p)
+        ep = (1.0 - E) ** p
+        inside = ep * ((1.0 - c) / (p * lam)) ** 2 + (2.0 / (p * lam)) * (first - c * second)
+        neg = ep / (p * lam) ** 2
+        return inside, c * (neg * (2.0 - c) + (2.0 / (p * lam)) * second)
 
     def lp_norm(self, p, control, window):
         mom = control.abs_moment(p)
-        return mom ** 2 * self._ghat_sq_double_integral(p, window) / self.T ** p
+        return mom ** 2 * self._ghat_power_integrals(p, window)[0] / self.T ** p
 
     def partial_integral(self, control, window, u, x):
         # int H((u,x), z) mu(dz) = u K1 C_1(x) / T, over z in [x_lo, T]
@@ -673,7 +681,7 @@ class OUDoubleHKernel(Kernel):
         k1 = control.moment(1)
         if k1 == 0.0:
             return 0.0
-        return k1 ** 2 * self._ghat_sq_double_integral(1, window) / self.T
+        return k1 ** 2 * self._ghat_power_integrals(1, window)[0] / self.T
 
     def pair_sum(self, u, x):
         """sum_{i != j} H(z_i, z_j) in O(n log n), without the pair matrix:
@@ -682,13 +690,10 @@ class OUDoubleHKernel(Kernel):
         return ou_pair_terms(self.lam, self.T, u, x, e, p) / self.T
 
     def support_excess(self, window):
-        lam, T = self.lam, self.T
-        if window.x_hi < T:
-            # the kernel lives on (-inf, T]^2; a window ending earlier cuts it
+        if window.x_lo > 0.0 or window.x_hi < self.T:
+            # the kernel lives on (-inf, T]^2; such a window cuts it
             return math.inf
-        L = -window.x_lo
-        # L2 mass with either coordinate below -L decays like e^{-2 lam L}
-        return self._ghat_sq_double_integral(2, Window(-L - 40.0 / lam, T)) * math.exp(-2 * lam * L) / T ** 2
+        return self._ghat_power_integrals(2, window)[1] / self.T ** 2
 
     # ---- contraction machinery --------------------------------------------
 

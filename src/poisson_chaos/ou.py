@@ -162,13 +162,10 @@ def k1_variance_exact(lam: float, T: float, c_nu_sq: float = 1.0) -> float:
 
 
 def k2_variance_exact(lam: float, T: float, moment2: float = 1.0) -> float:
-    """Exact variance of K2(T) = 2T ||H||^2 on the untruncated domain;
+    """Exact variance of K2(T) = 2T ||H||^2 on the untruncated domain, where
+    int int Ghat^2 = (1/lam) int s^2 for the diagonal shape s (r = 2 lam);
     tends to 2/lam (twice the acceptance battery's stated reference target)."""
-    E = math.exp(-2.0 * lam * T)
-    d = ((1.0 - E) ** 2 / (4.0 * lam ** 2)
-         + (1.0 / lam) * (T - (1.0 - E) / lam
-                          + (1.0 - math.exp(-4.0 * lam * T)) / (4.0 * lam)))
-    return moment2 ** 2 * 2.0 * d / T
+    return moment2 ** 2 * (2.0 / (lam * T)) * _ou_shape_power_integral(2, 2.0 * lam, T, math.inf)
 
 
 # ---------------------------------------------------------------------------

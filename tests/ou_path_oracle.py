@@ -75,7 +75,7 @@ def h_norm2_doubled(lam: float, T: float, window: Window | None = None,
     """2T ||H_{lam,T}||^2 by the closed per-window form (quadrature-checked)."""
     w = window if window is not None else Window(-40.0 / lam, T)
     kern = OUDoubleHKernel(lam, T)
-    return moment2 ** 2 * 2.0 * T * kern._ghat_sq_double_integral(2, w) / T ** 2
+    return moment2 ** 2 * 2.0 * T * kern._ghat_power_integrals(2, w)[0] / T ** 2
 
 
 def linear_stat(cfg: OUConfig, pattern: PointPattern) -> float:

@@ -9,7 +9,7 @@ from poisson_chaos.kernels import (
     ArityError, BlockKernel, GridKernel, OUDiagHstarKernel, OUDoubleHKernel, OUSingleKernel,
     RectHazardKernel, ou_ghat,
 )
-from poisson_chaos.chaos import eval_I2
+from poisson_chaos.chaos import eval_I1, eval_I2
 from poisson_chaos.ou import linear_variance_exact
 from poisson_chaos.point_process import DiscreteControl, PointPattern, SupportError, Window
 from poisson_chaos.quadrature import integrate_checked
@@ -110,6 +110,65 @@ def cut_windows(lam, T):
     return Window(-12.0 / lam, 0.6 * T), Window(0.2 * T, T)
 
 
+def ghat_power_quad(lam, T, p, xs, ys):
+    """int over xs x ys of Ghat^p by nested adaptive quadrature, with the
+    kinks at 0 and y = x; Ghat on x, y <= T written from its defining time
+    integral, e^{lam (x + y)} (e^{-2 lam max(x, y, 0)} - e^{-2 lam T})."""
+    def ghat(x, y):
+        return math.exp(lam * (x + y - 2.0 * max(x, y, 0.0))) - math.exp(lam * (x + y - 2.0 * T))
+
+    def inner(x):
+        kinks = [k for k in (0.0, x) if ys[0] < k < ys[1]]
+        val, _ = si.quad(lambda y: ghat(x, y) ** p, *ys, epsabs=0.0, epsrel=1e-13,
+                         limit=400, points=kinks or None)
+        return val
+
+    kinks = [0.0] if xs[0] < 0.0 < xs[1] else None
+    val, _ = si.quad(inner, *xs, epsabs=0.0, epsrel=1e-12, limit=400, points=kinks)
+    return val
+
+
+# (lam, T) at lam T = 0.01, 0.1, 5 and 50, and cut depths L lam
+OU_TAILS = pytest.mark.parametrize("lam, T", [(0.5, 0.02), (2.0, 0.05), (1.0, 5.0), (0.5, 100.0)],
+                                   ids=["lamT0.01", "lamT0.1", "lamT5", "lamT50"])
+TAIL_DEPTHS = pytest.mark.parametrize("depth", [1.0, 4.0, 12.0])
+
+
+class TestOUTails:
+    # support_excess is the exact L2 mass outside the window (unit jumps),
+    # against quadrature over (-L - 40/lam, -L], where e^{-80} of it is left
+    @OU_TAILS
+    @TAIL_DEPTHS
+    def test_pair_kernel(self, lam, T, depth):
+        L = depth / lam
+        M = L + 40.0 / lam
+        # x below -L with y anywhere, twice, plus both below -L
+        oracle = (2.0 * ghat_power_quad(lam, T, 2, (-M, -L), (-L, T))
+                  + ghat_power_quad(lam, T, 2, (-M, -L), (-M, -L))) / T ** 2
+        assert OUDoubleHKernel(lam, T).support_excess(Window(-L, T)) == pytest.approx(oracle, rel=1e-9)
+
+    @OU_TAILS
+    @TAIL_DEPTHS
+    @pytest.mark.parametrize("kind", [OUSingleKernel, OUDiagHstarKernel])
+    def test_arity_one_kernels(self, lam, T, depth, kind):
+        L = depth / lam
+        g = kind(lam, T)
+        oracle, _ = si.quad(lambda x: g(1.0, x) ** 2, -L - 40.0 / lam, -L,
+                            epsabs=0.0, epsrel=1e-13, limit=400)
+        assert g.support_excess(Window(-L, T)) == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", [OUDoubleHKernel, OUSingleKernel, OUDiagHstarKernel])
+    def test_cut_windows_are_unsupported(self, kind, unit_jump):
+        lam, T = 1.0, 10.0
+        g = kind(lam, T)
+        evaluate = eval_I2 if g.arity == 2 else eval_I1
+        for cut in (*cut_windows(lam, T), Window(50.0, 60.0)):
+            assert g.support_excess(cut) == math.inf
+            empty = PointPattern(np.empty(0), np.empty(0), cut, 1.0, 0)
+            with pytest.raises(SupportError):
+                evaluate(g, empty, unit_jump)
+
+
 class TestOUSingle:
     @OU_HORIZONS
     @pytest.mark.parametrize("p", [1, 2, 4])
@@ -185,6 +244,18 @@ class TestOUDoubleH:
             val = 2.0 * T * h.l2_norm_sq(symmetric_jump, w)
             assert val == pytest.approx(2.0 / lam, rel=0.02)
 
+    # lam T = 0.002 as well: the binomial sums cancel below lam T ~ 1, and a
+    # shallow cut, L lam = 1, leaves the e^{-p lam L} part of the sum in play
+    @pytest.mark.parametrize("lam, T", [(2.0, 0.001), (0.5, 0.02), (1.0, 5.0), (2.0, 100.0)],
+                             ids=["lamT0.002", "lamT0.01", "lamT5", "lamT200"])
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("depth", [1.0, 12.0])
+    def test_lp_norms_vs_2d_quadrature(self, symmetric_jump, lam, T, p, depth):
+        L = depth / lam
+        oracle = ghat_power_quad(lam, T, p, (-L, T), (-L, T)) / T ** p
+        h = OUDoubleHKernel(lam, T)
+        assert h.lp_norm(p, symmetric_jump, Window(-L, T)) == pytest.approx(oracle, rel=1e-10)
+
     def test_contraction_norm_quadrature_vs_scipy(self, symmetric_jump):
         lam, T, L = 0.7, 3.0, 10.0
         h = OUDoubleHKernel(lam, T)
@@ -226,12 +297,14 @@ class TestTruncationConvergence:
     # quadrature/closed-form values on truncated windows converge to the
     # untruncated value within the emitted analytic tail bound
     def test_pair_kernel(self, symmetric_jump):
+        # the bound here is the exact tail integral, so allow float-level slack
         lam, T = 1.0, 4.0
         h = OUDoubleHKernel(lam, T)
         full = h.l2_norm_sq(symmetric_jump, Window(-60.0, T))
         for L in (4.0, 8.0, 12.0):
             trunc = h.l2_norm_sq(symmetric_jump, Window(-L, T))
-            assert abs(full - trunc) <= h.support_excess(Window(-L, T))
+            bound = h.support_excess(Window(-L, T))
+            assert bound * 0.999999 - 1e-15 <= full - trunc <= bound * 1.000001 + 1e-15
 
     def test_diag_kernel(self, symmetric_jump):
         # the bound here is the exact tail integral, so allow float-level slack
@@ -241,7 +314,7 @@ class TestTruncationConvergence:
         for L in (4.0, 8.0, 12.0):
             trunc = h.lp_norm(2, symmetric_jump, Window(-L, T))
             bound = h.support_excess(Window(-L, T))
-            assert abs(full - trunc) <= bound * 1.000001 + 1e-15
+            assert bound * 0.999999 - 1e-15 <= full - trunc <= bound * 1.000001 + 1e-15
 
 
 class TestOUDiagHstar:
