@@ -292,6 +292,13 @@ class TestGoldenRuns:
                              "--reps", "200", "--seed", "5"], 0),
         "hazard_thm8_centered": (["hazard", "--theorem", "8", "--variant", "centered",
                                   "--T", "50", "--reps", "200", "--seed", "5"], 0),
+        # recorded before ou and hazard shared one Monte Carlo path
+        "hazard_thm7_case2": (["hazard", "--theorem", "7", "--case", "2", "--T", "50",
+                               "--reps", "200", "--seed", "5"], 1),
+        "hazard_thm7_case3": (["hazard", "--theorem", "7", "--case", "3", "--T", "50",
+                               "--reps", "200", "--seed", "5"], 1),
+        "ou_thm5_lam2": (["ou", "--theorem", "5", "--lambda", "2", "--T", "30",
+                          "--reps", "200", "--seed", "3"], 1),
         # block_n10.csv carries E G^2 in its m4 column
         "block_n10": (["block", "--n", "10", "--reps", "2000", "--seed", "5"], 1),
     }
