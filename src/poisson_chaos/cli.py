@@ -14,11 +14,12 @@ does not match the requested case or theorem, fewer than 100 replications
 for ou theorem 4, a rate, horizon or bandwidth that is not finite and
 positive, an eps that is not finite and nonnegative, a hazard control with
 infinite mass (a Gamma control with eps = 0), a window bound that is not
-finite, fewer than one block),
-3 a replication crashed (the one-line message names its index and the master
-seed) or a numerical check failed.  The exit code follows the JSON `passed`
-but for block, whose exit code judges the fourth moment E G^2 against
-3 + 37/n while its JSON `passed` judges the KS distance.
+finite, fewer than one block, a config section the subcommand does not read
+(see SECTIONS; ou refuses [control]), an [experiment] key other than seed
+and reps), 3 a replication crashed (the one-line message names its index
+and the master seed) or a numerical check failed.  The exit code follows the
+JSON `passed` but for block, whose exit code judges the fourth moment E G^2
+against 3 + 37/n while its JSON `passed` judges the KS distance.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,34 +45,9 @@ USAGE_ERROR = 2
 CRASH = 3
 
 
-def _provenance(args) -> dict:
-    return {
-        "tool_version": __version__,
-        "config_hash": config_hash(args.config),
-        "master_seed": args.seed,
-    }
-
-
-def _emit_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def _emit_summary_csv(path: Path, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("T,mean,var,var_se,m3,m4,ks,target,verdict\n")
-        for row in rows:
-            fh.write(",".join(repr(float(c)) if isinstance(c, (float, np.floating)) else str(c)
-                              for c in row) + "\n")
-
-
-def _report_row(T, report, target, passed: bool, m4=None) -> tuple:
-    # m4 replaces the kurtosis column when given
-    return (T, report.mean, report.variance, report.variance_se, report.skewness,
-            report.kurtosis if m4 is None else m4,
-            report.ks_distance if report.ks_distance is not None else "",
-            target, "PASS" if passed else "FAIL")
+def _report_row(T, report, m4, target, passed: bool) -> tuple:
+    return (T, report.mean, report.variance, report.variance_se, report.skewness, m4,
+            report.ks_distance, target, "PASS" if passed else "FAIL")
 
 
 def _finish(args, stem: str, payload: dict, passed: bool, label: str, t0: float,
@@ -81,15 +58,58 @@ def _finish(args, stem: str, payload: dict, passed: bool, label: str, t0: float,
     values) under --dump, prints the verdict and the wall time on one line,
     and returns 0 if passed, else 1."""
     outdir = Path(args.out)
-    payload.update(_provenance(args))
-    _emit_json(outdir / f"{stem}.json", payload)
+    outdir.mkdir(parents=True, exist_ok=True)
+    payload.update(tool_version=__version__, config_hash=config_hash(args.config),
+                   master_seed=args.seed)
+    (outdir / f"{stem}.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
+                                         encoding="utf-8")
     if args.dump and dumps:
         for name, values in dumps.items():
             values_to_csv(values, outdir / name)
     if args.format == "csv" and rows:
-        _emit_summary_csv(outdir / f"{stem}.csv", rows)
+        with open(outdir / f"{stem}.csv", "w", encoding="utf-8") as fh:
+            fh.write("T,mean,var,var_se,m3,m4,ks,target,verdict\n")
+            for row in rows:
+                fh.write(",".join(repr(float(c)) if isinstance(c, (float, np.floating))
+                                  else str(c) for c in row) + "\n")
     print(f"{label}: {'PASS' if passed else 'FAIL'}  [{time.perf_counter() - t0:.1f}s]")
     return 0 if passed else 1
+
+
+@dataclass(frozen=True)
+class StatisticSpec:
+    """One reported statistic of a Monte Carlo run: its report name, the
+    column of the replication values it summarizes, its variance target
+    (also the KS reference variance) and tolerance, its --dump file name,
+    and the payload key its report is nested under (None: the payload is
+    the report itself)."""
+    name: str
+    column: int
+    target: float
+    tol: float
+    dump: str
+    key: str | None = None
+
+
+def _monte_carlo(args, stem: str, label: str, index, rep_fn, cfg, stats,
+                 extra=lambda values: {}) -> int:
+    """Runs args.reps replications of rep_fn(cfg, rng), summarizes each
+    statistic against its variance target, adds extra(values) to the
+    payload, and ends in _finish with one summary row (indexed by index)
+    and one dump per statistic."""
+    t0 = time.perf_counter()
+    values = collect(rep_fn, cfg, args.reps, args.seed, args.workers)
+    reports = [summarize(s.name, values[:, s.column],
+                         targets=[TargetSpec("variance", s.target, s.tol)],
+                         master_seed=args.seed, ks_reference_variance=s.target)
+               for s in stats]
+    payload = (reports[0].to_dict() if stats[0].key is None
+               else {s.key: r.to_dict() for s, r in zip(stats, reports)})
+    payload.update(extra(values))
+    return _finish(args, stem, payload, all(r.passed for r in reports), label, t0,
+                   rows=[_report_row(index, r, r.kurtosis, s.target, r.passed)
+                         for s, r in zip(stats, reports)],
+                   dumps={s.dump: values[:, s.column] for s in stats})
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +119,8 @@ def _finish(args, stem: str, payload: dict, passed: bool, label: str, t0: float,
 
 def cmd_criterion(args) -> int:
     t0 = time.perf_counter()
-    control = DiscreteControl(values=(1.0,), weights=(1.0,))
     if args.family in ("block", "fixed"):
+        control = DiscreteControl(values=(1.0,), weights=(1.0,))
         index = [int(t) for t in args.indices.split(",")]
         if args.family == "block":
             kernels = [BlockKernel(n) for n in index]
@@ -136,10 +156,8 @@ def cmd_block(args) -> int:
                        tail_thresholds=(10.0, 100.0, 1000.0))
     g2 = float(np.mean(g_vals ** 2))
     g2_se = float(np.std(g_vals ** 2, ddof=1) / math.sqrt(g_vals.size))
-    payload = report.to_dict()
-    payload["fourth_moment_mc"] = g2
-    payload["fourth_moment_mc_se"] = g2_se
-    payload["fourth_moment_target"] = target
+    payload = dict(report.to_dict(), fourth_moment_mc=g2, fourth_moment_mc_se=g2_se,
+                   fourth_moment_target=target)
     # The one verdict that is not the report's own: the exit code judges the
     # fourth moment while the JSON `passed` judges KS (ROADMAP item 1 gives
     # block one verdict).  The summary row carries E G^2 in its m4 column.
@@ -147,53 +165,34 @@ def cmd_block(args) -> int:
     return _finish(args, f"block_n{n}", payload, passed,
                    f"block n={n}: fourth moment {g2:.4f} (target {target:.4f}), "
                    f"ks {report.ks_distance:.4f}", t0,
-                   rows=[_report_row(n, report, target, passed, m4=g2)],
+                   rows=[_report_row(n, report, g2, target, passed)],
                    dumps={f"block_n{n}_values.csv": f_vals})
 
 
 def cmd_ou(args) -> int:
     lam, T = args.lam, args.T
     cfg = oumod.OUConfig(lam=lam, T=T)
-    t0 = time.perf_counter()
+    stem, label = f"ou_thm{args.theorem}_T{T:g}", f"ou theorem {args.theorem} T={T:g}"
     if args.theorem == 4:
         if args.reps < 100:
             raise ValueError("need at least 100 replications")
-        target = oumod.linear_variance_exact(lam, T)
-        series = {"linear": collect(oumod.rep_linear, cfg, args.reps, args.seed, args.workers)[:, 0]}
-        report = summarize(f"ou_linear_T{T:g}", series["linear"],
-                           targets=[TargetSpec("variance", target, 0.15)],
-                           master_seed=args.seed, ks_reference_variance=target)
-        reports = {"linear": report}
-        payload = report.to_dict()
-    else:
-        values = collect(oumod.rep_quadratic, cfg, args.reps, args.seed, args.workers)
-        k2, k1, total, sv = (values[:, i] for i in range(4))
-        derived = {"k2": 2.0 / lam, "k1": cfg.c_nu_sq,
-                   "total": 2.0 / lam + cfg.c_nu_sq, "sample_var": 2.0 / lam + cfg.c_nu_sq}
-        stated = {"k2": 1.0 / lam, "k1": cfg.c_nu_sq,
-                  "total": 1.0 / lam + cfg.c_nu_sq, "sample_var": 1.0 / lam + cfg.c_nu_sq}
-        series = {"k2": k2, "k1": k1, "total": total} if args.theorem == 5 else {"sample_var": sv}
-        reports = {key: summarize(f"ou_{key}_T{T:g}", v,
-                                  targets=[TargetSpec("variance", derived[key], 0.2)],
-                                  master_seed=args.seed, ks_reference_variance=derived[key])
-                   for key, v in series.items()}
-        payload = {key: r.to_dict() for key, r in reports.items()}
-        payload["targets_stated"] = stated
-        payload["targets_derived"] = derived
-        payload["corr_k2_k1"] = float(np.corrcoef(k2, k1)[0, 1])
-    return _finish(args, f"ou_thm{args.theorem}_T{T:g}", payload,
-                   all(r.passed for r in reports.values()),
-                   f"ou theorem {args.theorem} T={T:g}", t0,
-                   rows=[_report_row(T, r, r.verdicts[0].target, r.passed)
-                         for r in reports.values()],
-                   dumps={f"ou_thm{args.theorem}_{key}_values.csv": v
-                          for key, v in series.items()})
+        stats = [StatisticSpec(f"ou_linear_T{T:g}", 0, oumod.linear_variance_exact(lam, T),
+                               0.15, "ou_thm4_linear_values.csv")]
+        return _monte_carlo(args, stem, label, T, oumod.rep_linear, cfg, stats)
+    derived, stated = ({"k2": k2, "k1": cfg.c_nu_sq, "total": k2 + cfg.c_nu_sq,
+                        "sample_var": k2 + cfg.c_nu_sq} for k2 in (2.0 / lam, 1.0 / lam))
+    columns = ("k2", "k1", "total", "sample_var")   # of rep_quadratic's values
+    stats = [StatisticSpec(f"ou_{key}_T{T:g}", columns.index(key), derived[key], 0.2,
+                           f"ou_thm{args.theorem}_{key}_values.csv", key)
+             for key in (columns[:3] if args.theorem == 5 else columns[3:])]
+    return _monte_carlo(args, stem, label, T, oumod.rep_quadratic, cfg, stats,
+                        lambda v: {"targets_stated": stated, "targets_derived": derived,
+                                   "corr_k2_k1": float(np.corrcoef(v[:, 0], v[:, 1])[0, 1])})
 
 
 def _hazard_model(args) -> hz.HazardModel:
-    if args.config:
-        sections = read_config(args.config)
-        control = control_from_section(sections.get("control", {}))
+    if "control" in args.sections:
+        control = control_from_section(args.sections["control"])
     elif args.case == 2:
         control = hz.ExtendedGammaControl(eps=args.eps)
     elif args.case == 3:
@@ -208,54 +207,38 @@ def _hazard_model(args) -> hz.HazardModel:
 
 def cmd_hazard(args) -> int:
     model = _hazard_model(args)
-    t0 = time.perf_counter()
     # the targets are computed first: each raises CaseMismatchError, a usage
     # error, for a model its theorem or case is not stated for
     if args.theorem == 7:
         target = hz.linear_case_targets(model, args.case)
         center, scale = hz.linear_center_scale(model, args.case)
-        values = collect(hz.rep_linear_case, (model, center, scale), args.reps, args.seed,
-                         args.workers)
-        stat, cum = values[:, 0], values[:, 1]
-        tol = {1: 0.3, 2: 0.8, 3: 1.0}[args.case]
-        report = summarize(f"hazard_case{args.case}_T{args.T:g}", stat,
-                           targets=[TargetSpec("variance", target, tol)],
-                           master_seed=args.seed, ks_reference_variance=target)
-        payload = report.to_dict()
-        payload["empirical_centering_mean_H"] = float(np.mean(cum))
-        payload["campbell_mean_H"] = hz.cumulative_mean_exact(model)
-        payload["campbell_variance_H"] = hz.cumulative_variance_exact(model)
         stem = f"hazard_thm7_case{args.case}_T{args.T:g}"
-    else:
-        stated = hz.quadratic_variance_stated(model, args.variant)
-        target = hz.quadratic_variance_derived(model, args.variant)
-        values = collect(hz.rep_quadratic, model, args.reps, args.seed, args.workers)
-        stat = values[:, 0 if args.variant == "raw" else 1]
-        tol = 4.0 if args.variant == "raw" else 1.5
-        report = summarize(f"hazard_quad_{args.variant}_T{args.T:g}", stat,
-                           targets=[TargetSpec("variance", target, max(tol, 0.1 * target))],
-                           master_seed=args.seed, ks_reference_variance=target)
-        payload = report.to_dict()
-        payload["variance_stated"] = stated
-        payload["variance_derived"] = target
-        stem = f"hazard_thm8_{args.variant}_T{args.T:g}"
-    return _finish(args, stem, payload, report.passed, f"hazard theorem {args.theorem}", t0,
-                   rows=[_report_row(args.T, report, target, report.passed)],
-                   dumps={f"{stem}_values.csv": stat})
+        stat = StatisticSpec(f"hazard_case{args.case}_T{args.T:g}", 0, target,
+                             {1: 0.3, 2: 0.8, 3: 1.0}[args.case], f"{stem}_values.csv")
+        return _monte_carlo(args, stem, "hazard theorem 7", args.T, hz.rep_linear_case,
+                            (model, center, scale), [stat],
+                            lambda v: {"empirical_centering_mean_H": float(np.mean(v[:, 1])),
+                                       "campbell_mean_H": hz.cumulative_mean_exact(model),
+                                       "campbell_variance_H": hz.cumulative_variance_exact(model)})
+    stated = hz.quadratic_variance_stated(model, args.variant)
+    target = hz.quadratic_variance_derived(model, args.variant)
+    stem = f"hazard_thm8_{args.variant}_T{args.T:g}"
+    raw = args.variant == "raw"
+    stat = StatisticSpec(f"hazard_quad_{args.variant}_T{args.T:g}", 0 if raw else 1, target,
+                         max(4.0 if raw else 1.5, 0.1 * target), f"{stem}_values.csv")
+    return _monte_carlo(args, stem, "hazard theorem 8", args.T, hz.rep_quadratic, model, [stat],
+                        lambda v: {"variance_stated": stated, "variance_derived": target})
 
 
 def cmd_sample(args) -> int:
-    outdir = Path(args.out)
-    if args.config:
-        sections = read_config(args.config)
-        control = control_from_section(sections.get("control", {}))
-        window = window_from_section(sections.get("window", {}))
-    else:
-        control = DiscreteControl(values=(1.0,), weights=(1.0,))
-        window = Window(args.x_lo, args.x_hi)
+    sections = args.sections
+    control = (control_from_section(sections["control"]) if "control" in sections
+               else DiscreteControl(values=(1.0,), weights=(1.0,)))
+    window = (window_from_section(sections["window"]) if "window" in sections
+              else Window(args.x_lo, args.x_hi))
     pattern = sample_pattern(control, window, args.seed)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "pattern.csv"
+    path = Path(args.out) / "pattern.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
     pattern_to_csv(pattern, path)
     extra = control.neglected_second_moment()
     print(f"wrote {path} ({len(pattern)} atoms, mass {pattern.total_mass:.6g}, "
@@ -318,11 +301,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the config sections each subcommand reads; ou refuses [control] until it
+# becomes the jump law (ROADMAP item 12)
+SECTIONS = {"criterion": ("experiment",), "block": ("experiment",), "ou": ("experiment",),
+            "hazard": ("experiment", "control"), "sample": ("experiment", "control", "window")}
+
+
 def _resolve_defaults(args) -> None:
-    """Config-file [experiment] values fill in seed/reps; explicit flags win."""
-    section = {}
-    if args.config:
-        section = read_config(args.config).get("experiment", {})
+    """Reads --config once into args.sections, refusing a section the
+    subcommand does not read and an [experiment] key other than seed and
+    reps.  Config-file [experiment] values fill in seed/reps; explicit flags
+    win."""
+    args.sections = read_config(args.config) if args.config else {}
+    for name in args.sections:
+        if name not in SECTIONS[args.command]:
+            raise ConfigError(f"{args.command} does not read a [{name}] section")
+    section = args.sections.get("experiment", {})
+    unknown = sorted(set(section) - {"seed", "reps"})
+    if unknown:
+        raise ConfigError(f"bad [experiment] section: unknown keys {', '.join(unknown)}")
     if args.seed is None:
         args.seed = int(section.get("seed", 20240801))
     if args.reps is None:

@@ -316,6 +316,7 @@ class DiscreteControl(ControlMeasure):
         object.__setattr__(self, "_weights", w)
         object.__setattr__(self, "_cdf", cdf)
         object.__setattr__(self, "_moments", {i: float(np.sum(w * vals ** i)) for i in range(5)})
+        object.__setattr__(self, "_abs_moments", {})   # filled by abs_moment on first use
 
     def jump_mass(self) -> float:
         return float(self._weights.sum())
@@ -329,7 +330,9 @@ class DiscreteControl(ControlMeasure):
         return float(np.sum(self._weights * self._values ** i))
 
     def abs_moment(self, i: int) -> float:
-        return float(np.sum(self._weights * np.abs(self._values) ** i))
+        if i not in self._abs_moments:
+            self._abs_moments[i] = float(np.sum(self._weights * np.abs(self._values) ** i))
+        return self._abs_moments[i]
 
     def sample(self, window: Window, rng: np.random.Generator):
         total = self._weights.sum() * window.length

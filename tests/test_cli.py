@@ -528,6 +528,68 @@ class TestChoiceMatrix:
         assert capsys.readouterr().err.strip() == "invalid request: need at least 100 replications"
 
 
+class TestConfigSections:
+    """Every subcommand reads [experiment], hazard also [control], sample
+    also [control] and [window]; any other section, and an [experiment] key
+    other than seed and reps, is a usage error before any replication."""
+
+    CONTROL = "[control]\ntype = discrete\nvalues = 1.5,-0.5\nweights = 0.375,0.625\n"
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (["ou", "--theorem", "5", "--T", "30"], CONTROL,
+         "ou does not read a [control] section"),
+        (["block", "--n", "10"], CONTROL, "block does not read a [control] section"),
+        (["criterion", "--family", "block", "--indices", "10,30"], CONTROL,
+         "criterion does not read a [control] section"),
+        (["hazard", "--theorem", "7", "--case", "1", "--T", "20"],
+         "[window]\nx_lo = 0.0\nx_hi = 10.0\n", "hazard does not read a [window] section"),
+        (["hazard", "--theorem", "7", "--case", "1", "--T", "20"],
+         "[experiment]\nseed = 5\nrep = 200\n", "bad [experiment] section: unknown keys rep"),
+    ], ids=["ou-control", "block-control", "criterion-control", "hazard-window",
+            "experiment-typo"])
+    def test_unread_section_fails_before_any_replication(self, tmp_path, monkeypatch, capsys,
+                                                         argv, text, message):
+        monkeypatch.setattr(cli, "collect", lambda *a: pytest.fail("a replication ran"))
+        monkeypatch.setattr(cli.chaos, "clt_criterion", lambda *a, **k: pytest.fail("ran"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        rc = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == USAGE_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"configuration error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_example_config_is_a_sample_config(self, tmp_path, capsys):
+        example = Path(__file__).parents[1] / "configs" / "example.cfg"
+        rc = main(["ou", "--theorem", "4", "--config", str(example), "--out", str(tmp_path)])
+        assert rc == USAGE_ERROR and not list(tmp_path.iterdir())
+        rc = main(["sample", "--config", str(example), "--out", str(tmp_path)])
+        assert rc == 0 and (tmp_path / "pattern.csv").exists()
+
+    def test_hazard_runs_with_an_experiment_only_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[experiment]\nseed = 5\nreps = 200\n", encoding="utf-8")
+        argv = ["hazard", "--theorem", "7", "--case", "1", "--T", "40"]
+        rc = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "a")])
+        assert rc in (0, 1)
+        got = json.loads((tmp_path / "a" / "hazard_thm7_case1_T40.json").read_text())
+        assert got["master_seed"] == 5 and got["replications"] == 200
+        # the same run as the flags give it, with the default control
+        assert main([*argv, "--seed", "5", "--reps", "200", "--out", str(tmp_path / "b")]) == rc
+        want = json.loads((tmp_path / "b" / "hazard_thm7_case1_T40.json").read_text())
+        assert got["config_hash"] != want["config_hash"]
+        del got["config_hash"], want["config_hash"]
+        assert got == want
+
+    def test_sample_runs_with_an_experiment_only_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[experiment]\nseed = 9\n", encoding="utf-8")
+        for out, extra in (("a", ["--config", str(cfg)]), ("b", ["--seed", "9"])):
+            assert main(["sample", "--x-hi", "25", *extra, "--out", str(tmp_path / out)]) == 0
+        assert ((tmp_path / "a" / "pattern.csv").read_bytes()
+                == (tmp_path / "b" / "pattern.csv").read_bytes())
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 

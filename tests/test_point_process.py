@@ -183,6 +183,9 @@ class TestMoments:
         v, w = np.array(ctrl.values), np.array(ctrl.weights)
         for i in range(7):
             assert ctrl.moment(i) == float(np.sum(w * v ** i))
+        for _ in range(2):   # the second pass reads the abs_moment cache
+            for i in range(9):
+                assert ctrl.abs_moment(i) == float(np.sum(w * np.abs(v) ** i))
 
     def test_extended_gamma_per_time_moments(self):
         ctrl = ExtendedGammaControl(beta0=1.0, beta1=1.0, eps=1e-4)
