@@ -1,25 +1,29 @@
 """Command-line entry point: binds configurations to experiments and emits
 reports.
 
-Subcommands: criterion | block | ou | hazard | sample.  Flags override
-config-file values.  The Monte Carlo subcommands (block, ou, hazard) run
-harness.collect and harness.summarize; they and criterion share one tail,
-_finish, that writes the JSON report, the --format csv summary and the --dump
-value files, and takes the exit code from one verdict.  Every output file
-embeds the tool version, the config hash, and the master seed, so a rerun
-from that triple reproduces the file byte-identically; wall times go to
-stdout only.  Exit codes: 0 all verdicts pass, 1 at least one fails, 2 usage
-or configuration error (an unknown family, theorem or case, a control that
-does not match the requested case or theorem, fewer than 100 replications
-for ou theorem 4, a rate, horizon or bandwidth that is not finite and
-positive, an eps that is not finite and nonnegative, a hazard control with
-infinite mass (a Gamma control with eps = 0), a window bound that is not
-finite, fewer than one block, a config section the subcommand does not read
-(see SECTIONS; ou refuses [control]), an [experiment] key other than seed
-and reps), 3 a replication crashed (the one-line message names its index
-and the master seed) or a numerical check failed.  The exit code follows the
-JSON `passed` but for block, whose exit code judges the fourth moment E G^2
-against 3 + 37/n while its JSON `passed` judges the KS distance.
+Subcommands: criterion | block | ou | hazard | sample.  Each value has one
+source, but --seed and --reps take precedence over [experiment]; the control
+comes only from [control], the window only from --x-lo/--x-hi.  The Monte
+Carlo subcommands (block, ou, hazard) alone take --reps, --format, --workers
+and --dump; they run harness.collect and harness.summarize, and they and
+criterion share one tail, _finish, that writes the JSON report, the
+--format csv summary and the --dump value files, and takes the exit code
+from one verdict.  Every output file embeds the tool version, the config
+hash, and the master seed, so a rerun from that triple reproduces the file
+byte-identically; wall times go to stdout only.  Exit codes: 0 all verdicts
+pass, 1 at least one fails, 2 usage or configuration error (a flag the
+subcommand does not take, an unknown family, theorem or case, a control that
+does not match the requested case or theorem, hazard case 2 at T <= 1, fewer
+than two replications (100 for ou theorem 4) or one worker, a rate, horizon
+or bandwidth that is not finite and positive, an eps that is not finite and
+nonnegative, a hazard control with infinite mass (a Gamma control with
+eps = 0), a window bound that is not finite, fewer than one block, a config
+section the subcommand does not read (see SECTIONS; ou refuses [control]),
+an [experiment] key it has no flag for), 3 a replication crashed (the
+one-line message names its index and the master seed) or a numerical check
+failed.  The exit code follows the JSON `passed` but for block, whose exit
+code judges the fourth moment E G^2 against 3 + 37/n while its JSON `passed`
+judges the KS distance.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .configio import ConfigError, config_hash, control_from_section, read_config, window_from_section
+from .configio import ConfigError, config_hash, control_from_section, read_config
 from .point_process import DiscreteControl, Window, sample_pattern, pattern_to_csv
 from .kernels import BlockKernel, GridKernel, OUDoubleHKernel
 from . import chaos, hazard as hz, ou as oumod
@@ -43,6 +47,7 @@ from .harness import TargetSpec, collect, summarize, values_to_csv
 
 USAGE_ERROR = 2
 CRASH = 3
+UNIT_JUMPS = DiscreteControl(values=(1.0,), weights=(1.0,))   # the control no section names
 
 
 def _report_row(T, report, m4, target, passed: bool) -> tuple:
@@ -63,10 +68,10 @@ def _finish(args, stem: str, payload: dict, passed: bool, label: str, t0: float,
                    master_seed=args.seed)
     (outdir / f"{stem}.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                                          encoding="utf-8")
-    if args.dump and dumps:
+    if dumps and args.dump:
         for name, values in dumps.items():
             values_to_csv(values, outdir / name)
-    if args.format == "csv" and rows:
+    if rows and args.format == "csv":
         with open(outdir / f"{stem}.csv", "w", encoding="utf-8") as fh:
             fh.write("T,mean,var,var_se,m3,m4,ks,target,verdict\n")
             for row in rows:
@@ -120,7 +125,7 @@ def _monte_carlo(args, stem: str, label: str, index, rep_fn, cfg, stats,
 def cmd_criterion(args) -> int:
     t0 = time.perf_counter()
     if args.family in ("block", "fixed"):
-        control = DiscreteControl(values=(1.0,), weights=(1.0,))
+        control = UNIT_JUMPS
         index = [int(t) for t in args.indices.split(",")]
         if args.family == "block":
             kernels = [BlockKernel(n) for n in index]
@@ -193,12 +198,8 @@ def cmd_ou(args) -> int:
 def _hazard_model(args) -> hz.HazardModel:
     if "control" in args.sections:
         control = control_from_section(args.sections["control"])
-    elif args.case == 2:
-        control = hz.ExtendedGammaControl(eps=args.eps)
-    elif args.case == 3:
-        control = hz.BetaControl()
-    else:
-        control = DiscreteControl(values=(1.0,), weights=(1.0,))
+    else:   # the case's own control
+        control = (UNIT_JUMPS, hz.ExtendedGammaControl(), hz.BetaControl())[args.case - 1]
     model = hz.rect_model(control, T=args.T, tau=args.tau)
     if isinstance(control, hz.ExtendedGammaControl):
         print(f"neglected mean mass from eps-truncation: ~{control.neglected_mean_mass():.2e} per unit time")
@@ -231,12 +232,9 @@ def cmd_hazard(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    sections = args.sections
-    control = (control_from_section(sections["control"]) if "control" in sections
-               else DiscreteControl(values=(1.0,), weights=(1.0,)))
-    window = (window_from_section(sections["window"]) if "window" in sections
-              else Window(args.x_lo, args.x_hi))
-    pattern = sample_pattern(control, window, args.seed)
+    control = (control_from_section(args.sections["control"]) if "control" in args.sections
+               else UNIT_JUMPS)
+    pattern = sample_pattern(control, Window(args.x_lo, args.x_hi), args.seed)
     path = Path(args.out) / "pattern.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
     pattern_to_csv(pattern, path)
@@ -256,16 +254,18 @@ def build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the flags every subcommand shares, built once and copied into each
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="key = value config file")
-    common.add_argument("--seed", type=int, default=None, help="master seed")
-    common.add_argument("--reps", "--R", type=int, default=None, help="replication count")
-    common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--workers", type=int, default=1)
-    common.add_argument("--dump", action="store_true",
-                        help="also stream per-replication values to CSV")
+    # shared flags, built once; monte_carlo's add the replication flags
+    common, monte_carlo = (argparse.ArgumentParser(add_help=False) for _ in range(2))
+    for flags in (common, monte_carlo):
+        flags.add_argument("--config", default=None, help="key = value config file")
+        flags.add_argument("--seed", type=int, default=None, help="master seed")
+        if flags is monte_carlo:
+            flags.add_argument("--reps", "--R", type=int, default=None, help="replication count")
+        flags.add_argument("--out", default="out", help="output directory")
+    monte_carlo.add_argument("--format", choices=("json", "csv"), default="json")
+    monte_carlo.add_argument("--workers", type=int, default=1)
+    monte_carlo.add_argument("--dump", action="store_true",
+                             help="also stream per-replication values to CSV")
 
     p = sub.add_parser("criterion", parents=[common],
                        help="audit a kernel sequence for the Gaussian limit")
@@ -275,17 +275,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated sequence indices (block sizes or horizons)")
     p.add_argument("--lam", "--lambda", type=float, default=1.0)
 
-    p = sub.add_parser("block", parents=[common],
+    p = sub.add_parser("block", parents=[monte_carlo],
                        help="Monte Carlo fourth-moment check for the block family")
     p.add_argument("--n", type=int, default=50, help="number of unit-mass blocks")
 
-    p = sub.add_parser("ou", parents=[common], help="moving-average process experiments")
+    p = sub.add_parser("ou", parents=[monte_carlo], help="moving-average process experiments")
     p.add_argument("--theorem", type=int, required=True, choices=(4, 5, 6),
                    help="4 = linear statistic, 5 = quadratic split, 6 = sample variance")
     p.add_argument("--lam", "--lambda", type=float, default=1.0)
     p.add_argument("--T", type=float, default=200.0)
 
-    p = sub.add_parser("hazard", parents=[common], help="random hazard rate experiments")
+    p = sub.add_parser("hazard", parents=[monte_carlo], help="random hazard rate experiments")
     p.add_argument("--theorem", type=int, required=True, choices=(7, 8),
                    help="7 = linear, 8 = quadratic")
     p.add_argument("--case", type=int, default=1, choices=(1, 2, 3),
@@ -293,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("raw", "centered"), default="raw")
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--T", type=float, default=200.0)
-    p.add_argument("--eps", type=float, default=1e-4)
 
     p = sub.add_parser("sample", parents=[common], help="dump one point pattern as CSV")
     p.add_argument("--x-lo", type=float, default=0.0)
@@ -304,26 +303,28 @@ def build_parser() -> argparse.ArgumentParser:
 # the config sections each subcommand reads; ou refuses [control] until it
 # becomes the jump law (ROADMAP item 12)
 SECTIONS = {"criterion": ("experiment",), "block": ("experiment",), "ou": ("experiment",),
-            "hazard": ("experiment", "control"), "sample": ("experiment", "control", "window")}
+            "hazard": ("experiment", "control"), "sample": ("experiment", "control")}
 
 
 def _resolve_defaults(args) -> None:
     """Reads --config once into args.sections, refusing a section the
-    subcommand does not read and an [experiment] key other than seed and
-    reps.  Config-file [experiment] values fill in seed/reps; explicit flags
-    win."""
+    subcommand does not read and an [experiment] key it has no flag for;
+    [experiment] fills in --seed and --reps where they are not given."""
     args.sections = read_config(args.config) if args.config else {}
     for name in args.sections:
         if name not in SECTIONS[args.command]:
             raise ConfigError(f"{args.command} does not read a [{name}] section")
     section = args.sections.get("experiment", {})
-    unknown = sorted(set(section) - {"seed", "reps"})
+    defaults = {k: v for k, v in (("seed", 20240801), ("reps", 5000)) if k in vars(args)}
+    unknown = sorted(set(section) - defaults.keys())
     if unknown:
         raise ConfigError(f"bad [experiment] section: unknown keys {', '.join(unknown)}")
-    if args.seed is None:
-        args.seed = int(section.get("seed", 20240801))
-    if args.reps is None:
-        args.reps = int(section.get("reps", 5000))
+    for key, default in defaults.items():
+        if getattr(args, key) is None:
+            setattr(args, key, int(section.get(key, default)))
+    if "reps" in defaults and (args.reps < 2 or args.workers < 1):
+        raise ValueError(f"need at least two replications and one worker, "
+                         f"got reps = {args.reps}, workers = {args.workers}")
 
 
 def main(argv=None) -> int:

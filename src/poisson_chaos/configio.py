@@ -1,8 +1,8 @@
 """Flat key = value configuration files with one section per object.
 
-Sections name the objects they configure ([control], [window], [experiment]);
-values are plain scalars, diff-friendly, no schema dependency.  Flags given
-on the command line override file values.
+Sections name the objects they configure ([control], [experiment]); values
+are plain scalars, diff-friendly, no schema dependency.  A value has one
+source, but --seed and --reps take precedence over [experiment] seed and reps.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 
 from .point_process import (BetaControl, DiscreteControl, ExtendedGammaControl,
-                            GeneralizedGammaControl, Window)
+                            GeneralizedGammaControl)
 
 
 class ConfigError(ValueError):
@@ -59,15 +59,3 @@ def control_from_section(section: dict):
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad [control] section: {exc}") from exc
     raise ConfigError(f"unknown control type {kind!r}")
-
-
-def window_from_section(section: dict) -> Window:
-    # the window spans the full jump range; any other key (a jump range
-    # u_lo/u_hi, a typo) would otherwise be ignored without a word
-    unknown = sorted(set(section) - {"x_lo", "x_hi"})
-    if unknown:
-        raise ConfigError(f"bad [window] section: unknown keys {', '.join(unknown)}")
-    try:
-        return Window(x_lo=float(section["x_lo"]), x_hi=float(section["x_hi"]))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad [window] section: {exc}") from exc

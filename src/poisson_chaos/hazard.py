@@ -147,6 +147,8 @@ def linear_center_scale(model: HazardModel, case: int) -> tuple[float, float]:
     if case in (2, 3) and abs(tau - 1.0) > 1e-12:
         raise CaseMismatchError("cases 2 and 3 are stated for bandwidth 1")
     T = model.T
+    if case == 2 and not T > 1.0:
+        raise CaseMismatchError(f"case 2 needs T > 1 (its scale is sqrt(log T)), got {T:g}")
     if case == 1:
         return 2.0 * tau * model.control.moment(1) * T, math.sqrt(T)
     if case == 2:

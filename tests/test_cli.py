@@ -6,9 +6,7 @@ import pytest
 
 from poisson_chaos import cli, hazard, quadrature
 from poisson_chaos.cli import CRASH, USAGE_ERROR, build_parser, main
-from poisson_chaos.configio import (
-    ConfigError, config_hash, control_from_section, read_config, window_from_section,
-)
+from poisson_chaos.configio import ConfigError, config_hash, control_from_section, read_config
 from poisson_chaos.kernels import OUDoubleHKernel
 from poisson_chaos.point_process import BetaControl, DiscreteControl
 from poisson_chaos.quadrature import QuadratureError
@@ -17,14 +15,12 @@ from poisson_chaos.quadrature import QuadratureError
 class TestConfigIO:
     def test_roundtrip(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("[control]\ntype = discrete\nvalues = 1.0,-1.0\nweights = 0.5,0.5\n"
-                       "[window]\nx_lo = -2.0\nx_hi = 3.0\n", encoding="utf-8")
+        cfg.write_text("[control]\ntype = discrete\nvalues = 1.0,-1.0\nweights = 0.5,0.5\n",
+                       encoding="utf-8")
         sections = read_config(cfg)
         ctrl = control_from_section(sections["control"])
         assert isinstance(ctrl, DiscreteControl)
         assert ctrl.values == (1.0, -1.0)
-        win = window_from_section(sections["window"])
-        assert (win.x_lo, win.x_hi) == (-2.0, 3.0)
 
     def test_beta_section(self):
         ctrl = control_from_section({"type": "beta", "c0": "1.5"})
@@ -325,9 +321,12 @@ class TestGoldenRuns:
 
 
 class TestHelpText:
-    """--help of the top level and of every subcommand at 100 columns, as
-    argparse printed it before the subcommands shared a parent parser, less
-    the --tol flag, since removed."""
+    """--help of the top level and of every subcommand at 100 columns.  The
+    top level, block and ou print as argparse printed them before the
+    subcommands shared a parent parser, less the --tol flag, since removed;
+    criterion, hazard and sample were re-recorded when criterion and sample
+    lost the replication flags (--reps, --format, --workers, --dump) and
+    hazard lost --eps."""
 
     @pytest.mark.parametrize("command", ["", "criterion", "block", "ou", "hazard", "sample"])
     def test_help_is_byte_identical(self, monkeypatch, capsys, command):
@@ -339,46 +338,38 @@ class TestHelpText:
 
 class TestGoldenSamples:
     """pattern.csv of `sample --config` for every control family, recorded
-    before the jump-range window was removed; the extended-Gamma cases cover
-    both branches of its x-interval (beta1 > 0 and beta1 = 0)."""
+    before the jump-range window was removed, when the window came from a
+    [window] section; it now comes from --x-lo/--x-hi alone.  The
+    extended-Gamma cases cover both branches of its x-interval (beta1 > 0
+    and beta1 = 0)."""
 
     CONFIGS = {
-        "discrete": ("[control]\ntype = discrete\nvalues = 1.0,-1.0\nweights = 0.5,0.5\n"
-                     "[window]\nx_lo = -2.0\nx_hi = 30.0\n", "11"),
+        "discrete": ("[control]\ntype = discrete\nvalues = 1.0,-1.0\nweights = 0.5,0.5\n",
+                     "-2.0", "30.0", "11"),
         "generalized_gamma": ("[control]\ntype = generalized-gamma\nsigma = 0.5\ngamma = 1.0\n"
-                              "eps = 0.01\n[window]\nx_lo = 0.0\nx_hi = 20.0\n", "12"),
+                              "eps = 0.01\n", "0.0", "20.0", "12"),
         "extended_gamma": ("[control]\ntype = extended-gamma\nbeta0 = 1.0\nbeta1 = 1.0\n"
-                           "eps = 1e-3\n[window]\nx_lo = 2.0\nx_hi = 40.0\n", "13"),
+                           "eps = 1e-3\n", "2.0", "40.0", "13"),
         "extended_gamma_flat": ("[control]\ntype = extended-gamma\nbeta0 = 2.0\nbeta1 = 0.0\n"
-                                "eps = 1e-3\n[window]\nx_lo = 1.0\nx_hi = 30.0\n", "14"),
-        "beta": ("[control]\ntype = beta\nc0 = 1.0\nc1 = 1.0\n"
-                 "[window]\nx_lo = 0.5\nx_hi = 40.0\n", "15"),
+                                "eps = 1e-3\n", "1.0", "30.0", "14"),
+        "beta": ("[control]\ntype = beta\nc0 = 1.0\nc1 = 1.0\n", "0.5", "40.0", "15"),
     }
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_pattern_is_byte_identical(self, tmp_path, name):
-        text, seed = self.CONFIGS[name]
+        text, x_lo, x_hi, seed = self.CONFIGS[name]
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text, encoding="utf-8")
-        rc = main(["sample", "--config", str(cfg), "--seed", seed, "--out", str(tmp_path)])
+        rc = main(["sample", "--config", str(cfg), f"--x-lo={x_lo}", "--x-hi", x_hi,
+                   "--seed", seed, "--out", str(tmp_path)])
         assert rc == 0
         got = (tmp_path / "pattern.csv").read_bytes()
         assert got == (GOLDEN / "sample" / f"{name}.csv").read_bytes()
 
-    @pytest.mark.parametrize("key", ["u_lo", "u_hi"])
-    def test_jump_range_key_is_a_usage_error(self, tmp_path, capsys, key):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"[control]\ntype = discrete\nvalues = 1.0,2.0\nweights = 0.5,0.5\n"
-                       f"[window]\nx_lo = 0.0\nx_hi = 10.0\n{key} = 1.5\n", encoding="utf-8")
-        rc = main(["sample", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert rc == USAGE_ERROR
-        assert key in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
 
 class TestNonFiniteWindow:
     """A window bound that is not finite is refused by Window itself, with
-    a message naming the bound, through flags and through a config file."""
+    a message naming the bound."""
 
     @pytest.mark.parametrize("flag, value", [
         ("--x-hi", "inf"), ("--x-lo", "-inf"), ("--x-hi", "nan"), ("--x-lo", "nan"),
@@ -389,20 +380,6 @@ class TestNonFiniteWindow:
         name = flag[2:].replace("-", "_")
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"invalid request: window bound {name} must be finite, got {value}"]
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("x_lo, x_hi, name", [
-        ("0.0", "inf", "x_hi"), ("-inf", "10.0", "x_lo"), ("nan", "10.0", "x_lo"),
-    ])
-    def test_config_is_a_usage_error(self, tmp_path, capsys, x_lo, x_hi, name):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[control]\ntype = discrete\nvalues = 1.0\nweights = 1.0\n"
-                       f"[window]\nx_lo = {x_lo}\nx_hi = {x_hi}\n", encoding="utf-8")
-        rc = main(["sample", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert rc == USAGE_ERROR
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("configuration error: bad [window] section: ")
-        assert f"window bound {name} must be finite" in err[0]
         assert not (tmp_path / "out").exists()
 
 
@@ -485,8 +462,6 @@ class TestChoiceMatrix:
         ["ou", "--theorem", "6", "--T", "inf"],
         ["hazard", "--theorem", "7", "--T", "inf"],
         ["hazard", "--theorem", "8", "--tau", "inf"],
-        ["hazard", "--theorem", "7", "--case", "2", "--eps", "nan"],
-        ["hazard", "--theorem", "7", "--case", "2", "--eps", "inf"],
         ["block", "--n", "0"],
         ["block", "--n", "-3"],
     ], ids=" ".join)
@@ -499,21 +474,44 @@ class TestChoiceMatrix:
         assert len(err) == 1 and err[0].startswith("invalid request: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("T", ["1", "0.5"])
+    def test_case2_needs_a_horizon_above_one(self, tmp_path, monkeypatch, capsys, T):
+        # the case-2 scale sqrt(log T) is 0 at T = 1 and undefined below it
+        monkeypatch.setattr(cli, "collect", lambda *a: pytest.fail("a replication ran"))
+        rc = main(["hazard", "--theorem", "7", "--case", "2", "--T", T, "--reps", "20",
+                   "--out", str(tmp_path / "out")])
+        assert rc == USAGE_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"invalid request: case 2 needs T > 1 (its scale is sqrt(log T)), got {T}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_out_of_range_eps_fails_before_any_replication(self, tmp_path, monkeypatch,
+                                                           capsys, eps):
+        monkeypatch.setattr(cli, "collect", lambda *a: pytest.fail("a replication ran"))
+        (tmp_path / "run.cfg").write_text(f"[control]\ntype = extended-gamma\neps = {eps}\n",
+                                          encoding="utf-8")
+        rc = main(["hazard", "--theorem", "7", "--case", "2", "--config", str(tmp_path / "run.cfg"),
+                   "--reps", "100", "--out", str(tmp_path / "out")])
+        assert rc == USAGE_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["configuration error: bad [control] section: "
+                       "eps must be nonnegative and finite"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv, config", [
-        (["--case", "2", "--eps", "0"], None),
+        (["--case", "2"], "[control]\ntype = extended-gamma\neps = 0\n"),
         (["--case", "1"], "[control]\ntype = generalized-gamma\nsigma = 0.5\ngamma = 1.0\n"
                           "eps = 0\n"),
-    ], ids=["case2-eps-flag", "case1-generalized-gamma-config"])
+    ], ids=["case2-extended-gamma-config", "case1-generalized-gamma-config"])
     def test_untruncated_control_fails_before_any_replication(self, tmp_path, monkeypatch,
                                                               capsys, argv, config):
         # eps = 0 leaves the Gamma controls with infinite mass: a usage error
         # naming eps, not a crash in replication 0
         monkeypatch.setattr(cli, "collect", lambda *a: pytest.fail("a replication ran"))
-        if config is not None:
-            (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
-            argv = [*argv, "--config", str(tmp_path / "run.cfg")]
-        rc = main(["hazard", "--theorem", "7", *argv, "--T", "20", "--reps", "20",
-                   "--out", str(tmp_path / "out")])
+        (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+        rc = main(["hazard", "--theorem", "7", *argv, "--config", str(tmp_path / "run.cfg"),
+                   "--T", "20", "--reps", "20", "--out", str(tmp_path / "out")])
         assert rc == USAGE_ERROR
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()
@@ -529,9 +527,10 @@ class TestChoiceMatrix:
 
 
 class TestConfigSections:
-    """Every subcommand reads [experiment], hazard also [control], sample
-    also [control] and [window]; any other section, and an [experiment] key
-    other than seed and reps, is a usage error before any replication."""
+    """Every subcommand reads [experiment], hazard and sample also
+    [control]; any other section, and an [experiment] key the subcommand
+    has no flag for (seed everywhere, reps for block, ou and hazard), is a
+    usage error before any replication."""
 
     CONTROL = "[control]\ntype = discrete\nvalues = 1.5,-0.5\nweights = 0.375,0.625\n"
 
@@ -545,8 +544,14 @@ class TestConfigSections:
          "[window]\nx_lo = 0.0\nx_hi = 10.0\n", "hazard does not read a [window] section"),
         (["hazard", "--theorem", "7", "--case", "1", "--T", "20"],
          "[experiment]\nseed = 5\nrep = 200\n", "bad [experiment] section: unknown keys rep"),
+        (["sample", "--x-hi", "25"], "[window]\nx_lo = 0.0\nx_hi = 10.0\n",
+         "sample does not read a [window] section"),
+        (["criterion", "--family", "block", "--indices", "10,30"],
+         "[experiment]\nseed = 5\nreps = 200\n", "bad [experiment] section: unknown keys reps"),
+        (["sample", "--x-hi", "25"], "[experiment]\nseed = 5\nreps = 200\n",
+         "bad [experiment] section: unknown keys reps"),
     ], ids=["ou-control", "block-control", "criterion-control", "hazard-window",
-            "experiment-typo"])
+            "experiment-typo", "sample-window", "criterion-reps", "sample-reps"])
     def test_unread_section_fails_before_any_replication(self, tmp_path, monkeypatch, capsys,
                                                          argv, text, message):
         monkeypatch.setattr(cli, "collect", lambda *a: pytest.fail("a replication ran"))
@@ -588,6 +593,48 @@ class TestConfigSections:
             assert main(["sample", "--x-hi", "25", *extra, "--out", str(tmp_path / out)]) == 0
         assert ((tmp_path / "a" / "pattern.csv").read_bytes()
                 == (tmp_path / "b" / "pattern.csv").read_bytes())
+
+
+class TestOneSourcePerValue:
+    """Each value a subcommand takes has one source: the replication flags
+    exist only where replications run, the hazard control comes only from
+    [control] and the sample window only from flags.  Every refusal is a
+    usage error that writes nothing."""
+
+    CRITERION = ["criterion", "--family", "block", "--indices", "10,30"]
+
+    @pytest.mark.parametrize("argv, flags", [
+        *[(argv, flags) for argv in (CRITERION, ["sample", "--x-hi", "25"])
+          for flags in (["--reps", "7"], ["--workers", "2"], ["--format", "csv"], ["--dump"])],
+        (["hazard", "--theorem", "7", "--case", "2"], ["--eps", "1e-3"]),
+    ], ids=lambda v: " ".join(v) if v[0].startswith("--") else v[0])
+    def test_flag_is_unrecognized(self, tmp_path, capsys, argv, flags):
+        rc = main([*argv, *flags, "--out", str(tmp_path / "out")])
+        assert rc == USAGE_ERROR
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, experiment, got", [
+        (["ou", "--theorem", "5", "--T", "20", "--reps", "1"], None, "reps = 1, workers = 1"),
+        (["block", "--n", "10", "--reps", "0"], None, "reps = 0, workers = 1"),
+        (["hazard", "--theorem", "8", "--T", "20"], "reps = 1", "reps = 1, workers = 1"),
+        (["ou", "--theorem", "5", "--T", "20", "--workers", "0"], None,
+         "reps = 5000, workers = 0"),
+        (["hazard", "--theorem", "7", "--T", "20", "--workers", "-3"], "reps = 200",
+         "reps = 200, workers = -3"),
+    ], ids=["ou-reps-1", "block-reps-0", "hazard-experiment-reps-1", "ou-workers-0",
+            "hazard-workers-negative"])
+    def test_too_few_replications_or_workers_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                              argv, experiment, got):
+        monkeypatch.setattr(cli, "collect", lambda *a: pytest.fail("a replication ran"))
+        if experiment is not None:
+            (tmp_path / "run.cfg").write_text(f"[experiment]\n{experiment}\n", encoding="utf-8")
+            argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+        rc = main([*argv, "--out", str(tmp_path / "out")])
+        assert rc == USAGE_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"invalid request: need at least two replications and one worker, got {got}"]
+        assert not (tmp_path / "out").exists()
 
 
 GOLDEN = Path(__file__).parent / "golden"
