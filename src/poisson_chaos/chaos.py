@@ -132,40 +132,43 @@ class CriterionVerdict:
                             reports=[r.to_dict() for r in self.reports])
 
 
-def _fit_slope(xs, ys):
-    xs = np.log(np.asarray(xs, dtype=float))
-    ys = np.log(np.maximum(np.asarray(ys, dtype=float), 1e-300))
-    a = np.vstack([xs, np.ones_like(xs)]).T
-    coef, *_ = np.linalg.lstsq(a, ys, rcond=None)
-    return float(coef[0])
+def _fit_slope(xs, ys) -> float | None:
+    """Least-squares slope of log y (floored at 1e-300) on log x, in closed
+    form; None with fewer than two distinct x."""
+    lx = [math.log(x) for x in xs]
+    if len(set(lx)) < 2:
+        return None
+    ly = [math.log(max(y, 1e-300)) for y in ys]
+    mx, my = math.fsum(lx) / len(lx), math.fsum(ly) / len(ly)
+    return (math.fsum((x - mx) * (y - my) for x, y in zip(lx, ly))
+            / math.fsum((x - mx) ** 2 for x in lx))
 
 
-def check_limit(name: str, index: np.ndarray, values: np.ndarray, target: float,
+def check_limit(name: str, index, values, target: float,
                 rel_tol: float = 0.05, decay_slope: float = -0.5) -> LimitCheck:
     """Audit a sequence claim 'values -> target'.
 
     target != 0: last value within rel_tol of target and |value - target|
     shrinking.  target == 0: last value below rel_tol * first value and the
-    fitted log-log slope below decay_slope.
+    log-log slope below decay_slope.  Slopes are closed-form least-squares
+    fits on log index; with fewer than two distinct indices there is no
+    slope, and the check fails.
     """
-    values = np.asarray(values, dtype=float)
-    index = np.asarray(index, dtype=float)
+    values = tuple(float(v) for v in values)
     if target == 0.0:
-        if values[0] == 0.0 and np.all(values == 0.0):
-            return LimitCheck(name, tuple(values), target, True, None, "identically zero")
-        ratio = values[-1] / values[0]
-        slope = _fit_slope(index, values)
-        ok = ratio < rel_tol and slope < decay_slope
-        return LimitCheck(name, tuple(values), target, bool(ok), slope,
-                          f"last/first = {ratio:.3g}, slope = {slope:.3f}")
-    gaps = np.abs(values - target)
-    if gaps[-1] < 1e-9:
-        return LimitCheck(name, tuple(values), target, True, None, "converged exactly")
-    within = gaps[-1] <= rel_tol * abs(target)
-    slope = _fit_slope(index, np.maximum(gaps, 1e-300))
-    ok = within and slope < 0.0
-    return LimitCheck(name, tuple(values), target, bool(ok), slope,
-                      f"|last - target| = {gaps[-1]:.3g}, slope = {slope:.3f}")
+        if all(v == 0.0 for v in values):
+            return LimitCheck(name, values, target, True, None, "identically zero")
+        ratio = values[-1] / values[0] if values[0] else math.inf
+        ys, ok, limit, head = values, ratio < rel_tol, decay_slope, f"last/first = {ratio:.3g}"
+    else:
+        ys = [abs(v - target) for v in values]
+        if ys[-1] < 1e-9:
+            return LimitCheck(name, values, target, True, None, "converged exactly")
+        ok, limit, head = ys[-1] <= rel_tol * abs(target), 0.0, f"|last - target| = {ys[-1]:.3g}"
+    slope = _fit_slope(index, ys)
+    tail = "no slope: needs two distinct indices" if slope is None else f"slope = {slope:.3f}"
+    return LimitCheck(name, values, target, slope is not None and ok and slope < limit, slope,
+                      f"{head}, {tail}")
 
 
 def clt_criterion(kernels, control: ControlMeasure, windows, labels=None,
@@ -182,19 +185,15 @@ def clt_criterion(kernels, control: ControlMeasure, windows, labels=None,
     kernels = list(kernels)
     windows = list(windows) if isinstance(windows, (list, tuple)) else [windows] * len(kernels)
     labels = list(labels) if labels else [f"k{i}" for i in range(len(kernels))]
-    index = np.asarray(index if index is not None else np.arange(1, len(kernels) + 1), dtype=float)
+    index = index if index is not None else range(1, len(kernels) + 1)
     reports = []
     for f, w, lab in zip(kernels, windows, labels):
         n11, n21, n10 = contraction_norms(f, control, w)
         l4 = f.lp_norm(4, control, w)
         reports.append(CriterionReport(
-            label=lab,
-            norm2_doubled=2.0 * f.l2_norm_sq(control, w),
-            l4=l4,
+            label=lab, norm2_doubled=2.0 * f.l2_norm_sq(control, w), l4=l4,
             n11=n11, n21=n21, n10=n10,
-            integrable=bool(math.isfinite(n21) and math.isfinite(l4)
-                            and math.isfinite(control.mass(w))),
-        ))
+            integrable=all(map(math.isfinite, (n21, l4, control.mass(w))))))
     if not all(r.integrable for r in reports):
         checks = (LimitCheck("integrability", (), 0.0, False, None,
                              "square/fourth-power integrability violated"),)
@@ -205,7 +204,7 @@ def clt_criterion(kernels, control: ControlMeasure, windows, labels=None,
         check_limit("contraction_11", index, [r.n11 for r in reports], 0.0),
         check_limit("contraction_21", index, [r.n21 for r in reports], 0.0),
     )
-    return CriterionVerdict(tuple(reports), checks, bool(all(c.passed for c in checks)))
+    return CriterionVerdict(tuple(reports), checks, all(c.passed for c in checks))
 
 
 def rep_block(n: int, rng) -> tuple:

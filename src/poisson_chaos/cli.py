@@ -195,19 +195,10 @@ def cmd_ou(args) -> int:
                                    "corr_k2_k1": float(np.corrcoef(v[:, 0], v[:, 1])[0, 1])})
 
 
-def _hazard_model(args) -> hz.HazardModel:
-    if "control" in args.sections:
-        control = control_from_section(args.sections["control"])
-    else:   # the case's own control
-        control = (UNIT_JUMPS, hz.ExtendedGammaControl(), hz.BetaControl())[args.case - 1]
-    model = hz.rect_model(control, T=args.T, tau=args.tau)
-    if isinstance(control, hz.ExtendedGammaControl):
-        print(f"neglected mean mass from eps-truncation: ~{control.neglected_mean_mass():.2e} per unit time")
-    return model
-
-
 def cmd_hazard(args) -> int:
-    model = _hazard_model(args)
+    control = (control_from_section(args.sections["control"]) if "control" in args.sections
+               else (UNIT_JUMPS, hz.ExtendedGammaControl(), hz.BetaControl())[args.case - 1])
+    model = hz.rect_model(control, T=args.T, tau=args.tau)
     # the targets are computed first: each raises CaseMismatchError, a usage
     # error, for a model its theorem or case is not stated for
     if args.theorem == 7:
@@ -216,19 +207,23 @@ def cmd_hazard(args) -> int:
         stem = f"hazard_thm7_case{args.case}_T{args.T:g}"
         stat = StatisticSpec(f"hazard_case{args.case}_T{args.T:g}", 0, target,
                              {1: 0.3, 2: 0.8, 3: 1.0}[args.case], f"{stem}_values.csv")
-        return _monte_carlo(args, stem, "hazard theorem 7", args.T, hz.rep_linear_case,
-                            (model, center, scale), [stat],
-                            lambda v: {"empirical_centering_mean_H": float(np.mean(v[:, 1])),
-                                       "campbell_mean_H": hz.cumulative_mean_exact(model),
-                                       "campbell_variance_H": hz.cumulative_variance_exact(model)})
-    stated = hz.quadratic_variance_stated(model, args.variant)
-    target = hz.quadratic_variance_derived(model, args.variant)
-    stem = f"hazard_thm8_{args.variant}_T{args.T:g}"
-    raw = args.variant == "raw"
-    stat = StatisticSpec(f"hazard_quad_{args.variant}_T{args.T:g}", 0 if raw else 1, target,
-                         max(4.0 if raw else 1.5, 0.1 * target), f"{stem}_values.csv")
-    return _monte_carlo(args, stem, "hazard theorem 8", args.T, hz.rep_quadratic, model, [stat],
-                        lambda v: {"variance_stated": stated, "variance_derived": target})
+        rep_fn, cfg = hz.rep_linear_case, (model, center, scale)
+        extra = lambda v: {"empirical_centering_mean_H": float(np.mean(v[:, 1])),
+                           "campbell_mean_H": hz.cumulative_mean_exact(model),
+                           "campbell_variance_H": hz.cumulative_variance_exact(model)}
+    else:
+        stated = hz.quadratic_variance_stated(model, args.variant)
+        target = hz.quadratic_variance_derived(model, args.variant)
+        stem = f"hazard_thm8_{args.variant}_T{args.T:g}"
+        raw = args.variant == "raw"
+        stat = StatisticSpec(f"hazard_quad_{args.variant}_T{args.T:g}", 0 if raw else 1, target,
+                             max(4.0 if raw else 1.5, 0.1 * target), f"{stem}_values.csv")
+        rep_fn, cfg = hz.rep_quadratic, model
+        extra = lambda v: {"variance_stated": stated, "variance_derived": target}
+    if isinstance(control, hz.ExtendedGammaControl):   # after the targets: a refused run prints nothing
+        print(f"neglected mean mass from eps-truncation: ~{control.neglected_mean_mass():.2e} per unit time")
+    return _monte_carlo(args, stem, f"hazard theorem {args.theorem}", args.T, rep_fn, cfg,
+                        [stat], extra)
 
 
 def cmd_sample(args) -> int:
@@ -330,7 +325,10 @@ def _resolve_defaults(args) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:   # reported with the subcommand's usage line, not the top level's
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            sub.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0,) else 0
     handlers = {"criterion": cmd_criterion, "block": cmd_block,

@@ -319,10 +319,10 @@ class DiscreteControl(ControlMeasure):
         object.__setattr__(self, "_abs_moments", {})   # filled by abs_moment on first use
 
     def jump_mass(self) -> float:
-        return float(self._weights.sum())
+        return self._moments[0]   # sum(w), cached
 
     def mass(self, window: Window) -> float:
-        return self.jump_mass() * window.length
+        return self._moments[0] * window.length
 
     def moment(self, i: int) -> float:
         if i in self._moments:
@@ -335,7 +335,7 @@ class DiscreteControl(ControlMeasure):
         return self._abs_moments[i]
 
     def sample(self, window: Window, rng: np.random.Generator):
-        total = self._weights.sum() * window.length
+        total = self._moments[0] * window.length
         n = rng.poisson(total)
         x = rng.uniform(window.x_lo, window.x_hi, size=n)
         if not n:

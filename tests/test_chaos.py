@@ -10,6 +10,7 @@ from poisson_chaos.chaos import (
     check_limit, clt_criterion, combine_fourth_moment, eval_I1, eval_I2,
     fourth_moment_chaos, rep_block,
 )
+from poisson_chaos.cli import main as cli_main
 from poisson_chaos.harness import tail_mass
 from poisson_chaos.kernels import (
     _SCAN_SPAN, DENSE_PAIR_BYTES_MAX, BlockKernel, GridKernel, Kernel, OUDoubleHKernel,
@@ -25,6 +26,7 @@ from chaos_oracle import (
     single_clt_check,
 )
 from expansion_oracle import product_expand
+from fits import slope_fit
 from seeds import replication_rng
 
 CTRL = DiscreteControl(values=(1.0,), weights=(1.0,))
@@ -424,6 +426,28 @@ class TestCriterionEngine:
         assert rep.fourth_moment_chaos == pytest.approx(
             combine_fourth_moment(rep.norm2_doubled, rep.n11, rep.n21, rep.n10), rel=1e-12)
 
+    @pytest.mark.parametrize("index", [[4], [50, 50]], ids=["single", "repeated"])
+    def test_no_slope_without_two_distinct_indices(self, unit_jump, index):
+        verdict = clt_criterion([BlockKernel(n) for n in index], unit_jump,
+                                [Window(0.0, float(n)) for n in index], index=index)
+        assert not verdict.passed
+        for check in verdict.checks[1:]:   # the three claims -> 0
+            assert check.slope is None and not check.passed
+            assert check.reason.endswith("no slope: needs two distinct indices")
+        gap = check_limit("x", index, [1.5] * len(index), 1.0)
+        assert gap.slope is None and not gap.passed
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "block", "--indices", "10,30,100,300,1000"],
+        ["--family", "ou-pair-unit", "--indices", "50,100,200,400,800,1600"],
+    ], ids=lambda v: v[1])
+    def test_criterion_runs_without_lstsq(self, tmp_path, monkeypatch, argv):
+        def failing(*args, **kwargs):
+            raise AssertionError("lstsq ran")
+
+        monkeypatch.setattr(np.linalg, "lstsq", failing)
+        assert cli_main(["criterion", *argv, "--out", str(tmp_path)]) == 0
+
     def test_to_dict_serializes_every_field(self, unit_jump):
         # each record's fields, plus the derived fourth_moment_chaos
         ns = [10, 30]
@@ -508,6 +532,16 @@ class TestCharacteristicFunction:
 
 
 class TestHelpers:
+    def test_fit_slope_matches_lstsq(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n = int(rng.integers(3, 13))
+            xs = np.sort(rng.uniform(1.0, 1e4, size=n))
+            ys = np.exp(rng.uniform(-3.0, 0.5) * np.log(xs) + rng.normal(0.0, 0.3, size=n))
+            want, _ = slope_fit(xs, ys)
+            assert chaos._fit_slope(list(xs), list(ys)) == pytest.approx(want, rel=1e-12,
+                                                                         abs=1e-12)
+
     def test_check_limit_rules(self):
         idx = [1, 2, 4, 8]
         ok = check_limit("x", idx, [1.0 / i for i in idx], 0.0, rel_tol=0.3)

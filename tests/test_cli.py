@@ -481,9 +481,19 @@ class TestChoiceMatrix:
         rc = main(["hazard", "--theorem", "7", "--case", "2", "--T", T, "--reps", "20",
                    "--out", str(tmp_path / "out")])
         assert rc == USAGE_ERROR
-        err = capsys.readouterr().err.strip().splitlines()
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
         assert err == [f"invalid request: case 2 needs T > 1 (its scale is sqrt(log T)), got {T}"]
+        assert captured.out == ""   # not even the truncation diagnostic
         assert not (tmp_path / "out").exists()
+
+    def test_accepted_case2_run_prints_the_truncation_diagnostic(self, tmp_path, capsys):
+        rc = main(["hazard", "--theorem", "7", "--case", "2", "--T", "5", "--reps", "20",
+                   "--seed", "5", "--out", str(tmp_path)])
+        assert rc in (0, 1)
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("neglected mean mass from eps-truncation: ~")
+        assert out[1].startswith("hazard theorem 7: ") and len(out) == 2
 
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_out_of_range_eps_fails_before_any_replication(self, tmp_path, monkeypatch,
@@ -613,6 +623,14 @@ class TestOneSourcePerValue:
         assert rc == USAGE_ERROR
         assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [CRITERION, ["sample", "--x-hi", "25"]], ids=lambda v: v[0])
+    def test_unrecognized_flag_shows_the_subcommand_usage(self, tmp_path, capsys, argv):
+        rc = main([*argv, "--reps", "7", "--out", str(tmp_path / "out")])
+        assert rc == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: poisson-chaos {argv[0]} ")
+        assert err.endswith(f"poisson-chaos {argv[0]}: error: unrecognized arguments: --reps 7\n")
 
     @pytest.mark.parametrize("argv, experiment, got", [
         (["ou", "--theorem", "5", "--T", "20", "--reps", "1"], None, "reps = 1, workers = 1"),
