@@ -191,9 +191,12 @@ def clt_criterion(kernels, control: ControlMeasure, windows, labels=None,
         n11, n21, n10 = contraction_norms(f, control, w)
         l4 = f.lp_norm(4, control, w)
         reports.append(CriterionReport(
-            label=lab, norm2_doubled=2.0 * f.l2_norm_sq(control, w), l4=l4,
+            label=lab,
+            norm2_doubled=2.0 * f.l2_norm_sq(control, w),
+            l4=l4,
             n11=n11, n21=n21, n10=n10,
-            integrable=all(map(math.isfinite, (n21, l4, control.mass(w))))))
+            integrable=all(map(math.isfinite, (n21, l4, control.mass(w)))),
+        ))
     if not all(r.integrable for r in reports):
         checks = (LimitCheck("integrability", (), 0.0, False, None,
                              "square/fourth-power integrability violated"),)

@@ -263,7 +263,7 @@ class ControlMeasure:
         raise NotImplementedError
 
     def mass(self, window: Window) -> float:
-        raise NotImplementedError
+        return self.jump_mass() * window.length   # nu(R) |W|; non-homogeneous controls override
 
     # -- moments -----------------------------------------------------------
     def moment(self, i: int) -> float:
@@ -319,10 +319,7 @@ class DiscreteControl(ControlMeasure):
         object.__setattr__(self, "_abs_moments", {})   # filled by abs_moment on first use
 
     def jump_mass(self) -> float:
-        return self._moments[0]   # sum(w), cached
-
-    def mass(self, window: Window) -> float:
-        return self._moments[0] * window.length
+        return self._moments[0]   # sum(w), the cached zeroth moment
 
     def moment(self, i: int) -> float:
         if i in self._moments:
@@ -394,9 +391,6 @@ class GeneralizedGammaControl(ControlMeasure):
     def jump_mass(self) -> float:
         self.require_finite_mass()
         return self.moment(0)
-
-    def mass(self, window: Window) -> float:
-        return self.jump_mass() * window.length
 
     def neglected_second_moment(self) -> float:
         # int_0^eps u^2 nu(du), finite for all sigma in (0,1)

@@ -227,6 +227,13 @@ class TestControlQuadratureOracle:
         assert integrate(ctrl, lambda u, x: np.ones_like(u), w) == pytest.approx(
             ctrl.mass(w), rel=1e-7)
 
+    def test_homogeneous_mass_is_jump_mass_times_length(self):
+        w = Window(-1.5, 2.25)
+        ctrl = DiscreteControl(values=(1.0, -1.0, 0.3), weights=(0.1, 0.7, 0.2000001))
+        assert ctrl.jump_mass() == float(np.sum(ctrl.weights))   # bit for bit
+        for c in (ctrl, GeneralizedGammaControl(sigma=0.5, gamma=1.0, eps=1e-3)):
+            assert c.mass(w) == c.jump_mass() * w.length
+
     def test_beta_mass_and_discrete_moment(self, symmetric_jump):
         w = Window(1.0, 4.0)
         assert integrate(BetaControl(), lambda u, x: np.ones_like(u), w) == pytest.approx(
