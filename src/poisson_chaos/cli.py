@@ -326,9 +326,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args, unknown = parser.parse_known_args(argv)
-        if unknown:   # reported with the subcommand's usage line, not the top level's
+        if unknown:   # with the usage line of the parser they were given to
             sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-            sub.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
+            given = sys.argv[1:] if argv is None else list(argv)
+            owner = parser if given.index(args.command) else sub.choices[args.command]
+            owner.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0,) else 0
     handlers = {"criterion": cmd_criterion, "block": cmd_block,

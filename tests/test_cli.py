@@ -632,6 +632,15 @@ class TestOneSourcePerValue:
         assert err.startswith(f"usage: poisson-chaos {argv[0]} ")
         assert err.endswith(f"poisson-chaos {argv[0]}: error: unrecognized arguments: --reps 7\n")
 
+    def test_flag_before_the_subcommand_shows_the_top_level_usage(self, tmp_path, capsys):
+        # block takes --dump, but only after its name
+        rc = main(["--dump", "block", "--n", "5", "--out", str(tmp_path / "out")])
+        assert rc == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("usage: poisson-chaos [-h] ")
+        assert err.endswith("poisson-chaos: error: unrecognized arguments: --dump\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv, experiment, got", [
         (["ou", "--theorem", "5", "--T", "20", "--reps", "1"], None, "reps = 1, workers = 1"),
         (["block", "--n", "10", "--reps", "0"], None, "reps = 0, workers = 1"),
