@@ -1,29 +1,33 @@
 """Command-line entry point: binds configurations to experiments and emits
 reports.
 
-Subcommands: criterion | block | ou | hazard | sample.  Each value has one
-source, but --seed and --reps take precedence over [experiment]; the control
-comes only from [control], the window only from --x-lo/--x-hi.  The Monte
-Carlo subcommands (block, ou, hazard) alone take --reps, --format, --workers
-and --dump; they run harness.collect and harness.summarize, and they and
-criterion share one tail, _finish, that writes the JSON report, the
---format csv summary and the --dump value files, and takes the exit code
-from one verdict.  Every output file embeds the tool version, the config
-hash, and the master seed, so a rerun from that triple reproduces the file
-byte-identically; wall times go to stdout only.  Exit codes: 0 all verdicts
-pass, 1 at least one fails, 2 usage or configuration error (a flag the
-subcommand does not take, an unknown family, theorem or case, a control that
-does not match the requested case or theorem, hazard case 2 at T <= 1, fewer
-than two replications (100 for ou theorem 4) or one worker, a rate, horizon
-or bandwidth that is not finite and positive, an eps that is not finite and
-nonnegative, a hazard control with infinite mass (a Gamma control with
-eps = 0), a window bound that is not finite, fewer than one block, a config
-section the subcommand does not read (see SECTIONS; ou refuses [control]),
-an [experiment] key it has no flag for), 3 a replication crashed (the
-one-line message names its index and the master seed) or a numerical check
-failed.  The exit code follows the JSON `passed` but for block, whose exit
-code judges the fourth moment E G^2 against 3 + 37/n while its JSON `passed`
-judges the KS distance.
+Subcommands: criterion | block | ou | hazard | sample, each one entry of
+SUBCOMMANDS (help line, flags, handler, config sections).  A run whose first
+argument names a subcommand builds only that subcommand's parser; any other
+command line (none, -h, a flag before the subcommand, an unknown name) goes
+to the full parser, which prints the top-level usage, help or error.  Each
+value has one source, but --seed and --reps take precedence over
+[experiment]; the control comes only from [control], the window only from
+--x-lo/--x-hi.  The Monte Carlo subcommands (block, ou, hazard) alone take
+--reps, --format, --workers and --dump; they run harness.collect and
+harness.summarize, and they and criterion share one tail, _finish, that
+writes the JSON report, the --format csv summary and the --dump value files,
+and takes the exit code from one verdict.  Every output file embeds the tool
+version, the config hash, and the master seed, so a rerun from that triple
+reproduces the file byte-identically; wall times go to stdout only.  Exit
+codes: 0 all verdicts pass, 1 at least one fails, 2 usage or configuration
+error (a flag the subcommand does not take, an unknown family, theorem or
+case, a control that does not match the requested case or theorem, hazard
+case 2 at T <= 1, fewer than two replications (100 for ou theorem 4) or one
+worker, a rate, horizon or bandwidth that is not finite and positive, an eps
+that is not finite and nonnegative, a hazard control with infinite mass (a
+Gamma control with eps = 0), a window bound that is not finite, fewer than
+one block, a config section the subcommand does not read (see SUBCOMMANDS; ou
+refuses [control]), an [experiment] key it has no flag for), 3 a replication
+crashed (the one-line message names its index and the master seed) or a
+numerical check failed.  The exit code follows the JSON `passed` but for
+block, whose exit code judges the fourth moment E G^2 against 3 + 37/n while
+its JSON `passed` judges the KS distance.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -229,12 +234,14 @@ def cmd_hazard(args) -> int:
 def cmd_sample(args) -> int:
     control = (control_from_section(args.sections["control"]) if "control" in args.sections
                else UNIT_JUMPS)
-    pattern = sample_pattern(control, Window(args.x_lo, args.x_hi), args.seed)
+    window = Window(args.x_lo, args.x_hi)
+    pattern = sample_pattern(control, window, args.seed)
+    mass = float(control.mass(window))
     path = Path(args.out) / "pattern.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
-    pattern_to_csv(pattern, path)
+    pattern_to_csv(pattern, mass, path)
     extra = control.neglected_second_moment()
-    print(f"wrote {path} ({len(pattern)} atoms, mass {pattern.total_mass:.6g}, "
+    print(f"wrote {path} ({len(pattern)} atoms, mass {mass:.6g}, "
           f"neglected second-moment mass {extra:.3e})")
     return 0
 
@@ -244,61 +251,99 @@ def cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="poisson-chaos",
-                                     description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+def _flag(*names, **kwargs) -> tuple:
+    """One flag: its names and its add_argument keywords."""
+    return names, kwargs
 
-    # shared flags, built once; monte_carlo's add the replication flags
-    common, monte_carlo = (argparse.ArgumentParser(add_help=False) for _ in range(2))
-    for flags in (common, monte_carlo):
-        flags.add_argument("--config", default=None, help="key = value config file")
-        flags.add_argument("--seed", type=int, default=None, help="master seed")
-        if flags is monte_carlo:
-            flags.add_argument("--reps", "--R", type=int, default=None, help="replication count")
-        flags.add_argument("--out", default="out", help="output directory")
-    monte_carlo.add_argument("--format", choices=("json", "csv"), default="json")
-    monte_carlo.add_argument("--workers", type=int, default=1)
-    monte_carlo.add_argument("--dump", action="store_true",
-                             help="also stream per-replication values to CSV")
 
-    p = sub.add_parser("criterion", parents=[common],
-                       help="audit a kernel sequence for the Gaussian limit")
-    p.add_argument("--family", required=True, choices=("block", "fixed", "ou-pair", "ou-pair-unit"),
-                   help="ou-pair scales the pair kernel by sqrt(lam), ou-pair-unit by sqrt(lam/2)")
-    p.add_argument("--indices", default="10,30,100,300,1000",
-                   help="comma-separated sequence indices (block sizes or horizons)")
-    p.add_argument("--lam", "--lambda", type=float, default=1.0)
+def _shared_flags(monte_carlo: bool) -> list:
+    """--config, --seed and --out, which every subcommand takes; a Monte
+    Carlo subcommand also takes --reps (after --seed) and --format, --workers
+    and --dump (after --out)."""
+    flags = [_flag("--config", default=None, help="key = value config file"),
+             _flag("--seed", type=int, default=None, help="master seed")]
+    if monte_carlo:
+        flags.append(_flag("--reps", "--R", type=int, default=None, help="replication count"))
+    flags.append(_flag("--out", default="out", help="output directory"))
+    if monte_carlo:
+        flags += [_flag("--format", choices=("json", "csv"), default="json"),
+                  _flag("--workers", type=int, default=1),
+                  _flag("--dump", action="store_true",
+                        help="also stream per-replication values to CSV")]
+    return flags
 
-    p = sub.add_parser("block", parents=[monte_carlo],
-                       help="Monte Carlo fourth-moment check for the block family")
-    p.add_argument("--n", type=int, default=50, help="number of unit-mass blocks")
 
-    p = sub.add_parser("ou", parents=[monte_carlo], help="moving-average process experiments")
-    p.add_argument("--theorem", type=int, required=True, choices=(4, 5, 6),
-                   help="4 = linear statistic, 5 = quadratic split, 6 = sample variance")
-    p.add_argument("--lam", "--lambda", type=float, default=1.0)
-    p.add_argument("--T", type=float, default=200.0)
+@dataclass(frozen=True)
+class Subcommand:
+    """One subcommand: its help line, its handler, the config sections it
+    reads (any other is refused), whether it runs replications (and so takes
+    the Monte Carlo flags), and its own flags."""
+    help: str
+    run: Callable
+    sections: tuple
+    monte_carlo: bool
+    flags: tuple
 
-    p = sub.add_parser("hazard", parents=[monte_carlo], help="random hazard rate experiments")
-    p.add_argument("--theorem", type=int, required=True, choices=(7, 8),
-                   help="7 = linear, 8 = quadratic")
-    p.add_argument("--case", type=int, default=1, choices=(1, 2, 3),
-                   help="control family case for theorem 7")
-    p.add_argument("--variant", choices=("raw", "centered"), default="raw")
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--T", type=float, default=200.0)
 
-    p = sub.add_parser("sample", parents=[common], help="dump one point pattern as CSV")
-    p.add_argument("--x-lo", type=float, default=0.0)
-    p.add_argument("--x-hi", type=float, default=10.0)
+# ou refuses [control] until it becomes the jump law (ROADMAP item 12)
+SUBCOMMANDS = {
+    "criterion": Subcommand(
+        "audit a kernel sequence for the Gaussian limit", cmd_criterion, ("experiment",), False,
+        (_flag("--family", required=True, choices=("block", "fixed", "ou-pair", "ou-pair-unit"),
+               help="ou-pair scales the pair kernel by sqrt(lam), ou-pair-unit by sqrt(lam/2)"),
+         _flag("--indices", default="10,30,100,300,1000",
+               help="comma-separated sequence indices (block sizes or horizons)"),
+         _flag("--lam", "--lambda", type=float, default=1.0))),
+    "block": Subcommand(
+        "Monte Carlo fourth-moment check for the block family", cmd_block, ("experiment",), True,
+        (_flag("--n", type=int, default=50, help="number of unit-mass blocks"),)),
+    "ou": Subcommand(
+        "moving-average process experiments", cmd_ou, ("experiment",), True,
+        (_flag("--theorem", type=int, required=True, choices=(4, 5, 6),
+               help="4 = linear statistic, 5 = quadratic split, 6 = sample variance"),
+         _flag("--lam", "--lambda", type=float, default=1.0),
+         _flag("--T", type=float, default=200.0))),
+    "hazard": Subcommand(
+        "random hazard rate experiments", cmd_hazard, ("experiment", "control"), True,
+        (_flag("--theorem", type=int, required=True, choices=(7, 8),
+               help="7 = linear, 8 = quadratic"),
+         _flag("--case", type=int, default=1, choices=(1, 2, 3),
+               help="control family case for theorem 7"),
+         _flag("--variant", choices=("raw", "centered"), default="raw"),
+         _flag("--tau", type=float, default=1.0),
+         _flag("--T", type=float, default=200.0))),
+    "sample": Subcommand(
+        "dump one point pattern as CSV", cmd_sample, ("experiment", "control"), False,
+        (_flag("--x-lo", type=float, default=0.0),
+         _flag("--x-hi", type=float, default=10.0))),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Adds the flags of subcommand name to parser, the shared ones first,
+    and makes it set args.command to name."""
+    command = SUBCOMMANDS[name]
+    for names, kwargs in (*_shared_flags(command.monte_carlo), *command.flags):
+        parser.add_argument(*names, **kwargs)
+    parser.set_defaults(command=name)
     return parser
 
 
-# the config sections each subcommand reads; ou refuses [control] until it
-# becomes the jump law (ROADMAP item 12)
-SECTIONS = {"criterion": ("experiment",), "block": ("experiment",), "ou": ("experiment",),
-            "hazard": ("experiment", "control"), "sample": ("experiment", "control")}
+def subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand name alone: it prints and parses as the
+    full parser's subparser for name does."""
+    return _add_flags(argparse.ArgumentParser(prog=f"poisson-chaos {name}"), name)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: the top-level usage and help, and one subparser per
+    subcommand."""
+    parser = argparse.ArgumentParser(prog="poisson-chaos",
+                                     description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in SUBCOMMANDS.items():
+        _add_flags(sub.add_parser(name, help=command.help), name)
+    return parser
 
 
 def _resolve_defaults(args) -> None:
@@ -307,7 +352,7 @@ def _resolve_defaults(args) -> None:
     [experiment] fills in --seed and --reps where they are not given."""
     args.sections = read_config(args.config) if args.config else {}
     for name in args.sections:
-        if name not in SECTIONS[args.command]:
+        if name not in SUBCOMMANDS[args.command].sections:
             raise ConfigError(f"{args.command} does not read a [{name}] section")
     section = args.sections.get("experiment", {})
     defaults = {k: v for k, v in (("seed", 20240801), ("reps", 5000)) if k in vars(args)}
@@ -323,21 +368,18 @@ def _resolve_defaults(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in SUBCOMMANDS:
+        parser, argv = subcommand_parser(argv[0]), argv[1:]
+    else:   # no subcommand first: the full parser prints the usage or the error
+        parser = build_parser()
     try:
-        args, unknown = parser.parse_known_args(argv)
-        if unknown:   # with the usage line of the parser they were given to
-            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-            given = sys.argv[1:] if argv is None else list(argv)
-            owner = parser if given.index(args.command) else sub.choices[args.command]
-            owner.error(f"unrecognized arguments: {' '.join(unknown)}")
+        args = parser.parse_args(argv)
     except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0,) else 0
-    handlers = {"criterion": cmd_criterion, "block": cmd_block,
-                "ou": cmd_ou, "hazard": cmd_hazard, "sample": cmd_sample}
+        return 0 if exc.code == 0 else USAGE_ERROR
     try:
         _resolve_defaults(args)
-        return handlers[args.command](args)
+        return SUBCOMMANDS[args.command].run(args)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -336,6 +336,37 @@ class TestHelpText:
         assert capsys.readouterr().out == want
 
 
+class TestSubcommandParser:
+    """A run whose first argument names a subcommand builds that
+    subcommand's parser alone; it prints and parses as the full parser's
+    subparser for it."""
+
+    REQUIRED = {"criterion": ["--family", "block"], "block": [], "ou": ["--theorem", "5"],
+                "hazard": ["--theorem", "7"], "sample": []}
+
+    def test_a_criterion_run_constructs_one_parser(self, tmp_path, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        rc = main(["criterion", "--family", "block", "--indices", "10,30", "--out", str(tmp_path)])
+        assert rc in (0, 1) and (tmp_path / "criterion_block.json").exists()
+        assert built == ["poisson-chaos criterion"]
+
+    @pytest.mark.parametrize("name", sorted(REQUIRED))
+    def test_help_and_parse_match_the_full_parser(self, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "100")
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        direct = cli.subcommand_parser(name)
+        assert direct.format_help() == sub.choices[name].format_help()
+        argv = [*self.REQUIRED[name], "--seed", "4", "--out", "o"]
+        assert vars(direct.parse_args(argv)) == vars(build_parser().parse_args([name, *argv]))
+
+
 class TestGoldenSamples:
     """pattern.csv of `sample --config` for every control family, recorded
     before the jump-range window was removed, when the window came from a
