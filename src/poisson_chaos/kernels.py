@@ -52,7 +52,7 @@ def _distinct_pair_sum(a: np.ndarray) -> float:
     scales with (sum |a|)^2, which swamps the result when one term dominates."""
     if a.size < 2:
         return 0.0
-    return 2.0 * _dot(a[1:], np.cumsum(a[:-1]))
+    return 2.0 * _dot(a[1:], a[:-1].cumsum())
 
 
 def _check_dense_budget(n: int) -> None:
@@ -566,13 +566,13 @@ def ou_sorted_atoms(lam: float, T: float, u, x):
     one of them and p = e^{lam x} for the first p.size, those at x <= 0:
     the exponentials ou_pair_terms and the OU statistics are built from."""
     x = np.asarray(x, dtype=float)
-    order = np.argsort(x)
+    order = x.argsort()
     x = x[order]
     # a NaN sorts last and is cut with the atoms beyond T
-    inside = int(np.searchsorted(x, T, side="right"))
+    inside = int(x.searchsorted(T, side="right"))
     x = x[:inside]
     u = np.asarray(u, dtype=float)[order[:inside]]
-    nonpositive = int(np.searchsorted(x, 0.0, side="right"))
+    nonpositive = int(x.searchsorted(0.0, side="right"))
     return u, x, np.exp(lam * (x - T)), np.exp(lam * x[:nonpositive])
 
 
@@ -597,21 +597,21 @@ def ou_pair_terms(lam: float, T: float, u, x, e, p) -> float:
     if n < 2:
         return 0.0
     span = _SCAN_SPAN / lam
-    last = int(np.searchsorted(x, T - span, side="right"))
+    last = int(x.searchsorted(T - span, side="right"))
     recursion = np.empty_like(x)
     carry = 0.0
     start = 0
     while start < n:
         x0 = x[start]
         if start < last:
-            stop = min(int(np.searchsorted(x, x0 + span, side="right")), last)
+            stop = min(int(x.searchsorted(x0 + span, side="right")), last)
             g = np.exp(lam * (x[start:stop] - x0))
         else:
             stop = n
             g = e[start:] / e[start]
         w = u[start:stop] * g
         w[0] += carry
-        acc = np.cumsum(w)
+        acc = w.cumsum()
         recursion[start] = carry
         recursion[start + 1:stop] = acc[:-1] / g[1:]
         if stop < n:

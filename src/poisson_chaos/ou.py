@@ -138,9 +138,9 @@ class OUStatistics:
         if self.first_moment != 0.0:
             k2 -= 2.0 * float(np.sum(self.pair.partial_integral(self.jumps, self.window, u, x)))
         k2 += self.pair_comp
-        ghat = np.ones_like(e)
-        ghat[:p.size] = p * p
-        ghat -= e * e
+        e2 = e * e
+        ghat = 1.0 - e2
+        ghat[:p.size] = p * p - e2[:p.size]
         k1 = self.scale * (_dot(u * u, ghat) / T) - self.diag_comp
         return k2, k1, self._linear(u, e, p)
 
