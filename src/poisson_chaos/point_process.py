@@ -70,14 +70,12 @@ class PointPattern:
     """Atoms of one Poisson realization on a window.
 
     ``u`` and ``x`` are parallel arrays (jump sizes / time coordinates);
-    ``total_mass`` is mu(window), retained so downstream evaluations never
-    recompute it; ``seed`` is the 64-bit sampling seed for provenance.
+    ``seed`` is the 64-bit sampling seed for provenance.
     """
 
     u: np.ndarray
     x: np.ndarray
     window: Window
-    total_mass: float
     seed: int
 
     def __post_init__(self):
@@ -237,8 +235,9 @@ class _InverseCDF:
 
 @lru_cache(maxsize=32)
 def _window_constants(control, window: Window):
-    """Per-(control, window) sampling constants, computed once per process;
-    both arguments are frozen dataclasses and so hashable by value."""
+    """Per-(control, window) sampling constants, the inverse-CDF table and
+    the mean atom count, computed once per process; both arguments are
+    frozen dataclasses and so hashable by value."""
     return control._compute_window_constants(window)
 
 
@@ -285,6 +284,7 @@ class ControlMeasure:
 
     # -- sampling ----------------------------------------------------------
     def sample(self, window: Window, rng: np.random.Generator):
+        """(u, x) of one Poisson pattern on the window."""
         raise NotImplementedError
 
 
@@ -336,10 +336,10 @@ class DiscreteControl(ControlMeasure):
         n = rng.poisson(total)
         x = rng.uniform(window.x_lo, window.x_hi, size=n)
         if not n:
-            return np.empty(0), x, float(total)
+            return np.empty(0), x
         # rng.choice(vals, size=n, p=w / w.sum()), draw for draw
         u = self._values.take(self._cdf.searchsorted(rng.random(n), side="right"))
-        return u, x, float(total)
+        return u, x
 
 
 def _upper_gamma(a: float, z: float) -> float:
@@ -411,7 +411,7 @@ class GeneralizedGammaControl(ControlMeasure):
         n = rng.poisson(total)
         x = rng.uniform(window.x_lo, window.x_hi, size=n)
         u = table.lookup(rng.uniform(size=n))
-        return u, x, total
+        return u, x
 
 
 @dataclass(frozen=True)
@@ -428,10 +428,11 @@ class ExtendedGammaControl(ControlMeasure):
     e^{-v} / v (b(v) - x_lo) on [beta(x_lo) eps, beta(x_lo) eps + 80] (the
     kink of b at beta(x_hi) eps, where b reaches x_hi, is a grid point and
     each smooth piece beside it gets 33 more), x uniform on [x_lo, b(v)] and
-    u = v / beta(x); nothing is rejected.  The table and
-    mu(window) depend only on the (control, window) pair and are computed
-    once per process.  mu(window) and the per-time masses and moments call
-    scipy, which is imported when first needed.
+    u = v / beta(x); nothing is rejected.  The table depends only on the
+    (control, window) pair and is built once per process, with numpy alone:
+    sampling calls no scipy.  mu(window) (a quadrature of x_mass) and the
+    per-time masses and moments call scipy, which is imported when first
+    needed.
     """
 
     beta0: float = 1.0
@@ -475,11 +476,14 @@ class ExtendedGammaControl(ControlMeasure):
         # int_0^eps e^{-beta0 u} du <= eps; reported bound on the dropped mean mass per unit time
         return float(self.eps)
 
-    def mass(self, window: Window) -> float:
-        from scipy.integrate import quad
+    def _require_window(self, window: Window) -> None:
         self.require_finite_mass()
         if window.x_lo < 0:
             raise ValueError("extended-Gamma control is supported on x > 0")
+
+    def mass(self, window: Window) -> float:
+        from scipy.integrate import quad
+        self._require_window(window)
         val, _ = quad(self.x_mass, window.x_lo, window.x_hi,
                       epsabs=1e-11, epsrel=1e-9, limit=400)
         return float(val)
@@ -499,7 +503,7 @@ class ExtendedGammaControl(ControlMeasure):
         return np.clip(s, window.x_lo, window.x_hi, out=s)
 
     def _compute_window_constants(self, window: Window):
-        self.require_finite_mass()
+        self._require_window(window)
         v_lo = float(self.beta(window.x_lo)) * self.eps
         v_hi = v_lo + 80.0
         # b is smooth on each side of the kink beta(x_hi) eps, where it
@@ -516,11 +520,11 @@ class ExtendedGammaControl(ControlMeasure):
         b = self._x_end(grid, window)
         b -= window.x_lo
         table = _InverseCDF(grid, np.exp(-grid) / grid * b)
-        return table, self.mass(window)
+        return table, table.total   # the table's mass, within 1e-5 of mu(window)
 
     def sample(self, window: Window, rng: np.random.Generator):
-        table, mass = _window_constants(self, window)
-        n = rng.poisson(table.total)
+        table, total = _window_constants(self, window)
+        n = rng.poisson(total)
         v = table.lookup(rng.random(n))
         b = self._x_end(v, window)
         x = rng.random(n)
@@ -534,7 +538,7 @@ class ExtendedGammaControl(ControlMeasure):
         u *= self.beta1
         u += self.beta0
         np.divide(v, u, out=u)
-        return np.maximum(u, self.eps, out=u), x, mass
+        return np.maximum(u, self.eps, out=u), x
 
 
 @dataclass(frozen=True)
@@ -581,7 +585,7 @@ class BetaControl(ControlMeasure):
         n = rng.poisson(total)
         x = rng.uniform(window.x_lo, window.x_hi, size=n)
         u = 1.0 - (1.0 - rng.uniform(size=n)) ** (1.0 / self.c(x))
-        return u, x, float(total)
+        return u, x
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +597,9 @@ def sample_pattern(control: ControlMeasure, window: Window, seed) -> PointPatter
     """Sample one Poisson realization: count ~ Poisson(mu(window)), locations
     i.i.d. mu restricted to the window; deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
-    u, x, total = control.sample(window, rng)
+    u, x = control.sample(window, rng)
     seed_int = seed if isinstance(seed, int) else -1
-    return PointPattern(u=u, x=x, window=window, total_mass=total, seed=seed_int)
+    return PointPattern(u=u, x=x, window=window, seed=seed_int)
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +607,11 @@ def sample_pattern(control: ControlMeasure, window: Window, seed) -> PointPatter
 # ---------------------------------------------------------------------------
 
 
-def pattern_to_csv(pattern: PointPattern, path) -> None:
+def pattern_to_csv(pattern: PointPattern, mass: float, path) -> None:
+    """Writes the atoms as u,x rows under a header with the window, its mass
+    mu(window) and the seed."""
     header = (f"# window x=[{pattern.window.x_lo!r},{pattern.window.x_hi!r}]"
-              f" mass={pattern.total_mass!r} seed={pattern.seed}\nu,x\n")
+              f" mass={mass!r} seed={pattern.seed}\nu,x\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
         for u, x in zip(pattern.u, pattern.x):

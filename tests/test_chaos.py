@@ -34,7 +34,7 @@ CTRL = DiscreteControl(values=(1.0,), weights=(1.0,))
 
 def pattern_of(x_values, window):
     x = np.asarray(x_values, dtype=float)
-    return PointPattern(np.ones_like(x), x, window, window.length, 0)
+    return PointPattern(np.ones_like(x), x, window, 0)
 
 
 class TestEvalI1:

@@ -10,6 +10,8 @@ numpy.ma either, which np.unique imports on first use, nor numpy.polynomial,
 which only the tests' panel quadrature needs.  The process pool
 (concurrent.futures.process, multiprocessing) is imported only by runs with
 more than one worker, and configparser only by runs that read a config file.
+The extended-Gamma sampler builds its table with numpy alone, so replications
+of hazard case 2 load no scipy either; only its Campbell integrals do.
 """
 
 import ast
@@ -67,3 +69,23 @@ def test_cli_paths_do_not_load_scipy(tmp_path):
     assert {"concurrent.futures.process", "multiprocessing"} <= set(pool), proc.stdout
     assert not [m for m in pool if m.startswith("scipy")
                 or m in ("numpy.ma", "numpy.polynomial", "configparser")], proc.stdout
+
+
+CASE2 = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from poisson_chaos import hazard
+from poisson_chaos.harness import collect
+from poisson_chaos.point_process import ExtendedGammaControl
+
+model = hazard.rect_model(ExtendedGammaControl(), T=20.0)
+values = collect(hazard.rep_linear_case, (model, 0.0, 1.0), 3, 5, 1)
+print(values.shape, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_case2_replications_do_not_load_scipy():
+    proc = subprocess.run([sys.executable, "-c", CASE2, SRC],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["(3,", "2)", "[]"], proc.stdout

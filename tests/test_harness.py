@@ -240,7 +240,7 @@ rng = np.random.default_rng(11)
 model = rect_model(DiscreteControl((1.0,), (1.0,)), T=45000.0)
 n = 45000
 pattern = PointPattern(rng.exponential(size=n), rng.uniform(0.0, model.window.x_hi, size=n),
-                       model.window, float(n), 0)
+                       model.window, 0)
 print(float(cumulative_hazard(model, pattern)).hex(),
       float(jackknife_variance_se(rng.standard_normal(20000))).hex())
 """

@@ -164,7 +164,7 @@ class TestOUTails:
         evaluate = eval_I2 if g.arity == 2 else eval_I1
         for cut in (*cut_windows(lam, T), Window(50.0, 60.0)):
             assert g.support_excess(cut) == math.inf
-            empty = PointPattern(np.empty(0), np.empty(0), cut, 1.0, 0)
+            empty = PointPattern(np.empty(0), np.empty(0), cut, 0)
             with pytest.raises(SupportError):
                 evaluate(g, empty, unit_jump)
 
@@ -288,7 +288,7 @@ class TestOUDoubleH:
 
     def test_eval_rejects_window_ending_before_horizon(self, unit_jump):
         h = OUDoubleHKernel(1.0, 10.0)
-        empty = PointPattern(np.empty(0), np.empty(0), Window(-12.0, 5.0), 17.0, 0)
+        empty = PointPattern(np.empty(0), np.empty(0), Window(-12.0, 5.0), 0)
         with pytest.raises(SupportError):
             eval_I2(h, empty, unit_jump)
 

@@ -42,14 +42,14 @@ class TestPathSimulation:
     def test_empty_pattern_zero_path(self):
         cfg = OUConfig(lam=1.0, T=5.0)
         pat = sample_ou_pattern(cfg, seed=0)
-        empty = type(pat)(np.empty(0), np.empty(0), pat.window, pat.total_mass, 0)
+        empty = type(pat)(np.empty(0), np.empty(0), pat.window, 0)
         y = path_on_grid(cfg, empty, np.linspace(0, 5, 11))
         assert np.all(y == 0.0)
 
     def test_single_atom_closed_form(self):
         cfg = OUConfig(lam=2.0, T=4.0)
         pat_type = type(sample_ou_pattern(cfg, seed=0))
-        pat = pat_type(np.array([-1.0]), np.array([1.5]), cfg.window, cfg.window.length, 0)
+        pat = pat_type(np.array([-1.0]), np.array([1.5]), cfg.window, 0)
         t = np.array([1.0, 1.5, 3.0])
         y = path_on_grid(cfg, pat, t)
         want = np.where(t >= 1.5, -math.sqrt(4.0) * np.exp(-2.0 * (t - 1.5)), 0.0)
@@ -207,8 +207,7 @@ def ou_patterns(draw):
             x += [np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
     x = x + x[:draw(st.integers(0, len(x)))]
     u = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(x), max_size=len(x)))
-    pattern = PointPattern(np.array(u, dtype=float), np.array(x, dtype=float), cfg.window,
-                           cfg.jumps.mass(cfg.window), 0)
+    pattern = PointPattern(np.array(u, dtype=float), np.array(x, dtype=float), cfg.window, 0)
     return cfg, pattern
 
 

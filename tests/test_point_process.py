@@ -25,8 +25,7 @@ def per_call_generalized_gamma_sample(ctrl, window, rng):
     total = ctrl.jump_mass() * window.length
     n = rng.poisson(total)
     x = rng.uniform(window.x_lo, window.x_hi, size=n)
-    u = np.interp(rng.uniform(size=n), cdf, grid)
-    return u, x, float(total)
+    return np.interp(rng.uniform(size=n), cdf, grid), x
 
 
 def extended_gamma_grid(ctrl, window, lo, hi):
@@ -63,8 +62,8 @@ def extended_gamma_atoms(ctrl, window, rng, v, lo, hi):
 
 
 def per_call_extended_gamma_sample(ctrl, window, rng):
-    """Reference: v-table and window mass rebuilt on every call, v looked up
-    with np.interp."""
+    """Reference: v-table rebuilt on every call, v looked up with
+    np.interp."""
     lo, hi = ctrl.eps, np.inf
     grid = extended_gamma_grid(ctrl, window, lo, hi)
     a, b = extended_gamma_interval(ctrl, grid, lo, hi, window)
@@ -74,8 +73,7 @@ def per_call_extended_gamma_sample(ctrl, window, rng):
     cdf /= total
     n = rng.poisson(total)
     v = np.interp(rng.uniform(size=n), cdf, grid)
-    u, x = extended_gamma_atoms(ctrl, window, rng, v, lo, hi)
-    return u, x, ctrl.mass(window)
+    return extended_gamma_atoms(ctrl, window, rng, v, lo, hi)
 
 
 def argsort_lookup(rng, n, cdf, grid):
@@ -89,16 +87,13 @@ def argsort_lookup(rng, n, cdf, grid):
 
 def argsort_lookup_sample(ctrl, window, rng):
     """Reference: the sampler on the cached table, with the argsort lookup."""
-    constants = point_process._window_constants(ctrl, window)
+    table, total = point_process._window_constants(ctrl, window)
     if isinstance(ctrl, GeneralizedGammaControl):
-        table, total = constants
         n = rng.poisson(total)
         x = rng.uniform(window.x_lo, window.x_hi, size=n)
-        return argsort_lookup(rng, n, table.cdf, table.grid), x, total
-    table, mass = constants
+        return argsort_lookup(rng, n, table.cdf, table.grid), x
     v = argsort_lookup(rng, rng.poisson(table.total), table.cdf, table.grid)
-    u, x = extended_gamma_atoms(ctrl, window, rng, v, ctrl.eps, np.inf)
-    return u, x, mass
+    return extended_gamma_atoms(ctrl, window, rng, v, ctrl.eps, np.inf)
 
 
 @st.composite
@@ -261,7 +256,7 @@ class TestSampling:
         b, c = Window(0.0, 2.0), Window(3.0, 6.0)
         nb, nc = [], []
         for _ in range(40_000):
-            u, x, _ = unit_jump.sample(window, rng)
+            u, x = unit_jump.sample(window, rng)
             nb.append(np.count_nonzero((x >= 0.0) & (x < 2.0)))
             nc.append(np.count_nonzero((x >= 3.0) & (x <= 6.0)))
         nb, nc = np.array(nb), np.array(nc)
@@ -280,7 +275,7 @@ class TestSampling:
         vals, w = np.array(jumps.values), np.array(jumps.weights)
         for seed in range(50):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            u, x, _ = jumps.sample(window, rng)
+            u, x = jumps.sample(window, rng)
             n = ref.poisson(w.sum() * window.length)
             assert np.array_equal(x, ref.uniform(window.x_lo, window.x_hi, size=n))
             assert np.array_equal(u, ref.choice(vals, size=n, p=w / w.sum()))
@@ -302,9 +297,9 @@ class TestSampling:
         # mean jump at x with c(x)=3 is 1/(c+1) = 0.25
         ctrl = BetaControl()
         rng = replication_rng(80, 0)
-        u, x, _ = ctrl.sample(Window(8.9, 9.1), rng)
+        u, x = ctrl.sample(Window(8.9, 9.1), rng)
         for _ in range(200):
-            uu, xx, _ = ctrl.sample(Window(8.9, 9.1), rng)
+            uu, xx = ctrl.sample(Window(8.9, 9.1), rng)
             u = np.concatenate([u, uu])
         assert u.mean() == pytest.approx(0.25, abs=0.05)
 
@@ -329,7 +324,6 @@ class TestCachedSamplers:
         got = ctrl.sample(window, np.random.default_rng(seed))
         ref = per_call_extended_gamma_sample(ctrl, window, np.random.default_rng(seed))
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-        assert got[2] == ref[2]
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([(0.5, 1.0, 0.1), (0.3, 3.0, 1e-3), (0.9, 0.5, 1e-2)]),
@@ -340,7 +334,6 @@ class TestCachedSamplers:
         got = ctrl.sample(window, np.random.default_rng(seed))
         ref = per_call_generalized_gamma_sample(ctrl, window, np.random.default_rng(seed))
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-        assert got[2] == ref[2]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_extended_gamma_jumps_computed_in_place_are_v_over_beta(self, seed):
@@ -349,7 +342,7 @@ class TestCachedSamplers:
         ctrl, window = ExtendedGammaControl(), Window(0.0, 1e4 + 1.0)
         table, _ = point_process._window_constants(ctrl, window)
         rng = np.random.default_rng(seed)
-        u, x, _ = ctrl.sample(window, rng)
+        u, x = ctrl.sample(window, rng)
         replay = np.random.default_rng(seed)
         v = table.lookup(replay.uniform(size=replay.poisson(table.total)))
         replay.uniform(size=v.size)
@@ -364,22 +357,18 @@ class TestCachedSamplers:
                  for length in (1e-9, 30.0, 900.0)]
         assert sizes[0] == 0 and 0 < sizes[1] < 4096 <= sizes[2]
 
-    def test_window_mass_quadrature_runs_once_per_window(self, monkeypatch):
-        calls = []
-        quad = si.quad
-
-        def counting_quad(*args, **kwargs):
-            calls.append(1)
-            return quad(*args, **kwargs)
-
-        monkeypatch.setattr(si, "quad", counting_quad)
+    def test_sampling_runs_no_quadrature(self, monkeypatch):
+        # the window mass mu(window) is a quad; the table and the count's
+        # mean are built without it
+        monkeypatch.setattr(si, "quad", lambda *a, **k: pytest.fail("quad ran"))
         point_process._window_constants.cache_clear()
-        ctrl = ExtendedGammaControl(eps=1e-4)
-        window = Window(0.0, 50.0)
         rng = np.random.default_rng(4)
-        masses = {ctrl.sample(window, rng)[2] for _ in range(50)}
-        assert len(calls) == 1
-        assert masses == {ctrl.mass(window)}
+        for _ in range(50):
+            ExtendedGammaControl(eps=1e-4).sample(Window(0.0, 50.0), rng)
+
+    def test_window_reaching_below_zero_is_refused(self):
+        with pytest.raises(ValueError, match="supported on x > 0"):
+            ExtendedGammaControl().sample(Window(-1.0, 5.0), np.random.default_rng(0))
 
 
 class TestGuideTableLookup:
@@ -429,7 +418,6 @@ class TestGuideTableLookup:
         got = ctrl.sample(window, np.random.default_rng(seed))
         ref = argsort_lookup_sample(ctrl, window, np.random.default_rng(seed))
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-        assert got[2] == ref[2]
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([(0.5, 1.0, 0.1), (0.3, 3.0, 1e-3), (0.9, 0.5, 1e-2)]),
@@ -440,7 +428,6 @@ class TestGuideTableLookup:
         got = ctrl.sample(window, np.random.default_rng(seed))
         ref = argsort_lookup_sample(ctrl, window, np.random.default_rng(seed))
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-        assert got[2] == ref[2]
 
 
 class TestExtendedGammaLaw:
@@ -502,15 +489,15 @@ class TestExtendedGammaLaw:
 
 class TestCompensatedCount:
     def test_empty_pattern(self, unit_jump):
-        pat = PointPattern(np.empty(0), np.empty(0), Window(0.0, 2.0), 2.0, 0)
+        pat = PointPattern(np.empty(0), np.empty(0), Window(0.0, 2.0), 0)
         assert compensated_count(pat, Window(0.0, 1.0), unit_jump) == pytest.approx(-1.0)
 
     def test_count_minus_mass(self, unit_jump):
-        pat = PointPattern(np.ones(3), np.array([0.1, 0.2, 0.9]), Window(0.0, 2.0), 2.0, 0)
+        pat = PointPattern(np.ones(3), np.array([0.1, 0.2, 0.9]), Window(0.0, 2.0), 0)
         assert compensated_count(pat, Window(0.0, 1.0), unit_jump) == pytest.approx(2.0)
 
     def test_region_outside_window_rejected(self, unit_jump):
-        pat = PointPattern(np.empty(0), np.empty(0), Window(0.0, 2.0), 2.0, 0)
+        pat = PointPattern(np.empty(0), np.empty(0), Window(0.0, 2.0), 0)
         with pytest.raises(SupportError):
             compensated_count(pat, Window(1.0, 3.0), unit_jump)
 
@@ -520,7 +507,7 @@ class TestCompensatedCount:
         rng = replication_rng(82, 0)
         vals = []
         for _ in range(100_000):
-            u, x, _ = unit_jump.sample(region, rng)
+            u, x = unit_jump.sample(region, rng)
             vals.append(len(u) - 3.0)
         vals = np.array(vals)
         r = vals.size
@@ -535,16 +522,16 @@ class TestCompensatedCount:
 def test_pattern_csv_roundtrip(tmp_path, symmetric_jump):
     pat = sample_pattern(symmetric_jump, Window(0.0, 20.0), seed=5)
     path = tmp_path / "pattern.csv"
-    pattern_to_csv(pat, path)
+    pattern_to_csv(pat, symmetric_jump.mass(pat.window), path)
     u, x = pattern_from_csv(path)
     assert np.array_equal(u, pat.u) and np.array_equal(x, pat.x)
 
 
 def test_atom_outside_window_rejected():
     with pytest.raises(ValueError):
-        PointPattern(np.array([1.0]), np.array([5.0]), Window(0.0, 2.0), 2.0, 0)
+        PointPattern(np.array([1.0]), np.array([5.0]), Window(0.0, 2.0), 0)
 
 
 def test_nan_atom_rejected():
     with pytest.raises(ValueError, match="atom outside window"):
-        PointPattern(np.ones(3), np.array([0.5, np.nan, 1.0]), Window(0.0, 2.0), 2.0, 0)
+        PointPattern(np.ones(3), np.array([0.5, np.nan, 1.0]), Window(0.0, 2.0), 0)
