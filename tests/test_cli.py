@@ -344,7 +344,7 @@ class TestSubcommandParser:
     REQUIRED = {"criterion": ["--family", "block"], "block": [], "ou": ["--theorem", "5"],
                 "hazard": ["--theorem", "7"], "sample": []}
 
-    def test_a_criterion_run_constructs_one_parser(self, tmp_path, monkeypatch, capsys):
+    def test_a_criterion_run_constructs_one_parser(self, tmp_path, monkeypatch):
         built = []
         init = argparse.ArgumentParser.__init__
 
