@@ -250,6 +250,20 @@ class TestOUPairCriterion:
         assert (rc == 0) == all(_passed_flags(got))
         _assert_close(got, want)
 
+    @pytest.mark.parametrize("family, lam, indices, golden, code", [
+        ("ou-pair-unit", "1", "50,100,200,400,800,1600",
+         "criterion_ou-pair-unit_lam1_closed.json", 0),
+        # lam T from 0.005 to 16: both evaluation branches of every norm part
+        ("ou-pair", "0.01", "0.5,1,2,50,1600", "criterion_ou-pair_lam0.01.json", 1),
+    ])
+    def test_closed_form_report_is_byte_identical(self, tmp_path, family, lam, indices,
+                                                  golden, code):
+        # reports of the closed-form contraction norms, recorded byte for byte
+        rc = main(["criterion", "--family", family, "--lam", lam, "--indices", indices,
+                   "--out", str(tmp_path)])
+        assert rc == code
+        assert (tmp_path / f"criterion_{family}.json").read_bytes() == (GOLDEN / golden).read_bytes()
+
 
 class TestGoldenReports:
     """Reports recorded before the criterion quantities became kernel
