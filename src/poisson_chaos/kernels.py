@@ -478,41 +478,39 @@ def ou_ghat(lam: float, T: float, x, y):
 
 # Parts of the OU pair kernel's contraction norms, each lam^k times a
 # nonnegative function of x = lam T written as sum_j P_j(x) e^{-j x}:
-# {j: coefficients of P_j from the constant term up}.  R1 and v are defined in
-# OUDoubleHKernel.contraction_norms; A, B are its section parts.
+# {j: numerators over _EXP_POLY_DEN of the coefficients of P_j from the
+# constant term up}.  Integers keep the series branch exact.  R1 and v are
+# defined in OUDoubleHKernel.contraction_norms; A, B are its section parts.
+_EXP_POLY_DEN = 48
 _OU_NORM_PARTS = {
-    "trace_r1": {0: ("-93/16", "5/2"), 2: ("7/2", "9", "8", "8/3"),     # Tr(R1^4)
-                 4: ("7/4", "5", "4"), 6: ("1/2", "1"), 8: ("1/16",)},
-    "p0": {0: ("1/2",), 2: ("-1/2",)},                                  # <v, v>
-    "p1": {0: ("1/4",), 2: ("0", "-1"), 4: ("-1/4",)},                  # <v, R1 v>
-    "p2": {0: ("1/4",), 2: ("1/8", "-1/2", "-1"), 4: ("-1/4", "-1"),    # <v, R1^2 v>
-           6: ("-1/8",)},
-    "p3": {0: ("5/16",), 2: ("1/4", "-1/4", "-1", "-2/3"),              # <v, R1^3 v>
-           4: ("-1/4", "-3/2", "-2"), 6: ("-1/4", "-3/4"), 8: ("-1/16",)},
-    "s_aa": {0: ("-29/16", "1"), 2: ("-1/8", "5", "1"),                 # int_0^T A^2
-             4: ("15/8", "2", "-1"), 6: ("1/8", "-1/2"), 8: ("-1/16",)},
-    "s_ab": {0: ("3/16",), 2: ("21/16", "-3/2", "-1/2"),                # int_0^T A B
-             4: ("-5/4", "-5/2"), 6: ("-5/16", "1/4"), 8: ("1/16",)},
-    "s_bb": {0: ("1/16",), 2: ("-1/2",), 4: ("0", "3/2"), 6: ("1/2",),  # int_0^T B^2
-             8: ("-1/16",)},
+    # Tr(R1^4) = 5x/2 - 93/16 + (8x^3/3 + 8x^2 + 9x + 7/2) e^{-2x}
+    #            + (4x^2 + 5x + 7/4) e^{-4x} + (x + 1/2) e^{-6x} + e^{-8x}/16
+    "trace_r1": {0: (-279, 120), 2: (168, 432, 384, 128), 4: (84, 240, 192),
+                 6: (24, 48), 8: (3,)},
+    # <v, v> = 1/2 - e^{-2x}/2
+    "p0": {0: (24,), 2: (-24,)},
+    # <v, R1 v> = 1/4 - x e^{-2x} - e^{-4x}/4
+    "p1": {0: (12,), 2: (0, -48), 4: (-12,)},
+    # <v, R1^2 v> = 1/4 - (x^2 + x/2 - 1/8) e^{-2x} - (x + 1/4) e^{-4x} - e^{-6x}/8
+    "p2": {0: (12,), 2: (6, -24, -48), 4: (-12, -48), 6: (-6,)},
+    # <v, R1^3 v> = 5/16 - (2x^3/3 + x^2 + x/4 - 1/4) e^{-2x}
+    #               - (2x^2 + 3x/2 + 1/4) e^{-4x} - (3x/4 + 1/4) e^{-6x} - e^{-8x}/16
+    "p3": {0: (15,), 2: (12, -12, -48, -32), 4: (-12, -72, -96), 6: (-12, -36), 8: (-3,)},
+    # int_0^T A^2 = x - 29/16 + (x^2 + 5x - 1/8) e^{-2x} + (-x^2 + 2x + 15/8) e^{-4x}
+    #               + (1/8 - x/2) e^{-6x} - e^{-8x}/16
+    "s_aa": {0: (-87, 48), 2: (-6, 240, 48), 4: (90, 96, -48), 6: (6, -24), 8: (-3,)},
+    # int_0^T A B = 3/16 - (x^2/2 + 3x/2 - 21/16) e^{-2x} - (5x/2 + 5/4) e^{-4x}
+    #               + (x/4 - 5/16) e^{-6x} + e^{-8x}/16
+    "s_ab": {0: (9,), 2: (63, -72, -24), 4: (-60, -120), 6: (-15, 12), 8: (3,)},
+    # int_0^T B^2 = 1/16 - e^{-2x}/2 + 3x e^{-4x}/2 + e^{-6x}/2 - e^{-8x}/16
+    "s_bb": {0: (3,), 2: (-24,), 4: (0, 72), 6: (24,), 8: (-3,)},
 }
-_EXP_POLY_DEN = 48        # common denominator of the coefficients above
 _EXP_POLY_SWITCH = 1.5    # Taylor series below this x, direct sum above
 _EXP_POLY_TERMS = 40
-
-
-def _scaled_coefficient(c: str) -> int:
-    # exact value of the rational "a/b" times _EXP_POLY_DEN
-    num, _, den = c.partition("/")
-    return int(num) * (_EXP_POLY_DEN // int(den or 1))
-
-
-@lru_cache(maxsize=None)
-def _exp_poly_direct(name: str):
-    """Direct branch of one part of _OU_NORM_PARTS: ((j, float
-    coefficients of P_j from the constant term up), ...)."""
-    return tuple((j, tuple(_scaled_coefficient(c) / _EXP_POLY_DEN for c in coeffs))
-                 for j, coeffs in _OU_NORM_PARTS[name].items())
+# direct branch: per part, (j, float coefficients of P_j highest order first)
+_EXP_POLY_DIRECT = tuple(tuple((j, tuple(c / _EXP_POLY_DEN for c in reversed(coeffs)))
+                               for j, coeffs in part.items())
+                         for part in _OU_NORM_PARTS.values())
 
 
 @lru_cache(maxsize=None)
@@ -532,7 +530,6 @@ def _exp_poly_series(name: str):
     series = [0] * n_terms
     for j, coeffs in parts.items():
         for i, c in enumerate(coeffs):
-            c = _scaled_coefficient(c)
             for n in range(i, n_terms):
                 series[n] += c * (h - j) ** (n - i) * (top // math.factorial(n - i))
     return float(h), tuple(g / (_EXP_POLY_DEN * top) for g in reversed(series))
@@ -546,19 +543,20 @@ def _horner(coeffs, x: float) -> float:
     return acc
 
 
-def _exp_poly(name: str, x: float) -> float:
-    """Value at x >= 0 of one part of _OU_NORM_PARTS.
+def _ou_norm_parts(x: float) -> list[float]:
+    """Values at x >= 0 of all parts of _OU_NORM_PARTS, in their order.
 
     Each part vanishes like a power of x at 0 (up to x^8), where its direct
     sum cancels; below _EXP_POLY_SWITCH its centred Taylor series is used
     instead.  Both branches are accurate to about 1e-14 relative on each
-    side of the switch.
+    side of the switch.  The direct sums share one e^{-j x} per j.
     """
     if x < _EXP_POLY_SWITCH:
-        h, series = _exp_poly_series(name)
-        return math.exp(-h * x) * _horner(series, x)
-    return math.fsum(_horner(coeffs[::-1], x) * math.exp(-j * x)
-                     for j, coeffs in _exp_poly_direct(name))
+        return [math.exp(-h * x) * _horner(series, x)
+                for h, series in map(_exp_poly_series, _OU_NORM_PARTS)]
+    exps = {j: math.exp(-j * x) for j in range(0, 9, 2)}
+    return [math.fsum([_horner(coeffs, x) * exps[j] for j, coeffs in part])
+            for part in _EXP_POLY_DIRECT]
 
 
 def ou_sorted_atoms(lam: float, T: float, u, x):
@@ -761,12 +759,12 @@ class OUDoubleHKernel(Kernel):
 
         Every part (Tr(R1^4), the p_k, the three integrals) is a nonnegative
         exponential polynomial in x, listed in _OU_NORM_PARTS, so no sum
-        above cancels; see _exp_poly for how each part is evaluated.
+        above cancels; see _ou_norm_parts for how they are evaluated.
         """
         lam, T = self.lam, self.T
         x = lam * T
         ell = lam * _ou_window_length(window, T)
-        tr, p0, p1, p2, p3, s_aa, s_ab, s_bb = (_exp_poly(name, x) for name in _OU_NORM_PARTS)
+        tr, p0, p1, p2, p3, s_aa, s_ab, s_bb = _ou_norm_parts(x)
         d = -math.expm1(-2.0 * ell)
         trace = tr + d * (4.0 * p3 + d * (4.0 * p0 * p2 + 2.0 * p1 ** 2
                                           + d * (4.0 * p0 ** 2 * p1 + d * p0 ** 4)))

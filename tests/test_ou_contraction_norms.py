@@ -4,14 +4,15 @@ quadrature oracle."""
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from poisson_chaos.kernels import (
-    _EXP_POLY_SWITCH, _OU_NORM_PARTS, OUDoubleHKernel, _exp_poly_direct, _exp_poly_series,
-    _horner,
+    _EXP_POLY_DEN, _EXP_POLY_SWITCH, _OU_NORM_PARTS, OUDoubleHKernel, _exp_poly_series,
+    _horner, _ou_norm_parts,
 )
 from poisson_chaos.point_process import DiscreteControl, Window
 
@@ -77,17 +78,57 @@ def test_matches_50_digit_reference(lam, ells, rtol):
     assert worst <= rtol
 
 
+# The parts of _OU_NORM_PARTS as the rationals they stand for, written out
+# independently of the kernel module's integer table.
+_RATIONAL_PARTS = {
+    "trace_r1": {0: ("-93/16", "5/2"), 2: ("7/2", "9", "8", "8/3"),
+                 4: ("7/4", "5", "4"), 6: ("1/2", "1"), 8: ("1/16",)},
+    "p0": {0: ("1/2",), 2: ("-1/2",)},
+    "p1": {0: ("1/4",), 2: ("0", "-1"), 4: ("-1/4",)},
+    "p2": {0: ("1/4",), 2: ("1/8", "-1/2", "-1"), 4: ("-1/4", "-1"), 6: ("-1/8",)},
+    "p3": {0: ("5/16",), 2: ("1/4", "-1/4", "-1", "-2/3"), 4: ("-1/4", "-3/2", "-2"),
+           6: ("-1/4", "-3/4"), 8: ("-1/16",)},
+    "s_aa": {0: ("-29/16", "1"), 2: ("-1/8", "5", "1"), 4: ("15/8", "2", "-1"),
+             6: ("1/8", "-1/2"), 8: ("-1/16",)},
+    "s_ab": {0: ("3/16",), 2: ("21/16", "-3/2", "-1/2"), 4: ("-5/4", "-5/2"),
+             6: ("-5/16", "1/4"), 8: ("1/16",)},
+    "s_bb": {0: ("1/16",), 2: ("-1/2",), 4: ("0", "3/2"), 6: ("1/2",), 8: ("-1/16",)},
+}
+
+
+def direct_part(name, x):
+    """One part by its direct sum, fsum of horner(P_j) e^{-j x} over j, with
+    every coefficient rounded once from its rational and its own e^{-j x}."""
+    return math.fsum(_horner([float(Fraction(c)) for c in reversed(cs)], x) * math.exp(-j * x)
+                     for j, cs in _RATIONAL_PARTS[name].items())
+
+
+def test_integer_table_is_the_rationals():
+    assert list(_OU_NORM_PARTS) == list(_RATIONAL_PARTS)
+    for name, part in _RATIONAL_PARTS.items():
+        want = {j: tuple(Fraction(c) for c in cs) for j, cs in part.items()}
+        got = {j: tuple(Fraction(c, _EXP_POLY_DEN) for c in cs)
+               for j, cs in _OU_NORM_PARTS[name].items()}
+        assert got == want, name
+
+
+def test_one_pass_equals_each_part_summed_alone():
+    # at and above the switch, one call gives every part bit for bit as its
+    # own direct sum does
+    xs = [_EXP_POLY_SWITCH, *np.geomspace(_EXP_POLY_SWITCH, 1e4, 97)[1:].tolist(), 1e4]
+    for x in xs:
+        assert _ou_norm_parts(x) == [direct_part(name, x) for name in _RATIONAL_PARTS], x
+
+
 @pytest.mark.parametrize("name", list(_OU_NORM_PARTS))
 def test_part_branches_agree_around_switch(name):
     # both evaluation branches of every part are accurate from about x = 1.05
     # (direct sum) up to about x = 2 (40-term series), around the switch
-    direct = _exp_poly_direct(name)
     h, series = _exp_poly_series(name)
     for x in (1.2, _EXP_POLY_SWITCH, 1.8):
         by_series = math.exp(-h * x) * _horner(series, x)
-        by_sum = math.fsum(_horner(cs[::-1], x) * math.exp(-j * x) for j, cs in direct)
         assert by_series > 0.0
-        assert by_series == pytest.approx(by_sum, rel=1e-13)
+        assert by_series == pytest.approx(direct_part(name, x), rel=1e-13)
 
 
 def test_series_branch_is_built_only_below_the_switch():
