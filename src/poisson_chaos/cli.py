@@ -16,16 +16,17 @@ and takes the exit code from one verdict.  Every output file embeds the tool
 version, the config hash, and the master seed, so a rerun from that triple
 reproduces the file byte-identically; wall times go to stdout only.  Exit
 codes: 0 all verdicts pass, 1 at least one fails, 2 usage or configuration
-error (a flag the subcommand does not take, an unknown family, theorem or
-case, a control that does not match the requested case or theorem, hazard
-case 2 at T <= 1, fewer than two replications (100 for ou theorem 4) or one
-worker, a rate, horizon or bandwidth that is not finite and positive, an eps
-that is not finite and nonnegative, a hazard control with infinite mass (a
-Gamma control with eps = 0), a window bound that is not finite, fewer than
-one block, a config section the subcommand does not read (see SUBCOMMANDS; ou
-refuses [control]), an [experiment] key it has no flag for), 3 a replication
-crashed (the one-line message names its index and the master seed) or a
-numerical check failed.  The exit code follows the JSON `passed` but for
+error (a flag the subcommand does not take, a hazard flag the chosen theorem
+does not read (--variant for 7, --case for 8), a negative seed, an unknown
+family, theorem or case, a control that does not match the requested case or
+theorem, hazard case 2 at T <= 1, fewer than two replications (100 for ou
+theorem 4) or one worker, a rate, horizon or bandwidth that is not finite and
+positive, an eps that is not finite and nonnegative, a hazard control with
+infinite mass (a Gamma control with eps = 0), a window bound that is not
+finite, fewer than one block, a config section the subcommand does not read
+(see SUBCOMMANDS; ou refuses [control]), an [experiment] key it has no flag
+for), 3 a replication crashed (the one-line message names its index and the
+master seed) or a numerical check failed.  The exit code follows the JSON `passed` but for
 block, whose exit code judges the fourth moment E G^2 against 3 + 37/n while
 its JSON `passed` judges the KS distance.
 """
@@ -201,27 +202,32 @@ def cmd_ou(args) -> int:
 
 
 def cmd_hazard(args) -> int:
+    # theorem 7 reads --case alone, theorem 8 --variant alone
+    unread = "variant" if args.theorem == 7 else "case"
+    if getattr(args, unread) is not None:
+        raise ValueError(f"hazard theorem {args.theorem} takes no --{unread}")
+    case, variant = args.case or 1, args.variant or "raw"
     control = (control_from_section(args.sections["control"]) if "control" in args.sections
-               else (UNIT_JUMPS, hz.ExtendedGammaControl(), hz.BetaControl())[args.case - 1])
+               else (UNIT_JUMPS, hz.ExtendedGammaControl(), hz.BetaControl())[case - 1])
     model = hz.rect_model(control, T=args.T, tau=args.tau)
     # the targets are computed first: each raises CaseMismatchError, a usage
     # error, for a model its theorem or case is not stated for
     if args.theorem == 7:
-        target = hz.linear_case_targets(model, args.case)
-        center, scale = hz.linear_center_scale(model, args.case)
-        stem = f"hazard_thm7_case{args.case}_T{args.T:g}"
-        stat = StatisticSpec(f"hazard_case{args.case}_T{args.T:g}", 0, target,
-                             {1: 0.3, 2: 0.8, 3: 1.0}[args.case], f"{stem}_values.csv")
+        target = hz.linear_case_targets(model, case)
+        center, scale = hz.linear_center_scale(model, case)
+        stem = f"hazard_thm7_case{case}_T{args.T:g}"
+        stat = StatisticSpec(f"hazard_case{case}_T{args.T:g}", 0, target,
+                             {1: 0.3, 2: 0.8, 3: 1.0}[case], f"{stem}_values.csv")
         rep_fn, cfg = hz.rep_linear_case, (model, center, scale)
         extra = lambda v: {"empirical_centering_mean_H": float(np.mean(v[:, 1])),
                            "campbell_mean_H": hz.cumulative_mean_exact(model),
                            "campbell_variance_H": hz.cumulative_variance_exact(model)}
     else:
-        stated = hz.quadratic_variance_stated(model, args.variant)
-        target = hz.quadratic_variance_derived(model, args.variant)
-        stem = f"hazard_thm8_{args.variant}_T{args.T:g}"
-        raw = args.variant == "raw"
-        stat = StatisticSpec(f"hazard_quad_{args.variant}_T{args.T:g}", 0 if raw else 1, target,
+        stated = hz.quadratic_variance_stated(model, variant)
+        target = hz.quadratic_variance_derived(model, variant)
+        stem = f"hazard_thm8_{variant}_T{args.T:g}"
+        raw = variant == "raw"
+        stat = StatisticSpec(f"hazard_quad_{variant}_T{args.T:g}", 0 if raw else 1, target,
                              max(4.0 if raw else 1.5, 0.1 * target), f"{stem}_values.csv")
         rep_fn, cfg = hz.rep_quadratic, model
         extra = lambda v: {"variance_stated": stated, "variance_derived": target}
@@ -307,9 +313,8 @@ SUBCOMMANDS = {
         "random hazard rate experiments", cmd_hazard, ("experiment", "control"), True,
         (_flag("--theorem", type=int, required=True, choices=(7, 8),
                help="7 = linear, 8 = quadratic"),
-         _flag("--case", type=int, default=1, choices=(1, 2, 3),
-               help="control family case for theorem 7"),
-         _flag("--variant", choices=("raw", "centered"), default="raw"),
+         _flag("--case", type=int, choices=(1, 2, 3), help="control family case for theorem 7"),
+         _flag("--variant", choices=("raw", "centered")),
          _flag("--tau", type=float, default=1.0),
          _flag("--T", type=float, default=200.0))),
     "sample": Subcommand(
@@ -349,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_defaults(args) -> None:
     """Reads --config once into args.sections, refusing a section the
     subcommand does not read and an [experiment] key it has no flag for;
-    [experiment] fills in --seed and --reps where they are not given."""
+    [experiment] fills in --seed and --reps where they are not given.  A
+    negative seed, from either source, is refused here."""
     args.sections = read_config(args.config) if args.config else {}
     for name in args.sections:
         if name not in SUBCOMMANDS[args.command].sections:
@@ -362,6 +368,8 @@ def _resolve_defaults(args) -> None:
     for key, default in defaults.items():
         if getattr(args, key) is None:
             setattr(args, key, int(section.get(key, default)))
+    if args.seed < 0:
+        raise ValueError(f"the master seed must be a nonnegative integer, got seed = {args.seed}")
     if "reps" in defaults and (args.reps < 2 or args.workers < 1):
         raise ValueError(f"need at least two replications and one worker, "
                          f"got reps = {args.reps}, workers = {args.workers}")

@@ -708,6 +708,58 @@ class TestOneSourcePerValue:
         assert err == [f"invalid request: need at least two replications and one worker, got {got}"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["criterion", "--family", "block", "--indices", "10,30"],
+        ["block", "--n", "10", "--reps", "20"],
+        ["ou", "--theorem", "5", "--T", "20", "--reps", "20"],
+        ["hazard", "--theorem", "7", "--T", "20", "--reps", "20"],
+        ["sample", "--x-hi", "25"],
+    ], ids=lambda v: v[0])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, source):
+        # no Monte Carlo run can reproduce a report stamped with such a seed
+        monkeypatch.setattr(cli, "collect", lambda *a: pytest.fail("a replication ran"))
+        monkeypatch.setattr(cli.chaos, "clt_criterion", lambda *a, **k: pytest.fail("ran"))
+        if source == "flag":
+            argv = [*argv, "--seed", "-3"]
+        else:
+            (tmp_path / "run.cfg").write_text("[experiment]\nseed = -3\n", encoding="utf-8")
+            argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+        rc = main([*argv, "--out", str(tmp_path / "out")])
+        assert rc == USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip().splitlines() == [
+            "invalid request: the master seed must be a nonnegative integer, got seed = -3"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, unread", [
+        (["--theorem", "7", "--variant", "centered"], "variant"),
+        (["--theorem", "7", "--case", "1", "--variant", "raw"], "variant"),
+        (["--theorem", "8", "--case", "2"], "case"),
+        (["--theorem", "8", "--case", "1", "--variant", "centered"], "case"),
+    ], ids=" ".join)
+    def test_hazard_flag_the_theorem_does_not_read_is_a_usage_error(
+            self, tmp_path, monkeypatch, capsys, flags, unread):
+        monkeypatch.setattr(cli, "collect", lambda *a: pytest.fail("a replication ran"))
+        rc = main(["hazard", *flags, "--T", "20", "--reps", "20", "--out", str(tmp_path / "out")])
+        assert rc == USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip().splitlines() == [
+            f"invalid request: hazard theorem {flags[1]} takes no --{unread}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("theorem, default", [("7", ["--case", "1"]),
+                                                  ("8", ["--variant", "raw"])])
+    def test_hazard_theorem_reads_its_default_flag(self, tmp_path, theorem, default):
+        argv = ["hazard", "--theorem", theorem, "--T", "20", "--reps", "20", "--seed", "3"]
+        codes = [main([*argv, *extra, "--out", str(tmp_path / name)])
+                 for name, extra in (("a", []), ("b", default))]
+        assert codes[0] == codes[1] and codes[0] in (0, 1)
+        (report,) = (tmp_path / "a").iterdir()
+        assert report.read_bytes() == (tmp_path / "b" / report.name).read_bytes()
+
 
 GOLDEN = Path(__file__).parent / "golden"
 
