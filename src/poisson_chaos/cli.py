@@ -26,9 +26,9 @@ infinite mass (a Gamma control with eps = 0), a window bound that is not
 finite, fewer than one block, a config section the subcommand does not read
 (see SUBCOMMANDS; ou refuses [control]), an [experiment] key it has no flag
 for), 3 a replication crashed (the one-line message names its index and the
-master seed) or a numerical check failed.  The exit code follows the JSON `passed` but for
-block, whose exit code judges the fourth moment E G^2 against 3 + 37/n while
-its JSON `passed` judges the KS distance.
+master seed) or a numerical check failed.  The exit code follows the JSON
+`passed` but for block, whose exit code judges the fourth moment E G^2
+against 3 + 37/n while its JSON `passed` judges the KS distance.
 """
 
 from __future__ import annotations

@@ -262,7 +262,8 @@ class TestOUPairCriterion:
         rc = main(["criterion", "--family", family, "--lam", lam, "--indices", indices,
                    "--out", str(tmp_path)])
         assert rc == code
-        assert (tmp_path / f"criterion_{family}.json").read_bytes() == (GOLDEN / golden).read_bytes()
+        got = (tmp_path / f"criterion_{family}.json").read_bytes()
+        assert got == (GOLDEN / golden).read_bytes()
 
 
 class TestGoldenReports:
