@@ -310,6 +310,9 @@ class TestGoldenRuns:
                                "--reps", "200", "--seed", "5"], 1),
         "ou_thm5_lam2": (["ou", "--theorem", "5", "--lambda", "2", "--T", "30",
                           "--reps", "200", "--seed", "3"], 1),
+        # lam T = 800: the first run with atoms whose e^{lam (x - T)} is subnormal
+        "ou_thm5_T800": (["ou", "--theorem", "5", "--lambda", "1", "--T", "800",
+                          "--reps", "100", "--seed", "7"], 1),
         # block_n10.csv carries E G^2 in its m4 column
         "block_n10": (["block", "--n", "10", "--reps", "2000", "--seed", "5"], 1),
     }
