@@ -23,7 +23,9 @@ theorem, hazard case 2 at T <= 1, fewer than two replications (100 for ou
 theorem 4) or one worker, a rate, horizon or bandwidth that is not finite and
 positive, an eps that is not finite and nonnegative, a hazard control with
 infinite mass (a Gamma control with eps = 0), a window bound that is not
-finite, fewer than one block, a config section the subcommand does not read
+finite, fewer than one block, a sampled pattern of more than
+point_process.MAX_MEAN_ATOMS atoms on average (ou, hazard, sample, block; its
+arrays could exhaust memory), a config section the subcommand does not read
 (see SUBCOMMANDS; ou refuses [control]), an [experiment] key it has no flag
 for), 3 a replication crashed (the one-line message names its index and the
 master seed) or a numerical check failed.  The exit code follows the JSON
@@ -46,7 +48,8 @@ import numpy as np
 
 from . import __version__
 from .configio import ConfigError, config_hash, control_from_section, read_config
-from .point_process import DiscreteControl, Window, sample_pattern, pattern_to_csv
+from .point_process import (DiscreteControl, Window, check_atom_budget, sample_pattern,
+                            pattern_to_csv)
 from .kernels import BlockKernel, GridKernel, OUDoubleHKernel
 from . import chaos, hazard as hz, ou as oumod
 from .harness import TargetSpec, collect, summarize, values_to_csv
@@ -157,6 +160,7 @@ def cmd_criterion(args) -> int:
 def cmd_block(args) -> int:
     n = args.n
     BlockKernel(n)   # rejects n < 1 before any replication
+    check_atom_budget(UNIT_JUMPS, Window(0.0, float(n)))   # one Poisson count per block
     t0 = time.perf_counter()
     values = collect(chaos.rep_block, n, args.reps, args.seed, args.workers)
     f_vals, g_vals = values[:, 0], values[:, 1]
@@ -183,6 +187,7 @@ def cmd_block(args) -> int:
 def cmd_ou(args) -> int:
     lam, T = args.lam, args.T
     cfg = oumod.OUConfig(lam=lam, T=T)
+    check_atom_budget(cfg.jumps, cfg.window)
     stem, label = f"ou_thm{args.theorem}_T{T:g}", f"ou theorem {args.theorem} T={T:g}"
     if args.theorem == 4:
         if args.reps < 100:
@@ -210,6 +215,7 @@ def cmd_hazard(args) -> int:
     control = (control_from_section(args.sections["control"]) if "control" in args.sections
                else (UNIT_JUMPS, hz.ExtendedGammaControl(), hz.BetaControl())[case - 1])
     model = hz.rect_model(control, T=args.T, tau=args.tau)
+    check_atom_budget(model.control, model.window)
     # the targets are computed first: each raises CaseMismatchError, a usage
     # error, for a model its theorem or case is not stated for
     if args.theorem == 7:
@@ -241,6 +247,7 @@ def cmd_sample(args) -> int:
     control = (control_from_section(args.sections["control"]) if "control" in args.sections
                else UNIT_JUMPS)
     window = Window(args.x_lo, args.x_hi)
+    check_atom_budget(control, window)
     pattern = sample_pattern(control, window, args.seed)
     mass = float(control.mass(window))
     path = Path(args.out) / "pattern.csv"

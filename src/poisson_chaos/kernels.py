@@ -37,6 +37,11 @@ DENSE_PAIR_BYTES_MAX = 1 << 28
 # 600 is 1.1e-13).
 _SCAN_SPAN = 600.0
 
+# Lowest exponent lam * (x - T) at which ou_sorted_atoms evaluates
+# e^{lam (x - T)}: just below ln(DBL_MIN) = -708.3964..., so np.exp of any
+# lower exponent is subnormal or 0, and every normal e is evaluated.
+_E_EXPONENT_MIN = -708.4
+
 
 class ArityError(ValueError):
     pass
@@ -561,8 +566,21 @@ def _ou_norm_parts(x: float) -> list[float]:
 
 def ou_sorted_atoms(lam: float, T: float, u, x):
     """The atoms at x <= T sorted by x, with e = e^{lam (x - T)} for every
-    one of them and p = e^{lam x} for the first p.size, those at x <= 0:
-    the exponentials ou_pair_terms and the OU statistics are built from."""
+    one of them (0 where it is below DBL_MIN) and p = e^{lam x} for the
+    first p.size, those at x <= 0: the exponentials ou_pair_terms and the
+    OU statistics are built from.
+
+    e is evaluated only where it is a normal double, from the first atom
+    with lam (x - T) >= _E_EXPONENT_MIN on, and left at 0 before it.  np.exp
+    is several times slower on arguments whose value is subnormal, and so
+    is arithmetic on subnormal operands; at lam T = 800 about a tenth of
+    the atoms lie there.  The values built from e do not change: 1 - e = 1
+    and e^2 = 0 for any e below DBL_MIN, the pair scan reads e only where
+    lam (T - x) < _SCAN_SPAN, and the rank-one sum over u e absorbs terms
+    about 1e-308 times smaller than its terms of order one.  Only a pair
+    sum with no term above about 1e-290 can move, by less than |u u'|
+    DBL_MIN per pair.
+    """
     x = np.asarray(x, dtype=float)
     order = x.argsort()
     x = x[order]
@@ -571,7 +589,11 @@ def ou_sorted_atoms(lam: float, T: float, u, x):
     x = x[:inside]
     u = np.asarray(u, dtype=float)[order[:inside]]
     nonpositive = int(x.searchsorted(0.0, side="right"))
-    return u, x, np.exp(lam * (x - T)), np.exp(lam * x[:nonpositive])
+    exponent = lam * (x - T)   # nondecreasing, as x is
+    e = np.zeros_like(exponent)
+    normal = int(exponent.searchsorted(_E_EXPONENT_MIN))
+    np.exp(exponent[normal:], out=e[normal:])
+    return u, x, e, np.exp(lam * x[:nonpositive])
 
 
 def ou_pair_terms(lam: float, T: float, u, x, e, p) -> float:

@@ -32,6 +32,8 @@ __all__ = [
     "ExtendedGammaControl",
     "BetaControl",
     "sample_pattern",
+    "check_atom_budget",
+    "MAX_MEAN_ATOMS",
     "replication_seed",
     "pattern_to_csv",
 ]
@@ -94,7 +96,7 @@ class PointPattern:
 
 # ---------------------------------------------------------------------------
 # replication seeds: numpy's SeedSequence hash (O'Neill's seed_seq, NEP 19)
-# and PCG64's seeding step, in Python ints
+# and PCG64's seeding step, in Python ints and uint64 arrays
 # ---------------------------------------------------------------------------
 
 _M32 = 0xFFFFFFFF
@@ -135,10 +137,11 @@ def _mix(x: int, y: int) -> int:
 
 @lru_cache(maxsize=16)
 def _master_pool(master_seed: int, index_words: int):
-    """The index-free part of SeedSequence(master_seed, spawn_key=(index,)):
-    the pool after mixing in the master's words, the hash constants that mix
-    in each of the index's words (four per word), and those of
-    generate_state."""
+    """The index-free part of SeedSequence(master_seed, spawn_key=(index,)),
+    as uint64 columns that broadcast over a block of indices: the pool after
+    mixing in the master's words (shape (4, 1)), the (xor, multiplier) hash
+    constants that mix in each of the index's words (shape (2, 4, 1) per
+    word), and those of generate_state (shape (2, 8, 1))."""
     words = _uint32_words(master_seed)
     words += [0] * (4 - len(words))   # with a spawn key, the entropy fills the pool
     hashes = iter(_hash_constants(0x43B0D7E5, 0x931E8875, 4 * (len(words) + index_words)))
@@ -149,31 +152,68 @@ def _master_pool(master_seed: int, index_words: int):
                 pool[d] = _mix(pool[d], _hashmix(pool[s], next(hashes)))
     for w in words[4:]:
         pool = [_mix(p, _hashmix(w, next(hashes))) for p in pool]
-    rest = tuple(hashes)
-    return (tuple(pool), tuple(rest[k:k + 4] for k in range(0, len(rest), 4)),
-            tuple(_hash_constants(0x8B51F9DD, 0x58F38DED, 8)))
+    rest = list(hashes)
+    pool = np.array(pool, dtype=np.uint64)[:, None]
+    index_hashes = [_pair_columns(rest[k:k + 4]) for k in range(0, len(rest), 4)]
+    out = _pair_columns(_hash_constants(0x8B51F9DD, 0x58F38DED, 8))
+    for a in (pool, out, *index_hashes):   # cached, so shared by every block
+        a.setflags(write=False)
+    return pool, index_hashes, out
+
+
+def _pair_columns(pairs) -> np.ndarray:
+    # (xor, multiplier) pairs as two uint64 columns, shape (2, len(pairs), 1)
+    return np.array(pairs, dtype=np.uint64).T[:, :, None]
+
+
+# Replication seeds are computed for this many aligned indices at a time.
+# 2^32 is a multiple of it, so the indices of a block share every uint32
+# word but the lowest, and so their word count.
+_SEED_BLOCK = 64
+
+
+@lru_cache(maxsize=8)
+def _seed_block(master_seed: int, block: int) -> tuple[tuple[int, int], ...]:
+    """PCG64's (state, inc) for the indices block * _SEED_BLOCK + k,
+    k < _SEED_BLOCK: the SeedSequence hashing in uint64 arrays masked to 32
+    bits, one column per index (the products of 32-bit words are exact, and
+    differences wrap modulo 2^64, a multiple of 2^32), then the 128-bit
+    words in Python ints."""
+    words = _uint32_words(block * _SEED_BLOCK)
+    pool, hashes, (ox, om) = _master_pool(master_seed, len(words))
+    low = np.arange(words[0], words[0] + _SEED_BLOCK, dtype=np.uint64)
+    for w, (x, m) in zip([low, *words[1:]], hashes):
+        # pool[d] = _mix(pool[d], _hashmix(w, hashes[d]))
+        v = (w ^ x) * m & _M32
+        v ^= v >> 16
+        r = (0xCA01F9DD * pool - 0x4973F715 * v) & _M32
+        pool = r ^ r >> 16
+    # generate_state(4, np.uint64): the pool words hashed twice round,
+    # paired low word first into the 64-bit halves of PCG64's 128-bit state
+    # s and increment t
+    v = (np.concatenate([pool, pool]) ^ ox) * om & _M32
+    v ^= v >> 16
+    s_hi, s_lo, t_hi, t_lo = (v[0::2] | v[1::2] << 32).tolist()
+    states = []
+    for sh, sl, th, tl in zip(s_hi, s_lo, t_hi, t_lo):
+        # pcg_setseq_128_srandom_r: inc = 2t + 1, two LCG steps
+        inc = (th << 65 | tl << 1 | 1) & _M128
+        states.append(((((sh << 64 | sl) + inc) * _PCG64_MULT + inc) & _M128, inc))
+    return tuple(states)
 
 
 def replication_seed(master_seed: int, index: int) -> dict:
     """Counter-based replication seed: the state that
     np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(index,)))
     starts in, as a dict to assign to a PCG64's ``state``.  It depends only
-    on (master_seed, index), never on scheduling order or worker count."""
-    words = _uint32_words(int(index))
-    pool, hashes, out = _master_pool(int(master_seed), len(words))
-    for w, hs in zip(words, hashes):
-        # pool[d] = _mix(pool[d], _hashmix(w, hs[d])), inlined: this runs once
-        # per replication
-        pool = [(r := (0xCA01F9DD * p - 0x4973F715 * ((v := (w ^ x) * m & _M32) ^ v >> 16))
-                 & _M32) ^ r >> 16 for p, (x, m) in zip(pool, hs)]
-    # generate_state(4, np.uint64): the pool words hashed twice round
-    s = [(v := (p ^ x) * m & _M32) ^ v >> 16 for p, (x, m) in zip(pool * 2, out)]
-    # PCG64 seeds with the 128-bit state s and increment t from those four
-    # words, then pcg_setseq_128_srandom_r: inc = 2t + 1, two LCG steps
-    seed = s[1] << 96 | s[0] << 64 | s[3] << 32 | s[2]
-    inc = (s[5] << 97 | s[4] << 65 | s[7] << 33 | s[6] << 1 | 1) & _M128
+    on (master_seed, index), never on scheduling order or worker count.  The
+    states are computed a block of _SEED_BLOCK aligned indices at a time and
+    cached, so a run that seeds its replications in index order pays the
+    hashing once per block; the stream is the same."""
+    index = int(index)
+    state, inc = _seed_block(int(master_seed), index // _SEED_BLOCK)[index % _SEED_BLOCK]
     return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-            "state": {"state": ((inc + seed) * _PCG64_MULT + inc) & _M128, "inc": inc}}
+            "state": {"state": state, "inc": inc}}
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +323,11 @@ class ControlMeasure:
         is computed."""
 
     # -- sampling ----------------------------------------------------------
+    def mean_atoms(self, window: Window) -> float:
+        """Mean of the Poisson atom count that sample() draws on the window;
+        nu(R) |W| here, non-homogeneous controls override."""
+        return self.jump_mass() * window.length
+
     def sample(self, window: Window, rng: np.random.Generator):
         """(u, x) of one Poisson pattern on the window."""
         raise NotImplementedError
@@ -332,8 +377,7 @@ class DiscreteControl(ControlMeasure):
         return self._abs_moments[i]
 
     def sample(self, window: Window, rng: np.random.Generator):
-        total = self._moments[0] * window.length
-        n = rng.poisson(total)
+        n = rng.poisson(self.mean_atoms(window))
         x = rng.uniform(window.x_lo, window.x_hi, size=n)
         if not n:
             return np.empty(0), x
@@ -522,6 +566,9 @@ class ExtendedGammaControl(ControlMeasure):
         table = _InverseCDF(grid, np.exp(-grid) / grid * b)
         return table, table.total   # the table's mass, within 1e-5 of mu(window)
 
+    def mean_atoms(self, window: Window) -> float:
+        return _window_constants(self, window)[1]   # the table's mass: no scipy
+
     def sample(self, window: Window, rng: np.random.Generator):
         table, total = _window_constants(self, window)
         n = rng.poisson(total)
@@ -579,10 +626,12 @@ class BetaControl(ControlMeasure):
             raise ValueError("Beta control is supported on x > 0")
         return window.length
 
+    def mean_atoms(self, window: Window) -> float:
+        return window.length
+
     def sample(self, window: Window, rng: np.random.Generator):
         # exact conditional inversion: u | x ~ 1 - (1-V)^{1/c(x)}
-        total = window.length
-        n = rng.poisson(total)
+        n = rng.poisson(self.mean_atoms(window))
         x = rng.uniform(window.x_lo, window.x_hi, size=n)
         u = 1.0 - (1.0 - rng.uniform(size=n)) ** (1.0 / self.c(x))
         return u, x
@@ -591,6 +640,22 @@ class BetaControl(ControlMeasure):
 # ---------------------------------------------------------------------------
 # module operations
 # ---------------------------------------------------------------------------
+
+
+# Largest mean atom count of one sampled pattern that a run may ask for:
+# about 100 times the largest documented run (a hazard horizon of 1e5), and
+# far below a count whose arrays would exhaust a host's memory.
+MAX_MEAN_ATOMS = 1e7
+
+
+def check_atom_budget(control: ControlMeasure, window: Window) -> None:
+    """Raises ValueError, before any sampling, if a pattern of the control
+    on the window has more than MAX_MEAN_ATOMS atoms on average."""
+    mean = control.mean_atoms(window)
+    if not mean <= MAX_MEAN_ATOMS:
+        raise ValueError(f"a pattern on x in [{window.x_lo:g}, {window.x_hi:g}] has "
+                         f"{mean:.3g} atoms on average, over the budget of "
+                         f"{MAX_MEAN_ATOMS:.0e} per replication")
 
 
 def sample_pattern(control: ControlMeasure, window: Window, seed) -> PointPattern:

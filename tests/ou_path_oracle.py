@@ -2,9 +2,11 @@
 exact and trapezoid time integrals of Y^2, and the stationary
 autocovariance, all independent of the pathwise chaos representation in
 ``poisson_chaos.ou``; 2T ||H||^2 by the per-window double integral of the
-pair kernel, the second route to ``ou.k2_variance_exact``; and the
+pair kernel, the second route to ``ou.k2_variance_exact``; the
 statistics by the generic pathwise API (``chaos.eval_I1``/``eval_I2`` on
-the OU kernels), the reference for ``ou.OUStatistics``."""
+the OU kernels), the reference for ``ou.OUStatistics``; and the sorted
+atoms with the exponential e of every atom, the reference for
+``kernels.ou_sorted_atoms``, which leaves e at 0 where it is subnormal."""
 
 from __future__ import annotations
 
@@ -109,3 +111,16 @@ def sample_variance_stat(cfg: OUConfig, quad: QuadraticStat, lin: float) -> floa
     quadratic_total - T^{-1/2} linear^2, from the quadratic and linear
     statistics of one pattern."""
     return quad.total - lin ** 2 / math.sqrt(cfg.T)
+
+
+def sorted_atoms_every_exponential(lam: float, T: float, u, x):
+    """kernels.ou_sorted_atoms with e = e^{lam (x - T)} evaluated for every
+    atom at x <= T, subnormal and underflowing values included."""
+    x = np.asarray(x, dtype=float)
+    order = x.argsort()
+    x = x[order]
+    inside = int(x.searchsorted(T, side="right"))
+    x = x[:inside]
+    u = np.asarray(u, dtype=float)[order[:inside]]
+    nonpositive = int(x.searchsorted(0.0, side="right"))
+    return u, x, np.exp(lam * (x - T)), np.exp(lam * x[:nonpositive])

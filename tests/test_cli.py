@@ -584,6 +584,31 @@ class TestChoiceMatrix:
         assert rc == USAGE_ERROR
         assert capsys.readouterr().err.strip() == "invalid request: need at least 100 replications"
 
+    @pytest.mark.parametrize("argv, window, mean", [
+        (["hazard", "--theorem", "7", "--case", "1", "--T", "1e15"], "[0, 1e+15]", "1e+15"),
+        (["hazard", "--theorem", "7", "--case", "2", "--T", "1e15"], "[0, 1e+15]", "1e+08"),
+        (["hazard", "--theorem", "7", "--case", "3", "--T", "1e15"], "[0, 1e+15]", "1e+15"),
+        (["hazard", "--theorem", "8", "--T", "1e15"], "[0, 1e+15]", "1e+15"),
+        (["ou", "--theorem", "5", "--lambda", "1e-9"], "[-1.2e+10, 200]", "1.2e+10"),
+        (["ou", "--theorem", "4", "--T", "1e15"], "[-12, 1e+15]", "1e+15"),
+        (["block", "--n", str(10**15)], "[0, 1e+15]", "1e+15"),
+        (["sample", "--x-hi", "1e15"], "[0, 1e+15]", "1e+15"),
+    ], ids=" ".join)
+    def test_pattern_over_the_atom_budget_fails_before_any_replication(
+            self, tmp_path, monkeypatch, capsys, argv, window, mean):
+        # petabytes of atoms per replication: refused from the sampler's
+        # Poisson mean, before any pattern is sampled
+        monkeypatch.setattr(cli, "collect", lambda *a: pytest.fail("a replication ran"))
+        monkeypatch.setattr(cli, "sample_pattern", lambda *a: pytest.fail("a pattern was sampled"))
+        rc = main([*argv, "--out", str(tmp_path / "out")])
+        assert rc == USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip().splitlines() == [
+            f"invalid request: a pattern on x in {window} has {mean} atoms on average, "
+            f"over the budget of 1e+07 per replication"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigSections:
     """Every subcommand reads [experiment], hazard and sample also

@@ -5,9 +5,12 @@ import pytest
 import scipy.integrate as si
 from hypothesis import given, settings, strategies as st
 
+import poisson_chaos.kernels as kernels_module
+import poisson_chaos.ou as ou_module
 from poisson_chaos.chaos import eval_I1, eval_I2
 from poisson_chaos.kernels import (
-    _SCAN_SPAN, Kernel, OUDiagHstarKernel, OUDoubleHKernel, OUSingleKernel, ou_ghat,
+    _E_EXPONENT_MIN, _SCAN_SPAN, Kernel, OUDiagHstarKernel, OUDoubleHKernel, OUSingleKernel,
+    ou_ghat, ou_sorted_atoms,
 )
 from poisson_chaos.ou import (
     DEFAULT_JUMPS, OUConfig, k1_variance_exact, k2_variance_exact, linear_variance_exact,
@@ -21,7 +24,8 @@ from kernel_oracles import OUInstantKernel
 from ou_contraction_oracle import contraction_norms_by_quadrature
 from ou_path_oracle import (
     autocovariance_exact, h_norm2_doubled, linear_stat, path_on_grid, quadratic_stat,
-    sample_variance_stat, square_time_integral_exact, square_time_integral_grid,
+    sample_variance_stat, sorted_atoms_every_exponential, square_time_integral_exact,
+    square_time_integral_grid,
 )
 from seeds import replication_rng
 
@@ -299,6 +303,71 @@ class TestOnePass:
         cfg = OUConfig(lam=1e-6, T=1e6)
         with pytest.raises(SupportError):
             cfg.statistics
+
+
+@st.composite
+def long_horizon_patterns(draw):
+    """A sampled OU pattern at lam T in [600, 1e5], T in [100, 400], under
+    either jump law, with atoms of weight +-1 added where the window reaches
+    the exponent cut, at x = T + _E_EXPONENT_MIN / lam and one ulp to either
+    side of it."""
+    T = draw(st.floats(100.0, 400.0))
+    lam = draw(st.floats(600.0, 1e5)) / T
+    cfg = OUConfig(lam, T, draw(st.sampled_from([DEFAULT_JUMPS, UNCENTERED_JUMPS])))
+    pattern = sample_ou_pattern(cfg, draw(st.integers(0, 2**32 - 1)))
+    u, x = list(pattern.u), list(pattern.x)
+    cut = T + _E_EXPONENT_MIN / lam
+    if cut > cfg.window.x_lo and draw(st.booleans()):
+        x += [np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)]
+        u += draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=3, max_size=3))
+    return cfg, PointPattern(np.array(u), np.array(x), cfg.window, 0)
+
+
+def statistics_and_pair_sum(cfg, pattern):
+    return (cfg.statistics.evaluate(pattern), cfg.statistics.linear(pattern),
+            OUDoubleHKernel(cfg.lam, cfg.T).pair_sum(pattern.u, pattern.x))
+
+
+class TestExponentCut:
+    """kernels.ou_sorted_atoms evaluates e = e^{lam (x - T)} only where it is
+    a normal double and leaves it at 0 below; the values built from it equal
+    those built from every atom's exponential (ou_path_oracle)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_horizon_patterns())
+    def test_values_equal_the_every_exponential_reference(self, case):
+        # At unit intensity over T >= 100, two atoms lie within 600 / lam of
+        # each other with probability above 1 - e^{-25}, so the pair sum has
+        # a term above e^{-600} ~ 1e-261, and the rank-one terms the cut
+        # drops, each below |u u'| DBL_MIN, vanish in its rounding (see the
+        # test below)
+        cfg, pattern = case
+        got = statistics_and_pair_sum(cfg, pattern)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ou_module, "ou_sorted_atoms", sorted_atoms_every_exponential)
+            mp.setattr(kernels_module, "ou_sorted_atoms", sorted_atoms_every_exponential)
+            want = statistics_and_pair_sum(cfg, pattern)
+        assert got == want
+
+        lam, T = cfg.lam, cfg.T
+        *atoms, e, p = ou_sorted_atoms(lam, T, pattern.u, pattern.x)
+        *ref_atoms, ref_e, ref_p = sorted_atoms_every_exponential(lam, T, pattern.u, pattern.x)
+        assert all(np.array_equal(a, b) for a, b in zip(atoms + [p], ref_atoms + [ref_p]))
+        normal = ref_e >= TINY
+        assert np.array_equal(e[normal], ref_e[normal])
+        assert np.all((e[~normal] == 0.0) | (e[~normal] == ref_e[~normal]))
+
+    def test_a_pair_sum_without_normal_terms_moves_below_dbl_min(self, monkeypatch):
+        # atoms at x = T (e = 1) and at lam (T - x) = 720 (e ~ 1e-313):
+        # Ghat of the pair is e^{-720} - e^{-720} = 0.  The reference's near
+        # and rank-one parts cancel; with the cut the rank-one part is 0,
+        # and the near part, u u' e^{-720}, is left
+        lam, T = 1.0, 800.0
+        u, x = np.array([1.0, 1.0]), np.array([T - 720.0, T])
+        got = OUDoubleHKernel(lam, T).pair_sum(u, x)
+        monkeypatch.setattr(kernels_module, "ou_sorted_atoms", sorted_atoms_every_exponential)
+        want = OUDoubleHKernel(lam, T).pair_sum(u, x)
+        assert want == 0.0 and 0.0 < got < TINY
 
 
 class TestInstantKernel:

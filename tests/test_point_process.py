@@ -6,9 +6,9 @@ from scipy.special import exp1
 
 from poisson_chaos import point_process
 from poisson_chaos.point_process import (
-    BetaControl, DiscreteControl, ExtendedGammaControl, GeneralizedGammaControl,
-    InfiniteMassError, PointPattern, SupportError, Window,
-    pattern_to_csv, replication_seed, sample_pattern,
+    MAX_MEAN_ATOMS, BetaControl, DiscreteControl, ExtendedGammaControl,
+    GeneralizedGammaControl, InfiniteMassError, PointPattern, SupportError, Window,
+    check_atom_budget, pattern_to_csv, replication_seed, sample_pattern,
 )
 
 from control_oracle import compensated_count, integrate
@@ -369,6 +369,45 @@ class TestCachedSamplers:
     def test_window_reaching_below_zero_is_refused(self):
         with pytest.raises(ValueError, match="supported on x > 0"):
             ExtendedGammaControl().sample(Window(-1.0, 5.0), np.random.default_rng(0))
+
+
+class PoissonMeanRecorder:
+    """A Generator stand-in that records the mean of every Poisson draw."""
+
+    def __init__(self, seed):
+        self.rng, self.means = np.random.default_rng(seed), []
+
+    def poisson(self, lam, *args, **kwargs):
+        self.means.append(lam)
+        return self.rng.poisson(lam, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestAtomBudget:
+    @pytest.mark.parametrize("control", [
+        DiscreteControl((1.0, -1.0), (0.5, 1.5)), GeneralizedGammaControl(0.5, 1.0, 0.1),
+        ExtendedGammaControl(), BetaControl()], ids=lambda c: type(c).__name__)
+    def test_mean_atoms_is_the_samplers_poisson_mean(self, control):
+        window = Window(2.0, 40.0)
+        rng = PoissonMeanRecorder(5)
+        control.sample(window, rng)
+        assert rng.means == [control.mean_atoms(window)]
+
+    def test_budget_bound_is_inclusive(self):
+        control = DiscreteControl((1.0,), (1.0,))
+        check_atom_budget(control, Window(0.0, MAX_MEAN_ATOMS))
+        over = Window(0.0, np.nextafter(MAX_MEAN_ATOMS, np.inf))
+        with pytest.raises(ValueError, match="over the budget of 1e\\+07 per replication"):
+            check_atom_budget(control, over)
+
+    def test_extended_gamma_budget_runs_no_quadrature(self, monkeypatch):
+        # the mean is the sampler's table mass, not the quad of mu(window)
+        monkeypatch.setattr(si, "quad", lambda *a, **k: pytest.fail("quad ran"))
+        point_process._window_constants.cache_clear()
+        with pytest.raises(ValueError, match="atoms on average"):
+            check_atom_budget(ExtendedGammaControl(), Window(0.0, 1e15))
 
 
 class TestGuideTableLookup:

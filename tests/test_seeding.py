@@ -8,12 +8,15 @@ import pytest
 
 from poisson_chaos.cli import main
 from poisson_chaos.harness import collect
-from poisson_chaos.point_process import replication_seed
+from poisson_chaos.point_process import _SEED_BLOCK, _seed_block, replication_seed
 
 from seeds import replication_rng
 
-MASTERS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 11)
-INDICES = (0, 2**32 - 1, 2**32, 2**64 - 1)
+# masters of one to five uint32 words; indices on both sides of the edges of
+# the blocks of _SEED_BLOCK = 64 that replication_seed computes together,
+# and of the word count's steps
+MASTERS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 11, 2**140 + 2**70 + 5)
+INDICES = (0, 63, 64, 65, 2**32 - 1, 2**32, 2**32 + 63, 2**64 - 1)
 
 
 @pytest.mark.parametrize("master", MASTERS)
@@ -32,9 +35,16 @@ def _draws(_cfg, rng):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_reused_generator_replays_fresh_generators(workers):
+    # collect cuts R = 200, not a multiple of _SEED_BLOCK = 64, into four
+    # chunks per worker, 50 or 25 replications long: every chunk but the
+    # first starts inside a block, and most cross a block edge.  With one
+    # worker each of the four blocks is hashed once
+    _seed_block.cache_clear()
     got = collect(_draws, None, 200, 2**40 + 9, workers=workers)
     expected = np.array([_draws(None, replication_rng(2**40 + 9, i)) for i in range(200)])
     assert np.array_equal(got, expected)
+    if workers == 1:
+        assert _seed_block.cache_info().misses == -(-200 // _SEED_BLOCK)
 
 
 def test_negative_seed_is_a_usage_error(tmp_path):
