@@ -415,6 +415,14 @@ class TestGoldenSamples:
         got = (tmp_path / "pattern.csv").read_bytes()
         assert got == (GOLDEN / "sample" / f"{name}.csv").read_bytes()
 
+    def test_default_control_pattern_is_byte_identical(self, tmp_path):
+        # no config: the unit-jump control, the one-point law sample uses
+        # by default
+        rc = main(["sample", "--x-hi", "25", "--seed", "9", "--out", str(tmp_path)])
+        assert rc == 0
+        got = (tmp_path / "pattern.csv").read_bytes()
+        assert got == (GOLDEN / "sample" / "unit.csv").read_bytes()
+
 
 class TestNonFiniteWindow:
     """A window bound that is not finite is refused by Window itself, with
