@@ -336,7 +336,12 @@ class ControlMeasure:
 @dataclass(frozen=True)
 class DiscreteControl(ControlMeasure):
     """Finite discrete jump marginal nu = sum_i w_i delta_{u_i} times
-    Lebesgue measure on the time axis."""
+    Lebesgue measure on the time axis.
+
+    sample() draws the count, then the times, then the marks: a law with two
+    or more values equals Generator.choice draw for draw and leaves the
+    generator in the same state; a one-point law draws no marks.
+    """
 
     values: tuple[float, ...]
     weights: tuple[float, ...]
@@ -344,10 +349,14 @@ class DiscreteControl(ControlMeasure):
     def __post_init__(self):
         if len(self.values) != len(self.weights) or not self.values:
             raise ValueError("values and weights must be non-empty and parallel")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("discrete jump weights must be positive")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        for name in ("values", "weights"):
+            bad = [v for v in getattr(self, name) if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"discrete jump {name} must be finite, got {bad[0]}")
+        if any(w <= 0 for w in self.weights):
+            raise ValueError("discrete jump weights must be positive")
         # read-only arrays, the sampling CDF (the one Generator.choice builds
         # from p = w / w.sum()) and the moments of orders 0-4 (all the
         # statistics use), built once; not fields, so eq and hash still see
@@ -379,9 +388,10 @@ class DiscreteControl(ControlMeasure):
     def sample(self, window: Window, rng: np.random.Generator):
         n = rng.poisson(self.mean_atoms(window))
         x = rng.uniform(window.x_lo, window.x_hi, size=n)
-        if not n:
-            return np.empty(0), x
-        # rng.choice(vals, size=n, p=w / w.sum()), draw for draw
+        if self._values.size == 1:
+            return self._values.repeat(n), x   # one value: no marks to draw
+        # rng.choice(vals, size=n, p=w / w.sum()), draw for draw, for two or
+        # more values
         u = self._values.take(self._cdf.searchsorted(rng.random(n), side="right"))
         return u, x
 
@@ -412,8 +422,8 @@ class GeneralizedGammaControl(ControlMeasure):
     def __post_init__(self):
         if not (0.0 < self.sigma < 1.0):
             raise ValueError("sigma must lie in (0, 1)")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if not (0.0 <= self.eps < math.inf):
             raise ValueError("eps must be nonnegative and finite")
 
@@ -486,8 +496,10 @@ class ExtendedGammaControl(ControlMeasure):
     homogeneous = False
 
     def __post_init__(self):
-        if self.beta0 <= 0 or self.beta1 < 0:
-            raise ValueError("need beta0 > 0 and beta1 >= 0")
+        if not 0.0 < self.beta0 < math.inf:
+            raise ValueError(f"beta0 must be positive and finite, got {self.beta0}")
+        if not 0.0 <= self.beta1 < math.inf:
+            raise ValueError(f"beta1 must be nonnegative and finite, got {self.beta1}")
         if not (0.0 <= self.eps < math.inf):
             raise ValueError("eps must be nonnegative and finite")
 
@@ -604,8 +616,9 @@ class BetaControl(ControlMeasure):
     homogeneous = False
 
     def __post_init__(self):
-        if self.c0 <= 0 or self.c1 <= 0:
-            raise ValueError("need c0, c1 > 0")
+        for name, value in (("c0", self.c0), ("c1", self.c1)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def c(self, x):
         return np.maximum(self.c1 * np.sqrt(np.maximum(np.asarray(x, dtype=float), 0.0)), self.c0)

@@ -5,6 +5,8 @@ for the four control families; fn takes and returns numpy arrays.  It is the
 slow, independent route behind the characteristic-function and Campbell-mean
 oracles, and is checked here against the families' own masses and moments.
 ``compensated_count`` is the first-chaos integral of a region's indicator.
+``MarkDrawingControl`` is a discrete control whose sampler draws a mark per
+atom even for a one-point law, the reference for the sampler that does not.
 """
 
 from __future__ import annotations
@@ -89,3 +91,20 @@ def compensated_count(pattern: PointPattern, region: Window, control: ControlMea
         raise SupportError("region extends outside the sampled window")
     inside = (pattern.x >= region.x_lo) & (pattern.x <= region.x_hi)
     return np.count_nonzero(inside) - control.mass(region)
+
+
+def sample_drawing_marks(ctrl: DiscreteControl, window: Window, rng):
+    """(u, x) of DiscreteControl.sample with one uniform per mark for every
+    law: a one-point law draws its marks too and maps each to its one
+    value."""
+    n = rng.poisson(ctrl.mean_atoms(window))
+    x = rng.uniform(window.x_lo, window.x_hi, size=n)
+    if not n:
+        return np.empty(0), x
+    return ctrl._values.take(ctrl._cdf.searchsorted(rng.random(n), side="right")), x
+
+
+class MarkDrawingControl(DiscreteControl):
+    """A DiscreteControl sampled by sample_drawing_marks."""
+
+    sample = sample_drawing_marks

@@ -440,6 +440,53 @@ class TestNonFiniteWindow:
         assert not (tmp_path / "out").exists()
 
 
+class TestNonFiniteControl:
+    """A control parameter that is not finite is refused by the control
+    itself, with a message naming the parameter: a configuration error
+    before any replication or sampling, and before any file is written."""
+
+    HAZARD7 = ["hazard", "--theorem", "7", "--T", "20", "--reps", "20", "--case"]
+
+    @pytest.mark.parametrize("argv, section, message", [
+        (["sample"], "type = discrete\nvalues = 1.0,nan\nweights = 0.5,0.5",
+         "discrete jump values must be finite, got nan"),
+        (HAZARD7 + ["1"], "type = discrete\nvalues = 1.0,nan\nweights = 0.5,0.5",
+         "discrete jump values must be finite, got nan"),
+        (["sample"], "type = discrete\nvalues = 1.0,inf\nweights = 0.5,0.5",
+         "discrete jump values must be finite, got inf"),
+        (HAZARD7 + ["1"], "type = discrete\nvalues = 1.0,2.0\nweights = 0.5,nan",
+         "discrete jump weights must be finite, got nan"),
+        (["sample"], "type = discrete\nvalues = 1.0,2.0\nweights = inf,0.5",
+         "discrete jump weights must be finite, got inf"),
+        (["sample"], "type = extended-gamma\nbeta0 = nan",
+         "beta0 must be positive and finite, got nan"),
+        (HAZARD7 + ["2"], "type = extended-gamma\nbeta1 = inf",
+         "beta1 must be nonnegative and finite, got inf"),
+        (HAZARD7 + ["3"], "type = beta\nc1 = nan", "c1 must be positive and finite, got nan"),
+        (["sample"], "type = beta\nc0 = inf", "c0 must be positive and finite, got inf"),
+        (["sample"], "type = generalized-gamma\nsigma = 0.5\ngamma = nan\neps = 0.01",
+         "gamma must be positive and finite, got nan"),
+        (HAZARD7 + ["1"], "type = generalized-gamma\nsigma = 0.5\ngamma = inf\neps = 0.01",
+         "gamma must be positive and finite, got inf"),
+    ], ids=["sample-values-nan", "hazard-values-nan", "sample-values-inf",
+            "hazard-weights-nan", "sample-weights-inf", "sample-beta0-nan",
+            "hazard-beta1-inf", "hazard-c1-nan", "sample-c0-inf", "sample-gamma-nan",
+            "hazard-gamma-inf"])
+    def test_parameter_is_a_configuration_error(self, tmp_path, monkeypatch, capsys,
+                                                argv, section, message):
+        monkeypatch.setattr(cli, "collect", lambda *a: pytest.fail("a replication ran"))
+        monkeypatch.setattr(cli, "sample_pattern", lambda *a: pytest.fail("a pattern was sampled"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[control]\n{section}\n", encoding="utf-8")
+        rc = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip().splitlines() == [
+            f"configuration error: bad [control] section: {message}"]
+        assert not (tmp_path / "out").exists()
+
+
 def _choice_argvs():
     """One small run per argparse choice of --family, --theorem and --case."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from poisson_chaos import hazard
+from poisson_chaos.harness import collect
 from poisson_chaos.hazard import (
     CaseMismatchError, HazardModel, cumulative_hazard,
     cumulative_mean_exact, cumulative_variance_exact, linear_case_targets,
@@ -21,6 +22,7 @@ from poisson_chaos.point_process import (
     BetaControl, DiscreteControl, ExtendedGammaControl, PointPattern, Window,
 )
 
+from control_oracle import MarkDrawingControl
 from hazard_path_oracle import (
     campbell_mean, cumulative_hazard_grid, rect_square_integral_dense,
     rect_square_integral_exact, rect_square_integral_sweep, simulate_hazard,
@@ -460,3 +462,23 @@ class TestQuadraticStat:
         assert raw.var(ddof=1) == pytest.approx(332.0 / 3.0, rel=0.10)
         assert centered.var(ddof=1) == pytest.approx(44.0 / 3.0, rel=0.10)
         assert abs(raw.mean()) < 4 * raw.std(ddof=1) / math.sqrt(raw.size) + 0.2
+
+
+class TestOnePointLaw:
+    """The unit law draws no marks, so its replications read less of their
+    streams; nothing after the pattern draws, so every value is the one of
+    the sampler that draws a mark per atom."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("statistic", ["quadratic", "linear_case1"])
+    def test_collect_equals_the_mark_drawing_sampler(self, statistic, workers):
+        def run(control):
+            model = rect_model(control, T=200.0)
+            if statistic == "quadratic":
+                return collect(rep_quadratic, model, 200, 27, workers)
+            center, scale = linear_center_scale(model, 1)
+            return collect(rep_linear_case, (model, center, scale), 200, 27, workers)
+
+        got, want = run(UNIT), run(MarkDrawingControl(values=(1.0,), weights=(1.0,)))
+        assert got.shape == want.shape == (200, 2)
+        assert got.tobytes() == want.tobytes()
