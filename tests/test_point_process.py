@@ -237,6 +237,11 @@ class TestControlQuadratureOracle:
             7.5, rel=1e-12)
 
 
+DISCRETE_LAWS = [DiscreteControl(values=(1.0, -1.0), weights=(0.5, 0.5)),
+                 DiscreteControl(values=(1.0,), weights=(1.0,)),
+                 DiscreteControl(values=(0.3, 1.0, 2.5, -1.0), weights=(0.1, 0.7, 0.15, 0.05))]
+
+
 class TestSampling:
     def test_zero_mass_gives_empty_pattern(self, unit_jump):
         pat = sample_pattern(unit_jump, Window(0.0, 1e-12), seed=1)
@@ -264,44 +269,26 @@ class TestSampling:
         assert abs(corr) < 3.0 / np.sqrt(nb.size)
 
     @pytest.mark.parametrize("jumps, window", [
-        (DiscreteControl(values=(1.0, -1.0), weights=(0.5, 0.5)), Window(0.0, 400.0)),
-        (DiscreteControl(values=(1.0,), weights=(1.0,)), Window(0.0, 400.0)),
-        (DiscreteControl(values=(0.3, 1.0, 2.5, -1.0), weights=(0.1, 0.7, 0.15, 0.05)),
-         Window(0.0, 400.0)),
-    ], ids=["pm1", "single", "skewed"])
+        (jumps, window) for window in (Window(0.0, 400.0), Window(0.0, 1e-12))
+        for jumps in DISCRETE_LAWS
+    ], ids=["pm1", "single", "skewed", "pm1-empty", "single-empty", "skewed-empty"])
     def test_discrete_jumps_are_drawn_as_rng_choice(self, jumps, window):
         # the inverse-CDF draw on the prebuilt CDF is Generator.choice draw
         # for draw, and leaves the generator in the same state; a one-point
-        # law draws no marks, so it leaves the generator where the times end
+        # law draws no marks, so it leaves the generator where the times end.
+        # On the window of mean 1e-12 every count here is 0.
         vals, w = np.array(jumps.values), np.array(jumps.weights)
         for seed in range(50):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             u, x = jumps.sample(window, rng)
             n = ref.poisson(w.sum() * window.length)
+            assert u.shape == x.shape == (n,) and u.dtype == x.dtype == np.float64
             assert np.array_equal(x, ref.uniform(window.x_lo, window.x_hi, size=n))
             if len(vals) == 1:
                 assert rng.bit_generator.state == ref.bit_generator.state
             assert np.array_equal(u, ref.choice(vals, size=n, p=w / w.sum()))
             if len(vals) > 1:
                 assert rng.bit_generator.state == ref.bit_generator.state
-
-    @pytest.mark.parametrize("jumps", [
-        DiscreteControl(values=(1.0, -1.0), weights=(0.5, 0.5)),
-        DiscreteControl(values=(1.0,), weights=(1.0,)),
-        DiscreteControl(values=(0.3, 1.0, 2.5, -1.0), weights=(0.1, 0.7, 0.15, 0.05)),
-    ], ids=["pm1", "single", "skewed"])
-    def test_discrete_empty_pattern_draws_no_marks(self, jumps):
-        # a mean of about 1e-12 atoms: the count is 0 for every seed, and
-        # the empty arrays leave the generator where the count left it
-        window = Window(0.0, 1e-12)
-        for seed in range(50):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            u, x = jumps.sample(window, rng)
-            assert ref.poisson(jumps.mean_atoms(window)) == 0
-            ref.uniform(window.x_lo, window.x_hi, size=0)
-            for a in (u, x):
-                assert a.shape == (0,) and a.dtype == np.float64
-            assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_bit_reproducible_for_fixed_seed(self, symmetric_jump):
         w = Window(0.0, 50.0)
