@@ -29,6 +29,8 @@ from .kernels import Kernel, _check_arity
 from .point_process import ControlMeasure, PointPattern, SupportError, Window
 
 SUPPORT_TOL = 1e-6
+REL_TOL = 0.05        # check_limit: the last value's relative distance to its target
+DECAY_SLOPE = -0.5    # check_limit: the log-log slope a claim "-> 0" must fall below
 
 
 def _check_support(kernel: Kernel, window: Window):
@@ -72,7 +74,7 @@ def eval_I2(f: Kernel, pattern: PointPattern, control: ControlMeasure) -> float:
 # ---------------------------------------------------------------------------
 
 
-def fourth_moment_chaos(f: Kernel, control: ControlMeasure, window: Window) -> float:
+def combine_fourth_moment(norm2_doubled: float, n11: float, n21: float, n10: float) -> float:
     """Fourth-moment criterion functional 3 (2||f||^2)^2 + 48 n11 + 96 n10 + 4 n21.
 
     This is not E I2(f)^4.  For the normalized block kernel with n blocks it
@@ -81,12 +83,6 @@ def fourth_moment_chaos(f: Kernel, control: ControlMeasure, window: Window) -> f
     combination to 3 (together with the normalization 2||f||^2 -> 1) still
     marks the Gaussian limit of the double integrals.
     """
-    norm2_doubled = 2.0 * f.l2_norm_sq(control, window)
-    n11, n21, n10 = contraction_norms(f, control, window)
-    return combine_fourth_moment(norm2_doubled, n11, n21, n10)
-
-
-def combine_fourth_moment(norm2_doubled: float, n11: float, n21: float, n10: float) -> float:
     return 3.0 * norm2_doubled ** 2 + 48.0 * n11 + 96.0 * n10 + 4.0 * n21
 
 
@@ -144,27 +140,26 @@ def _fit_slope(xs, ys) -> float | None:
             / math.fsum((x - mx) ** 2 for x in lx))
 
 
-def check_limit(name: str, index, values, target: float,
-                rel_tol: float = 0.05, decay_slope: float = -0.5) -> LimitCheck:
+def check_limit(name: str, index, values, target: float) -> LimitCheck:
     """Audit a sequence claim 'values -> target'.
 
-    target != 0: last value within rel_tol of target and |value - target|
-    shrinking.  target == 0: last value below rel_tol * first value and the
-    log-log slope below decay_slope.  Slopes are closed-form least-squares
-    fits on log index; with fewer than two distinct indices there is no
-    slope, and the check fails.
+    target != 0: last value within REL_TOL = 0.05 of target and
+    |value - target| shrinking.  target == 0: last value below 0.05 times
+    the first value and the log-log slope below DECAY_SLOPE = -0.5.  Slopes
+    are closed-form least-squares fits on log index; with fewer than two
+    distinct indices there is no slope, and the check fails.
     """
     values = tuple(float(v) for v in values)
     if target == 0.0:
         if all(v == 0.0 for v in values):
             return LimitCheck(name, values, target, True, None, "identically zero")
         ratio = values[-1] / values[0] if values[0] else math.inf
-        ys, ok, limit, head = values, ratio < rel_tol, decay_slope, f"last/first = {ratio:.3g}"
+        ys, ok, limit, head = values, ratio < REL_TOL, DECAY_SLOPE, f"last/first = {ratio:.3g}"
     else:
         ys = [abs(v - target) for v in values]
         if ys[-1] < 1e-9:
             return LimitCheck(name, values, target, True, None, "converged exactly")
-        ok, limit, head = ys[-1] <= rel_tol * abs(target), 0.0, f"|last - target| = {ys[-1]:.3g}"
+        ok, limit, head = ys[-1] <= REL_TOL * abs(target), 0.0, f"|last - target| = {ys[-1]:.3g}"
     slope = _fit_slope(index, ys)
     tail = "no slope: needs two distinct indices" if slope is None else f"slope = {slope:.3f}"
     return LimitCheck(name, values, target, slope is not None and ok and slope < limit, slope,

@@ -17,20 +17,24 @@ version, the config hash, and the master seed, so a rerun from that triple
 reproduces the file byte-identically; wall times go to stdout only.  Exit
 codes: 0 all verdicts pass, 1 at least one fails, 2 usage or configuration
 error (a flag the subcommand does not take, a hazard flag the chosen theorem
-does not read (--variant for 7, --case for 8), a negative seed, an unknown
-family, theorem or case, a control that does not match the requested case or
-theorem, hazard case 2 at T <= 1, fewer than two replications (100 for ou
-theorem 4) or one worker, a rate, horizon or bandwidth that is not finite and
-positive, an eps that is not finite and nonnegative, a hazard control with
-infinite mass (a Gamma control with eps = 0), a window bound that is not
-finite, fewer than one block, a sampled pattern of more than
-point_process.MAX_MEAN_ATOMS atoms on average (ou, hazard, sample, block; its
-arrays could exhaust memory), a config section the subcommand does not read
-(see SUBCOMMANDS; ou refuses [control]), an [experiment] key it has no flag
-for), 3 a replication crashed (the one-line message names its index and the
-master seed) or a numerical check failed.  The exit code follows the JSON
-`passed` but for block, whose exit code judges the fourth moment E G^2
-against 3 + 37/n while its JSON `passed` judges the KS distance.
+does not read (--variant for 7, --case for 8), --lam with criterion --family
+block or fixed, a negative seed, an unknown family, theorem or case, a
+control that does not match the requested case or theorem, hazard case 2 at
+T <= 1, fewer than two replications (100 for ou theorem 4) or one worker, a
+rate, horizon or bandwidth that is not finite and positive, an ou rate and
+horizon whose window cut leaks kernel mass (the support check of
+ou.OUStatistics), an eps that is not finite and nonnegative, a hazard
+control with infinite mass (a Gamma control with eps = 0), a window bound
+that is not finite, fewer than one block, a sampled pattern of more than
+point_process.MAX_MEAN_ATOMS atoms on average (ou, hazard, sample, block;
+its arrays could exhaust memory), a config section the subcommand does not
+read (see SUBCOMMANDS; ou refuses [control]), an [experiment] key it has no
+flag for), 3 a replication crashed (the one-line message names its index and
+the master seed), a numerical check failed or an arithmetic error (an
+overflow, a division by zero) was raised outside the replications (one line
+names it).  The exit code follows the JSON `passed` but for block, whose
+exit code judges the fourth moment E G^2 against 3 + 37/n while its JSON
+`passed` judges the KS distance.
 """
 
 from __future__ import annotations
@@ -134,6 +138,8 @@ def _monte_carlo(args, stem: str, label: str, index, rep_fn, cfg, stats,
 def cmd_criterion(args) -> int:
     t0 = time.perf_counter()
     if args.family in ("block", "fixed"):
+        if args.lam is not None:
+            raise ValueError(f"criterion --family {args.family} takes no --lam")
         control = UNIT_JUMPS
         index = [int(t) for t in args.indices.split(",")]
         if args.family == "block":
@@ -144,7 +150,7 @@ def cmd_criterion(args) -> int:
             windows = [Window(0.0, 1.0)] * len(index)
         labels = [f"{args.family}_{n}" for n in index]
     else:
-        lam = args.lam
+        lam = 1.0 if args.lam is None else args.lam
         index = [float(t) for t in args.indices.split(",")]
         bases = [OUDoubleHKernel(lam, t) for t in index]  # rejects lam, T <= 0 first
         scale = math.sqrt(lam) if args.family == "ou-pair" else math.sqrt(lam / 2.0)
@@ -188,10 +194,11 @@ def cmd_ou(args) -> int:
     lam, T = args.lam, args.T
     cfg = oumod.OUConfig(lam=lam, T=T)
     check_atom_budget(cfg.jumps, cfg.window)
+    if args.theorem == 4 and args.reps < 100:
+        raise ValueError("need at least 100 replications")
+    cfg.statistics   # the kernels, support checks and compensators, before any replication
     stem, label = f"ou_thm{args.theorem}_T{T:g}", f"ou theorem {args.theorem} T={T:g}"
     if args.theorem == 4:
-        if args.reps < 100:
-            raise ValueError("need at least 100 replications")
         stats = [StatisticSpec(f"ou_linear_T{T:g}", 0, oumod.linear_variance_exact(lam, T),
                                0.15, "ou_thm4_linear_values.csv")]
         return _monte_carlo(args, stem, label, T, oumod.rep_linear, cfg, stats)
@@ -216,11 +223,10 @@ def cmd_hazard(args) -> int:
                else (UNIT_JUMPS, hz.ExtendedGammaControl(), hz.BetaControl())[case - 1])
     model = hz.rect_model(control, T=args.T, tau=args.tau)
     check_atom_budget(model.control, model.window)
-    # the targets are computed first: each raises CaseMismatchError, a usage
-    # error, for a model its theorem or case is not stated for
+    # the model is checked first, once: CaseMismatchError, a usage error, for
+    # a model its theorem or case is not stated for
     if args.theorem == 7:
-        target = hz.linear_case_targets(model, case)
-        center, scale = hz.linear_center_scale(model, case)
+        center, scale, target = hz.linear_case(model, case)
         stem = f"hazard_thm7_case{case}_T{args.T:g}"
         stat = StatisticSpec(f"hazard_case{case}_T{args.T:g}", 0, target,
                              {1: 0.3, 2: 0.8, 3: 1.0}[case], f"{stem}_values.csv")
@@ -229,8 +235,8 @@ def cmd_hazard(args) -> int:
                            "campbell_mean_H": hz.cumulative_mean_exact(model),
                            "campbell_variance_H": hz.cumulative_variance_exact(model)}
     else:
-        stated = hz.quadratic_variance_stated(model, variant)
-        target = hz.quadratic_variance_derived(model, variant)
+        stated = model.quadratic.variance_stated(variant)
+        target = model.quadratic.variance_derived(variant)
         stem = f"hazard_thm8_{variant}_T{args.T:g}"
         raw = variant == "raw"
         stat = StatisticSpec(f"hazard_quad_{variant}_T{args.T:g}", 0 if raw else 1, target,
@@ -306,7 +312,7 @@ SUBCOMMANDS = {
                help="ou-pair scales the pair kernel by sqrt(lam), ou-pair-unit by sqrt(lam/2)"),
          _flag("--indices", default="10,30,100,300,1000",
                help="comma-separated sequence indices (block sizes or horizons)"),
-         _flag("--lam", "--lambda", type=float, default=1.0))),
+         _flag("--lam", "--lambda", type=float))),
     "block": Subcommand(
         "Monte Carlo fourth-moment check for the block family", cmd_block, ("experiment",), True,
         (_flag("--n", type=int, default=50, help="number of unit-mass blocks"),)),
@@ -403,6 +409,9 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except RuntimeError as exc:
         print(f"crash: {exc}", file=sys.stderr)
+        return CRASH
+    except ArithmeticError as exc:   # an overflow or a division by zero outside the replications
+        print(f"crash: {type(exc).__name__}: {exc}", file=sys.stderr)
         return CRASH
 
 

@@ -9,10 +9,13 @@ consistent with the control families (see the acceptance notes).
 
 cumulative_hazard and square_hazard_integral are the generic pathwise API:
 the first from the kernel's time_integral, the second from its
-path_integrals, the hazard protocol's one pathwise method.  A theorem-7
-replication calls cumulative_hazard with the case's centering and scaling
-computed once per run (linear_center_scale).  A theorem-8 replication calls
-neither: QuadraticStatistics, built once per model, takes H(T) and int h^2
+path_integrals, the hazard protocol's one pathwise method.  Each theorem
+checks its model once per run, before any replication.  For theorem 7,
+linear_case gives the case's centering, scaling and stated limit variance,
+and a replication calls cumulative_hazard with the first two.  A theorem-8
+replication calls neither: QuadraticStatistics, built once per model
+(HazardModel.quadratic), holds the checked constants and both limit
+variances (variance_stated, variance_derived), and takes H(T) and int h^2
 from one call to the kernel's path_integrals, which for the rectangular
 kernel is one sorted sweep over the interval ends.
 """
@@ -127,13 +130,13 @@ def _campbell(model: HazardModel, power: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def linear_center_scale(model: HazardModel, case: int) -> tuple[float, float]:
-    """Stated centering and scaling of H(T) for a case, after checking that
-    the model is the one the case is stated for:
+def linear_case(model: HazardModel, case: int) -> tuple[float, float, float]:
+    """Stated centering, scaling and limit variance of H(T) for a case,
+    after checking that the model is the one the case is stated for:
 
-    case 1 (homogeneous nu x dx, rect tau):   (H - 2 tau K1 T) / sqrt(T)
-    case 2 (extended-Gamma, beta = 1+sqrt x): (H - 4 sqrt(T)) / sqrt(log T)
-    case 3 (Beta, c ~ sqrt x):                (H - 2 T) / T^{1/4}
+    case 1 (homogeneous nu x dx, rect tau):   (H - 2 tau K1 T) / sqrt(T),    4 tau^2 K2
+    case 2 (extended-Gamma, beta = 1+sqrt x): (H - 4 sqrt(T)) / sqrt(log T), 4
+    case 3 (Beta, c ~ sqrt x):                (H - 2 T) / T^{1/4},           8
     """
     if not isinstance(model.kernel, RectHazardKernel):
         raise CaseMismatchError("linear CLT statistics are stated for the rectangular kernel")
@@ -150,31 +153,13 @@ def linear_center_scale(model: HazardModel, case: int) -> tuple[float, float]:
     if case == 2 and not T > 1.0:
         raise CaseMismatchError(f"case 2 needs T > 1 (its scale is sqrt(log T)), got {T:g}")
     if case == 1:
-        return 2.0 * tau * model.control.moment(1) * T, math.sqrt(T)
+        return (2.0 * tau * model.control.moment(1) * T, math.sqrt(T),
+                4.0 * tau ** 2 * model.control.moment(2))
     if case == 2:
-        return 4.0 * math.sqrt(T), math.sqrt(math.log(T))
+        return 4.0 * math.sqrt(T), math.sqrt(math.log(T)), 4.0
     if case == 3:
-        return 2.0 * T, T ** 0.25
+        return 2.0 * T, T ** 0.25, 8.0
     raise CaseMismatchError(f"unknown case {case}")
-
-
-def linear_case_targets(model: HazardModel, case: int) -> float:
-    """Stated limit variance for each case (4 tau^2 K2 / 4 / 8); raises
-    CaseMismatchError if the model is not the one the case is stated for."""
-    linear_center_scale(model, case)
-    if case == 1:
-        return 4.0 * model.kernel.tau ** 2 * model.control.moment(2)
-    return 4.0 if case == 2 else 8.0
-
-
-def _quadratic_moments(model: HazardModel) -> tuple[float, list[float]]:
-    """(tau, [K0, ..., K4]) of a model the quadratic statistics are stated
-    for: the rectangular kernel and a homogeneous control."""
-    if not isinstance(model.kernel, RectHazardKernel):
-        raise CaseMismatchError("quadratic CLT statistics are stated for the rectangular kernel")
-    if not model.control.homogeneous:
-        raise CaseMismatchError("quadratic statistics need a homogeneous control with K1..K4 finite")
-    return model.kernel.tau, [model.control.moment(i) for i in range(5)]
 
 
 class QuadraticStatistics:
@@ -184,13 +169,21 @@ class QuadraticStatistics:
     raw:      sqrt(T) [ (1/T) int h^2 - (2 tau K2 + 4 tau^2 K1^2) ]
     centered: sqrt(T) [ (1/T) int (h - H/T)^2 - 2 tau K2 ]
 
-    The model checks (CaseMismatchError), sqrt(T) and the two centerings are
-    built once per model (HazardModel.quadratic); per pattern, one call to
-    the kernel's path_integrals gives H(T) and int h^2.
+    The model checks (CaseMismatchError), tau, K0..K4, sqrt(T) and the two
+    centerings are read once per model (HazardModel.quadratic); per
+    pattern, one call to the kernel's path_integrals gives H(T) and
+    int h^2.
     """
 
     def __init__(self, model: HazardModel):
-        tau, k = _quadratic_moments(model)
+        if not isinstance(model.kernel, RectHazardKernel):
+            raise CaseMismatchError(
+                "quadratic CLT statistics are stated for the rectangular kernel")
+        if not model.control.homogeneous:
+            raise CaseMismatchError(
+                "quadratic statistics need a homogeneous control with K1..K4 finite")
+        self.tau = tau = model.kernel.tau
+        self.k = k = [model.control.moment(i) for i in range(5)]
         self.kernel, self.T = model.kernel, model.T
         self.root_T = math.sqrt(model.T)
         self.centered_center = 2.0 * tau * k[2]
@@ -205,31 +198,29 @@ class QuadraticStatistics:
         centered = self.root_T * (q / T - hbar ** 2 - self.centered_center)
         return raw, centered
 
+    def variance_stated(self, variant: str) -> float:
+        """Stated reference limit variances used by the acceptance battery; the
+        raw-variant combination is dimensionally inconsistent in its last term
+        (K2^2 K1 scales like u^5), the centered one is correct."""
+        tau, k = self.tau, self.k
+        if variant == "raw":
+            return 16.0 * tau ** 2 * (k[4] / 4.0 + tau * k[1] * k[3]
+                                      + 2.0 * tau * k[2] ** 2 / 3.0
+                                      + tau ** 2 * k[2] ** 2 * k[1])
+        return 4.0 * tau ** 2 * (k[4] + 8.0 * tau * k[2] ** 2 / 3.0)
 
-def quadratic_variance_stated(model: HazardModel, variant: str) -> float:
-    """Stated reference limit variances used by the acceptance battery; the
-    raw-variant combination is dimensionally inconsistent in its last term
-    (K2^2 K1 scales like u^5), the centered one is correct."""
-    tau, k = _quadratic_moments(model)
-    if variant == "raw":
-        return 16.0 * tau ** 2 * (k[4] / 4.0 + tau * k[1] * k[3]
-                                  + 2.0 * tau * k[2] ** 2 / 3.0
-                                  + tau ** 2 * k[2] ** 2 * k[1])
-    return 4.0 * tau ** 2 * (k[4] + 8.0 * tau * k[2] ** 2 / 3.0)
+    def variance_derived(self, variant: str) -> float:
+        """Limit variances derived from the long-run covariance of h(t)^2 (the
+        centered variant agrees with the stated constant; the raw one does not):
 
-
-def quadratic_variance_derived(model: HazardModel, variant: str) -> float:
-    """Limit variances derived from the long-run covariance of h(t)^2 (the
-    centered variant agrees with the stated constant; the raw one does not):
-
-    c1 = 4 tau^2 K4 + 32 tau^3 K1 K3 + (32/3) tau^3 K2^2 + 64 tau^4 K1^2 K2
-    c2 = 4 tau^2 K4 + (32/3) tau^3 K2^2
-    """
-    tau, k = _quadratic_moments(model)
-    c2 = 4.0 * tau ** 2 * k[4] + (32.0 / 3.0) * tau ** 3 * k[2] ** 2
-    if variant == "centered":
-        return c2
-    return c2 + 32.0 * tau ** 3 * k[1] * k[3] + 64.0 * tau ** 4 * k[1] ** 2 * k[2]
+        c1 = 4 tau^2 K4 + 32 tau^3 K1 K3 + (32/3) tau^3 K2^2 + 64 tau^4 K1^2 K2
+        c2 = 4 tau^2 K4 + (32/3) tau^3 K2^2
+        """
+        tau, k = self.tau, self.k
+        c2 = 4.0 * tau ** 2 * k[4] + (32.0 / 3.0) * tau ** 3 * k[2] ** 2
+        if variant == "centered":
+            return c2
+        return c2 + 32.0 * tau ** 3 * k[1] * k[3] + 64.0 * tau ** 4 * k[1] ** 2 * k[2]
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +230,7 @@ def quadratic_variance_derived(model: HazardModel, variant: str) -> float:
 
 def rep_linear_case(args, rng) -> tuple:
     """(statistic, H(T)) for one replication of args = (model, center,
-    scale), the last two from linear_center_scale; the raw cumulative hazard
+    scale), the last two from linear_case; the raw cumulative hazard
     is retained so reports can show the empirical centering."""
     model, center, scale = args
     h_total = cumulative_hazard(model, sample_hazard_pattern(model, rng))

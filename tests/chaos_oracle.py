@@ -6,6 +6,8 @@
   indicator kernels.
 - ``levy_khinchine_cf``: the characteristic function of I1(g).
 - ``single_clt_check``: the arity-1 analogue of ``chaos.clt_criterion``.
+- ``fourth_moment_chaos``: the fourth-moment criterion functional of one
+  kernel, from its norm and its contraction norms.
 - ``chaos_value``: c + I1(g) + I2(f) for one realization.
 """
 
@@ -16,7 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from poisson_chaos.chaos import CriterionVerdict, check_limit, eval_I1, eval_I2
+from poisson_chaos.chaos import (
+    REL_TOL, CriterionVerdict, LimitCheck, _fit_slope, check_limit, combine_fourth_moment,
+    eval_I1, eval_I2,
+)
+from poisson_chaos.contractions import contraction_norms
 from poisson_chaos.kernels import GridKernel, Kernel, _check_arity
 from poisson_chaos.point_process import ControlMeasure, PointPattern, Window
 
@@ -76,7 +82,8 @@ def single_clt_check(kernels, control: ControlMeasure, windows, index=None) -> C
     """Audit a sequence of arity-1 kernels: ||g||^2 -> 1 and int |g|^3 -> 0.
 
     Cube norms of time-averaged kernels decay like T^{-1/2}, so the decay
-    slope threshold is -0.25 here.
+    slope threshold is -0.25 here, not check_limit's -0.5; the last cube
+    norm must still be below chaos.REL_TOL times the first.
     """
     kernels = list(kernels)
     windows = list(windows) if isinstance(windows, (list, tuple)) else [windows] * len(kernels)
@@ -87,11 +94,22 @@ def single_clt_check(kernels, control: ControlMeasure, windows, index=None) -> C
         _check_arity(g, 1)
         norms.append(g.l2_norm_sq(control, w))
         cubes.append(g.lp_norm(3, control, w))
+    ratio = cubes[-1] / cubes[0] if cubes[0] else math.inf
+    slope = _fit_slope(index, cubes)
     checks = (
         check_limit("norm_sq", index, norms, 1.0),
-        check_limit("cube_norm", index, cubes, 0.0, decay_slope=-0.25),
+        LimitCheck("cube_norm", tuple(cubes), 0.0,
+                   slope is not None and ratio < REL_TOL and slope < -0.25, slope,
+                   f"last/first = {ratio:.3g}, slope = {slope}"),
     )
     return CriterionVerdict((), checks, bool(all(c.passed for c in checks)))
+
+
+def fourth_moment_chaos(f: Kernel, control: ControlMeasure, window: Window) -> float:
+    """chaos.combine_fourth_moment of f: 3 (2||f||^2)^2 + 48 n11 + 96 n10 + 4 n21."""
+    norm2_doubled = 2.0 * f.l2_norm_sq(control, window)
+    n11, n21, n10 = contraction_norms(f, control, window)
+    return combine_fourth_moment(norm2_doubled, n11, n21, n10)
 
 
 def levy_khinchine_cf(g: Kernel, theta: float, control: ControlMeasure,

@@ -13,14 +13,12 @@ import math
 import numpy as np
 import pytest
 
-from poisson_chaos.chaos import (
-    combine_fourth_moment, eval_I1, eval_I2, fourth_moment_chaos, rep_block,
-)
+from poisson_chaos.chaos import combine_fourth_moment, eval_I1, eval_I2, rep_block
 from poisson_chaos.cli import main as cli_main
 from poisson_chaos.contractions import contraction_norms
 from poisson_chaos.harness import collect, jackknife_variance_se, ks_statistic
 from poisson_chaos.hazard import (
-    cumulative_variance_exact, linear_center_scale, rect_model, rep_linear_case,
+    cumulative_variance_exact, linear_case, rect_model, rep_linear_case,
     rep_quadratic as hz_rep_quadratic,
 )
 from poisson_chaos.kernels import BlockKernel, GridKernel, OUDoubleHKernel
@@ -32,7 +30,7 @@ from poisson_chaos.point_process import (
     BetaControl, DiscreteControl, ExtendedGammaControl, Window, sample_pattern,
 )
 
-from chaos_oracle import charlier_block_oracle
+from chaos_oracle import charlier_block_oracle, fourth_moment_chaos
 from expansion_oracle import product_expand
 from fits import slope_fit
 from seeds import replication_rng
@@ -318,7 +316,7 @@ class TestCriterion6SampleVariance:
 class TestCriterion7LinearHazard:
     def test_case1_variance_and_ks(self):
         model = rect_model(UNIT, T=200.0)
-        args = (model, *linear_center_scale(model, 1))
+        args = (model, *linear_case(model, 1)[:2])
         vals = collect(rep_linear_case, args, 5000, MASTER_SEED)[:, 0]
         est = float(vals.var(ddof=1))
         ks = ks_statistic(vals, 4.0)
@@ -332,7 +330,7 @@ class TestCriterion7LinearHazard:
         "exact Campbell value at the stated T = 1e4 is 3.068, outside 4 +- 0.8"))
     def test_case2_variance_stated(self):
         model = rect_model(ExtendedGammaControl(eps=1e-4), T=1.0e4)
-        args = (model, *linear_center_scale(model, 2))
+        args = (model, *linear_case(model, 2)[:2])
         vals = collect(rep_linear_case, args, 2000, MASTER_SEED)[:, 0]
         est = float(vals.var(ddof=1))
         ok = abs(est - 4.0) <= 0.8
@@ -349,7 +347,7 @@ class TestCriterion7LinearHazard:
             ladder.append(cumulative_variance_exact(model) / math.log(T))
         monotone = ladder[0] < ladder[1] < ladder[2] < 4.0
         model = rect_model(ExtendedGammaControl(eps=1e-4), T=1.0e4)
-        args = (model, *linear_center_scale(model, 2))
+        args = (model, *linear_case(model, 2)[:2])
         vals = collect(rep_linear_case, args, 2000, MASTER_SEED)[:, 0]
         est = float(vals.var(ddof=1))
         se = jackknife_variance_se(vals)
@@ -365,7 +363,7 @@ class TestCriterion7LinearHazard:
         "T = 1e4 and -> 0; the stated N(0, 8) band is unattainable"))
     def test_case3_variance_stated(self):
         model = rect_model(BetaControl(), T=1.0e4)
-        args = (model, *linear_center_scale(model, 3))
+        args = (model, *linear_case(model, 3)[:2])
         vals = collect(rep_linear_case, args, 2000, MASTER_SEED)[:, 0]
         est = float(vals.var(ddof=1))
         ok = abs(est - 8.0) <= 1.0
@@ -390,7 +388,7 @@ class TestCriterion7LinearHazard:
 
     def test_case3_mc_matches_campbell_oracle(self):
         model = rect_model(BetaControl(), T=1.0e4)
-        args = (model, *linear_center_scale(model, 3))
+        args = (model, *linear_case(model, 3)[:2])
         vals = collect(rep_linear_case, args, 2000, MASTER_SEED)[:, 0]
         est = float(vals.var(ddof=1))
         oracle = cumulative_variance_exact(model) / math.sqrt(1.0e4)

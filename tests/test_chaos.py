@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from poisson_chaos import chaos
 from poisson_chaos.chaos import (
-    check_limit, clt_criterion, combine_fourth_moment, eval_I1, eval_I2,
-    fourth_moment_chaos, rep_block,
+    check_limit, clt_criterion, combine_fourth_moment, eval_I1, eval_I2, rep_block,
 )
 from poisson_chaos.cli import main as cli_main
 from poisson_chaos.harness import tail_mass
@@ -22,8 +21,8 @@ from poisson_chaos.point_process import (
 from poisson_chaos.quadrature import _dot
 
 from chaos_oracle import (
-    charlier_block_oracle, charlier_polynomials, chaos_value, levy_khinchine_cf,
-    single_clt_check,
+    charlier_block_oracle, charlier_polynomials, chaos_value, fourth_moment_chaos,
+    levy_khinchine_cf, single_clt_check,
 )
 from expansion_oracle import product_expand
 from fits import slope_fit
@@ -544,8 +543,11 @@ class TestHelpers:
 
     def test_check_limit_rules(self):
         idx = [1, 2, 4, 8]
-        ok = check_limit("x", idx, [1.0 / i for i in idx], 0.0, rel_tol=0.3)
+        # 1/i over 1..32: last/first = 1/32 is below chaos.REL_TOL, slope -1
+        ok = check_limit("x", idx + [16, 32], [1.0 / i for i in idx + [16, 32]], 0.0)
         assert ok.passed
+        near = check_limit("x", idx, [1.0 / i for i in idx], 0.0)
+        assert not near.passed and near.slope == pytest.approx(-1.0)   # 1/8 > 0.05
         stuck = check_limit("x", idx, [1.0, 1.0, 1.0, 1.0], 0.0)
         assert not stuck.passed
         conv = check_limit("x", idx, [1.3, 1.1, 1.05, 1.01], 1.0)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from poisson_chaos import cli, hazard, quadrature
+from poisson_chaos import cli, hazard, ou, quadrature
 from poisson_chaos.cli import CRASH, USAGE_ERROR, build_parser, main
 from poisson_chaos.configio import ConfigError, config_hash, control_from_section, read_config
 from poisson_chaos.kernels import OUDoubleHKernel
@@ -200,6 +200,64 @@ class TestCLI:
         assert len(err) == 1
         assert "replication 2 (master seed 5)" in err[0] and "ZeroDivisionError: boom" in err[0]
 
+    @pytest.mark.parametrize("argv, code, head", [
+        # x ** 4 of the horizon in the pair kernel's contraction norms
+        (["criterion", "--family", "ou-pair", "--indices", "1e308"], CRASH,
+         "crash: OverflowError: "),
+        # T ** 2 underflows in the support check of the OU statistics
+        (["ou", "--theorem", "5", "--T", "1e-300", "--reps", "20"], CRASH,
+         "crash: ZeroDivisionError: "),
+        # the window cut at x = -12/lam leaves 2.2e-6 of the linear kernel's L2 mass out
+        (["ou", "--theorem", "5", "--lam", "1e-5", "--T", "1e5", "--reps", "20"], USAGE_ERROR,
+         "invalid request: kernel support leaks outside the window"),
+    ], ids=["criterion-overflow", "ou-zero-division", "ou-support-leak"])
+    def test_failure_before_the_replications_names_no_replication(self, tmp_path, monkeypatch,
+                                                                  capsys, argv, code, head):
+        monkeypatch.setattr(cli, "collect", lambda *a: pytest.fail("a replication ran"))
+        rc = main([*argv, "--out", str(tmp_path / "out")])
+        assert rc == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.strip().splitlines()
+        assert line.startswith(head) and "replication" not in line
+        assert not (tmp_path / "out").exists()
+
+
+class TestOneModelCheckPerRun:
+    """A Monte Carlo run checks its model once, before harness.collect:
+    hazard theorem 7 calls linear_case once, theorem 8 and ou build their
+    statistics once, and no replication, in this process or in a worker
+    forked from it, checks the model again (a worker that did would fail
+    its replication and the run would crash)."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("argv, owner, name", [
+        (["hazard", "--theorem", "7", "--reps", "20"], hazard, "linear_case"),
+        (["hazard", "--theorem", "8", "--reps", "20"], hazard.QuadraticStatistics, "__init__"),
+        (["ou", "--theorem", "4", "--reps", "100"], ou.OUStatistics, "__init__"),
+        (["ou", "--theorem", "5", "--reps", "20"], ou.OUStatistics, "__init__"),
+    ], ids=["hazard-7", "hazard-8", "ou-4", "ou-5"])
+    def test_model_checked_once_before_collect(self, tmp_path, monkeypatch, argv, owner, name,
+                                               workers):
+        checks, entered = [], []
+        check, collect = getattr(owner, name), cli.collect
+
+        def counted(*args):
+            assert not entered, "a replication checked the model"
+            checks.append(1)
+            return check(*args)
+
+        def entering(*args):
+            entered.append(len(checks))
+            return collect(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(cli, "collect", entering)
+        rc = main([*argv, "--T", "20", "--seed", "3", "--workers", workers,
+                   "--out", str(tmp_path)])
+        assert rc in (0, 1)
+        assert entered == [1] and checks == [1]
+
 
 class TestOUPairCriterion:
     @pytest.mark.parametrize("args", [["--lam", "0"], ["--lam", "-1"], ["--lam", "nan"],
@@ -255,11 +313,15 @@ class TestOUPairCriterion:
          "criterion_ou-pair-unit_lam1_closed.json", 0),
         # lam T from 0.005 to 16: both evaluation branches of every norm part
         ("ou-pair", "0.01", "0.5,1,2,50,1600", "criterion_ou-pair_lam0.01.json", 1),
+        # unset, --lam is 1
+        ("ou-pair-unit", None, "50,100,200,400,800,1600",
+         "criterion_ou-pair-unit_lam1_closed.json", 0),
     ])
     def test_closed_form_report_is_byte_identical(self, tmp_path, family, lam, indices,
                                                   golden, code):
         # reports of the closed-form contraction norms, recorded byte for byte
-        rc = main(["criterion", "--family", family, "--lam", lam, "--indices", indices,
+        rate = [] if lam is None else ["--lam", lam]
+        rc = main(["criterion", "--family", family, *rate, "--indices", indices,
                    "--out", str(tmp_path)])
         assert rc == code
         got = (tmp_path / f"criterion_{family}.json").read_bytes()
@@ -832,6 +894,20 @@ class TestOneSourcePerValue:
         assert out == ""
         assert err.strip().splitlines() == [
             f"invalid request: hazard theorem {flags[1]} takes no --{unread}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("family", ["block", "fixed"])
+    def test_criterion_lam_without_a_rate_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                            family):
+        # the block and fixed families have no rate: --lam would change nothing
+        monkeypatch.setattr(cli.chaos, "clt_criterion", lambda *a, **k: pytest.fail("ran"))
+        rc = main(["criterion", "--family", family, "--indices", "10,30", "--lam", "2",
+                   "--out", str(tmp_path / "out")])
+        assert rc == USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip().splitlines() == [
+            f"invalid request: criterion --family {family} takes no --lam"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("theorem, default", [("7", ["--case", "1"]),

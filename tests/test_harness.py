@@ -275,11 +275,10 @@ FAULT_SCRIPT = """
 import resource, sys
 sys.path.insert(0, sys.argv[1])
 from poisson_chaos.harness import collect
-from poisson_chaos.hazard import (ExtendedGammaControl, linear_center_scale, rect_model,
-                                  rep_linear_case)
+from poisson_chaos.hazard import ExtendedGammaControl, linear_case, rect_model, rep_linear_case
 
 model = rect_model(ExtendedGammaControl(), T=1e4)
-args = (model, *linear_center_scale(model, 2))
+args = (model, *linear_case(model, 2)[:2])
 collect(rep_linear_case, args, 3, 1)          # table, window mass, warm heap
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 collect(rep_linear_case, args, 20, 2)

@@ -10,10 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from poisson_chaos import hazard
 from poisson_chaos.harness import collect
 from poisson_chaos.hazard import (
-    CaseMismatchError, HazardModel, cumulative_hazard,
-    cumulative_mean_exact, cumulative_variance_exact, linear_case_targets,
-    linear_center_scale,
-    quadratic_variance_derived, quadratic_variance_stated, rect_model,
+    CaseMismatchError, HazardModel, QuadraticStatistics, cumulative_hazard,
+    cumulative_mean_exact, cumulative_variance_exact, linear_case, rect_model,
     rep_linear_case, rep_quadratic,
     sample_hazard_pattern, square_hazard_integral,
 )
@@ -344,9 +342,9 @@ class TestOnePass:
         one_pass = RectHazardKernel.path_integrals
         monkeypatch.setattr(RectHazardKernel, "path_integrals",
                             lambda *a: calls.append(1) or one_pass(*a))
-        quadratic_moments = hazard._quadratic_moments
-        monkeypatch.setattr(hazard, "_quadratic_moments",
-                            lambda *a: moments.append(1) or quadratic_moments(*a))
+        init = QuadraticStatistics.__init__
+        monkeypatch.setattr(QuadraticStatistics, "__init__",
+                            lambda *a: moments.append(1) or init(*a))
         for name in ("cumulative_hazard", "square_hazard_integral"):
             monkeypatch.setattr(hazard, name, lambda *a, name=name: pytest.fail(f"{name} called"))
         model = rect_model(UNIT, T=50.0)
@@ -360,18 +358,18 @@ class TestLinearStat:
     def test_case_mismatch_errors(self):
         model = rect_model(UNIT, T=10.0)
         with pytest.raises(CaseMismatchError):
-            hazard.linear_center_scale(model, 2)
+            linear_case(model, 2)
         model_beta = rect_model(BetaControl(), T=10.0)
         with pytest.raises(CaseMismatchError):
-            hazard.linear_center_scale(model_beta, 1)
+            linear_case(model_beta, 1)
         model_dl = HazardModel(kernel=DykstraLaudHazardKernel(), control=UNIT, T=10.0)
         with pytest.raises(CaseMismatchError):
-            hazard.linear_center_scale(model_dl, 1)
-        # the stated targets check the model too, and reject a case that is not stated
+            linear_case(model_dl, 1)
         with pytest.raises(CaseMismatchError):
-            linear_case_targets(model_beta, 2)
+            linear_case(model_beta, 2)
+        # a case that is not stated
         with pytest.raises(CaseMismatchError):
-            linear_case_targets(model, 4)
+            linear_case(model, 4)
 
     def test_one_cumulative_hazard_per_replication(self, monkeypatch):
         calls = []
@@ -379,9 +377,9 @@ class TestLinearStat:
         monkeypatch.setattr(hazard, "cumulative_hazard",
                             lambda *a, **kw: calls.append(1) or cumulative(*a, **kw))
         model = rect_model(UNIT, T=50.0)
-        args = (model, *linear_center_scale(model, 1))
+        args = (model, *linear_case(model, 1)[:2])
         # the case checks ran once, above, and not per replication
-        monkeypatch.setattr(hazard, "linear_center_scale",
+        monkeypatch.setattr(hazard, "linear_case",
                             lambda *a: pytest.fail("case checked per replication"))
         stat, h_total = rep_linear_case(args, replication_rng(62, 0))
         assert len(calls) == 1
@@ -390,9 +388,9 @@ class TestLinearStat:
     def test_case1_variance(self):
         model = rect_model(UNIT, T=200.0)
         rng = replication_rng(57, 0)
-        args = (model, *linear_center_scale(model, 1))
+        args = (model, *linear_case(model, 1)[:2])
         vals = np.array([rep_linear_case(args, rng)[0] for _ in range(5000)])
-        assert linear_case_targets(model, 1) == pytest.approx(4.0)
+        assert linear_case(model, 1)[2] == pytest.approx(4.0)
         # exact finite-horizon variance (edge-corrected): (4T - 3)/T
         assert vals.var(ddof=1) == pytest.approx(
             cumulative_variance_exact(model) / model.T, rel=0.08)
@@ -403,7 +401,7 @@ class TestLinearStat:
         model = rect_model(ExtendedGammaControl(eps=1e-4), T=T)
         oracle_var = cumulative_variance_exact(model) / math.log(T)
         rng = replication_rng(58, 0)
-        args = (model, *linear_center_scale(model, 2))
+        args = (model, *linear_case(model, 2)[:2])
         vals = np.array([rep_linear_case(args, rng)[0] for _ in range(600)])
         assert vals.var(ddof=1) == pytest.approx(oracle_var, rel=0.2)
         # the stated limit 4 is approached from below, logarithmically
@@ -414,7 +412,7 @@ class TestLinearStat:
         model = rect_model(BetaControl(), T=T)
         oracle_var = cumulative_variance_exact(model) / math.sqrt(T)
         rng = replication_rng(59, 0)
-        args = (model, *linear_center_scale(model, 3))
+        args = (model, *linear_case(model, 3)[:2])
         vals = np.array([rep_linear_case(args, rng)[0] for _ in range(600)])
         assert vals.var(ddof=1) == pytest.approx(oracle_var, rel=0.2)
         # with the stated T^{1/4} normalization the variance decays, far from 8
@@ -426,17 +424,15 @@ class TestQuadraticStat:
         # the CLI rejects an unknown --variant (tests/test_cli.py); the model
         # check rejects a non-homogeneous control and a non-rectangular kernel
         with pytest.raises(CaseMismatchError):
-            hazard._quadratic_moments(rect_model(BetaControl(), T=10.0))
+            QuadraticStatistics(rect_model(BetaControl(), T=10.0))
         with pytest.raises(CaseMismatchError):
-            hazard._quadratic_moments(rect_model(ExtendedGammaControl(eps=1e-4), T=10.0))
+            QuadraticStatistics(rect_model(ExtendedGammaControl(eps=1e-4), T=10.0))
         with pytest.raises(CaseMismatchError):
-            hazard._quadratic_moments(
+            QuadraticStatistics(
                 HazardModel(kernel=DykstraLaudHazardKernel(), control=UNIT, T=10.0))
-        for variant in ("raw", "centered"):
-            with pytest.raises(CaseMismatchError):
-                quadratic_variance_derived(rect_model(BetaControl(), T=10.0), variant)
-            with pytest.raises(CaseMismatchError):
-                quadratic_variance_stated(rect_model(BetaControl(), T=10.0), variant)
+        # the variances are read through the checked statistics
+        with pytest.raises(CaseMismatchError):
+            rect_model(BetaControl(), T=10.0).quadratic
 
     def test_replication_matches_single_statistics(self):
         model = rect_model(UNIT, T=40.0)
@@ -448,10 +444,11 @@ class TestQuadraticStat:
         model = rect_model(UNIT, T=400.0)
         # raw centering 2 tau K2 + 4 tau^2 K1^2 = 6 for the unit marginal
         assert 2.0 * 1.0 * 1.0 + 4.0 * 1.0 * 1.0 == 6.0
-        assert quadratic_variance_stated(model, "raw") == pytest.approx(140.0 / 3.0)
-        assert quadratic_variance_stated(model, "centered") == pytest.approx(44.0 / 3.0)
-        assert quadratic_variance_derived(model, "raw") == pytest.approx(332.0 / 3.0)
-        assert quadratic_variance_derived(model, "centered") == pytest.approx(44.0 / 3.0)
+        quadratic = model.quadratic
+        assert quadratic.variance_stated("raw") == pytest.approx(140.0 / 3.0)
+        assert quadratic.variance_stated("centered") == pytest.approx(44.0 / 3.0)
+        assert quadratic.variance_derived("raw") == pytest.approx(332.0 / 3.0)
+        assert quadratic.variance_derived("centered") == pytest.approx(44.0 / 3.0)
 
     @pytest.mark.slow
     def test_variances_match_derived_constants(self):
@@ -476,7 +473,7 @@ class TestOnePointLaw:
             model = rect_model(control, T=200.0)
             if statistic == "quadratic":
                 return collect(rep_quadratic, model, 200, 27, workers)
-            center, scale = linear_center_scale(model, 1)
+            center, scale, _ = linear_case(model, 1)
             return collect(rep_linear_case, (model, center, scale), 200, 27, workers)
 
         got, want = run(UNIT), run(MarkDrawingControl(values=(1.0,), weights=(1.0,)))
