@@ -21,9 +21,10 @@ does not read (--variant for 7, --case for 8), --lam with criterion --family
 block or fixed, a negative seed, an unknown family, theorem or case, a
 control that does not match the requested case or theorem, hazard case 2 at
 T <= 1, fewer than two replications (100 for ou theorem 4) or one worker, a
-rate, horizon or bandwidth that is not finite and positive, an ou rate and
-horizon whose window cut leaks kernel mass (the support check of
-ou.OUStatistics), an eps that is not finite and nonnegative, a hazard
+rate, horizon or bandwidth that is not finite and positive, an OU rate,
+horizon or their product outside [1e-60, 1e60], an ou rate and horizon
+whose window cut leaks kernel mass (the support check of ou.OUStatistics),
+an eps that is not finite and nonnegative, a hazard
 control with infinite mass (a Gamma control with eps = 0), a window bound
 that is not finite, fewer than one block, a sampled pattern of more than
 point_process.MAX_MEAN_ATOMS atoms on average (ou, hazard, sample, block;
@@ -52,11 +53,10 @@ import numpy as np
 
 from . import __version__
 from .configio import ConfigError, config_hash, control_from_section, read_config
-from .point_process import (DiscreteControl, Window, check_atom_budget, sample_pattern,
-                            pattern_to_csv)
+from .point_process import DiscreteControl, Window, check_atom_budget, sample_pattern
 from .kernels import BlockKernel, GridKernel, OUDoubleHKernel
 from . import chaos, hazard as hz, ou as oumod
-from .harness import TargetSpec, collect, summarize, values_to_csv
+from .harness import TargetSpec, collect, summarize
 
 USAGE_ERROR = 2
 CRASH = 3
@@ -66,6 +66,15 @@ UNIT_JUMPS = DiscreteControl(values=(1.0,), weights=(1.0,))   # the control no s
 def _report_row(T, report, m4, target, passed: bool) -> tuple:
     return (T, report.mean, report.variance, report.variance_se, report.skewness, m4,
             report.ks_distance, target, "PASS" if passed else "FAIL")
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Writes header, then one line per row: float cells by repr, others by str."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header)
+        for row in rows:
+            fh.write(",".join(repr(float(c)) if isinstance(c, (float, np.floating))
+                              else str(c) for c in row) + "\n")
 
 
 def _finish(args, stem: str, payload: dict, passed: bool, label: str, t0: float,
@@ -83,13 +92,9 @@ def _finish(args, stem: str, payload: dict, passed: bool, label: str, t0: float,
                                          encoding="utf-8")
     if dumps and args.dump:
         for name, values in dumps.items():
-            values_to_csv(values, outdir / name)
+            _write_csv(outdir / name, "replication_index,value\n", enumerate(values))
     if rows and args.format == "csv":
-        with open(outdir / f"{stem}.csv", "w", encoding="utf-8") as fh:
-            fh.write("T,mean,var,var_se,m3,m4,ks,target,verdict\n")
-            for row in rows:
-                fh.write(",".join(repr(float(c)) if isinstance(c, (float, np.floating))
-                                  else str(c) for c in row) + "\n")
+        _write_csv(outdir / f"{stem}.csv", "T,mean,var,var_se,m3,m4,ks,target,verdict\n", rows)
     print(f"{label}: {'PASS' if passed else 'FAIL'}  [{time.perf_counter() - t0:.1f}s]")
     return 0 if passed else 1
 
@@ -258,10 +263,10 @@ def cmd_sample(args) -> int:
     mass = float(control.mass(window))
     path = Path(args.out) / "pattern.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
-    pattern_to_csv(pattern, mass, path)
-    extra = control.neglected_second_moment()
+    _write_csv(path, f"# window x=[{window.x_lo!r},{window.x_hi!r}] mass={mass!r} "
+                     f"seed={args.seed}\nu,x\n", zip(pattern.u, pattern.x))
     print(f"wrote {path} ({len(pattern)} atoms, mass {mass:.6g}, "
-          f"neglected second-moment mass {extra:.3e})")
+          f"neglected second-moment mass {control.neglected_second_moment():.3e})")
     return 0
 
 

@@ -28,13 +28,11 @@ def read_config(path) -> dict:
     return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
-def config_hash(path=None, text: str | None = None) -> str:
-    if text is None:
-        if path is None:
-            return hashlib.sha256(b"").hexdigest()[:16]
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()[:16]
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+def config_hash(path=None) -> str:
+    if path is None:
+        return hashlib.sha256(b"").hexdigest()[:16]
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
 def control_from_section(section: dict):

@@ -311,11 +311,3 @@ def summarize(name: str, values: np.ndarray, targets=(), master_seed: int = 0,
         ks_distance=ks, ks_reference_variance=ks_reference_variance,
         verdicts=tuple(verdicts), tail_masses=tails,
     )
-
-
-def values_to_csv(values: np.ndarray, path) -> None:
-    v = np.asarray(values, dtype=float).ravel()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("replication_index,value\n")
-        for i, val in enumerate(v):
-            fh.write(f"{i},{float(val)!r}\n")

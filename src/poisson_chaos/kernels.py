@@ -369,8 +369,11 @@ class BlockKernel(Kernel):
 
 
 def _check_rate_and_horizon(lam: float, T: float) -> None:
-    if not (0.0 < lam < math.inf and 0.0 < T < math.inf):
-        raise ValueError("lam and T must be positive")
+    # the closed forms raise T and lam T to the 4th power and lam to the 3rd, at most
+    for name, value in (("lam", lam), ("T", T), ("lam T", lam * T)):
+        if not 1e-60 <= value <= 1e60:
+            raise ValueError(f"{name} = {value:g} is outside the closed forms' range "
+                             f"[1e-60, 1e+60]")
 
 
 def _binom_time_integral(p: int, r: float, T: float, m: int = 0) -> float:

@@ -35,7 +35,6 @@ __all__ = [
     "check_atom_budget",
     "MAX_MEAN_ATOMS",
     "replication_seed",
-    "pattern_to_csv",
 ]
 
 
@@ -71,14 +70,12 @@ class Window:
 class PointPattern:
     """Atoms of one Poisson realization on a window.
 
-    ``u`` and ``x`` are parallel arrays (jump sizes / time coordinates);
-    ``seed`` is the 64-bit sampling seed for provenance.
+    ``u`` and ``x`` are parallel arrays (jump sizes / time coordinates).
     """
 
     u: np.ndarray
     x: np.ndarray
     window: Window
-    seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
@@ -324,9 +321,8 @@ class ControlMeasure:
 
     # -- sampling ----------------------------------------------------------
     def mean_atoms(self, window: Window) -> float:
-        """Mean of the Poisson atom count that sample() draws on the window;
-        nu(R) |W| here, non-homogeneous controls override."""
-        return self.jump_mass() * window.length
+        """Mean atom count of sample() on the window: mu(window) by default."""
+        return self.mass(window)
 
     def sample(self, window: Window, rng: np.random.Generator):
         """(u, x) of one Poisson pattern on the window."""
@@ -458,7 +454,7 @@ class GeneralizedGammaControl(ControlMeasure):
     def _compute_window_constants(self, window: Window):
         grid = self._u_grid()
         dens = np.exp(-self.gamma * grid) * grid ** (-1.0 - self.sigma)
-        return _InverseCDF(grid, dens), float(self.jump_mass() * window.length)
+        return _InverseCDF(grid, dens), self.mass(window)
 
     def sample(self, window: Window, rng: np.random.Generator):
         table, total = _window_constants(self, window)
@@ -531,6 +527,13 @@ class ExtendedGammaControl(ControlMeasure):
     def neglected_mean_mass(self) -> float:
         # int_0^eps e^{-beta0 u} du <= eps; reported bound on the dropped mean mass per unit time
         return float(self.eps)
+
+    def neglected_second_moment(self) -> float:
+        # int_0^eps u e^{-beta0 u} du = (1 - (1 + beta0 eps) e^{-beta0 eps}) / beta0^2
+        # ~ eps^2 / 2, dropped at x = 0, where beta is smallest: a bound for every
+        # x >= 0.  gammainc(2, .) evaluates it without that form's cancellation.
+        from scipy.special import gammainc
+        return float(gammainc(2.0, self.beta0 * self.eps)) / self.beta0 ** 2
 
     def _require_window(self, window: Window) -> None:
         self.require_finite_mass()
@@ -639,9 +642,6 @@ class BetaControl(ControlMeasure):
             raise ValueError("Beta control is supported on x > 0")
         return window.length
 
-    def mean_atoms(self, window: Window) -> float:
-        return window.length
-
     def sample(self, window: Window, rng: np.random.Generator):
         # exact conditional inversion: u | x ~ 1 - (1-V)^{1/c(x)}
         n = rng.poisson(self.mean_atoms(window))
@@ -676,22 +676,5 @@ def sample_pattern(control: ControlMeasure, window: Window, seed) -> PointPatter
     i.i.d. mu restricted to the window; deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
     u, x = control.sample(window, rng)
-    seed_int = seed if isinstance(seed, int) else -1
-    return PointPattern(u=u, x=x, window=window, seed=seed_int)
-
-
-# ---------------------------------------------------------------------------
-# pattern CSV export
-# ---------------------------------------------------------------------------
-
-
-def pattern_to_csv(pattern: PointPattern, mass: float, path) -> None:
-    """Writes the atoms as u,x rows under a header with the window, its mass
-    mu(window) and the seed."""
-    header = (f"# window x=[{pattern.window.x_lo!r},{pattern.window.x_hi!r}]"
-              f" mass={mass!r} seed={pattern.seed}\nu,x\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header)
-        for u, x in zip(pattern.u, pattern.x):
-            fh.write(f"{float(u)!r},{float(x)!r}\n")
+    return PointPattern(u=u, x=x, window=window)
 

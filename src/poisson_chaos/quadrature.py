@@ -12,6 +12,8 @@ kink of the integrand.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -37,17 +39,12 @@ class QuadratureError(RuntimeError):
     """A two-level check failed: a numerical fault, not a usage error."""
 
 
+@lru_cache(maxsize=None)
 def _gl_nodes(n: int):
-    # cached Legendre nodes/weights on [-1, 1]; numpy.polynomial is imported
-    # on first use, so no command-line start pays for it
-    key = int(n)
-    if key not in _GL_CACHE:
-        from numpy.polynomial.legendre import leggauss
-        _GL_CACHE[key] = leggauss(key)
-    return _GL_CACHE[key]
-
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    # Legendre nodes/weights on [-1, 1]; numpy.polynomial is imported on
+    # first use, so no command-line start pays for it
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(int(n))
 
 
 def panel_points(edges: np.ndarray, nodes: int):

@@ -1,8 +1,8 @@
 """Kernels and CSV readers that only the tests use.
 
 - ``grid_to_csv`` / ``grid_from_csv``: a round-trip format for grid kernels.
-- ``pattern_from_csv``: reads back the atoms that
-  ``point_process.pattern_to_csv`` writes.
+- ``pattern_from_csv``: reads back the atoms of the pattern.csv that
+  ``poisson-chaos sample`` writes.
 - ``OUInstantKernel``: the pair kernel of the squared OU level at one
   instant, the oracle of the pathwise square identity.
 - ``sqrt4_section_integral``: int (int f(z, w)^4 mu(dw))^{1/2} mu(dz), the

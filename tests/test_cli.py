@@ -1,5 +1,7 @@
 import argparse
+import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -36,7 +38,9 @@ class TestConfigIO:
         cfg = tmp_path / "a.cfg"
         cfg.write_text("[x]\nk = 1\n")
         assert config_hash(cfg) == config_hash(cfg)
-        assert config_hash(text="[x]\nk = 1\n") == config_hash(cfg)
+        # the first 16 hex digits of the SHA-256 of the file's bytes
+        assert config_hash(cfg) == hashlib.sha256(b"[x]\nk = 1\n").hexdigest()[:16]
+        assert config_hash(None) == hashlib.sha256(b"").hexdigest()[:16]
 
 
 class TestCLI:
@@ -201,12 +205,14 @@ class TestCLI:
         assert "replication 2 (master seed 5)" in err[0] and "ZeroDivisionError: boom" in err[0]
 
     @pytest.mark.parametrize("argv, code, head", [
-        # x ** 4 of the horizon in the pair kernel's contraction norms
-        (["criterion", "--family", "ou-pair", "--indices", "1e308"], CRASH,
-         "crash: OverflowError: "),
-        # T ** 2 underflows in the support check of the OU statistics
-        (["ou", "--theorem", "5", "--T", "1e-300", "--reps", "20"], CRASH,
-         "crash: ZeroDivisionError: "),
+        # x ** 4 of this horizon overflows in the pair kernel's contraction
+        # norms, so the range check refuses it
+        (["criterion", "--family", "ou-pair", "--indices", "1e308"], USAGE_ERROR,
+         "invalid request: T = 1e+308 is outside the closed forms' range [1e-60, 1e+60]"),
+        # T ** 2 of this horizon underflows to a division by zero in the
+        # support check of the OU statistics, so the range check refuses it
+        (["ou", "--theorem", "5", "--T", "1e-300", "--reps", "20"], USAGE_ERROR,
+         "invalid request: T = 1e-300 is outside the closed forms' range [1e-60, 1e+60]"),
         # the window cut at x = -12/lam leaves 2.2e-6 of the linear kernel's L2 mass out
         (["ou", "--theorem", "5", "--lam", "1e-5", "--T", "1e5", "--reps", "20"], USAGE_ERROR,
          "invalid request: kernel support leaks outside the window"),
@@ -260,13 +266,52 @@ class TestOneModelCheckPerRun:
 
 
 class TestOUPairCriterion:
-    @pytest.mark.parametrize("args", [["--lam", "0"], ["--lam", "-1"], ["--lam", "nan"],
-                                      ["--indices", "0,10,20"], ["--indices=-5,10"]])
+    # each flag and the first value the range check refuses
+    REFUSED = {("--lam", "0"): "lam = 0", ("--lam", "-1"): "lam = -1",
+               ("--lam", "nan"): "lam = nan", ("--indices", "0,10,20"): "T = 0",
+               ("--indices=-5,10",): "T = -5"}
+
+    @pytest.mark.parametrize("args", [list(a) for a in REFUSED])
     def test_invalid_rate_or_horizon_is_a_usage_error(self, tmp_path, capsys, args):
         rc = main(["criterion", "--family", "ou-pair", "--out", str(tmp_path), *args])
         assert rc == USAGE_ERROR
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["invalid request: lam and T must be positive"]
+        assert err == [f"invalid request: {self.REFUSED[tuple(args)]} is outside the closed "
+                       f"forms' range [1e-60, 1e+60]"]
+
+    @pytest.mark.parametrize("argv, name, value", [
+        (["ou", "--theorem", "4", "--T", "1e-300", "--reps", "100"], "T", "1e-300"),
+        (["criterion", "--family", "ou-pair", "--indices", "1e77,1e78"], "T", "1e+77"),
+        (["criterion", "--family", "ou-pair", "--lam", "1e80", "--indices", "1,2"],
+         "lam", "1e+80"),
+        (["ou", "--theorem", "5", "--lam", "1e200", "--T", "1", "--reps", "4"], "lam", "1e+200"),
+        (["criterion", "--family", "ou-pair-unit", "--lam", "1e30", "--indices", "1e31"],
+         "lam T", "1e+61"),
+    ], ids=["ou4-T", "criterion-T", "criterion-lam", "ou5-lam", "criterion-lamT"])
+    def test_rate_or_horizon_outside_the_closed_forms_is_a_usage_error(
+            self, tmp_path, monkeypatch, capsys, argv, name, value):
+        # the closed forms overflow or divide by zero at each of these
+        monkeypatch.setattr(cli, "collect", lambda *a: pytest.fail("a replication ran"))
+        rc = main([*argv, "--out", str(tmp_path / "out")])
+        assert rc == USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip().splitlines() == [
+            f"invalid request: {name} = {value} is outside the closed forms' range "
+            f"[1e-60, 1e+60]"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lam, indices", [("1e-60", "1e60"), ("1e60", "1e-60"),
+                                              ("1e60", "1"), ("1", "1e-60,1e60")])
+    def test_range_corners_give_finite_norms(self, tmp_path, lam, indices):
+        rc = main(["criterion", "--family", "ou-pair", "--lam", lam, "--indices", indices,
+                   "--out", str(tmp_path)])
+        assert rc in (0, 1)
+        text = (tmp_path / "criterion_ou-pair.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        for report in json.loads(text)["reports"]:
+            assert all(math.isfinite(report[k])
+                       for k in ("norm2_doubled", "l4", "n11", "n21", "n10"))
 
     def test_quadrature_failure_is_a_crash(self, tmp_path, monkeypatch, capsys):
         def failing(self, control, window):
@@ -476,6 +521,30 @@ class TestGoldenSamples:
         assert rc == 0
         got = (tmp_path / "pattern.csv").read_bytes()
         assert got == (GOLDEN / "sample" / f"{name}.csv").read_bytes()
+
+    def test_extended_gamma_sample_reports_its_truncation(self, tmp_path, capsys):
+        # the jumps below eps drop int_0^eps u e^{-beta0 u} du = 4.9967e-7
+        # of second-moment mass per unit time
+        text, x_lo, x_hi, seed = self.CONFIGS["extended_gamma"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        rc = main(["sample", "--config", str(cfg), f"--x-lo={x_lo}", "--x-hi", x_hi,
+                   "--seed", seed, "--out", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().out.rstrip().endswith("neglected second-moment mass 4.997e-07)")
+        got = (tmp_path / "pattern.csv").read_bytes()
+        assert got == (GOLDEN / "sample" / "extended_gamma.csv").read_bytes()
+
+    def test_beta_window_below_zero_fails_before_sampling(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.CONFIGS["beta"][0], encoding="utf-8")
+        monkeypatch.setattr(cli, "sample_pattern", lambda *a: pytest.fail("a pattern was sampled"))
+        rc = main(["sample", "--config", str(cfg), "--x-lo=-1", "--out", str(tmp_path / "out")])
+        assert rc == USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip().splitlines() == ["invalid request: Beta control is supported on x > 0"]
+        assert not (tmp_path / "out").exists()
 
     def test_default_control_pattern_is_byte_identical(self, tmp_path):
         # no config: the unit-jump control, the one-point law sample uses

@@ -12,9 +12,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
 import poisson_chaos
+from poisson_chaos import cli
+from poisson_chaos.cli import main
 from poisson_chaos.harness import (
     TargetSpec, collect, gaussian_cdf, jackknife_variance_se,
-    ks_statistic, summarize, values_to_csv,
+    ks_statistic, summarize,
 )
 
 from fits import slope_fit
@@ -218,12 +220,12 @@ class TestEngine:
                              ks_reference_variance=1.0).verdicts
             assert v.se == 0.0 and v.within_3se is ok
 
-    def test_values_csv(self, tmp_path):
-        path = tmp_path / "vals.csv"
-        values_to_csv(np.array([1.5, -2.0]), path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "replication_index,value"
-        assert lines[1] == "0,1.5"
+    def test_values_csv(self, tmp_path, monkeypatch):
+        # the --dump file of the replication values that collect returns
+        monkeypatch.setattr(cli, "collect", lambda *a: np.array([[1.5, 1.0], [-2.0, 1.0]]))
+        assert main(["block", "--n", "10", "--reps", "2", "--dump", "--out", str(tmp_path)]) == 1
+        lines = (tmp_path / "block_n10_values.csv").read_text().splitlines()
+        assert lines == ["replication_index,value", "0,1.5", "1,-2.0"]
 
 
 THREAD_SCRIPT = """
@@ -240,7 +242,7 @@ rng = np.random.default_rng(11)
 model = rect_model(DiscreteControl((1.0,), (1.0,)), T=45000.0)
 n = 45000
 pattern = PointPattern(rng.exponential(size=n), rng.uniform(0.0, model.window.x_hi, size=n),
-                       model.window, 0)
+                       model.window)
 print(float(cumulative_hazard(model, pattern)).hex(),
       float(jackknife_variance_se(rng.standard_normal(20000))).hex())
 """

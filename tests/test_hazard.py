@@ -35,7 +35,7 @@ UNIT = DiscreteControl(values=(1.0,), weights=(1.0,))
 def pattern_of(us, xs, window):
     u = np.asarray(us, dtype=float)
     x = np.asarray(xs, dtype=float)
-    return PointPattern(u, x, window, 0)
+    return PointPattern(u, x, window)
 
 
 class TestSimulation:

@@ -164,7 +164,7 @@ class TestOUTails:
         evaluate = eval_I2 if g.arity == 2 else eval_I1
         for cut in (*cut_windows(lam, T), Window(50.0, 60.0)):
             assert g.support_excess(cut) == math.inf
-            empty = PointPattern(np.empty(0), np.empty(0), cut, 0)
+            empty = PointPattern(np.empty(0), np.empty(0), cut)
             with pytest.raises(SupportError):
                 evaluate(g, empty, unit_jump)
 
@@ -209,6 +209,30 @@ class TestOUSingle:
         for L in (3.0, 6.0, 9.0):
             trunc = g.lp_norm(2, symmetric_jump, Window(-L, T))
             assert abs(full - trunc) <= g.support_excess(Window(-L, T)) * 1.0000001
+
+
+class TestRateAndHorizonRange:
+    """lam, T and lam T in [1e-60, 1e60], where the closed forms are finite;
+    each bound is inclusive, and a value that is not positive and finite is
+    refused with the same message."""
+
+    @pytest.mark.parametrize("kind", [OUDoubleHKernel, OUSingleKernel, OUDiagHstarKernel])
+    @pytest.mark.parametrize("lam, T", [
+        (1e-60, 1.0), (1e60, 1e-60), (1.0, 1e-60), (1e-60, 1e60), (1e-30, 2e-30),
+        (1e30, 5e29)])
+    def test_inside_is_accepted(self, kind, lam, T):
+        kind(lam, T)
+
+    @pytest.mark.parametrize("kind", [OUDoubleHKernel, OUSingleKernel, OUDiagHstarKernel])
+    @pytest.mark.parametrize("lam, T, name", [
+        (math.nextafter(1e-60, 0.0), 1.0, "lam"), (math.nextafter(1e60, math.inf), 1e-60, "lam"),
+        (1.0, math.nextafter(1e-60, 0.0), "T"), (1e-60, math.nextafter(1e60, math.inf), "T"),
+        (1e-30, 5e-31, "lam T"), (1e30, 2e30, "lam T"),
+        (0.0, 1.0, "lam"), (math.inf, 1.0, "lam"), (1.0, -1.0, "T"), (1.0, math.nan, "T")])
+    def test_outside_is_refused(self, kind, lam, T, name):
+        message = rf"^{name} = .* is outside the closed forms' range \[1e-60, 1e\+60\]$"
+        with pytest.raises(ValueError, match=message):
+            kind(lam, T)
 
 
 class TestOUDoubleH:
@@ -288,7 +312,7 @@ class TestOUDoubleH:
 
     def test_eval_rejects_window_ending_before_horizon(self, unit_jump):
         h = OUDoubleHKernel(1.0, 10.0)
-        empty = PointPattern(np.empty(0), np.empty(0), Window(-12.0, 5.0), 0)
+        empty = PointPattern(np.empty(0), np.empty(0), Window(-12.0, 5.0))
         with pytest.raises(SupportError):
             eval_I2(h, empty, unit_jump)
 

@@ -45,15 +45,13 @@ class TestConfig:
 class TestPathSimulation:
     def test_empty_pattern_zero_path(self):
         cfg = OUConfig(lam=1.0, T=5.0)
-        pat = sample_ou_pattern(cfg, seed=0)
-        empty = type(pat)(np.empty(0), np.empty(0), pat.window, 0)
+        empty = PointPattern(np.empty(0), np.empty(0), cfg.window)
         y = path_on_grid(cfg, empty, np.linspace(0, 5, 11))
         assert np.all(y == 0.0)
 
     def test_single_atom_closed_form(self):
         cfg = OUConfig(lam=2.0, T=4.0)
-        pat_type = type(sample_ou_pattern(cfg, seed=0))
-        pat = pat_type(np.array([-1.0]), np.array([1.5]), cfg.window, 0)
+        pat = PointPattern(np.array([-1.0]), np.array([1.5]), cfg.window)
         t = np.array([1.0, 1.5, 3.0])
         y = path_on_grid(cfg, pat, t)
         want = np.where(t >= 1.5, -math.sqrt(4.0) * np.exp(-2.0 * (t - 1.5)), 0.0)
@@ -211,7 +209,7 @@ def ou_patterns(draw):
             x += [np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
     x = x + x[:draw(st.integers(0, len(x)))]
     u = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(x), max_size=len(x)))
-    pattern = PointPattern(np.array(u, dtype=float), np.array(x, dtype=float), cfg.window, 0)
+    pattern = PointPattern(np.array(u, dtype=float), np.array(x, dtype=float), cfg.window)
     return cfg, pattern
 
 
@@ -320,7 +318,7 @@ def long_horizon_patterns(draw):
     if cut > cfg.window.x_lo and draw(st.booleans()):
         x += [np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)]
         u += draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=3, max_size=3))
-    return cfg, PointPattern(np.array(u), np.array(x), cfg.window, 0)
+    return cfg, PointPattern(np.array(u), np.array(x), cfg.window)
 
 
 def statistics_and_pair_sum(cfg, pattern):

@@ -8,8 +8,9 @@ from poisson_chaos import point_process
 from poisson_chaos.point_process import (
     MAX_MEAN_ATOMS, BetaControl, DiscreteControl, ExtendedGammaControl,
     GeneralizedGammaControl, InfiniteMassError, PointPattern, SupportError, Window,
-    check_atom_budget, pattern_to_csv, replication_seed, sample_pattern,
+    check_atom_budget, replication_seed, sample_pattern,
 )
+from poisson_chaos.cli import main
 
 from control_oracle import compensated_count, integrate
 from kernel_oracles import pattern_from_csv
@@ -204,6 +205,24 @@ class TestMoments:
                             epsabs=1e-15, epsrel=1e-12)
         from scipy.special import gamma as gfn
         assert ctrl.neglected_second_moment() == pytest.approx(oracle / gfn(0.5), rel=1e-8)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3, 0.1])
+    @pytest.mark.parametrize("beta0", [0.5, 1.0, 2.0])
+    def test_extended_gamma_neglected_second_moment(self, eps, beta0):
+        # int_0^eps u^2 e^{-beta0 u} / u du, the mass dropped at x = 0
+        ctrl = ExtendedGammaControl(beta0=beta0, beta1=1.0, eps=eps)
+        oracle, _ = si.quad(lambda u: u * np.exp(-beta0 * u), 0.0, eps,
+                            epsabs=0.0, epsrel=1e-13)
+        assert ctrl.neglected_second_moment() == pytest.approx(oracle, rel=1e-12)
+
+    def test_extended_gamma_neglected_mass_bounds_every_time(self):
+        ctrl = ExtendedGammaControl(beta0=1.0, beta1=1.0, eps=1e-3)
+        assert ctrl.neglected_second_moment() == pytest.approx(4.9967e-7, rel=1e-4)
+        for x in (0.5, 4.0, 100.0):
+            b = float(ctrl.beta(x))
+            dropped, _ = si.quad(lambda u: u * np.exp(-b * u), 0.0, ctrl.eps,
+                                 epsabs=0.0, epsrel=1e-13)
+            assert dropped < ctrl.neglected_second_moment()
 
 
 class TestControlQuadratureOracle:
@@ -404,6 +423,19 @@ class TestAtomBudget:
         control.sample(window, rng)
         assert rng.means == [control.mean_atoms(window)]
 
+    @pytest.mark.parametrize("control", [
+        DiscreteControl((1.0, -1.0), (0.5, 1.5)), GeneralizedGammaControl(0.5, 1.0, 0.1),
+        BetaControl()], ids=lambda c: type(c).__name__)
+    def test_mean_atoms_is_the_window_mass(self, control):
+        # every sampler but the extended-Gamma one (its table's mass) draws
+        # a Poisson count of mean mu(window)
+        window = Window(2.0, 40.0)
+        assert control.mean_atoms(window) == control.mass(window)
+
+    def test_beta_window_below_zero_is_refused_by_the_budget(self):
+        with pytest.raises(ValueError, match="Beta control is supported on x > 0"):
+            check_atom_budget(BetaControl(), Window(-1.0, 5.0))
+
     def test_budget_bound_is_inclusive(self):
         control = DiscreteControl((1.0,), (1.0,))
         check_atom_budget(control, Window(0.0, MAX_MEAN_ATOMS))
@@ -537,15 +569,15 @@ class TestExtendedGammaLaw:
 
 class TestCompensatedCount:
     def test_empty_pattern(self, unit_jump):
-        pat = PointPattern(np.empty(0), np.empty(0), Window(0.0, 2.0), 0)
+        pat = PointPattern(np.empty(0), np.empty(0), Window(0.0, 2.0))
         assert compensated_count(pat, Window(0.0, 1.0), unit_jump) == pytest.approx(-1.0)
 
     def test_count_minus_mass(self, unit_jump):
-        pat = PointPattern(np.ones(3), np.array([0.1, 0.2, 0.9]), Window(0.0, 2.0), 0)
+        pat = PointPattern(np.ones(3), np.array([0.1, 0.2, 0.9]), Window(0.0, 2.0))
         assert compensated_count(pat, Window(0.0, 1.0), unit_jump) == pytest.approx(2.0)
 
     def test_region_outside_window_rejected(self, unit_jump):
-        pat = PointPattern(np.empty(0), np.empty(0), Window(0.0, 2.0), 0)
+        pat = PointPattern(np.empty(0), np.empty(0), Window(0.0, 2.0))
         with pytest.raises(SupportError):
             compensated_count(pat, Window(1.0, 3.0), unit_jump)
 
@@ -568,18 +600,22 @@ class TestCompensatedCount:
 
 
 def test_pattern_csv_roundtrip(tmp_path, symmetric_jump):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[control]\ntype = discrete\nvalues = 1.0,-1.0\nweights = 0.5,0.5\n",
+                   encoding="utf-8")
+    rc = main(["sample", "--config", str(cfg), "--x-hi", "20", "--seed", "5",
+               "--out", str(tmp_path)])
+    assert rc == 0
     pat = sample_pattern(symmetric_jump, Window(0.0, 20.0), seed=5)
-    path = tmp_path / "pattern.csv"
-    pattern_to_csv(pat, symmetric_jump.mass(pat.window), path)
-    u, x = pattern_from_csv(path)
-    assert np.array_equal(u, pat.u) and np.array_equal(x, pat.x)
+    u, x = pattern_from_csv(tmp_path / "pattern.csv")
+    assert len(pat) > 0 and np.array_equal(u, pat.u) and np.array_equal(x, pat.x)
 
 
 def test_atom_outside_window_rejected():
     with pytest.raises(ValueError):
-        PointPattern(np.array([1.0]), np.array([5.0]), Window(0.0, 2.0), 0)
+        PointPattern(np.array([1.0]), np.array([5.0]), Window(0.0, 2.0))
 
 
 def test_nan_atom_rejected():
     with pytest.raises(ValueError, match="atom outside window"):
-        PointPattern(np.ones(3), np.array([0.5, np.nan, 1.0]), Window(0.0, 2.0), 0)
+        PointPattern(np.ones(3), np.array([0.5, np.nan, 1.0]), Window(0.0, 2.0))
