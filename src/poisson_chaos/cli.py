@@ -10,32 +10,33 @@ value has one source, but --seed and --reps take precedence over
 [experiment]; the control comes only from [control], the window only from
 --x-lo/--x-hi.  The Monte Carlo subcommands (block, ou, hazard) alone take
 --reps, --format, --workers and --dump; they run harness.collect and
-harness.summarize, and they and criterion share one tail, _finish, that
-writes the JSON report, the --format csv summary and the --dump value files,
-and takes the exit code from one verdict.  Every output file embeds the tool
-version, the config hash, and the master seed, so a rerun from that triple
-reproduces the file byte-identically; wall times go to stdout only.  Exit
-codes: 0 all verdicts pass, 1 at least one fails, 2 usage or configuration
-error (a flag the subcommand does not take, a hazard flag the chosen theorem
-does not read (--variant for 7, --case for 8), --lam with criterion --family
-block or fixed, a negative seed, an unknown family, theorem or case, a
-control that does not match the requested case or theorem, hazard case 2 at
-T <= 1, fewer than two replications (100 for ou theorem 4) or one worker, a
-rate, horizon or bandwidth that is not finite and positive, an OU rate,
-horizon or their product outside [1e-60, 1e60], an ou rate and horizon
-whose window cut leaks kernel mass (the support check of ou.OUStatistics),
-an eps that is not finite and nonnegative, a hazard
-control with infinite mass (a Gamma control with eps = 0), a window bound
-that is not finite, fewer than one block, a sampled pattern of more than
-point_process.MAX_MEAN_ATOMS atoms on average (ou, hazard, sample, block;
-its arrays could exhaust memory), a config section the subcommand does not
-read (see SUBCOMMANDS; ou refuses [control]), an [experiment] key it has no
-flag for), 3 a replication crashed (the one-line message names its index and
-the master seed), a numerical check failed or an arithmetic error (an
-overflow, a division by zero) was raised outside the replications (one line
-names it).  The exit code follows the JSON `passed` but for block, whose
-exit code judges the fourth moment E G^2 against 3 + 37/n while its JSON
-`passed` judges the KS distance.
+harness.summarize; ou and hazard first build the one statistics object of
+the run (ou.OUStatistics, hazard.LinearStatistics or QuadraticStatistics),
+whose constructor checks the model, and hand it to every replication.  They
+and criterion share one tail, _finish, that writes the JSON report, the
+--format csv summary and the --dump value files, and takes the exit code
+from one verdict.  Every output file embeds the tool version, the config
+hash, and the master seed, so a rerun from that triple reproduces the file
+byte-identically; wall times go to stdout only.  Exit codes: 0 all verdicts
+pass, 1 at least one fails, 2 usage or configuration error (a flag the
+subcommand does not take, a hazard flag the chosen theorem does not read
+(--variant for 7, --case for 8), --lam with criterion --family block or
+fixed, a negative seed, an unknown family, theorem or case, a control that
+does not match the requested case or theorem, hazard case 2 at T <= 1,
+fewer than two replications (100 for ou theorem 4) or one worker, a rate,
+horizon or bandwidth that is not finite and positive, an OU rate, horizon
+or their product outside [1e-60, 1e60], an eps that is not finite
+and nonnegative, a hazard control with infinite mass (a Gamma control with
+eps = 0), a window bound that is not finite, fewer than one block, a
+sampled pattern of more than point_process.MAX_MEAN_ATOMS atoms on average
+(ou, hazard, sample, block; its arrays could exhaust memory), a config
+section the subcommand does not read (see SUBCOMMANDS; ou refuses
+[control]), an [experiment] key it has no flag for), 3 a replication crashed
+(the one-line message names its index and the master seed), a numerical
+check failed or an arithmetic error (an overflow, a division by zero) was
+raised outside the replications (one line names it).  The exit code follows
+the JSON `passed` but for block, whose exit code judges the fourth moment
+E G^2 against 3 + 37/n while its JSON `passed` judges the KS distance.
 """
 
 from __future__ import annotations
@@ -114,25 +115,25 @@ class StatisticSpec:
     key: str | None = None
 
 
-def _monte_carlo(args, stem: str, label: str, index, rep_fn, cfg, stats,
+def _monte_carlo(args, stem: str, label: str, index, rep_fn, statistics, specs,
                  extra=lambda values: {}) -> int:
-    """Runs args.reps replications of rep_fn(cfg, rng), summarizes each
-    statistic against its variance target, adds extra(values) to the
-    payload, and ends in _finish with one summary row (indexed by index)
-    and one dump per statistic."""
+    """Runs args.reps replications of rep_fn(statistics, rng), summarizes
+    each reported statistic (specs) against its variance target, adds
+    extra(values) to the payload, and ends in _finish with one summary row
+    (indexed by index) and one dump per reported statistic."""
     t0 = time.perf_counter()
-    values = collect(rep_fn, cfg, args.reps, args.seed, args.workers)
+    values = collect(rep_fn, statistics, args.reps, args.seed, args.workers)
     reports = [summarize(s.name, values[:, s.column],
                          targets=[TargetSpec("variance", s.target, s.tol)],
                          master_seed=args.seed, ks_reference_variance=s.target)
-               for s in stats]
-    payload = (reports[0].to_dict() if stats[0].key is None
-               else {s.key: r.to_dict() for s, r in zip(stats, reports)})
+               for s in specs]
+    payload = (reports[0].to_dict() if specs[0].key is None
+               else {s.key: r.to_dict() for s, r in zip(specs, reports)})
     payload.update(extra(values))
     return _finish(args, stem, payload, all(r.passed for r in reports), label, t0,
                    rows=[_report_row(index, r, r.kurtosis, s.target, r.passed)
-                         for s, r in zip(stats, reports)],
-                   dumps={s.dump: values[:, s.column] for s in stats})
+                         for s, r in zip(specs, reports)],
+                   dumps={s.dump: values[:, s.column] for s in specs})
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +162,7 @@ def cmd_criterion(args) -> int:
         scale = math.sqrt(lam) if args.family == "ou-pair" else math.sqrt(lam / 2.0)
         control = oumod.DEFAULT_JUMPS
         kernels = [h.scaled(scale * math.sqrt(h.T)) for h in bases]
-        windows = [oumod.OUConfig(lam, t).window for t in index]
+        windows = [oumod.ou_window(lam, t) for t in index]
         labels = [f"T_{t:g}" for t in index]
     verdict = chaos.clt_criterion(kernels, control, windows, labels=labels, index=index)
     return _finish(args, f"criterion_{args.family}", verdict.to_dict(), verdict.passed,
@@ -197,23 +198,23 @@ def cmd_block(args) -> int:
 
 def cmd_ou(args) -> int:
     lam, T = args.lam, args.T
-    cfg = oumod.OUConfig(lam=lam, T=T)
-    check_atom_budget(cfg.jumps, cfg.window)
+    check_atom_budget(oumod.DEFAULT_JUMPS, oumod.ou_window(lam, T))
     if args.theorem == 4 and args.reps < 100:
         raise ValueError("need at least 100 replications")
-    cfg.statistics   # the kernels, support checks and compensators, before any replication
+    statistics = oumod.OUStatistics(lam, T)   # the kernels, support checks and compensators
     stem, label = f"ou_thm{args.theorem}_T{T:g}", f"ou theorem {args.theorem} T={T:g}"
     if args.theorem == 4:
-        stats = [StatisticSpec(f"ou_linear_T{T:g}", 0, oumod.linear_variance_exact(lam, T),
+        specs = [StatisticSpec(f"ou_linear_T{T:g}", 0, oumod.linear_variance_exact(lam, T),
                                0.15, "ou_thm4_linear_values.csv")]
-        return _monte_carlo(args, stem, label, T, oumod.rep_linear, cfg, stats)
-    derived, stated = ({"k2": k2, "k1": cfg.c_nu_sq, "total": k2 + cfg.c_nu_sq,
-                        "sample_var": k2 + cfg.c_nu_sq} for k2 in (2.0 / lam, 1.0 / lam))
+        return _monte_carlo(args, stem, label, T, oumod.rep_linear, statistics, specs)
+    k1 = statistics.jumps.moment(4)   # Var K1 -> int u^4 nu
+    derived, stated = ({"k2": k2, "k1": k1, "total": k2 + k1, "sample_var": k2 + k1}
+                       for k2 in (2.0 / lam, 1.0 / lam))
     columns = ("k2", "k1", "total", "sample_var")   # of rep_quadratic's values
-    stats = [StatisticSpec(f"ou_{key}_T{T:g}", columns.index(key), derived[key], 0.2,
+    specs = [StatisticSpec(f"ou_{key}_T{T:g}", columns.index(key), derived[key], 0.2,
                            f"ou_thm{args.theorem}_{key}_values.csv", key)
              for key in (columns[:3] if args.theorem == 5 else columns[3:])]
-    return _monte_carlo(args, stem, label, T, oumod.rep_quadratic, cfg, stats,
+    return _monte_carlo(args, stem, label, T, oumod.rep_quadratic, statistics, specs,
                         lambda v: {"targets_stated": stated, "targets_derived": derived,
                                    "corr_k2_k1": float(np.corrcoef(v[:, 0], v[:, 1])[0, 1])})
 
@@ -231,27 +232,28 @@ def cmd_hazard(args) -> int:
     # the model is checked first, once: CaseMismatchError, a usage error, for
     # a model its theorem or case is not stated for
     if args.theorem == 7:
-        center, scale, target = hz.linear_case(model, case)
+        statistics = hz.LinearStatistics(model, case)
         stem = f"hazard_thm7_case{case}_T{args.T:g}"
-        stat = StatisticSpec(f"hazard_case{case}_T{args.T:g}", 0, target,
+        spec = StatisticSpec(f"hazard_case{case}_T{args.T:g}", 0, statistics.target,
                              {1: 0.3, 2: 0.8, 3: 1.0}[case], f"{stem}_values.csv")
-        rep_fn, cfg = hz.rep_linear_case, (model, center, scale)
+        rep_fn = hz.rep_linear_case
         extra = lambda v: {"empirical_centering_mean_H": float(np.mean(v[:, 1])),
                            "campbell_mean_H": hz.cumulative_mean_exact(model),
                            "campbell_variance_H": hz.cumulative_variance_exact(model)}
     else:
-        stated = model.quadratic.variance_stated(variant)
-        target = model.quadratic.variance_derived(variant)
+        statistics = hz.QuadraticStatistics(model)
+        stated = statistics.variance_stated(variant)
+        target = statistics.variance_derived(variant)
         stem = f"hazard_thm8_{variant}_T{args.T:g}"
         raw = variant == "raw"
-        stat = StatisticSpec(f"hazard_quad_{variant}_T{args.T:g}", 0 if raw else 1, target,
+        spec = StatisticSpec(f"hazard_quad_{variant}_T{args.T:g}", 0 if raw else 1, target,
                              max(4.0 if raw else 1.5, 0.1 * target), f"{stem}_values.csv")
-        rep_fn, cfg = hz.rep_quadratic, model
+        rep_fn = hz.rep_quadratic
         extra = lambda v: {"variance_stated": stated, "variance_derived": target}
     if isinstance(control, hz.ExtendedGammaControl):   # after the targets: a refused run prints nothing
         print(f"neglected mean mass from eps-truncation: ~{control.neglected_mean_mass():.2e} per unit time")
-    return _monte_carlo(args, stem, f"hazard theorem {args.theorem}", args.T, rep_fn, cfg,
-                        [stat], extra)
+    return _monte_carlo(args, stem, f"hazard theorem {args.theorem}", args.T, rep_fn,
+                        statistics, [spec], extra)
 
 
 def cmd_sample(args) -> int:

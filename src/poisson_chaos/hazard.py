@@ -10,21 +10,20 @@ consistent with the control families (see the acceptance notes).
 cumulative_hazard and square_hazard_integral are the generic pathwise API:
 the first from the kernel's time_integral, the second from its
 path_integrals, the hazard protocol's one pathwise method.  Each theorem
-checks its model once per run, before any replication.  For theorem 7,
-linear_case gives the case's centering, scaling and stated limit variance,
-and a replication calls cumulative_hazard with the first two.  A theorem-8
-replication calls neither: QuadraticStatistics, built once per model
-(HazardModel.quadratic), holds the checked constants and both limit
-variances (variance_stated, variance_derived), and takes H(T) and int h^2
-from one call to the kernel's path_integrals, which for the rectangular
-kernel is one sorted sweep over the interval ends.
+checks its model once per run, in the constructor of the statistics object
+every replication is handed.  LinearStatistics(model, case) (theorem 7)
+holds the case's centering, scaling and stated limit variance; its
+replication calls cumulative_hazard once.  A theorem-8 replication calls
+neither: QuadraticStatistics(model) holds the checked constants and both
+limit variances (variance_stated, variance_derived), and takes H(T) and
+int h^2 from one call to the kernel's path_integrals, which for the
+rectangular kernel is one sorted sweep over the interval ends.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -64,17 +63,9 @@ class HazardModel:
         # see only kernel, control and T
         object.__setattr__(self, "window", Window(*self.kernel.x_support(self.T)))
 
-    @cached_property
-    def quadratic(self) -> QuadraticStatistics:
-        return QuadraticStatistics(self)
-
 
 def rect_model(control: ControlMeasure, T: float, tau: float = 1.0) -> HazardModel:
     return HazardModel(kernel=RectHazardKernel(tau), control=control, T=T)
-
-
-def sample_hazard_pattern(model: HazardModel, seed) -> PointPattern:
-    return sample_pattern(model.control, model.window, seed)
 
 
 def cumulative_hazard(model: HazardModel, pattern: PointPattern) -> float:
@@ -130,36 +121,42 @@ def _campbell(model: HazardModel, power: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def linear_case(model: HazardModel, case: int) -> tuple[float, float, float]:
-    """Stated centering, scaling and limit variance of H(T) for a case,
-    after checking that the model is the one the case is stated for:
+class LinearStatistics:
+    """The stated centering, scaling and limit variance (target) of H(T)
+    for a case, after checking that the model is the one the case is
+    stated for:
 
     case 1 (homogeneous nu x dx, rect tau):   (H - 2 tau K1 T) / sqrt(T),    4 tau^2 K2
     case 2 (extended-Gamma, beta = 1+sqrt x): (H - 4 sqrt(T)) / sqrt(log T), 4
     case 3 (Beta, c ~ sqrt x):                (H - 2 T) / T^{1/4},           8
     """
-    if not isinstance(model.kernel, RectHazardKernel):
-        raise CaseMismatchError("linear CLT statistics are stated for the rectangular kernel")
-    tau = model.kernel.tau
-    if case == 1 and not model.control.homogeneous:
-        raise CaseMismatchError("case 1 needs a homogeneous control")
-    if case == 2 and not isinstance(model.control, ExtendedGammaControl):
-        raise CaseMismatchError("case 2 needs the extended-Gamma control")
-    if case == 3 and not isinstance(model.control, BetaControl):
-        raise CaseMismatchError("case 3 needs the Beta control")
-    if case in (2, 3) and abs(tau - 1.0) > 1e-12:
-        raise CaseMismatchError("cases 2 and 3 are stated for bandwidth 1")
-    T = model.T
-    if case == 2 and not T > 1.0:
-        raise CaseMismatchError(f"case 2 needs T > 1 (its scale is sqrt(log T)), got {T:g}")
-    if case == 1:
-        return (2.0 * tau * model.control.moment(1) * T, math.sqrt(T),
-                4.0 * tau ** 2 * model.control.moment(2))
-    if case == 2:
-        return 4.0 * math.sqrt(T), math.sqrt(math.log(T)), 4.0
-    if case == 3:
-        return 2.0 * T, T ** 0.25, 8.0
-    raise CaseMismatchError(f"unknown case {case}")
+
+    def __init__(self, model: HazardModel, case: int):
+        if not isinstance(model.kernel, RectHazardKernel):
+            raise CaseMismatchError("linear CLT statistics are stated for the rectangular kernel")
+        tau = model.kernel.tau
+        if case == 1 and not model.control.homogeneous:
+            raise CaseMismatchError("case 1 needs a homogeneous control")
+        if case == 2 and not isinstance(model.control, ExtendedGammaControl):
+            raise CaseMismatchError("case 2 needs the extended-Gamma control")
+        if case == 3 and not isinstance(model.control, BetaControl):
+            raise CaseMismatchError("case 3 needs the Beta control")
+        if case in (2, 3) and abs(tau - 1.0) > 1e-12:
+            raise CaseMismatchError("cases 2 and 3 are stated for bandwidth 1")
+        T = model.T
+        if case == 2 and not T > 1.0:
+            raise CaseMismatchError(f"case 2 needs T > 1 (its scale is sqrt(log T)), got {T:g}")
+        if case == 1:
+            stated = (2.0 * tau * model.control.moment(1) * T, math.sqrt(T),
+                      4.0 * tau ** 2 * model.control.moment(2))
+        elif case == 2:
+            stated = 4.0 * math.sqrt(T), math.sqrt(math.log(T)), 4.0
+        elif case == 3:
+            stated = 2.0 * T, T ** 0.25, 8.0
+        else:
+            raise CaseMismatchError(f"unknown case {case}")
+        self.model = model
+        self.center, self.scale, self.target = stated
 
 
 class QuadraticStatistics:
@@ -170,9 +167,8 @@ class QuadraticStatistics:
     centered: sqrt(T) [ (1/T) int (h - H/T)^2 - 2 tau K2 ]
 
     The model checks (CaseMismatchError), tau, K0..K4, sqrt(T) and the two
-    centerings are read once per model (HazardModel.quadratic); per
-    pattern, one call to the kernel's path_integrals gives H(T) and
-    int h^2.
+    centerings are read once per model, in the constructor; per pattern,
+    one call to the kernel's path_integrals gives H(T) and int h^2.
     """
 
     def __init__(self, model: HazardModel):
@@ -184,7 +180,7 @@ class QuadraticStatistics:
                 "quadratic statistics need a homogeneous control with K1..K4 finite")
         self.tau = tau = model.kernel.tau
         self.k = k = [model.control.moment(i) for i in range(5)]
-        self.kernel, self.T = model.kernel, model.T
+        self.model, self.kernel, self.T = model, model.kernel, model.T
         self.root_T = math.sqrt(model.T)
         self.centered_center = 2.0 * tau * k[2]
         self.raw_center = 2.0 * tau * k[2] + 4.0 * tau ** 2 * k[1] ** 2
@@ -228,15 +224,14 @@ class QuadraticStatistics:
 # ---------------------------------------------------------------------------
 
 
-def rep_linear_case(args, rng) -> tuple:
-    """(statistic, H(T)) for one replication of args = (model, center,
-    scale), the last two from linear_case; the raw cumulative hazard
+def rep_linear_case(stats: LinearStatistics, rng) -> tuple:
+    """(statistic, H(T)) for one replication; the raw cumulative hazard
     is retained so reports can show the empirical centering."""
-    model, center, scale = args
-    h_total = cumulative_hazard(model, sample_hazard_pattern(model, rng))
-    return ((h_total - center) / scale, h_total)
+    model = stats.model
+    h_total = cumulative_hazard(model, sample_pattern(model.control, model.window, rng))
+    return ((h_total - stats.center) / stats.scale, h_total)
 
 
-def rep_quadratic(model: HazardModel, rng) -> tuple:
+def rep_quadratic(stats: QuadraticStatistics, rng) -> tuple:
     """(raw, centered) quadratic statistics from one shared pattern."""
-    return model.quadratic.evaluate(sample_hazard_pattern(model, rng))
+    return stats.evaluate(sample_pattern(stats.model.control, stats.model.window, rng))

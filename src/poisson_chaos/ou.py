@@ -7,10 +7,12 @@ with homogeneous control nu(du) dx normalized so that int u^2 nu = 1.  The
 statistics are evaluated exactly from the atoms (no time-stepping error)
 through the pathwise chaos representation: the compensated integrals
 k2 = I2(sqrt(T) H), k1 = I1(sqrt(T) Hstar) and linear = I1(g) of the OU
-kernels.  OUStatistics computes all three from one sorted copy of a
-pattern's atoms and one exponential per atom, with the kernels, support
-checks and compensators built once per configuration; chaos.eval_I1 and
-eval_I2 on the same kernels give the same values and are its reference.
+kernels.  OUStatistics(lam, T, jumps) checks its arguments and builds the
+kernels, support checks and compensators once, on the window
+ou_window(lam, T); it computes all three from one sorted copy of a
+pattern's atoms and one exponential per atom, and rep_linear and
+rep_quadratic hand it the pattern they sample.  chaos.eval_I1 and eval_I2
+on the same kernels give the same values and are its reference.
 
 Derived (and MC-confirmed) variance limits for the quadratic statistics:
 Var K2 -> 2/lam, Var K1 -> int u^4 nu, Var(K2 + K1) -> 2/lam + int u^4 nu.
@@ -21,8 +23,6 @@ K2 constant; experiment reports emit both so the gap stays visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -36,57 +36,25 @@ from .quadrature import _dot
 DEFAULT_JUMPS = DiscreteControl(values=(1.0, -1.0), weights=(0.5, 0.5))
 
 
-@dataclass(frozen=True)
-class OUConfig:
-    """Rate, jump marginal and horizon for one experiment.
-
-    The jump marginal must satisfy int u^2 nu = 1 (checked to 1e-10); the
-    default two-point marginal (1/2)(delta_1 + delta_-1) makes every limit
-    constant analytic and removes truncation bias.  The window is cut at
-    x = -depth, depth = 12/lam, so e^{-2 lam depth} = e^{-24} < 1e-10.
-    The window and the statistics' constants are built on first use and
-    kept, outside the dataclass fields.
-    """
-
-    lam: float
-    T: float
-    jumps: DiscreteControl = DEFAULT_JUMPS
-
-    def __post_init__(self):
-        _check_rate_and_horizon(self.lam, self.T)
-        m2 = self.jumps.moment(2)
-        if abs(m2 - 1.0) > 1e-10:
-            raise ValueError(f"jump marginal must have unit second moment, got {m2!r}")
-
-    @property
-    def depth(self) -> float:
-        return 12.0 / self.lam
-
-    @cached_property
-    def window(self) -> Window:
-        return Window(-self.depth, self.T)
-
-    @property
-    def c_nu_sq(self) -> float:
-        return self.jumps.moment(4)
-
-    @cached_property
-    def statistics(self) -> OUStatistics:
-        return OUStatistics(self)
-
-
-def sample_ou_pattern(cfg: OUConfig, seed) -> PointPattern:
-    return sample_pattern(cfg.jumps, cfg.window, seed)
-
-
-# ---------------------------------------------------------------------------
-# statistics
-# ---------------------------------------------------------------------------
+def ou_window(lam: float, T: float) -> Window:
+    """The window [-depth, T] of a rate and horizon, after the closed forms'
+    range check.  depth = max(12, ln(E / 1e-8) / 2) / lam, where E = (1 -
+    e^{-lam T})^2 / (lam^2 T) is the linear kernel's L2 mass on x <= 0: the
+    cut leaves at most 1e-8 of it outside, and of the pair kernel's at most
+    twice that, far inside chaos.SUPPORT_TOL.  The depth is 12 / lam
+    wherever E <= 10."""
+    _check_rate_and_horizon(lam, T)
+    mass = math.expm1(-lam * T) ** 2 / (lam * lam * T)
+    return Window(-max(12.0, 0.5 * math.log(mass / 1e-8)) / lam, T)
 
 
 class OUStatistics:
-    """The linear and quadratic statistics of one configuration, from one
-    sorted copy of a pattern's atoms.
+    """The linear and quadratic statistics of one rate, horizon and jump
+    marginal, from one sorted copy of a pattern's atoms.
+
+    The jump marginal must satisfy int u^2 nu = 1 (checked to 1e-10); the
+    default two-point marginal (1/2)(delta_1 + delta_-1) makes every limit
+    constant analytic and removes truncation bias.
 
     The statistics are the compensated integrals
         k2 = I2(sqrt(T) H),  k1 = I1(sqrt(T) Hstar),  linear = I1(g)
@@ -102,8 +70,11 @@ class OUStatistics:
     compensator vanishes with K1 = int u nu and is skipped then.
     """
 
-    def __init__(self, cfg: OUConfig):
-        lam, T, jumps, window = cfg.lam, cfg.T, cfg.jumps, cfg.window
+    def __init__(self, lam: float, T: float, jumps: DiscreteControl = DEFAULT_JUMPS):
+        window = ou_window(lam, T)
+        m2 = jumps.moment(2)
+        if abs(m2 - 1.0) > 1e-10:
+            raise ValueError(f"jump marginal must have unit second moment, got {m2!r}")
         self.lam, self.T, self.jumps, self.window = lam, T, jumps, window
         self.scale = math.sqrt(T)
         self.pair = OUDoubleHKernel(lam, T).scaled(self.scale)
@@ -173,15 +144,15 @@ def k2_variance_exact(lam: float, T: float, moment2: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def rep_linear(cfg: OUConfig, rng) -> float:
-    return cfg.statistics.linear(sample_ou_pattern(cfg, rng))
+def rep_linear(stats: OUStatistics, rng) -> float:
+    return stats.linear(sample_pattern(stats.jumps, stats.window, rng))
 
 
-def rep_quadratic(cfg: OUConfig, rng):
+def rep_quadratic(stats: OUStatistics, rng):
     """One replication of all quadratic observables from a shared pattern:
     (k2, k1, total, sample-variance stat, linear stat).  The sample-variance
     stat sqrt(T) ((1/T) int (Y - Ybar)^2 dt - 1) is the exact split
     total - T^{-1/2} linear^2."""
-    k2, k1, lin = cfg.statistics.evaluate(sample_ou_pattern(cfg, rng))
+    k2, k1, lin = stats.evaluate(sample_pattern(stats.jumps, stats.window, rng))
     total = k2 + k1
-    return (k2, k1, total, total - lin ** 2 / math.sqrt(cfg.T), lin)
+    return (k2, k1, total, total - lin ** 2 / math.sqrt(stats.T), lin)

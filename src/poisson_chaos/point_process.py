@@ -443,9 +443,11 @@ class GeneralizedGammaControl(ControlMeasure):
         return self.moment(0)
 
     def neglected_second_moment(self) -> float:
-        # int_0^eps u^2 nu(du), finite for all sigma in (0,1)
-        full = self._norm() * self.gamma ** (self.sigma - 2) * _upper_gamma(2 - self.sigma, 0.0)
-        return full - self.moment(2)
+        # int_0^eps u^2 nu(du) = (1 - sigma) gamma^{sigma-2} P(2-sigma, gamma eps), by the
+        # regularized lower incomplete Gamma P: full - moment(2) would cancel at small eps
+        from scipy.special import gammainc
+        return ((1.0 - self.sigma) * self.gamma ** (self.sigma - 2.0)
+                * float(gammainc(2.0 - self.sigma, self.gamma * self.eps)))
 
     def _u_grid(self):
         self.require_finite_mass()

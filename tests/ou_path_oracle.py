@@ -17,12 +17,12 @@ import numpy as np
 
 from poisson_chaos.chaos import eval_I1, eval_I2
 from poisson_chaos.kernels import OUDiagHstarKernel, OUDoubleHKernel, OUSingleKernel, ou_ghat
-from poisson_chaos.ou import OUConfig
+from poisson_chaos.ou import OUStatistics
 from poisson_chaos.point_process import PointPattern, Window
 
 
-def path_on_grid(cfg: OUConfig, pattern: PointPattern, times) -> np.ndarray:
-    lam = cfg.lam
+def path_on_grid(stats: OUStatistics, pattern: PointPattern, times) -> np.ndarray:
+    lam = stats.lam
     times = np.asarray(times, dtype=float)
     u, x = pattern.u, pattern.x
     out = np.zeros_like(times)
@@ -33,21 +33,21 @@ def path_on_grid(cfg: OUConfig, pattern: PointPattern, times) -> np.ndarray:
         decay = np.exp(-lam * (times[:, None] - xs[None, :]))
         mask = xs[None, :] <= times[:, None]
         out = np.sum(np.where(mask, us[None, :] * decay, 0.0), axis=1)
-    k1 = cfg.jumps.moment(1)
+    k1 = stats.jumps.moment(1)
     if k1 != 0.0:
-        out = out - k1 * (1.0 - np.exp(-lam * (times + cfg.depth))) / lam
+        out = out - k1 * (1.0 - np.exp(-lam * (times - stats.window.x_lo))) / lam
     return math.sqrt(2.0 * lam) * out
 
 
-def square_time_integral_exact(cfg: OUConfig, pattern: PointPattern) -> float:
+def square_time_integral_exact(stats: OUStatistics, pattern: PointPattern) -> float:
     """int_0^T Y_t^2 dt in closed form from the atoms (independent dual route
     for the pathwise identity sqrt(T)(V_T - 1) = k2 + k1).
 
     Requires a centered jump marginal (no compensator cross terms).
     """
-    if cfg.jumps.moment(1) != 0.0:
+    if stats.jumps.moment(1) != 0.0:
         raise ValueError("exact square integral implemented for centered marginals")
-    lam, T = cfg.lam, cfg.T
+    lam, T = stats.lam, stats.T
     u, x = pattern.u, pattern.x
     if not len(pattern):
         return 0.0
@@ -55,15 +55,15 @@ def square_time_integral_exact(cfg: OUConfig, pattern: PointPattern) -> float:
     return float(np.sum(np.outer(u, u) * g))
 
 
-def square_time_integral_grid(cfg: OUConfig, pattern: PointPattern, n_points: int) -> float:
+def square_time_integral_grid(stats: OUStatistics, pattern: PointPattern, n_points: int) -> float:
     """Trapezoid integration of the simulated Y^2; the grid is refined at the
     atom times (where the path jumps) so the error is discretization-dominated
     and shrinks like 1/n_points^2."""
-    times = np.linspace(0.0, cfg.T, n_points)
-    ax = pattern.x[(pattern.x > 0.0) & (pattern.x < cfg.T)]
+    times = np.linspace(0.0, stats.T, n_points)
+    ax = pattern.x[(pattern.x > 0.0) & (pattern.x < stats.T)]
     if ax.size:
         times = np.unique(np.concatenate([times, ax - 1e-9, ax]))
-    y = path_on_grid(cfg, pattern, times)
+    y = path_on_grid(stats, pattern, times)
     return float(np.trapezoid(y ** 2, times))
 
 
@@ -80,11 +80,11 @@ def h_norm2_doubled(lam: float, T: float, window: Window | None = None,
     return moment2 ** 2 * 2.0 * T * kern._ghat_power_integrals(2, w)[0] / T ** 2
 
 
-def linear_stat(cfg: OUConfig, pattern: PointPattern) -> float:
+def linear_stat(stats: OUStatistics, pattern: PointPattern) -> float:
     """T^{-1/2} int_0^T Y_t dt, evaluated as a single compensated integral
     (no path discretization)."""
-    kern = OUSingleKernel(cfg.lam, cfg.T)
-    return eval_I1(kern, pattern, cfg.jumps)
+    kern = OUSingleKernel(stats.lam, stats.T)
+    return eval_I1(kern, pattern, stats.jumps)
 
 
 @dataclass(frozen=True)
@@ -97,20 +97,20 @@ class QuadraticStat:
         return self.k2 + self.k1
 
 
-def quadratic_stat(cfg: OUConfig, pattern: PointPattern) -> QuadraticStat:
+def quadratic_stat(stats: OUStatistics, pattern: PointPattern) -> QuadraticStat:
     """sqrt(T) (V_T - 1) split into its double- and single-integral parts:
     k2 = I2(sqrt(T) H), k1 = I1(sqrt(T) Hstar)."""
-    scale = math.sqrt(cfg.T)
-    k2 = eval_I2(OUDoubleHKernel(cfg.lam, cfg.T).scaled(scale), pattern, cfg.jumps)
-    k1 = eval_I1(OUDiagHstarKernel(cfg.lam, cfg.T).scaled(scale), pattern, cfg.jumps)
+    scale = math.sqrt(stats.T)
+    k2 = eval_I2(OUDoubleHKernel(stats.lam, stats.T).scaled(scale), pattern, stats.jumps)
+    k1 = eval_I1(OUDiagHstarKernel(stats.lam, stats.T).scaled(scale), pattern, stats.jumps)
     return QuadraticStat(k2=k2, k1=k1)
 
 
-def sample_variance_stat(cfg: OUConfig, quad: QuadraticStat, lin: float) -> float:
+def sample_variance_stat(stats: OUStatistics, quad: QuadraticStat, lin: float) -> float:
     """sqrt(T) ((1/T) int (Y - Ybar)^2 dt - 1) via the exact split
     quadratic_total - T^{-1/2} linear^2, from the quadratic and linear
     statistics of one pattern."""
-    return quad.total - lin ** 2 / math.sqrt(cfg.T)
+    return quad.total - lin ** 2 / math.sqrt(stats.T)
 
 
 def sorted_atoms_every_exponential(lam: float, T: float, u, x):

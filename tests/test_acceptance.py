@@ -18,12 +18,12 @@ from poisson_chaos.cli import main as cli_main
 from poisson_chaos.contractions import contraction_norms
 from poisson_chaos.harness import collect, jackknife_variance_se, ks_statistic
 from poisson_chaos.hazard import (
-    cumulative_variance_exact, linear_case, rect_model, rep_linear_case,
-    rep_quadratic as hz_rep_quadratic,
+    LinearStatistics, QuadraticStatistics, cumulative_variance_exact, rect_model,
+    rep_linear_case, rep_quadratic as hz_rep_quadratic,
 )
 from poisson_chaos.kernels import BlockKernel, GridKernel, OUDoubleHKernel
 from poisson_chaos.ou import (
-    DEFAULT_JUMPS, OUConfig, k2_variance_exact, linear_variance_exact, rep_linear,
+    DEFAULT_JUMPS, OUStatistics, k2_variance_exact, linear_variance_exact, rep_linear,
     rep_quadratic as ou_rep_quadratic,
 )
 from poisson_chaos.point_process import (
@@ -56,14 +56,14 @@ def block50_samples():
 
 @pytest.fixture(scope="session")
 def ou_quadratic_samples():
-    cfg = OUConfig(lam=1.0, T=200.0)
-    return collect(ou_rep_quadratic, cfg, 5000, MASTER_SEED)
+    stats = OUStatistics(lam=1.0, T=200.0)
+    return collect(ou_rep_quadratic, stats, 5000, MASTER_SEED)
 
 
 @pytest.fixture(scope="session")
 def hazard8_samples():
     model = rect_model(UNIT, T=400.0)
-    return collect(hz_rep_quadratic, model, 5000, MASTER_SEED)
+    return collect(hz_rep_quadratic, QuadraticStatistics(model), 5000, MASTER_SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +174,8 @@ class TestCriterion2BlockMonteCarlo:
 
 class TestCriterion3Linear:
     def test_mc_variance_matches_closed_form_T100(self):
-        cfg = OUConfig(lam=1.0, T=100.0)
-        vals = collect(rep_linear, cfg, 5000, MASTER_SEED)[:, 0]
+        stats = OUStatistics(lam=1.0, T=100.0)
+        vals = collect(rep_linear, stats, 5000, MASTER_SEED)[:, 0]
         target = linear_variance_exact(1.0, 100.0)
         est = float(vals.var(ddof=1))
         se = jackknife_variance_se(vals)
@@ -299,8 +299,8 @@ class TestCriterion6SampleVariance:
         ts = [25.0, 50.0, 100.0, 200.0, 400.0]
         means = []
         for T in ts:
-            cfg = OUConfig(lam=1.0, T=T)
-            vals = [rep_linear(cfg, rng) ** 2 / math.sqrt(T) for _ in range(600)]
+            stats = OUStatistics(lam=1.0, T=T)
+            vals = [rep_linear(stats, rng) ** 2 / math.sqrt(T) for _ in range(600)]
             means.append(float(np.mean(vals)))
         slope, _ = slope_fit(ts, means)
         ok = -0.75 < slope < -0.25
@@ -316,8 +316,8 @@ class TestCriterion6SampleVariance:
 class TestCriterion7LinearHazard:
     def test_case1_variance_and_ks(self):
         model = rect_model(UNIT, T=200.0)
-        args = (model, *linear_case(model, 1)[:2])
-        vals = collect(rep_linear_case, args, 5000, MASTER_SEED)[:, 0]
+        stats = LinearStatistics(model, 1)
+        vals = collect(rep_linear_case, stats, 5000, MASTER_SEED)[:, 0]
         est = float(vals.var(ddof=1))
         ks = ks_statistic(vals, 4.0)
         ok = abs(est - 4.0) <= 0.3 and ks < 0.03
@@ -330,8 +330,8 @@ class TestCriterion7LinearHazard:
         "exact Campbell value at the stated T = 1e4 is 3.068, outside 4 +- 0.8"))
     def test_case2_variance_stated(self):
         model = rect_model(ExtendedGammaControl(eps=1e-4), T=1.0e4)
-        args = (model, *linear_case(model, 2)[:2])
-        vals = collect(rep_linear_case, args, 2000, MASTER_SEED)[:, 0]
+        stats = LinearStatistics(model, 2)
+        vals = collect(rep_linear_case, stats, 2000, MASTER_SEED)[:, 0]
         est = float(vals.var(ddof=1))
         ok = abs(est - 4.0) <= 0.8
         report("7b (case 2 at T=1e4, stated band 4 +- 0.8)", ok,
@@ -347,8 +347,8 @@ class TestCriterion7LinearHazard:
             ladder.append(cumulative_variance_exact(model) / math.log(T))
         monotone = ladder[0] < ladder[1] < ladder[2] < 4.0
         model = rect_model(ExtendedGammaControl(eps=1e-4), T=1.0e4)
-        args = (model, *linear_case(model, 2)[:2])
-        vals = collect(rep_linear_case, args, 2000, MASTER_SEED)[:, 0]
+        stats = LinearStatistics(model, 2)
+        vals = collect(rep_linear_case, stats, 2000, MASTER_SEED)[:, 0]
         est = float(vals.var(ddof=1))
         se = jackknife_variance_se(vals)
         agrees = abs(est - ladder[-1]) <= 4 * se
@@ -363,8 +363,8 @@ class TestCriterion7LinearHazard:
         "T = 1e4 and -> 0; the stated N(0, 8) band is unattainable"))
     def test_case3_variance_stated(self):
         model = rect_model(BetaControl(), T=1.0e4)
-        args = (model, *linear_case(model, 3)[:2])
-        vals = collect(rep_linear_case, args, 2000, MASTER_SEED)[:, 0]
+        stats = LinearStatistics(model, 3)
+        vals = collect(rep_linear_case, stats, 2000, MASTER_SEED)[:, 0]
         est = float(vals.var(ddof=1))
         ok = abs(est - 8.0) <= 1.0
         report("7d (case 3 at T=1e4, stated band 8 +- 1.0)", ok,
@@ -388,8 +388,8 @@ class TestCriterion7LinearHazard:
 
     def test_case3_mc_matches_campbell_oracle(self):
         model = rect_model(BetaControl(), T=1.0e4)
-        args = (model, *linear_case(model, 3)[:2])
-        vals = collect(rep_linear_case, args, 2000, MASTER_SEED)[:, 0]
+        stats = LinearStatistics(model, 3)
+        vals = collect(rep_linear_case, stats, 2000, MASTER_SEED)[:, 0]
         est = float(vals.var(ddof=1))
         oracle = cumulative_variance_exact(model) / math.sqrt(1.0e4)
         se = jackknife_variance_se(vals)

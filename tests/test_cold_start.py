@@ -79,7 +79,7 @@ from poisson_chaos.harness import collect
 from poisson_chaos.point_process import ExtendedGammaControl
 
 model = hazard.rect_model(ExtendedGammaControl(), T=20.0)
-values = collect(hazard.rep_linear_case, (model, 0.0, 1.0), 3, 5, 1)
+values = collect(hazard.rep_linear_case, hazard.LinearStatistics(model, 2), 3, 5, 1)
 print(values.shape, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 

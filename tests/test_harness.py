@@ -277,13 +277,14 @@ FAULT_SCRIPT = """
 import resource, sys
 sys.path.insert(0, sys.argv[1])
 from poisson_chaos.harness import collect
-from poisson_chaos.hazard import ExtendedGammaControl, linear_case, rect_model, rep_linear_case
+from poisson_chaos.hazard import (ExtendedGammaControl, LinearStatistics, rect_model,
+                                  rep_linear_case)
 
 model = rect_model(ExtendedGammaControl(), T=1e4)
-args = (model, *linear_case(model, 2)[:2])
-collect(rep_linear_case, args, 3, 1)          # table, window mass, warm heap
+stats = LinearStatistics(model, 2)
+collect(rep_linear_case, stats, 3, 1)          # table, window mass, warm heap
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-collect(rep_linear_case, args, 20, 2)
+collect(rep_linear_case, stats, 20, 2)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 """
 

@@ -10,14 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 from poisson_chaos import hazard
 from poisson_chaos.harness import collect
 from poisson_chaos.hazard import (
-    CaseMismatchError, HazardModel, QuadraticStatistics, cumulative_hazard,
-    cumulative_mean_exact, cumulative_variance_exact, linear_case, rect_model,
-    rep_linear_case, rep_quadratic,
-    sample_hazard_pattern, square_hazard_integral,
+    CaseMismatchError, HazardModel, LinearStatistics, QuadraticStatistics, cumulative_hazard,
+    cumulative_mean_exact, cumulative_variance_exact, rect_model, rep_linear_case,
+    rep_quadratic, square_hazard_integral,
 )
 from poisson_chaos.kernels import DENSE_PAIR_BYTES_MAX, RectHazardKernel
 from poisson_chaos.point_process import (
-    BetaControl, DiscreteControl, ExtendedGammaControl, PointPattern, Window,
+    BetaControl, DiscreteControl, ExtendedGammaControl, PointPattern, Window, sample_pattern,
 )
 
 from control_oracle import MarkDrawingControl
@@ -55,7 +54,7 @@ class TestSimulation:
     def test_nonnegative_paths_and_monotone_cumulative(self):
         model = rect_model(UNIT, T=20.0)
         rng = replication_rng(50, 0)
-        pat = sample_hazard_pattern(model, rng)
+        pat = sample_pattern(model.control, model.window, rng)
         h = simulate_hazard(model, np.linspace(0, 20, 401), pat)
         assert np.all(h >= 0.0)
         partial = [cumulative_hazard(rect_model(UNIT, T=t), pattern_of(
@@ -71,7 +70,7 @@ class TestSimulation:
         built = []
         monkeypatch.setattr(Window, "__post_init__", lambda self: built.append(self))
         for i in range(3):
-            sample_hazard_pattern(model, replication_rng(51, i))
+            sample_pattern(model.control, model.window, replication_rng(51, i))
         assert built == []
 
     def test_campbell_mean_rect(self):
@@ -80,7 +79,7 @@ class TestSimulation:
         assert campbell_mean(model, 5.0) == pytest.approx(2.0, rel=1e-9)
         rng = replication_rng(51, 0)
         vals = np.array([simulate_hazard(model, np.array([5.0]),
-                                         sample_hazard_pattern(model, rng))[0]
+                                         sample_pattern(model.control, model.window, rng))[0]
                          for _ in range(20_000)])
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert vals.mean() == pytest.approx(2.0, abs=3 * se)
@@ -93,7 +92,7 @@ class TestSimulation:
         oracle = campbell_mean(model, t0)
         rng = replication_rng(52, 0)
         vals = np.array([simulate_hazard(model, np.array([t0]),
-                                         sample_hazard_pattern(model, rng))[0]
+                                         sample_pattern(model.control, model.window, rng))[0]
                          for _ in range(8000)])
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert vals.mean() == pytest.approx(oracle, abs=4 * se)
@@ -145,7 +144,7 @@ class TestCumulativeHazard:
         oracle = cumulative_mean_exact(model)   # 2 tau K1 T - tau^2/2 here
         assert oracle == pytest.approx(2.0 * 50.0 - 0.5, rel=1e-10)
         rng = replication_rng(53, 0)
-        vals = np.array([cumulative_hazard(model, sample_hazard_pattern(model, rng))
+        vals = np.array([cumulative_hazard(model, sample_pattern(model.control, model.window, rng))
                          for _ in range(8000)])
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert vals.mean() == pytest.approx(oracle, abs=3 * se)
@@ -181,7 +180,7 @@ class TestCumulativeHazard:
         # trapezoid agrees with the closed form to 1e-6 relative
         model = rect_model(UNIT, T=12.0)
         rng = replication_rng(54, 0)
-        pat = sample_hazard_pattern(model, rng)
+        pat = sample_pattern(model.control, model.window, rng)
         assert cumulative_hazard_grid(model, pat, 5001) == pytest.approx(
             cumulative_hazard(model, pat), rel=1e-6)
 
@@ -191,7 +190,7 @@ class TestSquareIntegral:
         model = rect_model(UNIT, T=15.0)
         rng = replication_rng(55, 0)
         for _ in range(5):
-            pat = sample_hazard_pattern(model, rng)
+            pat = sample_pattern(model.control, model.window, rng)
             exact = square_hazard_integral(model, pat)
             grid = square_hazard_integral_grid(model, pat, 5001)
             assert grid == pytest.approx(exact, rel=1e-6)
@@ -200,7 +199,7 @@ class TestSquareIntegral:
         model = rect_model(UNIT, T=10.0)
         rng = replication_rng(56, 0)
         for _ in range(10):
-            pat = sample_hazard_pattern(model, rng)
+            pat = sample_pattern(model.control, model.window, rng)
             exact = square_hazard_integral(model, pat)
             # brute-force dense double sum oracle
             dense = rect_square_integral_dense(pat.u, pat.x, model.T, model.kernel.tau)
@@ -242,9 +241,9 @@ class TestRectPrefixSums:
         monkeypatch.setattr(RectHazardKernel, "path_integrals",
                             lambda *a: calls.append(1) or one_pass(*a))
         model = rect_model(UNIT, T=400.0)
-        rep_quadratic(model, replication_rng(61, 0))
+        rep_quadratic(QuadraticStatistics(model), replication_rng(61, 0))
         assert len(calls) == 1
-        pat = sample_hazard_pattern(model, replication_rng(61, 0))
+        pat = sample_pattern(model.control, model.window, replication_rng(61, 0))
         assert square_hazard_integral(model, pat) > 0.0
         assert len(calls) == 2
 
@@ -333,7 +332,7 @@ class TestOnePass:
     def test_protocol_default_is_the_generic_pair(self):
         # the dense oracle's path_integrals against the generic API
         model = HazardModel(kernel=DykstraLaudHazardKernel(), control=UNIT, T=10.0)
-        pat = sample_hazard_pattern(model, replication_rng(65, 0))
+        pat = sample_pattern(model.control, model.window, replication_rng(65, 0))
         assert model.kernel.path_integrals(pat.u, pat.x, model.T) == (
             cumulative_hazard(model, pat), square_hazard_integral(model, pat))
 
@@ -347,9 +346,9 @@ class TestOnePass:
                             lambda *a: moments.append(1) or init(*a))
         for name in ("cumulative_hazard", "square_hazard_integral"):
             monkeypatch.setattr(hazard, name, lambda *a, name=name: pytest.fail(f"{name} called"))
-        model = rect_model(UNIT, T=50.0)
+        stats = QuadraticStatistics(rect_model(UNIT, T=50.0))
         for i in range(3):
-            rep_quadratic(model, replication_rng(64, i))
+            rep_quadratic(stats, replication_rng(64, i))
             assert len(calls) == i + 1
         assert moments == [1]
 
@@ -358,18 +357,18 @@ class TestLinearStat:
     def test_case_mismatch_errors(self):
         model = rect_model(UNIT, T=10.0)
         with pytest.raises(CaseMismatchError):
-            linear_case(model, 2)
+            LinearStatistics(model, 2)
         model_beta = rect_model(BetaControl(), T=10.0)
         with pytest.raises(CaseMismatchError):
-            linear_case(model_beta, 1)
+            LinearStatistics(model_beta, 1)
         model_dl = HazardModel(kernel=DykstraLaudHazardKernel(), control=UNIT, T=10.0)
         with pytest.raises(CaseMismatchError):
-            linear_case(model_dl, 1)
+            LinearStatistics(model_dl, 1)
         with pytest.raises(CaseMismatchError):
-            linear_case(model_beta, 2)
+            LinearStatistics(model_beta, 2)
         # a case that is not stated
         with pytest.raises(CaseMismatchError):
-            linear_case(model, 4)
+            LinearStatistics(model, 4)
 
     def test_one_cumulative_hazard_per_replication(self, monkeypatch):
         calls = []
@@ -377,20 +376,20 @@ class TestLinearStat:
         monkeypatch.setattr(hazard, "cumulative_hazard",
                             lambda *a, **kw: calls.append(1) or cumulative(*a, **kw))
         model = rect_model(UNIT, T=50.0)
-        args = (model, *linear_case(model, 1)[:2])
+        stats = LinearStatistics(model, 1)
         # the case checks ran once, above, and not per replication
-        monkeypatch.setattr(hazard, "linear_case",
+        monkeypatch.setattr(LinearStatistics, "__init__",
                             lambda *a: pytest.fail("case checked per replication"))
-        stat, h_total = rep_linear_case(args, replication_rng(62, 0))
+        stat, h_total = rep_linear_case(stats, replication_rng(62, 0))
         assert len(calls) == 1
         assert stat == pytest.approx((h_total - 2.0 * 50.0) / math.sqrt(50.0), rel=1e-15)
 
     def test_case1_variance(self):
         model = rect_model(UNIT, T=200.0)
         rng = replication_rng(57, 0)
-        args = (model, *linear_case(model, 1)[:2])
-        vals = np.array([rep_linear_case(args, rng)[0] for _ in range(5000)])
-        assert linear_case(model, 1)[2] == pytest.approx(4.0)
+        stats = LinearStatistics(model, 1)
+        vals = np.array([rep_linear_case(stats, rng)[0] for _ in range(5000)])
+        assert LinearStatistics(model, 1).target == pytest.approx(4.0)
         # exact finite-horizon variance (edge-corrected): (4T - 3)/T
         assert vals.var(ddof=1) == pytest.approx(
             cumulative_variance_exact(model) / model.T, rel=0.08)
@@ -401,8 +400,8 @@ class TestLinearStat:
         model = rect_model(ExtendedGammaControl(eps=1e-4), T=T)
         oracle_var = cumulative_variance_exact(model) / math.log(T)
         rng = replication_rng(58, 0)
-        args = (model, *linear_case(model, 2)[:2])
-        vals = np.array([rep_linear_case(args, rng)[0] for _ in range(600)])
+        stats = LinearStatistics(model, 2)
+        vals = np.array([rep_linear_case(stats, rng)[0] for _ in range(600)])
         assert vals.var(ddof=1) == pytest.approx(oracle_var, rel=0.2)
         # the stated limit 4 is approached from below, logarithmically
         assert oracle_var < 4.0
@@ -412,8 +411,8 @@ class TestLinearStat:
         model = rect_model(BetaControl(), T=T)
         oracle_var = cumulative_variance_exact(model) / math.sqrt(T)
         rng = replication_rng(59, 0)
-        args = (model, *linear_case(model, 3)[:2])
-        vals = np.array([rep_linear_case(args, rng)[0] for _ in range(600)])
+        stats = LinearStatistics(model, 3)
+        vals = np.array([rep_linear_case(stats, rng)[0] for _ in range(600)])
         assert vals.var(ddof=1) == pytest.approx(oracle_var, rel=0.2)
         # with the stated T^{1/4} normalization the variance decays, far from 8
         assert oracle_var < 1.0
@@ -430,21 +429,18 @@ class TestQuadraticStat:
         with pytest.raises(CaseMismatchError):
             QuadraticStatistics(
                 HazardModel(kernel=DykstraLaudHazardKernel(), control=UNIT, T=10.0))
-        # the variances are read through the checked statistics
-        with pytest.raises(CaseMismatchError):
-            rect_model(BetaControl(), T=10.0).quadratic
 
     def test_replication_matches_single_statistics(self):
         model = rect_model(UNIT, T=40.0)
-        raw, centered = rep_quadratic(model, replication_rng(63, 0))
-        pat = sample_hazard_pattern(model, replication_rng(63, 0))
-        assert (raw, centered) == model.quadratic.evaluate(pat)
+        raw, centered = rep_quadratic(QuadraticStatistics(model), replication_rng(63, 0))
+        pat = sample_pattern(model.control, model.window, replication_rng(63, 0))
+        assert (raw, centered) == QuadraticStatistics(model).evaluate(pat)
 
     def test_centering_constants(self):
         model = rect_model(UNIT, T=400.0)
         # raw centering 2 tau K2 + 4 tau^2 K1^2 = 6 for the unit marginal
         assert 2.0 * 1.0 * 1.0 + 4.0 * 1.0 * 1.0 == 6.0
-        quadratic = model.quadratic
+        quadratic = QuadraticStatistics(model)
         assert quadratic.variance_stated("raw") == pytest.approx(140.0 / 3.0)
         assert quadratic.variance_stated("centered") == pytest.approx(44.0 / 3.0)
         assert quadratic.variance_derived("raw") == pytest.approx(332.0 / 3.0)
@@ -454,7 +450,8 @@ class TestQuadraticStat:
     def test_variances_match_derived_constants(self):
         model = rect_model(UNIT, T=400.0)
         rng = replication_rng(60, 0)
-        vals = np.array([rep_quadratic(model, rng) for _ in range(4000)])
+        stats = QuadraticStatistics(model)
+        vals = np.array([rep_quadratic(stats, rng) for _ in range(4000)])
         raw, centered = vals[:, 0], vals[:, 1]
         assert raw.var(ddof=1) == pytest.approx(332.0 / 3.0, rel=0.10)
         assert centered.var(ddof=1) == pytest.approx(44.0 / 3.0, rel=0.10)
@@ -472,9 +469,8 @@ class TestOnePointLaw:
         def run(control):
             model = rect_model(control, T=200.0)
             if statistic == "quadratic":
-                return collect(rep_quadratic, model, 200, 27, workers)
-            center, scale, _ = linear_case(model, 1)
-            return collect(rep_linear_case, (model, center, scale), 200, 27, workers)
+                return collect(rep_quadratic, QuadraticStatistics(model), 200, 27, workers)
+            return collect(rep_linear_case, LinearStatistics(model, 1), 200, 27, workers)
 
         got, want = run(UNIT), run(MarkDrawingControl(values=(1.0,), weights=(1.0,)))
         assert got.shape == want.shape == (200, 2)

@@ -7,16 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 import poisson_chaos.kernels as kernels_module
 import poisson_chaos.ou as ou_module
-from poisson_chaos.chaos import eval_I1, eval_I2
+from poisson_chaos.chaos import SUPPORT_TOL, _check_support, eval_I1, eval_I2
 from poisson_chaos.kernels import (
     _E_EXPONENT_MIN, _SCAN_SPAN, Kernel, OUDiagHstarKernel, OUDoubleHKernel, OUSingleKernel,
     ou_ghat, ou_sorted_atoms,
 )
 from poisson_chaos.ou import (
-    DEFAULT_JUMPS, OUConfig, k1_variance_exact, k2_variance_exact, linear_variance_exact,
-    rep_linear, rep_quadratic, sample_ou_pattern,
+    DEFAULT_JUMPS, OUStatistics, k1_variance_exact, k2_variance_exact, linear_variance_exact,
+    ou_window, rep_linear, rep_quadratic,
 )
-from poisson_chaos.point_process import DiscreteControl, PointPattern, SupportError, Window
+from poisson_chaos.point_process import (
+    DiscreteControl, PointPattern, SupportError, Window, sample_pattern,
+)
 from poisson_chaos.quadrature import QuadratureError
 
 from fits import slope_fit
@@ -33,43 +35,63 @@ from seeds import replication_rng
 class TestConfig:
     def test_requires_unit_second_moment(self):
         with pytest.raises(ValueError):
-            OUConfig(lam=1.0, T=10.0,
-                     jumps=DiscreteControl(values=(2.0,), weights=(1.0,)))
+            OUStatistics(lam=1.0, T=10.0,
+                         jumps=DiscreteControl(values=(2.0,), weights=(1.0,)))
 
     def test_depth_default(self):
-        cfg = OUConfig(lam=0.5, T=10.0)
-        assert cfg.depth == pytest.approx(24.0)
-        assert math.exp(-2 * cfg.lam * cfg.depth) < 1e-10
+        stats = OUStatistics(lam=0.5, T=10.0)
+        assert stats.window == ou_window(0.5, 10.0)
+        assert -stats.window.x_lo == pytest.approx(24.0)
+        assert math.exp(2 * stats.lam * stats.window.x_lo) < 1e-10
+
+    def test_statistics_build_over_the_rate_and_horizon_grid(self):
+        # the cut deepens past 12/lam where the linear kernel's L2 mass on
+        # x <= 0, (1 - e^{-lam T})^2 / (lam^2 T), exceeds 10 (lam = 1e-5,
+        # T = 1e5 among others), so every kernel's support check passes
+        # from lam = 1e-8 to 1e4 and T = 1e-3 to 1e6
+        excess = 0.0
+        for lam in np.logspace(-8, 4, 13):
+            for T in np.logspace(-3, 6, 10):
+                lam, T = float(lam), float(T)
+                stats = OUStatistics(lam, T)
+                mass = math.expm1(-lam * T) ** 2 / (lam * lam * T)
+                depth = max(12.0, 0.5 * math.log(mass / 1e-8))
+                assert -stats.window.x_lo * lam == pytest.approx(depth, rel=1e-12)
+                for kernel in (stats.pair, OUDiagHstarKernel(lam, T).scaled(math.sqrt(T)),
+                               OUSingleKernel(lam, T)):
+                    excess = max(excess, kernel.support_excess(stats.window))
+        assert excess <= 2.0001e-8 < SUPPORT_TOL
 
 
 class TestPathSimulation:
     def test_empty_pattern_zero_path(self):
-        cfg = OUConfig(lam=1.0, T=5.0)
-        empty = PointPattern(np.empty(0), np.empty(0), cfg.window)
-        y = path_on_grid(cfg, empty, np.linspace(0, 5, 11))
+        stats = OUStatistics(lam=1.0, T=5.0)
+        empty = PointPattern(np.empty(0), np.empty(0), stats.window)
+        y = path_on_grid(stats, empty, np.linspace(0, 5, 11))
         assert np.all(y == 0.0)
 
     def test_single_atom_closed_form(self):
-        cfg = OUConfig(lam=2.0, T=4.0)
-        pat = PointPattern(np.array([-1.0]), np.array([1.5]), cfg.window)
+        stats = OUStatistics(lam=2.0, T=4.0)
+        pat = PointPattern(np.array([-1.0]), np.array([1.5]), stats.window)
         t = np.array([1.0, 1.5, 3.0])
-        y = path_on_grid(cfg, pat, t)
+        y = path_on_grid(stats, pat, t)
         want = np.where(t >= 1.5, -math.sqrt(4.0) * np.exp(-2.0 * (t - 1.5)), 0.0)
         assert np.allclose(y, want, atol=1e-14)
 
     def test_stationary_variance_one(self):
-        cfg = OUConfig(lam=1.0, T=2.0)
+        stats = OUStatistics(lam=1.0, T=2.0)
         rng = replication_rng(30, 0)
-        ys = np.array([path_on_grid(cfg, sample_ou_pattern(cfg, rng), np.array([2.0]))[0]
+        ys = np.array([path_on_grid(stats, sample_pattern(stats.jumps, stats.window, rng),
+                                    np.array([2.0]))[0]
                        for _ in range(10_000)])
         se = ys.var(ddof=1) * math.sqrt(2.0 / ys.size) * 1.6
         assert ys.var(ddof=1) == pytest.approx(1.0, abs=4 * se)
 
     def test_autocovariance(self):
-        cfg = OUConfig(lam=1.0, T=4.0)
+        stats = OUStatistics(lam=1.0, T=4.0)
         rng = replication_rng(31, 0)
         grid = np.array([2.0, 2.5, 3.0, 4.0])
-        paths = np.array([path_on_grid(cfg, sample_ou_pattern(cfg, rng), grid)
+        paths = np.array([path_on_grid(stats, sample_pattern(stats.jumps, stats.window, rng), grid)
                           for _ in range(20_000)])
         for j, s in ((1, 0.5), (2, 1.0), (3, 2.0)):
             emp = np.mean(paths[:, 0] * paths[:, j])
@@ -79,9 +101,9 @@ class TestPathSimulation:
 
 class TestLinearStat:
     def test_centered_marginal_zero_mean(self):
-        cfg = OUConfig(lam=1.0, T=50.0)
+        stats = OUStatistics(lam=1.0, T=50.0)
         rng = replication_rng(32, 0)
-        vals = np.array([rep_linear(cfg, rng) for _ in range(4000)])
+        vals = np.array([rep_linear(stats, rng) for _ in range(4000)])
         assert abs(vals.mean()) < 3 * vals.std(ddof=1) / math.sqrt(vals.size)
 
     def test_finite_horizon_variance_oracle(self):
@@ -94,9 +116,9 @@ class TestLinearStat:
         assert linear_variance_exact(lam, T) == pytest.approx(oracle, rel=1e-9)
 
     def test_mc_variance_matches_closed_form(self):
-        cfg = OUConfig(lam=1.0, T=100.0)
+        stats = OUStatistics(lam=1.0, T=100.0)
         rng = replication_rng(33, 0)
-        vals = np.array([rep_linear(cfg, rng) for _ in range(5000)])
+        vals = np.array([rep_linear(stats, rng) for _ in range(5000)])
         target = linear_variance_exact(1.0, 100.0)
         se = vals.var(ddof=1) * math.sqrt(2.0 / vals.size) * 1.3
         assert vals.var(ddof=1) == pytest.approx(target, abs=3 * se)
@@ -107,12 +129,12 @@ class TestLinearStat:
 
 class TestQuadraticStat:
     def test_pathwise_identity_total_vs_exact_square_integral(self):
-        cfg = OUConfig(lam=1.0, T=20.0)
+        stats = OUStatistics(lam=1.0, T=20.0)
         rng = replication_rng(34, 0)
         for _ in range(40):
-            pat = sample_ou_pattern(cfg, rng)
-            q = quadratic_stat(cfg, pat)
-            direct = math.sqrt(cfg.T) * (square_time_integral_exact(cfg, pat) / cfg.T - 1.0)
+            pat = sample_pattern(stats.jumps, stats.window, rng)
+            q = quadratic_stat(stats, pat)
+            direct = math.sqrt(stats.T) * (square_time_integral_exact(stats, pat) / stats.T - 1.0)
             assert q.total == pytest.approx(direct, rel=1e-8, abs=1e-8)
 
     def test_long_horizon_pair_sum_never_builds_the_matrix(self, monkeypatch):
@@ -120,19 +142,19 @@ class TestQuadraticStat:
         # dense square_time_integral_exact stays the independent oracle
         monkeypatch.setattr(OUDoubleHKernel, "__call__",
                             lambda *a: pytest.fail("pair matrix evaluated"))
-        cfg = OUConfig(lam=1.0, T=2000.0)
-        pat = sample_ou_pattern(cfg, replication_rng(40, 0))
-        q = quadratic_stat(cfg, pat)
-        direct = math.sqrt(cfg.T) * (square_time_integral_exact(cfg, pat) / cfg.T - 1.0)
+        stats = OUStatistics(lam=1.0, T=2000.0)
+        pat = sample_pattern(stats.jumps, stats.window, replication_rng(40, 0))
+        q = quadratic_stat(stats, pat)
+        direct = math.sqrt(stats.T) * (square_time_integral_exact(stats, pat) / stats.T - 1.0)
         assert q.total == pytest.approx(direct, rel=1e-8, abs=1e-8)
 
     def test_exact_square_integral_vs_fine_grid(self):
-        cfg = OUConfig(lam=1.0, T=10.0)
-        pat = sample_ou_pattern(cfg, seed=77)
-        exact = square_time_integral_exact(cfg, pat)
+        stats = OUStatistics(lam=1.0, T=10.0)
+        pat = sample_pattern(stats.jumps, stats.window, 77)
+        exact = square_time_integral_exact(stats, pat)
         prev = None
         for n in (2_001, 20_001, 200_001):
-            grid_val = square_time_integral_grid(cfg, pat, n)
+            grid_val = square_time_integral_grid(stats, pat, n)
             err = abs(grid_val - exact) / abs(exact)
             if prev is not None:
                 assert err < prev  # converges as the grid refines
@@ -141,9 +163,9 @@ class TestQuadraticStat:
 
     def test_variances_match_derived_constants(self):
         # Var K2 -> 2/lam and Var K1 -> c_nu^2 (= 1 for the default marginal)
-        cfg = OUConfig(lam=1.0, T=200.0)
+        stats = OUStatistics(lam=1.0, T=200.0)
         rng = replication_rng(35, 0)
-        vals = np.array([rep_quadratic(cfg, rng) for _ in range(3000)])
+        vals = np.array([rep_quadratic(stats, rng) for _ in range(3000)])
         k2, k1, total = vals[:, 0], vals[:, 1], vals[:, 2]
         vk2 = k2.var(ddof=1)
         vk1 = k1.var(ddof=1)
@@ -199,8 +221,8 @@ def ou_patterns(draw):
     at lam T = 1500 is already 7e-13 relative."""
     lam = draw(st.floats(0.2, 5.0))
     T = draw(st.floats(0.05, 1500.0)) / lam
-    cfg = OUConfig(lam, T, draw(st.sampled_from([DEFAULT_JUMPS, UNCENTERED_JUMPS])))
-    lo = cfg.window.x_lo
+    stats = OUStatistics(lam, T, draw(st.sampled_from([DEFAULT_JUMPS, UNCENTERED_JUMPS])))
+    lo = stats.window.x_lo
     spots = st.one_of(st.floats(lo, T), st.sampled_from([lo, 0.0, T]))
     x = draw(st.lists(spots, max_size=12))
     for edge in (T - _SCAN_SPAN / lam, lo + _SCAN_SPAN / lam):
@@ -209,8 +231,8 @@ def ou_patterns(draw):
             x += [np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
     x = x + x[:draw(st.integers(0, len(x)))]
     u = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(x), max_size=len(x)))
-    pattern = PointPattern(np.array(u, dtype=float), np.array(x, dtype=float), cfg.window)
-    return cfg, pattern
+    pattern = PointPattern(np.array(u, dtype=float), np.array(x, dtype=float), stats.window)
+    return stats, pattern
 
 
 class TestOnePass:
@@ -229,11 +251,11 @@ class TestOnePass:
         # difference of two exponentials, and both vanish at x = T, where
         # the two cancel.  Below the smallest normal double (tiny weights,
         # whose products underflow) no relative accuracy is left.
-        cfg, pattern = case
-        lam, T, jumps, window = cfg.lam, cfg.T, cfg.jumps, cfg.window
+        stats, pattern = case
+        lam, T, jumps, window = stats.lam, stats.T, stats.jumps, stats.window
         u, x = pattern.u, pattern.x
         scale = math.sqrt(T)
-        k2, k1, lin = cfg.statistics.evaluate(pattern)
+        k2, k1, lin = stats.evaluate(pattern)
 
         pair = DensePairOUKernel(lam, T).scaled(scale)
         uu = np.abs(u[:, None] * u[None, :])
@@ -253,16 +275,16 @@ class TestOnePass:
         lin_abs = (math.sqrt(2.0 * lam / T) / lam * np.sum(np.abs(u) * shape_parts)
                    + abs(single.integral(jumps, window)))
         assert abs(lin - eval_I1(single, pattern, jumps)) <= 1e-12 * lin_abs + TINY
-        assert cfg.statistics.linear(pattern) == lin
+        assert stats.linear(pattern) == lin
 
     @pytest.mark.parametrize("T", [20.0, 2000.0])
     def test_total_matches_exact_square_integral(self, T):
-        cfg = OUConfig(lam=1.0, T=T)
+        stats = OUStatistics(lam=1.0, T=T)
         rng = replication_rng(42, 0)
         for _ in range(10):
-            pat = sample_ou_pattern(cfg, rng)
-            k2, k1, _ = cfg.statistics.evaluate(pat)
-            direct = math.sqrt(T) * (square_time_integral_exact(cfg, pat) / T - 1.0)
+            pat = sample_pattern(stats.jumps, stats.window, rng)
+            k2, k1, _ = stats.evaluate(pat)
+            direct = math.sqrt(T) * (square_time_integral_exact(stats, pat) / T - 1.0)
             assert k2 + k1 == pytest.approx(direct, rel=1e-8, abs=1e-8)
 
     def test_replications_share_one_set_of_constants(self, monkeypatch):
@@ -277,30 +299,34 @@ class TestOnePass:
             excess = kernel.support_excess
             monkeypatch.setattr(kernel, "support_excess", lambda self, window, f=excess:
                                 (checked.append(type(self).__name__), f(self, window))[1])
-        cfg = OUConfig(lam=1.0, T=50.0)
-        assert cfg.window == Window(-12.0, 50.0) and not checked
+        assert ou_window(1.0, 50.0) == Window(-12.0, 50.0) and not checked
+        stats = OUStatistics(lam=1.0, T=50.0)
         rng = replication_rng(43, 0)
-        rows = [rep_quadratic(cfg, rng) for _ in range(5)]
-        rows += [(rep_linear(cfg, rng),) for _ in range(5)]
+        rows = [rep_quadratic(stats, rng) for _ in range(5)]
+        rows += [(rep_linear(stats, rng),) for _ in range(5)]
         assert sorted(checked) == ["OUDiagHstarKernel", "OUDoubleHKernel", "OUSingleKernel"]
         assert all(np.isfinite(v) for row in rows for v in row)
 
     def test_replication_values(self):
         # (k2, k1, total, sample-variance stat, linear) from one pattern
-        cfg = OUConfig(lam=1.0, T=30.0, jumps=UNCENTERED_JUMPS)
-        k2, k1, total, sv, lin = rep_quadratic(cfg, replication_rng(44, 0))
-        pat = sample_ou_pattern(cfg, replication_rng(44, 0))
-        assert (k2, k1, lin) == cfg.statistics.evaluate(pat)
+        stats = OUStatistics(lam=1.0, T=30.0, jumps=UNCENTERED_JUMPS)
+        k2, k1, total, sv, lin = rep_quadratic(stats, replication_rng(44, 0))
+        pat = sample_pattern(stats.jumps, stats.window, replication_rng(44, 0))
+        assert (k2, k1, lin) == stats.evaluate(pat)
         assert total == k2 + k1
-        assert sv == total - lin ** 2 / math.sqrt(cfg.T)
-        assert rep_linear(cfg, replication_rng(44, 0)) == lin
+        assert sv == total - lin ** 2 / math.sqrt(stats.T)
+        assert rep_linear(stats, replication_rng(44, 0)) == lin
 
     def test_leaking_window_still_raises_support_error(self):
-        # at lam = 1e-6, T = 1e6 the cut at -12/lam leaves more than
-        # chaos.SUPPORT_TOL of the linear kernel's L2 mass outside the window
-        cfg = OUConfig(lam=1e-6, T=1e6)
-        with pytest.raises(SupportError):
-            cfg.statistics
+        # a window cut at -1/lam leaves e^{-2} (1 - e^{-lam T})^2 / (lam^2 T)
+        # of the linear kernel's L2 mass outside, far above chaos.SUPPORT_TOL,
+        # and the pair and diagonal kernels leak too
+        for lam, T in ((1.0, 10.0), (1e-5, 1e5)):
+            window, scale = Window(-1.0 / lam, T), math.sqrt(T)
+            for kernel in (OUDoubleHKernel(lam, T).scaled(scale),
+                           OUDiagHstarKernel(lam, T).scaled(scale), OUSingleKernel(lam, T)):
+                with pytest.raises(SupportError):
+                    _check_support(kernel, window)
 
 
 @st.composite
@@ -311,19 +337,19 @@ def long_horizon_patterns(draw):
     side of it."""
     T = draw(st.floats(100.0, 400.0))
     lam = draw(st.floats(600.0, 1e5)) / T
-    cfg = OUConfig(lam, T, draw(st.sampled_from([DEFAULT_JUMPS, UNCENTERED_JUMPS])))
-    pattern = sample_ou_pattern(cfg, draw(st.integers(0, 2**32 - 1)))
+    stats = OUStatistics(lam, T, draw(st.sampled_from([DEFAULT_JUMPS, UNCENTERED_JUMPS])))
+    pattern = sample_pattern(stats.jumps, stats.window, draw(st.integers(0, 2**32 - 1)))
     u, x = list(pattern.u), list(pattern.x)
     cut = T + _E_EXPONENT_MIN / lam
-    if cut > cfg.window.x_lo and draw(st.booleans()):
+    if cut > stats.window.x_lo and draw(st.booleans()):
         x += [np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)]
         u += draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=3, max_size=3))
-    return cfg, PointPattern(np.array(u), np.array(x), cfg.window)
+    return stats, PointPattern(np.array(u), np.array(x), stats.window)
 
 
-def statistics_and_pair_sum(cfg, pattern):
-    return (cfg.statistics.evaluate(pattern), cfg.statistics.linear(pattern),
-            OUDoubleHKernel(cfg.lam, cfg.T).pair_sum(pattern.u, pattern.x))
+def statistics_and_pair_sum(stats, pattern):
+    return (stats.evaluate(pattern), stats.linear(pattern),
+            OUDoubleHKernel(stats.lam, stats.T).pair_sum(pattern.u, pattern.x))
 
 
 class TestExponentCut:
@@ -339,15 +365,15 @@ class TestExponentCut:
         # a term above e^{-600} ~ 1e-261, and the rank-one terms the cut
         # drops, each below |u u'| DBL_MIN, vanish in its rounding (see the
         # test below)
-        cfg, pattern = case
-        got = statistics_and_pair_sum(cfg, pattern)
+        stats, pattern = case
+        got = statistics_and_pair_sum(stats, pattern)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ou_module, "ou_sorted_atoms", sorted_atoms_every_exponential)
             mp.setattr(kernels_module, "ou_sorted_atoms", sorted_atoms_every_exponential)
-            want = statistics_and_pair_sum(cfg, pattern)
+            want = statistics_and_pair_sum(stats, pattern)
         assert got == want
 
-        lam, T = cfg.lam, cfg.T
+        lam, T = stats.lam, stats.T
         *atoms, e, p = ou_sorted_atoms(lam, T, pattern.u, pattern.x)
         *ref_atoms, ref_e, ref_p = sorted_atoms_every_exponential(lam, T, pattern.u, pattern.x)
         assert all(np.array_equal(a, b) for a, b in zip(atoms + [p], ref_atoms + [ref_p]))
@@ -372,31 +398,32 @@ class TestInstantKernel:
     def test_pathwise_square_identity_uncentered(self):
         # Y(t)^2 = I2(hhat_t) + I1(diag hhat_t) + ||g_t||^2 exactly per path,
         # with a one-sided marginal so every compensator term is exercised
-        cfg = OUConfig(lam=1.0, T=6.0,
-                       jumps=DiscreteControl(values=(1.0,), weights=(1.0,)))
+        stats = OUStatistics(lam=1.0, T=6.0,
+                             jumps=DiscreteControl(values=(1.0,), weights=(1.0,)))
         rng = replication_rng(38, 0)
         for t in (2.0, 5.0):
             kern = OUInstantKernel(1.0, t)
             for _ in range(25):
-                pat = sample_ou_pattern(cfg, rng)
-                y = path_on_grid(cfg, pat, np.array([t]))[0]
+                pat = sample_pattern(stats.jumps, stats.window, rng)
+                y = path_on_grid(stats, pat, np.array([t]))[0]
                 i2 = __import__("poisson_chaos.chaos", fromlist=["eval_I2"]).eval_I2(
-                    kern, pat, cfg.jumps)
+                    kern, pat, stats.jumps)
                 diag = kern(pat.u, pat.x, pat.u, pat.x)
-                comp = cfg.jumps.moment(2) * 2.0 * (1.0 - math.exp(-(t + cfg.depth))) / 2.0
+                depth = -stats.window.x_lo
+                comp = stats.jumps.moment(2) * 2.0 * (1.0 - math.exp(-(t + depth))) / 2.0
                 i1 = float(diag.sum()) - comp
                 assert y ** 2 == pytest.approx(i2 + i1 + comp, rel=1e-9, abs=1e-9)
 
     def test_quadratic_identity_uncentered_marginal(self):
         # with nonzero first moment the pair-kernel compensators are active;
         # the chaos route must still match the trapezoid route on fine grids
-        cfg = OUConfig(lam=1.0, T=10.0,
-                       jumps=DiscreteControl(values=(1.0,), weights=(1.0,)))
+        stats = OUStatistics(lam=1.0, T=10.0,
+                             jumps=DiscreteControl(values=(1.0,), weights=(1.0,)))
         rng = replication_rng(39, 0)
-        pat = sample_ou_pattern(cfg, rng)
-        q = quadratic_stat(cfg, pat)
-        grid_route = math.sqrt(cfg.T) * (
-            square_time_integral_grid(cfg, pat, 200_001) / cfg.T - 1.0)
+        pat = sample_pattern(stats.jumps, stats.window, rng)
+        q = quadratic_stat(stats, pat)
+        grid_route = math.sqrt(stats.T) * (
+            square_time_integral_grid(stats, pat, 200_001) / stats.T - 1.0)
         assert q.total == pytest.approx(grid_route, rel=1e-5, abs=1e-5)
 
 
@@ -435,24 +462,25 @@ class TestPairCompensator:
         jumps = DiscreteControl(values=(0.5 * (1.5 + math.sqrt(1.75)),
                                         0.5 * (1.5 - math.sqrt(1.75))),
                                 weights=(0.5, 0.5))
-        cfg = OUConfig(lam=2.0, T=800.0, jumps=jumps)
+        stats = OUStatistics(lam=2.0, T=800.0, jumps=jumps)
         assert jumps.moment(1) == pytest.approx(0.75)
         rng = replication_rng(41, 0)
-        k2 = np.array([quadratic_stat(cfg, sample_ou_pattern(cfg, rng)).k2 for _ in range(200)])
+        k2 = np.array([quadratic_stat(stats, sample_pattern(stats.jumps, stats.window, rng)).k2
+                       for _ in range(200)])
         assert np.all(np.isfinite(k2))
         assert abs(k2.mean()) < 4 * k2.std(ddof=1) / math.sqrt(k2.size)
 
 
 class TestSampleVariance:
     def test_identity_with_parts(self):
-        cfg = OUConfig(lam=1.0, T=30.0)
+        stats = OUStatistics(lam=1.0, T=30.0)
         rng = replication_rng(36, 0)
         for _ in range(20):
-            pat = sample_ou_pattern(cfg, rng)
-            quad = quadratic_stat(cfg, pat)
-            lin = linear_stat(cfg, pat)
-            sv = sample_variance_stat(cfg, quad, lin)
-            assert sv == pytest.approx(quad.total - lin ** 2 / math.sqrt(cfg.T), abs=1e-12)
+            pat = sample_pattern(stats.jumps, stats.window, rng)
+            quad = quadratic_stat(stats, pat)
+            lin = linear_stat(stats, pat)
+            sv = sample_variance_stat(stats, quad, lin)
+            assert sv == pytest.approx(quad.total - lin ** 2 / math.sqrt(stats.T), abs=1e-12)
 
     def test_correction_term_decays_like_inverse_sqrt(self):
         # MC mean of T^{-1/2} (linear stat)^2 ~ 2/(lam sqrt(T)): slope -1/2
@@ -460,8 +488,8 @@ class TestSampleVariance:
         ts = [25.0, 50.0, 100.0, 200.0, 400.0]
         means = []
         for T in ts:
-            cfg = OUConfig(lam=1.0, T=T)
-            vals = [rep_linear(cfg, rng) ** 2 / math.sqrt(T) for _ in range(800)]
+            stats = OUStatistics(lam=1.0, T=T)
+            vals = [rep_linear(stats, rng) ** 2 / math.sqrt(T) for _ in range(800)]
             means.append(float(np.mean(vals)))
         slope, hw = slope_fit(ts, means)
         assert -0.75 < slope < -0.25

@@ -206,6 +206,19 @@ class TestMoments:
         from scipy.special import gamma as gfn
         assert ctrl.neglected_second_moment() == pytest.approx(oracle / gfn(0.5), rel=1e-8)
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("sigma, gamma", [(0.5, 1.0), (0.1, 3.0), (0.9, 0.25)])
+    def test_generalized_gamma_neglected_second_moment_at_small_eps(self, eps, sigma, gamma):
+        # int_0^eps u^{1 - sigma} e^{-gamma u} du / Gamma(1 - sigma) at 40
+        # digits; the difference full - moment(2) is 3% off at eps = 1e-10
+        import mpmath
+        ctrl = GeneralizedGammaControl(sigma=sigma, gamma=gamma, eps=eps)
+        with mpmath.workdps(40):
+            s, g = mpmath.mpf(sigma), mpmath.mpf(gamma)
+            oracle = float(mpmath.quad(lambda u: u ** (1 - s) * mpmath.exp(-g * u),
+                                       [0, mpmath.mpf(eps)]) / mpmath.gamma(1 - s))
+        assert ctrl.neglected_second_moment() == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("eps", [1e-4, 1e-3, 0.1])
     @pytest.mark.parametrize("beta0", [0.5, 1.0, 2.0])
     def test_extended_gamma_neglected_second_moment(self, eps, beta0):
