@@ -429,6 +429,11 @@ class TestGoldenRuns:
                           "--reps", "100", "--seed", "7"], 1),
         # block_n10.csv carries E G^2 in its m4 column
         "block_n10": (["block", "--n", "10", "--reps", "2000", "--seed", "5"], 1),
+        # the extended-Gamma case at the hazard-egamma-T1e4 benchmark's
+        # horizon, about 45k atoms per pattern; recorded before its sampler
+        # computed b(v) only below the full-span point
+        "hazard_thm7_case2_T10000": (["hazard", "--theorem", "7", "--case", "2",
+                                      "--T", "10000", "--reps", "8", "--seed", "5"], 1),
     }
 
     @pytest.mark.parametrize("workers", ["1", "2"])
