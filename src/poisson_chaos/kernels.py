@@ -880,8 +880,14 @@ class RectHazardKernel(HazardKernel):
         return (np.abs(np.asarray(t, dtype=float) - np.asarray(x, dtype=float)) <= self.tau).astype(float)
 
     def time_integral(self, x, T):
+        # max(0, min(x + tau, T) - max(x - tau, 0)) in two arrays
         x = np.asarray(x, dtype=float)
-        return np.maximum(0.0, np.minimum(x + self.tau, T) - np.maximum(x - self.tau, 0.0))
+        w = x + self.tau
+        np.minimum(w, T, out=w)
+        a = x - self.tau
+        np.maximum(a, 0.0, out=a)
+        w -= a
+        return np.maximum(0.0, w, out=w)
 
     def path_integrals(self, u, x, T):
         """(H(T), int_0^T h^2) in O(n log n), from one set of interval ends.

@@ -237,10 +237,11 @@ class _InverseCDF:
     its value is slopes[j] * (v - cdf[j]) + grid[j].  The segment is found
     without a search: bucket k of the guide table holds the segment of
     k / B, and a bucket that holds at most one further breakpoint needs one
-    comparison.  Uniforms from a ``crowded`` bucket, one that holds more,
-    are searched; crowded buckets lie where the CDF is flat (its ends), so
-    few uniforms reach them.  The table is cached and shared by every
-    sampling call, so its arrays are made read-only.
+    comparison.  A crowded bucket, one that holds more, holds -1 instead:
+    its comparison reads cdf[-1] = 1 > v and leaves the -1, which marks the
+    uniform for a search.  Crowded buckets lie where the CDF is flat (its
+    ends), so few uniforms reach them.  The table is cached and shared by
+    every sampling call, so its arrays are made read-only.
     """
 
     def __init__(self, grid: np.ndarray, dens: np.ndarray):
@@ -251,16 +252,17 @@ class _InverseCDF:
             slopes = np.diff(grid) / np.diff(cdf)
         segment = np.searchsorted(cdf, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS,
                                   side="right") - 1
-        self.crowded = np.diff(segment) > 1
-        self.grid, self.cdf, self.slopes, self.guide = grid, cdf, slopes, segment[:-1]
-        for a in (grid, cdf, slopes, self.guide, self.crowded):
+        guide = segment[:-1]
+        guide[np.diff(segment) > 1] = -1   # crowded buckets
+        self.grid, self.cdf, self.slopes, self.guide = grid, cdf, slopes, guide
+        for a in (grid, cdf, slopes, guide):
             a.setflags(write=False)
 
     def lookup(self, v: np.ndarray) -> np.ndarray:
-        bucket = (v * _GUIDE_BUCKETS).astype(np.intp)
-        j = self.guide.take(bucket)
+        j = self.guide.take((v * _GUIDE_BUCKETS).astype(np.intp))
+        # a crowded bucket's -1 compares v with cdf[-1] = 1 > v, so stays -1
         j += self.cdf[1:].take(j) <= v
-        searched = np.flatnonzero(self.crowded.take(bucket))
+        searched = np.flatnonzero(j < 0)
         if searched.size:
             j[searched] = np.searchsorted(self.cdf, v.take(searched), side="right") - 1
         out = self.cdf.take(j)
@@ -273,8 +275,9 @@ class _InverseCDF:
 @lru_cache(maxsize=32)
 def _window_constants(control, window: Window):
     """Per-(control, window) sampling constants, the inverse-CDF table and
-    the mean atom count, computed once per process; both arguments are
-    frozen dataclasses and so hashable by value."""
+    the mean atom count (and the extended-Gamma full-span point), computed
+    once per process; both arguments are frozen dataclasses and so hashable
+    by value."""
     return control._compute_window_constants(window)
 
 
@@ -480,11 +483,14 @@ class ExtendedGammaControl(ControlMeasure):
     e^{-v} / v (b(v) - x_lo) on [beta(x_lo) eps, beta(x_lo) eps + 80] (the
     kink of b at beta(x_hi) eps, where b reaches x_hi, is a grid point and
     each smooth piece beside it gets 33 more), x uniform on [x_lo, b(v)] and
-    u = v / beta(x); nothing is rejected.  The table depends only on the
-    (control, window) pair and is built once per process, with numpy alone:
-    sampling calls no scipy.  mu(window) (a quadrature of x_mass) and the
-    per-time masses and moments call scipy, which is imported when first
-    needed.
+    u = v / beta(x); nothing is rejected.  b(v) is computed only for the
+    atoms below the full-span point, the smallest v at which it reaches
+    x_hi (at T = 1e4 about a tenth of them); every other atom's interval is
+    the whole window.  The table and that point depend only on the
+    (control, window) pair and are built once per process, with numpy
+    alone: sampling calls no scipy.  mu(window) (a quadrature of x_mass)
+    and the per-time masses and moments call scipy, which is imported when
+    first needed.
     """
 
     beta0: float = 1.0
@@ -581,21 +587,42 @@ class ExtendedGammaControl(ControlMeasure):
         b = self._x_end(grid, window)
         b -= window.x_lo
         table = _InverseCDF(grid, np.exp(-grid) / grid * b)
-        return table, table.total   # the table's mass, within 1e-5 of mu(window)
+        # the table's mass, within 1e-5 of mu(window)
+        return table, table.total, self._full_span_point(window)
+
+    def _full_span_point(self, window: Window) -> float:
+        """The smallest float v with _x_end(v) = x_hi.  The float formula
+        is nondecreasing in v, so b(v) = x_hi exactly from this point on;
+        it is found by stepping with nextafter from beta(x_hi) eps."""
+        if self.beta1 == 0.0:
+            return self.beta0 * self.eps
+        v = np.array([float(self.beta(window.x_hi)) * self.eps])
+        while self._x_end(v, window)[0] < window.x_hi:
+            v = np.nextafter(v, np.inf)
+        while self._x_end(below := np.nextafter(v, -np.inf), window)[0] == window.x_hi:
+            v = below
+        return float(v[0])
 
     def mean_atoms(self, window: Window) -> float:
         return _window_constants(self, window)[1]   # the table's mass: no scipy
 
     def sample(self, window: Window, rng: np.random.Generator):
-        table, total = _window_constants(self, window)
+        table, total, full = _window_constants(self, window)
         n = rng.poisson(total)
         v = table.lookup(rng.random(n))
-        b = self._x_end(v, window)
+        # x = x_lo + (b(v) - x_lo) t: b(v) = x_hi from the full-span point
+        # on, so b is computed only for the atoms below it
         x = rng.random(n)
+        low = np.flatnonzero(v < full)
+        t = x.take(low)
+        x *= window.length
+        b = self._x_end(v.take(low), window)
         b -= window.x_lo
-        x *= b
-        x += window.x_lo
-        np.minimum(x, window.x_hi, out=x)   # x_lo + (b - x_lo) t can round above b
+        t *= b
+        x[low] = t
+        if window.x_lo:   # at x_lo = 0 both change no bit: +0 <= x <= b <= x_hi
+            x += window.x_lo
+            np.minimum(x, window.x_hi, out=x)   # x_lo + (b - x_lo) t can round above b
         # u = v / beta(x) with no temporaries besides u; x >= 0 here, so
         # beta's clamp at 0 is not needed
         u = np.sqrt(x)

@@ -88,7 +88,7 @@ def argsort_lookup(rng, n, cdf, grid):
 
 def argsort_lookup_sample(ctrl, window, rng):
     """Reference: the sampler on the cached table, with the argsort lookup."""
-    table, total = point_process._window_constants(ctrl, window)
+    table, total = point_process._window_constants(ctrl, window)[:2]
     if isinstance(ctrl, GeneralizedGammaControl):
         n = rng.poisson(total)
         x = rng.uniform(window.x_lo, window.x_hi, size=n)
@@ -381,7 +381,7 @@ class TestCachedSamplers:
         # the sampler divides v by beta(x) in place, drawing with rng.random;
         # replaying the draws with rng.uniform and beta() gives the same bits
         ctrl, window = ExtendedGammaControl(), Window(0.0, 1e4 + 1.0)
-        table, _ = point_process._window_constants(ctrl, window)
+        table = point_process._window_constants(ctrl, window)[0]
         rng = np.random.default_rng(seed)
         u, x = ctrl.sample(window, rng)
         replay = np.random.default_rng(seed)
@@ -390,6 +390,20 @@ class TestCachedSamplers:
         assert u.size > 40_000
         assert np.array_equal(u, np.maximum(v / ctrl.beta(x), ctrl.eps))
         assert rng.bit_generator.state == replay.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(1.0, 1.0, 1e-4), (0.5, 0.0, 1e-4), (2.0, 3.0, 1e-2),
+                            (1.0, 1e-9, 1e-4)]),
+           st.data())
+    def test_full_span_point_is_where_the_interval_end_reaches_x_hi(self, params, data):
+        # the sampler computes b(v) only below this point: b is x_hi at it
+        # and below x_hi one float down
+        ctrl = ExtendedGammaControl(*params)
+        window = data.draw(sampling_windows())
+        point = point_process._window_constants(ctrl, window)[2]
+        below = np.nextafter(point, -np.inf)
+        assert ctrl._x_end(np.array([point]), window)[0] == window.x_hi
+        assert ctrl._x_end(np.array([below]), window)[0] < window.x_hi
 
     def test_sizes_cover_empty_small_and_large_patterns(self):
         # the windows above reach n = 0, 0 < n < 4096 (table size) and n >= 4096
@@ -484,14 +498,19 @@ class TestGuideTableLookup:
 
     def test_searched_tail_is_exercised(self):
         # the v-table's CDF is flat at both ends (b - a vanishes at the low
-        # end, e^{-v} at the high end), so buckets at both ends are crowded
+        # end, e^{-v} at the high end), so buckets at both ends are crowded:
+        # their guide entry is -1, every other one the segment of k / B
         table = point_process._window_constants(ExtendedGammaControl(), Window(400.0, 500.0))[0]
-        assert table.crowded[0] and table.crowded[-1]
-        assert 0 < np.count_nonzero(table.crowded) < 0.02 * table.crowded.size
+        crowded = table.guide < 0
+        assert crowded[0] and crowded[-1]
+        assert 0 < np.count_nonzero(crowded) < 0.02 * crowded.size
         assert np.unique(table.cdf).size < table.cdf.size   # flat segments present
-        buckets = np.flatnonzero(table.crowded)
+        starts = np.arange(crowded.size) / crowded.size
+        assert np.array_equal(table.guide[~crowded],
+                              np.searchsorted(table.cdf, starts[~crowded], side="right") - 1)
+        buckets = np.flatnonzero(crowded)
         v = (np.repeat(buckets, 50) + np.random.default_rng(6).uniform(size=50 * buckets.size))
-        v /= table.crowded.size
+        v /= crowded.size
         got = table.lookup(v)
         assert np.array_equal(got.view(np.int64), np.interp(v, table.cdf, table.grid).view(np.int64))
 
