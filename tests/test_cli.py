@@ -679,14 +679,15 @@ class TestChoiceMatrix:
         ("beta", ["--theorem", "8", "--variant", "centered"], "need a homogeneous control"),
         ("beta", ["--theorem", "7", "--case", "1"], "case 1 needs a homogeneous control"),
         # cases 2 and 3 are stated for beta(x) = 1 + sqrt(x) and c(x) ~ sqrt(x)
-        ("extended-gamma\nbeta1 = 0", ["--theorem", "7", "--case", "2"],
-         "case 2 is stated for beta(x) = 1 + sqrt(x): beta0 = beta1 = 1, got 1, 0"),
-        ("extended-gamma\nbeta0 = 2", ["--theorem", "7", "--case", "2"],
-         "beta0 = beta1 = 1, got 2, 1"),
-        ("extended-gamma\nbeta1 = 1.5", ["--theorem", "7", "--case", "2"],
-         "beta0 = beta1 = 1, got 1, 1.5"),
-        ("beta\nc1 = 2", ["--theorem", "7", "--case", "3"],
-         "case 3 is stated for c(x) ~ sqrt(x): c1 = 1, got 2"),
+        pytest.param("extended-gamma\nbeta1 = 0", ["--theorem", "7", "--case", "2"],
+                     "case 2 is stated for beta(x) = 1 + sqrt(x): beta0 = beta1 = 1, got 1, 0",
+                     id="case2-beta1-0"),
+        pytest.param("extended-gamma\nbeta0 = 2", ["--theorem", "7", "--case", "2"],
+                     "beta0 = beta1 = 1, got 2, 1", id="case2-beta0-2"),
+        pytest.param("extended-gamma\nbeta1 = 1.5", ["--theorem", "7", "--case", "2"],
+                     "beta0 = beta1 = 1, got 1, 1.5", id="case2-beta1-1.5"),
+        pytest.param("beta\nc1 = 2", ["--theorem", "7", "--case", "3"],
+                     "case 3 is stated for c(x) ~ sqrt(x): c1 = 1, got 2", id="case3-c1-2"),
     ])
     def test_mismatched_control_fails_before_any_replication(self, tmp_path, monkeypatch,
                                                              capsys, control, argv, message):
@@ -704,7 +705,7 @@ class TestChoiceMatrix:
     @pytest.mark.parametrize("case, control", [
         (2, "extended-gamma\nbeta0 = 1\nbeta1 = 1\neps = 1e-3"),
         (3, "beta\nc0 = 0.5\nc1 = 1"),   # c0 only floors c near x = 0
-    ])
+    ], ids=["case2", "case3"])
     def test_cases_2_and_3_run_with_their_stated_control(self, tmp_path, case, control):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"[control]\ntype = {control}\n", encoding="utf-8")
