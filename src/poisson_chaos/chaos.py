@@ -53,9 +53,9 @@ def eval_I2(f: Kernel, pattern: PointPattern, control: ControlMeasure) -> float:
 
     Evaluates the symmetrization of f (the asymmetric and symmetrized inputs
     define the same integral).  The pair sum costs what the kernel's
-    ``pair_sum`` costs: O(#atoms log #atoms) for the OU pair kernel, O(#atoms^2)
-    time and memory for the dense default.  Compensator integrals are
-    evaluated once per atom.
+    ``pair_sum`` costs, O(#atoms log #atoms) at most (OU scan, block sort,
+    grid cell counts): no n x n matrix, so no pattern is refused for its
+    size.  Compensator integrals are evaluated once per atom.
     """
     _check_arity(f, 2)
     f = f.symmetrize()

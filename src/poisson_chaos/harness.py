@@ -208,8 +208,8 @@ def _tune_allocator() -> None:
     enough for.  The next replication then faults every page in again:
     about 500 minor faults per replication, a third of its time spent in
     the kernel.  Fixed thresholds (mmap from 4 MiB, trim above 32 MiB of
-    free top) keep the pages; larger arrays, such as dense pair matrices,
-    are still mmapped and unmapped on free.  Both are set together:
+    free top) keep the pages; larger arrays, over 4 MiB, are still
+    mmapped and unmapped on free.  Both are set together:
     setting either one alone disables the adaptive threshold and faults
     more, not less.  Values and random streams are unaffected.  Outside
     Linux, or on a C library without mallopt (musl), nothing is done.

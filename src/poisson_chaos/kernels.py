@@ -10,9 +10,10 @@ cut, x_lo <= 0 and x_hi >= T, and raise ValueError on any other; their
 support_excess is the exact L2 mass below the cut, and inf on any other
 window.  All three build on one time integral, _binom_time_integral.
 
-Hazard kernels k(t, x) give a pattern's H(T) and int_0^T h^2 through one
-method, path_integrals; the dense pair-time-integral reference lives with
-the test oracles.
+Arity-2 kernels sum a pattern's distinct pairs by their structure (cell or
+block counts, the OU scan), and hazard kernels k(t, x) give its H(T) and
+int_0^T h^2 through one method, path_integrals; the dense n x n pair sums
+are references that live with the test oracles.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ import numpy as np
 
 from .point_process import ControlMeasure, Window
 from .quadrature import _dot
-
-# largest n x n float64 pair matrix the dense pair sums may allocate
-DENSE_PAIR_BYTES_MAX = 1 << 28
 
 # Widest exponent lam * (x - x0) that one chunk of the OU pair-sum scan
 # spans.  A chunk's running sums of u e^{lam (x - x0)} stay below e^600 ~
@@ -60,14 +58,6 @@ def _distinct_pair_sum(a: np.ndarray) -> float:
     return 2.0 * _dot(a[1:], a[:-1].cumsum())
 
 
-def _check_dense_budget(n: int) -> None:
-    need = 8 * n * n
-    if need > DENSE_PAIR_BYTES_MAX:
-        raise ValueError(
-            f"dense pair matrix for n={n} atoms needs {need} bytes, over the "
-            f"{DENSE_PAIR_BYTES_MAX}-byte budget")
-
-
 class Kernel:
     arity: int = 0
 
@@ -97,22 +87,10 @@ class Kernel:
         raise NotImplementedError
 
     def pair_sum(self, u, x) -> float:
-        """sum_{i != j} f(z_i, z_j) over the atoms z_i = (u_i, x_i) (arity 2).
-
-        Dense: evaluates the n x n pair matrix, O(n^2) time and memory, and
-        refuses matrices over DENSE_PAIR_BYTES_MAX.  Structured kernels
-        override it.
-        """
-        u = np.asarray(u, dtype=float)
-        x = np.asarray(x, dtype=float)
-        if not x.size:
-            return 0.0
-        _check_dense_budget(x.size)
-        vals = self(u[:, None], x[:, None], u[None, :], x[None, :])
-        # zeroed, not subtracted: the rounding error of sum - trace scales
-        # with the diagonal, which is not part of the sum
-        np.fill_diagonal(vals, 0.0)
-        return float(vals.sum())
+        """sum_{i != j} f(z_i, z_j) over the atoms z_i = (u_i, x_i) (arity 2),
+        each kernel by its own structure in at most O(n log n); no kernel
+        builds the n x n pair matrix."""
+        raise NotImplementedError(f"no pair-sum scheme for {type(self).__name__}")
 
     def support_excess(self, window: Window) -> float:
         """L2 mass of the kernel outside the window, for unit jumps: 0 for
@@ -196,6 +174,14 @@ class GridKernel(Kernel):
         i, ins1 = self._cell(x1)
         j, ins2 = self._cell(x2)
         return np.where(ins1 & ins2, self.values[i, j], 0.0)
+
+    def pair_sum(self, u, x):
+        # sum_ab v_ab M_ab over the cell counts N: M = N N^T with N_a (N_a - 1)
+        # on its diagonal, which drops the pairs of an atom with itself
+        _check_arity(self, 2)
+        idx, inside = self._cell(x)
+        n = np.bincount(idx[inside], minlength=len(self.edges) - 1).astype(float)
+        return float((self.values * (np.outer(n, n) - np.diag(n))).sum())
 
     def symmetrize(self) -> "GridKernel":
         if self.arity != 2:
@@ -329,6 +315,18 @@ class BlockKernel(Kernel):
         same = ins1 & ins2 & (i == j)
         distinct = ~(np.equal(np.asarray(x1), np.asarray(x2)) & np.equal(np.asarray(u1), np.asarray(u2)))
         return np.where(same & distinct, self.coef, 0.0)
+
+    def pair_sum(self, u, x):
+        # coef sum_j N_j (N_j - 1) over the block counts N, less the ordered
+        # pairs of coincident atoms (equal u and x), on which f is 0: runs of
+        # equal columns once lexsorted (np.unique would load numpy.ma)
+        j, inside = self.block_index(x)
+        n = np.bincount(j[inside], minlength=self.n)
+        ux = np.array([u, x], dtype=float)[:, inside]
+        ux = ux[:, np.lexsort(ux)]
+        new = np.any(ux[:, 1:] != ux[:, :-1], axis=0)
+        runs = np.diff(np.flatnonzero(np.r_[True, new, True]))
+        return self.coef * float(n @ (n - 1) - runs @ (runs - 1))
 
     def symmetrize(self):
         return self

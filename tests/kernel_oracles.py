@@ -1,5 +1,9 @@
-"""Kernels and CSV readers that only the tests use.
+"""Kernels, dense pair sums and CSV readers that only the tests use.
 
+- ``dense_pair_matrix`` / ``dense_pair_sum``: sum_{i != j} f(z_i, z_j) by
+  the n x n pair matrix, O(n^2) time and memory, refused over
+  ``DENSE_PAIR_BYTES_MAX``.  The reference for the structured pair sums of
+  ``src/`` and the pair sum of ``OUInstantKernel``, which has no other.
 - ``grid_to_csv`` / ``grid_from_csv``: a round-trip format for grid kernels.
 - ``pattern_from_csv``: reads back the atoms of the pattern.csv that
   ``poisson-chaos sample`` writes.
@@ -9,7 +13,7 @@
   fourth-power integrability quantity, exact for grid, block and scaled
   kernels and by panel quadrature for the OU pair kernel.
 - ``DenseHazardKernel``: ``path_integrals`` with int h^2 as the dense
-  O(n^2) pair sum of ``pair_time_integral``, the base of
+  O(n^2) pair sum of ``pair_time_integral`` (same budget), the base of
   ``DykstraLaudHazardKernel`` and ``OUHazardKernel``.  The rectangular
   kernel's dense reference is ``hazard_path_oracle.rect_pair_time_integral``.
 """
@@ -23,11 +27,39 @@ import numpy as np
 
 from poisson_chaos.kernels import (
     BlockKernel, GridKernel, HazardKernel, Kernel, OUDoubleHKernel, ScaledKernel,
-    _check_dense_budget,
 )
 from poisson_chaos.quadrature import _dot
 
 from ou_contraction_oracle import ou_sqrt4_section_integral
+
+# largest n x n float64 pair matrix the dense oracles may allocate
+DENSE_PAIR_BYTES_MAX = 1 << 28
+
+
+def _check_dense_budget(n: int) -> None:
+    need = 8 * n * n
+    if need > DENSE_PAIR_BYTES_MAX:
+        raise ValueError(
+            f"dense pair matrix for n={n} atoms needs {need} bytes, over the "
+            f"{DENSE_PAIR_BYTES_MAX}-byte budget")
+
+
+def dense_pair_matrix(f: Kernel, u, x) -> np.ndarray:
+    """The n x n matrix of f(z_i, z_j) with its diagonal zeroed, not
+    subtracted: the rounding error of sum - trace scales with the diagonal,
+    which is not part of the pair sum."""
+    u = np.asarray(u, dtype=float)
+    x = np.asarray(x, dtype=float)
+    _check_dense_budget(x.size)
+    vals = f(u[:, None], x[:, None], u[None, :], x[None, :])
+    np.fill_diagonal(vals, 0.0)
+    return vals
+
+
+def dense_pair_sum(f: Kernel, u, x) -> float:
+    """sum_{i != j} f(z_i, z_j) by the dense pair matrix; also a pair_sum
+    method for kernels that take it as their own."""
+    return float(dense_pair_matrix(f, u, x).sum())
 
 
 def grid_to_csv(kernel: GridKernel, path) -> None:
@@ -83,6 +115,7 @@ class OUInstantKernel(Kernel):
     lam: float
     t: float
     arity = 2
+    pair_sum = dense_pair_sum
 
     def __call__(self, u1, x1, u2, x2):
         lam, t = self.lam, self.t

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from poisson_chaos import chaos
 from poisson_chaos.chaos import (
@@ -12,8 +12,7 @@ from poisson_chaos.chaos import (
 from poisson_chaos.cli import main as cli_main
 from poisson_chaos.harness import tail_mass
 from poisson_chaos.kernels import (
-    _SCAN_SPAN, DENSE_PAIR_BYTES_MAX, BlockKernel, GridKernel, Kernel, OUDoubleHKernel,
-    OUSingleKernel, _distinct_pair_sum,
+    _SCAN_SPAN, BlockKernel, GridKernel, OUDoubleHKernel, OUSingleKernel, _distinct_pair_sum,
 )
 from poisson_chaos.point_process import (
     DiscreteControl, PointPattern, SupportError, Window, sample_pattern,
@@ -26,6 +25,7 @@ from chaos_oracle import (
 )
 from expansion_oracle import product_expand
 from fits import slope_fit
+from kernel_oracles import DENSE_PAIR_BYTES_MAX, dense_pair_matrix, dense_pair_sum
 from seeds import replication_rng
 
 CTRL = DiscreteControl(values=(1.0,), weights=(1.0,))
@@ -183,7 +183,73 @@ def ou_pair_atoms(draw, u_max=2.0):
     return f, np.array(u, dtype=float), np.array(x, dtype=float)
 
 
+@st.composite
+def count_pair_atoms(draw):
+    """A grid kernel (asymmetric or through symmetrize, possibly scaled by a
+    negative factor) or a block kernel, and atoms inside and outside its
+    support, on its cell edges (both ends included), tied, and coincident:
+    repeated (u, x) pairs, which the block kernel sets to 0."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 5))
+        widths = draw(st.lists(st.floats(0.1, 3.0), min_size=k, max_size=k))
+        edges = tuple(np.concatenate([[-1.0], -1.0 + np.cumsum(widths)]))
+        rows = draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k),
+                             min_size=k, max_size=k))
+        f = GridKernel(edges, np.array(rows))
+        if draw(st.booleans()):
+            f = f.symmetrize()
+        factor = draw(st.one_of(st.just(1.0), st.floats(-3.0, 3.0)))
+        if factor != 1.0:
+            f = f.scaled(factor)
+    else:
+        f = BlockKernel(draw(st.integers(1, 4)))
+        edges = tuple(float(j) for j in range(f.n + 1))
+    spots = st.one_of(st.floats(edges[0] - 1.0, edges[-1] + 1.0), st.sampled_from(edges))
+    x = draw(st.lists(spots, max_size=14))
+    u = draw(st.lists(st.sampled_from([1.0, -1.0, 0.5]), min_size=len(x), max_size=len(x)))
+    tied = draw(st.integers(0, len(x)))
+    return f, np.array(u + u[:tied]), np.array(x + x[:tied])
+
+
 class TestPairSum:
+    @settings(max_examples=300, deadline=None)
+    @given(count_pair_atoms())
+    # x = edges[-1] is in the grid's last cell, x = n outside the blocks;
+    # the block kernel's two coincident atoms at (1, 0.5) are no pair
+    @example((GridKernel((0.0, 1.0, 2.0), np.array([[1.0, 10.0], [100.0, 1000.0]])),
+              np.ones(4), np.array([0.0, 2.0, 2.0, -1e-9])))
+    @example((BlockKernel(2), np.array([1.0, 1.0, -1.0, 1.0, 1.0]),
+              np.array([0.5, 0.5, 0.5, 2.0, 1.0])))
+    def test_counts_match_dense_pair_sum(self, case):
+        # within 1e-13 of the sum of the absolute pair terms, since the
+        # grid's signed values may cancel to near 0, where both sums round;
+        # below the smallest normal double no relative accuracy is left
+        f, u, x = case
+        pairs = dense_pair_matrix(f, u, x)
+        assert (abs(f.pair_sum(u, x) - pairs.sum())
+                <= 1e-13 * np.abs(pairs).sum() + np.finfo(float).tiny)
+
+    def test_eval_I2_on_6000_atoms_evaluates_no_pair(self, monkeypatch):
+        # 6000 atoms, over the dense oracle's budget with a matrix of 288 MB
+        rng = replication_rng(44, 0)
+        x = rng.uniform(0.0, 50.0, 6000)
+        assert 8 * x.size ** 2 > DENSE_PAIR_BYTES_MAX
+        pat = pattern_of(x, Window(0.0, 50.0))
+        edges = tuple(np.linspace(0.0, 50.0, 41))
+        g = GridKernel(edges, rng.uniform(-1.0, 1.0, (40, 40)))
+        for kernel in (BlockKernel, GridKernel):
+            monkeypatch.setattr(kernel, "__call__", lambda *a: pytest.fail("pair evaluated"))
+        assert eval_I2(BlockKernel(50), pat, CTRL) == pytest.approx(
+            charlier_block_oracle(pat, 50), rel=1e-12)
+        # the grid against N^T V N - diag(V) N and its cell compensators,
+        # with counts by np.histogram, whose last bin holds x = 50
+        v = g.symmetrize().values
+        n = np.histogram(x, bins=edges)[0].astype(float)
+        m = np.diff(edges)
+        terms = [n @ v @ n, -np.diag(v) @ n, -2.0 * n @ v @ m, m @ v @ m]
+        scale = n @ np.abs(v) @ (n + 2.0 * m) + m @ np.abs(v) @ m
+        assert abs(eval_I2(g, pat, CTRL) - math.fsum(terms)) <= 1e-12 * scale
+
     @settings(max_examples=80, deadline=None)
     @given(ou_pair_atoms())
     def test_ou_recursion_matches_explicit_sum(self, case):
@@ -255,9 +321,10 @@ class TestPairSum:
         x = np.zeros(2)
         pair = 2.0 * float(f(u[0], x[0], u[1], x[1]))
         assert pair == pytest.approx(2.54e-151, rel=1e-3)
-        assert Kernel.pair_sum(f, u, x) == pytest.approx(pair, rel=1e-15)
+        assert dense_pair_sum(f, u, x) == pytest.approx(pair, rel=1e-15)
         # a grid kernel ignores u: a diagonal cell of 1e20 beside
-        # off-diagonal cells of 1 leaves the pair sum 2 of the two atoms
+        # off-diagonal cells of 1 leaves the pair sum 2 of the two atoms,
+        # where N^T V N - diag(V) N would give 0.0
         g = GridKernel((0.0, 1.0, 2.0), np.array([[1e20, 1.0], [1.0, 0.0]]))
         assert g.pair_sum(np.ones(2), np.array([0.5, 1.5])) == 2.0
 
@@ -265,7 +332,7 @@ class TestPairSum:
         n = int(math.isqrt(DENSE_PAIR_BYTES_MAX // 8)) + 1
         monkeypatch.setattr(BlockKernel, "__call__", lambda *a: pytest.fail("evaluated"))
         with pytest.raises(ValueError, match=f"n={n} atoms needs {8 * n * n} bytes"):
-            BlockKernel(3).pair_sum(np.ones(n), np.zeros(n))
+            dense_pair_sum(BlockKernel(3), np.ones(n), np.zeros(n))
 
 
 class TestCharlier:

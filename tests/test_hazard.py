@@ -14,7 +14,7 @@ from poisson_chaos.hazard import (
     cumulative_mean_exact, cumulative_variance_exact, rect_model, rep_linear_case,
     rep_quadratic, square_hazard_integral,
 )
-from poisson_chaos.kernels import DENSE_PAIR_BYTES_MAX, RectHazardKernel
+from poisson_chaos.kernels import RectHazardKernel
 from poisson_chaos.point_process import (
     BetaControl, DiscreteControl, ExtendedGammaControl, PointPattern, Window, sample_pattern,
 )
@@ -25,7 +25,7 @@ from hazard_path_oracle import (
     rect_square_integral_exact, rect_square_integral_sweep, simulate_hazard,
     square_hazard_integral_grid,
 )
-from kernel_oracles import DykstraLaudHazardKernel
+from kernel_oracles import DENSE_PAIR_BYTES_MAX, DykstraLaudHazardKernel
 from seeds import replication_rng
 
 UNIT = DiscreteControl(values=(1.0,), weights=(1.0,))

@@ -1,8 +1,9 @@
 """The criterion quantity every arity-2 kernel answers for itself,
 ``contraction_norms``, and the test oracles' grid views ``as_grid``, each
-checked against an independent oracle; and the fourth-power integrability
+checked against an independent oracle; the fourth-power integrability
 certificate of ``clt_criterion``, checked against the exact
-int (int f^4)^{1/2} of the test oracles."""
+int (int f^4)^{1/2} of the test oracles; and the refusal of a kernel with
+no pair-sum scheme."""
 
 import math
 
@@ -12,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate as si
 
 from poisson_chaos import contractions
-from poisson_chaos.chaos import clt_criterion
+from poisson_chaos.chaos import clt_criterion, eval_I2
 from poisson_chaos.contractions import contraction_norms
 from poisson_chaos.kernels import (
-    BlockKernel, ContractionError, GridKernel, OUDoubleHKernel, ou_ghat,
+    BlockKernel, ContractionError, GridKernel, Kernel, OUDoubleHKernel, ou_ghat,
 )
 from poisson_chaos.ou import DEFAULT_JUMPS
-from poisson_chaos.point_process import DiscreteControl, Window
+from poisson_chaos.point_process import DiscreteControl, PointPattern, Window
 
 from expansion_oracle import ContractionIndex, as_grid, star
 from kernel_oracles import OUInstantKernel, sqrt4_section_integral
@@ -197,3 +198,25 @@ class TestGridViewsAndNorms:
         with pytest.raises(ContractionError):
             star(OUDoubleHKernel(1.0, 2.0), OUDoubleHKernel(1.0, 2.0),
                  ContractionIndex(1, 1), unit_jump, w)
+
+
+class PointwiseOnlyKernel(Kernel):
+    """An arity-2 kernel with a pointwise __call__ and no pair_sum."""
+
+    arity = 2
+
+    def __call__(self, *coords):
+        pytest.fail("pair evaluated")
+
+    def symmetrize(self):
+        return self
+
+
+class TestPairSumScheme:
+    def test_kernel_without_a_scheme_is_refused_before_evaluation(self, unit_jump):
+        # no dense fallback: eval_I2 raises instead of building the pair matrix
+        pattern = PointPattern(np.ones(3), np.array([0.1, 0.5, 0.9]), Window(0.0, 1.0))
+        for f in (PointwiseOnlyKernel(), PointwiseOnlyKernel().scaled(-2.0)):
+            with pytest.raises(NotImplementedError,
+                               match="no pair-sum scheme for PointwiseOnlyKernel"):
+                eval_I2(f, pattern, unit_jump)

@@ -9,7 +9,7 @@ import poisson_chaos.kernels as kernels_module
 import poisson_chaos.ou as ou_module
 from poisson_chaos.chaos import SUPPORT_TOL, _check_support, eval_I1, eval_I2
 from poisson_chaos.kernels import (
-    _E_EXPONENT_MIN, _SCAN_SPAN, Kernel, OUDiagHstarKernel, OUDoubleHKernel, OUSingleKernel,
+    _E_EXPONENT_MIN, _SCAN_SPAN, OUDiagHstarKernel, OUDoubleHKernel, OUSingleKernel,
     ou_ghat, ou_sorted_atoms,
 )
 from poisson_chaos.ou import (
@@ -22,7 +22,7 @@ from poisson_chaos.point_process import (
 from poisson_chaos.quadrature import QuadratureError
 
 from fits import slope_fit
-from kernel_oracles import OUInstantKernel
+from kernel_oracles import OUInstantKernel, dense_pair_sum
 from ou_contraction_oracle import contraction_norms_by_quadrature
 from ou_path_oracle import (
     autocovariance_exact, h_norm2_doubled, linear_stat, path_on_grid, quadratic_stat,
@@ -186,11 +186,11 @@ class TestQuadraticStat:
 
 
 class DensePairOUKernel(OUDoubleHKernel):
-    """The OU pair kernel with the dense default pair sum of Kernel, so
-    that a reference built on it shares no code with the scan of
+    """The OU pair kernel with the test oracles' dense pair sum, so that a
+    reference built on it shares no code with the scan of
     kernels.ou_pair_terms."""
 
-    pair_sum = Kernel.pair_sum
+    pair_sum = dense_pair_sum
 
 
 def exponential_parts(lam, T, x, y):
