@@ -434,6 +434,11 @@ class TestGoldenRuns:
         # computed b(v) only below the full-span point
         "hazard_thm7_case2_T10000": (["hazard", "--theorem", "7", "--case", "2",
                                       "--T", "10000", "--reps", "8", "--seed", "5"], 1),
+        # the one golden whose config hash is not the empty file's
+        "hazard_thm7_case2_config": (["hazard", "--theorem", "7", "--case", "2", "--T", "50",
+                                      "--reps", "200", "--seed", "5", "--config",
+                                      str(Path(__file__).parents[1] / "configs"
+                                          / "extended_gamma.cfg")], 1),
     }
 
     @pytest.mark.parametrize("workers", ["1", "2"])
