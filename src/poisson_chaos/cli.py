@@ -1,42 +1,42 @@
 """Command-line entry point: binds configurations to experiments and emits
 reports.
 
-Subcommands: criterion | block | ou | hazard | sample, each one entry of
-SUBCOMMANDS (help line, flags, handler, config sections).  A run whose first
-argument names a subcommand builds only that subcommand's parser; any other
-command line (none, -h, a flag before the subcommand, an unknown name) goes
-to the full parser, which prints the top-level usage, help or error.  Each
-value has one source, but --seed and --reps take precedence over
-[experiment]; the control comes only from [control], the window only from
---x-lo/--x-hi.  The Monte Carlo subcommands (block, ou, hazard) alone take
---reps, --format, --workers and --dump; they run harness.collect and
-harness.summarize; ou and hazard first build the one statistics object of
-the run (ou.OUStatistics, hazard.LinearStatistics or QuadraticStatistics),
-whose constructor checks the model, and hand it to every replication.  They
-and criterion share one tail, _finish, that writes the JSON report, the
---format csv summary and the --dump value files, and takes the exit code
-from one verdict.  Every output file embeds the tool version, the config
-hash, and the master seed, so a rerun from that triple reproduces the file
-byte-identically; wall times go to stdout only.  Exit codes: 0 all verdicts
-pass, 1 at least one fails, 2 usage or configuration error (a flag the
-subcommand does not take, a hazard flag the chosen theorem does not read
-(--variant for 7, --case for 8), --lam with criterion --family block or
-fixed, a negative seed, an unknown family, theorem or case, a control that
-does not match the requested case or theorem, hazard case 2 at T <= 1,
-fewer than two replications (100 for ou theorem 4) or one worker, a rate,
-horizon or bandwidth that is not finite and positive, an OU rate, horizon
-or their product outside [1e-60, 1e60], an eps that is not finite
+Subcommands: criterion | block | ou | hazard | sample, one entry each of
+SUBCOMMANDS; a run whose first argument names one builds only its parser,
+any other command line the full parser.  Each value has one source, but
+--seed and --reps take precedence over [experiment]; the control comes only
+from [control], the window only from --x-lo/--x-hi.  The Monte Carlo
+subcommands (block, ou, hazard), which alone take the replication flags, run
+harness.collect and harness.summarize; ou and hazard first build the run's
+one checked statistics object (ou.OUStatistics, hazard.LinearStatistics or
+QuadraticStatistics).  They and criterion end in _finish, which writes the
+JSON report, the --format csv summary and the --dump value files and takes
+the exit code from one verdict.  Each JSON report embeds the tool version,
+the hash of the config bytes the run parsed (the file is read once) and the
+master seed, so a rerun from that triple reproduces every output file
+byte-identically; pattern.csv carries only its window, mass and seed, the
+other CSV files none of the three; wall times go to stdout only.  Exit
+codes: 0 all verdicts pass, 1 at least one fails, 2 usage or configuration
+error (a flag the subcommand does not take, a hazard flag the chosen theorem
+does not read (--variant for 7, --case for 8), --lam with criterion --family
+block or fixed, a negative seed, an unknown family, theorem or case, a
+control that does not match the requested case or theorem, hazard case 2 at
+T <= 1, fewer than two replications (100 for ou theorem 4) or one worker, a
+rate, horizon or bandwidth that is not finite and positive, an OU rate,
+horizon or their product outside [1e-60, 1e60], an eps that is not finite
 and nonnegative, a hazard control with infinite mass (a Gamma control with
-eps = 0), a window bound that is not finite, fewer than one block, a
-sampled pattern of more than point_process.MAX_MEAN_ATOMS atoms on average
-(ou, hazard, sample, block; its arrays could exhaust memory), a config
-section the subcommand does not read (see SUBCOMMANDS; ou refuses
-[control]), an [experiment] key it has no flag for), 3 a replication crashed
-(the one-line message names its index and the master seed), a numerical
-check failed or an arithmetic error (an overflow, a division by zero) was
-raised outside the replications (one line names it).  The exit code follows
-the JSON `passed` but for block, whose exit code judges the fourth moment
-E G^2 against 3 + 37/n while its JSON `passed` judges the KS distance.
+eps = 0), a window bound that is not finite, fewer than one block, a sampled
+pattern of more than point_process.MAX_MEAN_ATOMS atoms on average (ou,
+hazard, sample, block; its arrays could exhaust memory), a config file that
+cannot be read, is not UTF-8 or does not parse, a config section the
+subcommand does not read (see SUBCOMMANDS; ou refuses [control]), an
+[experiment] key it has no flag for, a [control] key its type has no field
+for), 3 a replication crashed (the one-line message names its index and the
+master seed), a numerical check failed or an arithmetic error (an overflow,
+a division by zero) was raised outside the replications (one line names it).
+The exit code follows the JSON `passed` but for block, whose exit code
+judges the fourth moment E G^2 against 3 + 37/n while its JSON `passed`
+judges the KS distance.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .configio import ConfigError, config_hash, control_from_section, read_config
+from .configio import ConfigError, check_keys, config_hash, control_from_section, read_config
 from .point_process import DiscreteControl, Window, check_atom_budget, sample_pattern
 from .kernels import BlockKernel, GridKernel, OUDoubleHKernel
 from . import chaos, hazard as hz, ou as oumod
@@ -87,8 +87,7 @@ def _finish(args, stem: str, payload: dict, passed: bool, label: str, t0: float,
     and returns 0 if passed, else 1."""
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    payload.update(tool_version=__version__, config_hash=config_hash(args.config),
-                   master_seed=args.seed)
+    payload.update(tool_version=__version__, config_hash=args.config_hash, master_seed=args.seed)
     (outdir / f"{stem}.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                                          encoding="utf-8")
     if dumps and args.dump:
@@ -225,8 +224,7 @@ def cmd_hazard(args) -> int:
     if getattr(args, unread) is not None:
         raise ValueError(f"hazard theorem {args.theorem} takes no --{unread}")
     case, variant = args.case or 1, args.variant or "raw"
-    control = (control_from_section(args.sections["control"]) if "control" in args.sections
-               else (UNIT_JUMPS, hz.ExtendedGammaControl(), hz.BetaControl())[case - 1])
+    control = args.control or (UNIT_JUMPS, hz.ExtendedGammaControl(), hz.BetaControl())[case - 1]
     model = hz.rect_model(control, T=args.T, tau=args.tau)
     check_atom_budget(model.control, model.window)
     # the model is checked first, once: CaseMismatchError, a usage error, for
@@ -257,8 +255,7 @@ def cmd_hazard(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    control = (control_from_section(args.sections["control"]) if "control" in args.sections
-               else UNIT_JUMPS)
+    control = args.control or UNIT_JUMPS
     window = Window(args.x_lo, args.x_hi)
     check_atom_budget(control, window)
     pattern = sample_pattern(control, window, args.seed)
@@ -372,19 +369,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_defaults(args) -> None:
-    """Reads --config once into args.sections, refusing a section the
-    subcommand does not read and an [experiment] key it has no flag for;
-    [experiment] fills in --seed and --reps where they are not given.  A
-    negative seed, from either source, is refused here."""
-    args.sections = read_config(args.config) if args.config else {}
+    """Reads --config once into args.sections, args.config_hash and
+    args.control (None without [control]), refusing a section the subcommand
+    does not read and an unknown key; [experiment] fills in --seed and --reps
+    where they are not given.  A negative seed, from either source, fails."""
+    args.sections, args.config_hash = (read_config(args.config) if args.config
+                                       else ({}, config_hash()))
     for name in args.sections:
         if name not in SUBCOMMANDS[args.command].sections:
             raise ConfigError(f"{args.command} does not read a [{name}] section")
     section = args.sections.get("experiment", {})
     defaults = {k: v for k, v in (("seed", 20240801), ("reps", 5000)) if k in vars(args)}
-    unknown = sorted(set(section) - defaults.keys())
-    if unknown:
-        raise ConfigError(f"bad [experiment] section: unknown keys {', '.join(unknown)}")
+    check_keys("experiment", section, defaults)
     for key, default in defaults.items():
         if getattr(args, key) is None:
             setattr(args, key, int(section.get(key, default)))
@@ -393,6 +389,8 @@ def _resolve_defaults(args) -> None:
     if "reps" in defaults and (args.reps < 2 or args.workers < 1):
         raise ValueError(f"need at least two replications and one worker, "
                          f"got reps = {args.reps}, workers = {args.workers}")
+    control = args.sections.get("control")
+    args.control = None if control is None else control_from_section(control)
 
 
 def main(argv=None) -> int:

@@ -1,14 +1,18 @@
 import argparse
+import builtins
+import dataclasses
 import hashlib
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poisson_chaos import cli, hazard, ou, quadrature
 from poisson_chaos.cli import CRASH, USAGE_ERROR, build_parser, main
-from poisson_chaos.configio import ConfigError, config_hash, control_from_section, read_config
+from poisson_chaos.configio import (CONTROLS, ConfigError, config_hash, control_from_section,
+                                    read_config)
 from poisson_chaos.kernels import OUDoubleHKernel
 from poisson_chaos.point_process import BetaControl, DiscreteControl
 from poisson_chaos.quadrature import QuadratureError
@@ -19,7 +23,7 @@ class TestConfigIO:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[control]\ntype = discrete\nvalues = 1.0,-1.0\nweights = 0.5,0.5\n",
                        encoding="utf-8")
-        sections = read_config(cfg)
+        sections, _ = read_config(cfg)
         ctrl = control_from_section(sections["control"])
         assert isinstance(ctrl, DiscreteControl)
         assert ctrl.values == (1.0, -1.0)
@@ -37,10 +41,87 @@ class TestConfigIO:
     def test_hash_stable(self, tmp_path):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("[x]\nk = 1\n")
-        assert config_hash(cfg) == config_hash(cfg)
+        assert read_config(cfg)[1] == read_config(cfg)[1]
         # the first 16 hex digits of the SHA-256 of the file's bytes
-        assert config_hash(cfg) == hashlib.sha256(b"[x]\nk = 1\n").hexdigest()[:16]
-        assert config_hash(None) == hashlib.sha256(b"").hexdigest()[:16]
+        assert read_config(cfg)[1] == hashlib.sha256(b"[x]\nk = 1\n").hexdigest()[:16]
+        assert config_hash() == hashlib.sha256(b"").hexdigest()[:16]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_section_round_trip(self, data):
+        # every key a field, each may be left out if its field has a
+        # default; both spellings of a type name
+        name = data.draw(st.sampled_from(sorted(CONTROLS)))
+        cls = CONTROLS[name]
+        positive = st.floats(min_value=1e-3, max_value=1e3)
+        n = data.draw(st.integers(1, 4))
+        values = {"values": st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n).map(tuple),
+                  "weights": st.lists(positive, min_size=n, max_size=n).map(tuple),
+                  "sigma": st.floats(min_value=0.01, max_value=0.99),
+                  "eps": st.floats(min_value=0.0, max_value=1.0),
+                  "beta1": st.floats(min_value=0.0, max_value=1e3)}
+        chosen = {}
+        for f in dataclasses.fields(cls):
+            if f.default is dataclasses.MISSING or data.draw(st.booleans()):
+                chosen[f.name] = data.draw(values.get(f.name, positive))
+        section = {k: ",".join(map(repr, v)) if isinstance(v, tuple) else repr(v)
+                   for k, v in chosen.items()}
+        section["type"] = data.draw(st.sampled_from([name, name.replace("_", "-")]))
+        control = control_from_section(section)
+        assert type(control) is cls and control == cls(**chosen)
+        for f in dataclasses.fields(cls):
+            if f.name not in chosen:
+                assert getattr(control, f.name) == f.default
+
+    def test_file_rewritten_after_parsing_stamps_the_parsed_bytes(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        parsed = b"[control]\ntype = discrete\nvalues = 1.0\nweights = 2.0\n"
+        cfg.write_bytes(parsed)
+        collect = cli.collect
+
+        def rewrite_then_collect(*args):
+            cfg.write_bytes(parsed.replace(b"2.0", b"3.0"))
+            return collect(*args)
+
+        monkeypatch.setattr(cli, "collect", rewrite_then_collect)
+        rc = main(["hazard", "--theorem", "7", "--case", "1", "--T", "20", "--reps", "20",
+                   "--seed", "3", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc in (0, 1)
+        payload = json.loads((tmp_path / "out" / "hazard_thm7_case1_T20.json").read_text())
+        assert payload["config_hash"] == hashlib.sha256(parsed).hexdigest()[:16]
+
+    @pytest.mark.parametrize("argv", [
+        ["hazard", "--theorem", "7", "--case", "1", "--T", "20", "--reps", "20"],
+        ["sample"],
+        ["criterion", "--family", "block", "--indices", "10,30"],
+    ], ids=lambda argv: argv[0])
+    def test_config_file_is_opened_once(self, tmp_path, monkeypatch, argv):
+        cfg = tmp_path / "run.cfg"
+        section = "" if argv[0] == "criterion" else "[control]\nvalues = 1.0\nweights = 1.0\n"
+        cfg.write_text(f"{section}[experiment]\nseed = 3\n", encoding="utf-8")
+        opened, real_open = [], builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == str(cfg):
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        rc = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc in (0, 1)
+        assert len(opened) == 1
+
+    def test_non_utf8_file_is_a_configuration_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"[experiment]\nseed = 3\n# caf\xe9\n")   # Latin-1, not UTF-8
+        rc = main(["sample", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip().splitlines() == [
+            f"configuration error: cannot parse config {cfg}: 'utf-8' codec can't decode "
+            "byte 0xe9 in position 27: invalid continuation byte"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestCLI:
@@ -590,8 +671,9 @@ class TestNonFiniteWindow:
 
 class TestNonFiniteControl:
     """A control parameter that is not finite is refused by the control
-    itself, with a message naming the parameter: a configuration error
-    before any replication or sampling, and before any file is written."""
+    itself, with a message naming the parameter, and a [control] key that
+    its type has no field for by configio: a configuration error before any
+    replication or sampling, and before any file is written."""
 
     HAZARD7 = ["hazard", "--theorem", "7", "--T", "20", "--reps", "20", "--case"]
 
@@ -616,10 +698,18 @@ class TestNonFiniteControl:
          "gamma must be positive and finite, got nan"),
         (HAZARD7 + ["1"], "type = generalized-gamma\nsigma = 0.5\ngamma = inf\neps = 0.01",
          "gamma must be positive and finite, got inf"),
+        # a misspelled key: the control would silently take its default
+        (HAZARD7 + ["3"], "type = beta\nc_1 = 3", "unknown keys c_1"),
+        (HAZARD7 + ["2"], "type = extended-gamma\nbeta_0 = 1", "unknown keys beta_0"),
+        (["sample"], "type = extended-gamma\nepsilon = 1e-3", "unknown keys epsilon"),
+        (HAZARD7 + ["1"], "type = generalized-gamma\nsigma = 0.5\ngamma = 1\nepsilon = 0.01",
+         "unknown keys epsilon"),
+        (["sample"], "type = discrete\nvalue = 1.0\nweights = 1.0", "unknown keys value"),
     ], ids=["sample-values-nan", "hazard-values-nan", "sample-values-inf",
             "hazard-weights-nan", "sample-weights-inf", "sample-beta0-nan",
             "hazard-beta1-inf", "hazard-c1-nan", "sample-c0-inf", "sample-gamma-nan",
-            "hazard-gamma-inf"])
+            "hazard-gamma-inf", "hazard-c_1", "hazard-beta_0", "sample-epsilon",
+            "hazard-epsilon", "sample-value"])
     def test_parameter_is_a_configuration_error(self, tmp_path, monkeypatch, capsys,
                                                 argv, section, message):
         monkeypatch.setattr(cli, "collect", lambda *a: pytest.fail("a replication ran"))
