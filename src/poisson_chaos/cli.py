@@ -30,10 +30,11 @@ pattern of more than point_process.MAX_MEAN_ATOMS atoms on average (ou,
 hazard, sample, block; its arrays could exhaust memory), a config file that
 cannot be read, is not UTF-8 or does not parse, a config section the
 subcommand does not read (see SUBCOMMANDS; ou refuses [control]), an
-[experiment] key it has no flag for, a [control] key its type has no field
-for), 3 a replication crashed (the one-line message names its index and the
-master seed), a numerical check failed or an arithmetic error (an overflow,
-a division by zero) was raised outside the replications (one line names it).
+[experiment] key it has no flag for or whose value is not an integer, a
+[control] key its type has no field for), 3 a replication crashed (the
+one-line message names its index and the master seed), a numerical check
+failed or an arithmetic error (an overflow, a division by zero) was raised
+outside the replications (one line names it).
 The exit code follows the JSON `passed` but for block, whose exit code
 judges the fourth moment E G^2 against 3 + 37/n while its JSON `passed`
 judges the KS distance.
@@ -382,8 +383,13 @@ def _resolve_defaults(args) -> None:
     defaults = {k: v for k, v in (("seed", 20240801), ("reps", 5000)) if k in vars(args)}
     check_keys("experiment", section, defaults)
     for key, default in defaults.items():
+        try:
+            value = int(section.get(key, default))
+        except ValueError:
+            raise ConfigError(f"bad [experiment] section: {key} must be an integer, "
+                              f"got {section[key]!r}") from None
         if getattr(args, key) is None:
-            setattr(args, key, int(section.get(key, default)))
+            setattr(args, key, value)
     if args.seed < 0:
         raise ValueError(f"the master seed must be a nonnegative integer, got seed = {args.seed}")
     if "reps" in defaults and (args.reps < 2 or args.workers < 1):

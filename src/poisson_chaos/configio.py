@@ -22,16 +22,20 @@ class ConfigError(ValueError):
 
 def read_config(path) -> tuple[dict, str]:
     """Reads path once: its sections, {name: {key: value}}, and the
-    config_hash of the bytes they were parsed from."""
+    config_hash of the bytes they were parsed from.  A UTF-8 byte-order
+    mark is read past (the hash still covers it); a file that cannot be
+    read, decoded or parsed is one ConfigError whose message is one line."""
     import configparser   # only runs that name a config file need it
     parser = configparser.ConfigParser()
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        parser.read_file(io.StringIO(data.decode("utf-8"), newline=None), source=str(path))
+        parser.read_file(io.StringIO(data.decode("utf-8-sig"), newline=None), source=str(path))
+        sections = {name: dict(parser.items(name)) for name in parser.sections()}
     except (OSError, UnicodeDecodeError, configparser.Error) as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    return {name: dict(parser.items(name)) for name in parser.sections()}, config_hash(data)
+        # configparser puts the file, the line number and the line on lines of their own
+        raise ConfigError(f"cannot parse config {path}: {' '.join(str(exc).split())}") from exc
+    return sections, config_hash(data)
 
 
 def config_hash(data: bytes = b"") -> str:

@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .kernels import HazardKernel, RectHazardKernel
 from .point_process import (BetaControl, ControlMeasure, DiscreteControl,
                             ExtendedGammaControl, PointPattern, Window,
@@ -101,10 +99,16 @@ def cumulative_variance_exact(model: HazardModel) -> float:
 def _campbell(model: HazardModel, power: int) -> float:
     """int int u^power w(x)^power mu(du, dx).  For a homogeneous control the
     jump moment stays outside and the kernel integrates w^power itself;
-    otherwise quad of the x-moment against w^power over the window.
+    otherwise the x-moment against w^power over the window.  That
+    quadrature is quadpack.qags, a port of QUADPACK's dqagse (the routine
+    behind scipy.integrate.quad) that returns quad's value bit for bit,
+    called as quad was (epsabs 1e-11, epsrel 1e-9, limit 800).  Importing
+    scipy for quad took about 0.4 s on a 2-core Xeon, more than the rest of
+    a 200-replication case-2 run at T = 1e4.  Both factors are elementwise
+    numpy, so each 21-point rule evaluates them in one call.
 
-    That one quad over [0, T + tau] misses the kink of w at T - tau: at
-    T = 1e4 both the case-2 and the case-3 mean are 5.2e-5 too high
+    That one quadrature over [0, T + tau] misses the kink of w at T - tau:
+    at T = 1e4 both the case-2 and the case-3 mean are 5.2e-5 too high
     relative (the strict xfail test_nonhomogeneous_campbell_at_long_horizon).
     The fix splits the integral at the kinks; it waits for a benchmark
     change that regenerates the hazard-egamma-T1e4 reference, which pins
@@ -112,15 +116,15 @@ def _campbell(model: HazardModel, power: int) -> float:
     ctrl, T = model.control, model.T
     if ctrl.homogeneous:
         return ctrl.moment(power) * model.kernel.power_integral(power, T)
-    from scipy.integrate import quad
+    from .quadpack import qags
+    return qags(_campbell_integrand(model, power), model.window.x_lo, model.window.x_hi,
+                epsabs=1e-11, epsrel=1e-9, limit=800).result
 
-    def w_power(x):
-        return model.kernel.time_integral(np.array([x]), T)[0] ** power
 
-    val, _ = quad(lambda x: float(ctrl.x_moment(power, x)) * w_power(x),
-                  model.window.x_lo, model.window.x_hi,
-                  epsabs=1e-11, epsrel=1e-9, limit=800)
-    return val
+def _campbell_integrand(model: HazardModel, power: int):
+    """x -> x_moment(power, x) w(x)^power, elementwise over an array of x."""
+    ctrl, kernel, T = model.control, model.kernel, model.T
+    return lambda x: ctrl.x_moment(power, x) * kernel.time_integral(x, T) ** power
 
 
 # ---------------------------------------------------------------------------

@@ -151,12 +151,42 @@ class TestCLI:
         rc = main(["criterion", "--family", "nope", "--out", str(tmp_path)])
         assert rc == 2
 
-    def test_malformed_config_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("text, reason", [
+        ("not a config [[[", "File contains no section headers. file: '{cfg}', line: 1 "
+                             "'not a config [[['"),
+        ("[control]\nvalues = 1\n[experiment]\nseed = 1\nstray\n",
+         "Source contains parsing errors: '{cfg}' [line 5]: 'stray\\n'"),
+        ("[control]\nvalues = 5%\n", "'%' must be followed by '%' or '(', found: '%'"),
+    ], ids=["no-header", "stray-line", "interpolation"])
+    def test_malformed_config_usage_error(self, tmp_path, capsys, text, reason):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("not a config at all [[[", encoding="utf-8")
+        bad.write_text(text, encoding="utf-8")
         rc = main(["hazard", "--theorem", "7", "--case", "1", "--T", "20",
-                   "--reps", "200", "--config", str(bad), "--out", str(tmp_path)])
+                   "--reps", "200", "--config", str(bad), "--out", str(tmp_path / "out")])
         assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: cannot parse config {bad}: {reason.format(cfg=bad)}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        text = "[control]\nvalues = 0.5,1.5\nweights = 0.5,0.5\n[experiment]\nseed = 4\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+        sections, digest = read_config(marked)
+        assert sections == read_config(plain)[0]
+        assert digest == config_hash(marked.read_bytes()) != read_config(plain)[1]
+        reports = []
+        for cfg in (plain, marked):
+            rc = main(["hazard", "--theorem", "7", "--case", "1", "--T", "20", "--reps", "50",
+                       "--config", str(cfg), "--out", str(tmp_path / cfg.stem)])
+            assert rc in (0, 1)
+            reports.append(json.loads((tmp_path / cfg.stem / "hazard_thm7_case1_T20.json")
+                                      .read_text()))
+        assert reports[1].pop("config_hash") == digest
+        reports[0].pop("config_hash")
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("argv", [
         ["criterion", "--family", "block"], ["block"], ["ou", "--theorem", "4"],
@@ -928,9 +958,10 @@ class TestChoiceMatrix:
 
 class TestConfigSections:
     """Every subcommand reads [experiment], hazard and sample also
-    [control]; any other section, and an [experiment] key the subcommand
-    has no flag for (seed everywhere, reps for block, ou and hazard), is a
-    usage error before any replication."""
+    [control]; any other section, an [experiment] key the subcommand has
+    no flag for (seed everywhere, reps for block, ou and hazard) and an
+    [experiment] value that is not an integer are usage errors before any
+    replication."""
 
     CONTROL = "[control]\ntype = discrete\nvalues = 1.5,-0.5\nweights = 0.375,0.625\n"
 
@@ -950,8 +981,14 @@ class TestConfigSections:
          "[experiment]\nseed = 5\nreps = 200\n", "bad [experiment] section: unknown keys reps"),
         (["sample", "--x-hi", "25"], "[experiment]\nseed = 5\nreps = 200\n",
          "bad [experiment] section: unknown keys reps"),
+        (["hazard", "--theorem", "7", "--case", "1", "--T", "20"],
+         "[experiment]\nseed = 1.5\n", "bad [experiment] section: seed must be an integer, "
+         "got '1.5'"),
+        (["ou", "--theorem", "5", "--T", "30", "--seed", "3"], "[experiment]\nreps = 2e3\n",
+         "bad [experiment] section: reps must be an integer, got '2e3'"),
     ], ids=["ou-control", "block-control", "criterion-control", "hazard-window",
-            "experiment-typo", "sample-window", "criterion-reps", "sample-reps"])
+            "experiment-typo", "sample-window", "criterion-reps", "sample-reps",
+            "seed-not-integer", "reps-not-integer"])
     def test_unread_section_fails_before_any_replication(self, tmp_path, monkeypatch, capsys,
                                                          argv, text, message):
         monkeypatch.setattr(cli, "collect", lambda *a: pytest.fail("a replication ran"))

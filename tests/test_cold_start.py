@@ -1,18 +1,22 @@
 """The command line starts without scipy, the process pool or the config
 parser.
 
-scipy.special and scipy.integrate are imported by the functions that call
-them (the non-homogeneous controls' masses and moments, the generalized-Gamma
-moments and the non-homogeneous Campbell integrals), so the CLI import and the
-subcommands that never reach those functions do not load scipy at all; the
+scipy.special is imported by the functions that call it (the
+generalized-Gamma moments, the extended-Gamma per-time mass x_mass and the
+neglected second moments that sample reports), so the CLI import and the
+subcommands that never reach those functions do not load scipy at all.  No
+module imports scipy.integrate: the non-homogeneous Campbell integrals of
+hazard cases 2 and 3 and the extended-Gamma window mass go through
+poisson_chaos.quadpack, a port of the QUADPACK routine behind
+scipy.integrate.quad, which the CLI import does not load either; the
 homogeneous case-1 Campbell integrals are closed forms.  They do not load
 numpy.ma either, which np.unique imports on first use, nor numpy.polynomial,
 which only the tests' panel quadrature needs.  The process pool
 (concurrent.futures.process, multiprocessing) is imported only by runs with
 more than one worker, and configparser only by runs that read a config file
 (which still load no scipy).
-The extended-Gamma sampler builds its table with numpy alone, so replications
-of hazard case 2 load no scipy either; only its Campbell integrals do.
+The extended-Gamma sampler builds its table with numpy alone, so a whole
+hazard case-2 run, replications and Campbell integrals, loads no scipy.
 """
 
 import ast
@@ -36,7 +40,8 @@ def loaded():
     return sorted(m for m in sys.modules
                   if m in DEFERRED or m.startswith(("scipy.", "multiprocessing.")))
 
-print("import", "-", loaded())
+# the quadrature port is loaded by the runs that integrate, not by the import
+print("import", "-", loaded() + [m for m in ["poisson_chaos.quadpack"] if m in sys.modules])
 runs = {
     "criterion": ["criterion", "--family", "ou-pair-unit", "--indices", "50,100"],
     "ou": ["ou", "--theorem", "5", "--T", "20", "--reps", "100", "--seed", "1"],
@@ -44,6 +49,10 @@ runs = {
     "ou-thm6": ["ou", "--theorem", "6", "--T", "20", "--reps", "100", "--seed", "1"],
     "hazard": ["hazard", "--theorem", "8", "--T", "20", "--reps", "100", "--seed", "1"],
     "hazard-case1": ["hazard", "--theorem", "7", "--case", "1", "--T", "20", "--reps", "100",
+                     "--seed", "1"],
+    "hazard-case2": ["hazard", "--theorem", "7", "--case", "2", "--T", "20", "--reps", "20",
+                     "--seed", "1"],
+    "hazard-case3": ["hazard", "--theorem", "7", "--case", "3", "--T", "20", "--reps", "20",
                      "--seed", "1"],
     "ou-w2": ["ou", "--theorem", "5", "--T", "20", "--reps", "100", "--seed", "1",
               "--workers", "2"],
@@ -65,8 +74,11 @@ def test_cli_paths_do_not_load_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = [line.split(" ", 2) for line in proc.stdout.splitlines()]
     assert [r[0] for r in rows] == ["import", "criterion", "ou", "ou-thm4", "ou-thm6", "hazard",
-                                    "hazard-case1", "ou-w2", "hazard-config"], proc.stdout
-    # every --workers 1 run without --config leaves the deferred modules unloaded
+                                    "hazard-case1", "hazard-case2", "hazard-case3", "ou-w2",
+                                    "hazard-config"], proc.stdout
+    # the import loads neither the deferred modules nor the quadrature port,
+    # and every --workers 1 run without --config leaves the deferred modules
+    # unloaded
     assert all(r[2] == "[]" for r in rows[:-2]), proc.stdout
     assert {r[1] for r in rows[1:]} <= {"0", "1"}   # 1: a verdict failed, not a crash
     # two workers load the pool, and still no scipy or config parser

@@ -186,7 +186,7 @@ class TestMoments:
     def test_extended_gamma_per_time_moments(self):
         ctrl = ExtendedGammaControl(beta0=1.0, beta1=1.0, eps=1e-4)
         x = 4.0
-        for i in (1, 2):
+        for i in (1, 2, 3, 4):
             oracle, _ = si.quad(lambda u: u ** (i - 1) * np.exp(-3.0 * u), 1e-4, 50.0,
                                 epsabs=1e-14, epsrel=1e-12)
             assert float(ctrl.x_moment(i, x)) == pytest.approx(oracle, rel=1e-9)
